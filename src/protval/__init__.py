@@ -30,12 +30,10 @@ from .loss import (
 from .projection import (
     FixedTerm,
     PortfolioSpec,
-    PvfpSample,
     TacitRenewal,
     premium_runoff,
     pvfp,
     pvfp_batch,
-    underwriting_result,
 )
 from .risk import (
     PvfpStatistics,
@@ -57,7 +55,6 @@ __all__ = [
     "LossScenarioSet",
     "MarketData",
     "PortfolioSpec",
-    "PvfpSample",
     "PvfpStatistics",
     "RiskCriteria",
     "SpreadFunction",
@@ -83,7 +80,6 @@ __all__ = [
     "pvfp_stats",
     "remuneration_option_cost",
     "risk_statistics",
-    "underwriting_result",
     "underwriting_risk_cost",
     "volatility_score",
 ]

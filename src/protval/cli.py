@@ -50,7 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
         if with_sim_flags:
             p.add_argument("--seed", type=int, default=None, help="Simulation seed.")
             p.add_argument("--scenarios", type=int, default=None, help="Scenario count.")
-            p.add_argument("--workers", type=int, default=None, help="Worker threads.")
+            p.add_argument(
+                "--workers", type=int, default=None,
+                help="Accepted and checked (>= 1); changes neither the output nor the speed.",
+            )
 
     add_common(sub.add_parser("price-cap", help="Value the distributor remuneration cap."), False)
     add_common(sub.add_parser("simulate", help="Generate loss-ratio scenario files."), True)
@@ -122,9 +125,7 @@ def cmd_simulate(config: RunConfig) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     for portfolio in portfolios:
-        scenario_set = generate_scenarios(
-            portfolio, config.scenarios, config.seed, weights=weights, workers=config.workers
-        )
+        scenario_set = generate_scenarios(portfolio, config.scenarios, config.seed, weights=weights)
         out = config.output_dir
         reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", scenario_set)
         reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", scenario_set)
@@ -160,14 +161,16 @@ def cmd_value(config: RunConfig) -> int:
             params = resolve_params(portfolio, weights)
             echo_rows.append((portfolio.id, portfolio.mean_sp, params.mu, params.sigma))
 
-            scenario_set = generate_scenarios(
-                portfolio, config.scenarios, config.seed, weights=weights, workers=config.workers
-            )
+            scenario_set = generate_scenarios(portfolio, config.scenarios, config.seed, weights=weights)
             samples = pvfp_batch(portfolio, scenario_set, curve)
             reports.write_pvfp_samples_csv(
                 config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples
             )
-            mean, vol = pvfp_stats(s.pvfp for s in samples)
+            mean, vol = pvfp_stats(samples)
+            if mean <= 0.0:
+                raise ValueError(
+                    f"portfolio {portfolio.id!r}: mean PVFP must be > 0 to price its risk, got {mean!r}"
+                )
             spread = spread_fn.spread_for(vol / mean)
             pvfp_tsr = pvfp(portfolio, portfolio.chronicle, curve)
             pvfp_spread = pvfp(portfolio, portfolio.chronicle, curve, extra_spread=spread)
@@ -204,7 +207,7 @@ def cmd_calibrate_spread(config: RunConfig) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out = config.output_dir / "spread_function.json"
     out.write_text(
-        f'{{\n  "a": {spread_fn.a!r},\n  "b": {spread_fn.b!r},\n  "c": {spread_fn.c!r}\n}}\n',
+        f'{{\n  "a": {spread_fn.a!r},\n  "b": {spread_fn.b!r},\n  "c": 1.0\n}}\n',
         encoding="utf-8",
     )
     reports.write_manifest(config.output_dir, "calibrate-spread", config)

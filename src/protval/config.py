@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -99,15 +100,31 @@ def _require(data: dict[str, Any], key: str, path: Path) -> Any:
     return data[key]
 
 
-def _load_json(path: Path) -> dict[str, Any]:
+def _load_json(path: Path, top: type = dict) -> Any:
+    """Parse a JSON file whose top level is an object (or, with ``top=list``, an array).
+
+    NaN, Infinity and literals that overflow a float (1e999) are rejected.
+    """
     if not path.is_file():
         raise ConfigError(f"{path}: file not found")
+
+    def reject(literal: str) -> NoReturn:
+        raise ConfigError(f"{path}: non-finite number {literal} is not allowed")
+
+    def finite_float(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            reject(literal)
+        return value
+
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(
+            path.read_text(encoding="utf-8"), parse_constant=reject, parse_float=finite_float
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object at the top level")
+    if not isinstance(data, top):
+        raise ConfigError(f"{path}: expected a JSON {'object' if top is dict else 'array'} at the top level")
     return data
 
 
@@ -121,9 +138,12 @@ def _read_csv_pairs(path: Path, col_a: str, col_b: str) -> list[tuple[float, flo
         rows = []
         for lineno, row in enumerate(reader, start=2):
             try:
-                rows.append((float(row[col_a]), float(row[col_b])))
+                pair = (float(row[col_a]), float(row[col_b]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: line {lineno}: non-numeric {col_a}/{col_b}") from exc
+            if not all(map(math.isfinite, pair)):
+                raise ConfigError(f"{path}: line {lineno}: non-finite {col_a}/{col_b}")
+            rows.append(pair)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     return rows
@@ -286,15 +306,8 @@ def default_weight_matrix() -> WeightMatrix:
     Placeholder values for demos and tests; production runs should supply a
     matrix regressed on comparable individual-data portfolios.
     """
-    text = resources.files("protval").joinpath("data/illustrative_weights.json").read_text("utf-8")
-    data = json.loads(text)
-    return WeightMatrix(
-        cells={
-            c: {b: float(w) for b, w in row.items()}
-            for c, row in data.items()
-            if isinstance(row, dict)
-        }
-    )
+    with resources.as_file(resources.files("protval") / "data/illustrative_weights.json") as path:
+        return load_weight_matrix(path)
 
 
 def load_chronicle(path: Path) -> np.ndarray:
@@ -377,13 +390,8 @@ def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> Portfo
 
 
 def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
-    if not path.is_file():
-        raise ConfigError(f"{path}: file not found")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, list) or not data:
+    data = _load_json(path, top=list)
+    if not data:
         raise ConfigError(f"{path}: expected a non-empty JSON array of portfolio rows")
     rows = []
     for entry in data:

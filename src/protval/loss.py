@@ -15,7 +15,6 @@ the gap in about three years.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -210,43 +209,22 @@ def lognormal_params_from_sigma(mean_sp: float, sigma: float) -> LognormalParams
 def _uniform_for_scenario(seed: int, index: int) -> float:
     """One uniform from the substream keyed by (seed, scenario index).
 
-    Substreams make the draw independent of execution order and thread
-    count. random() can return exactly 0.0, which the quantile rejects;
-    that draw is nudged to the smallest representable step.
+    Substreams make the draw independent of execution order. random() can
+    return exactly 0.0, which the quantile rejects; that draw is nudged to
+    the smallest representable step.
     """
     u = np.random.default_rng((seed, index)).random()
     return u if u > 0.0 else 2.0 ** -53
 
 
-def draw_initial_ratios(
-    params: LognormalParams,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> np.ndarray:
-    """Draw n year-1 loss ratios exp(norm_inv(u_i) * sigma + mu).
-
-    Deterministic for a given seed, independent of ``workers``.
-    """
+def draw_initial_ratios(params: LognormalParams, n: int, seed: int) -> np.ndarray:
+    """Draw n year-1 loss ratios exp(norm_inv(u_i) * sigma + mu), deterministic for a given seed."""
     if n < 1:
         raise ValueError(f"scenario count must be >= 1, got {n}")
-    values = np.empty(n)
-
-    def fill(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            u = _uniform_for_scenario(seed, i)
-            values[i] = math.exp(norm_inv(u) * params.sigma + params.mu)
-
     if params.sigma == 0.0:
-        values.fill(math.exp(params.mu))
-    elif workers <= 1:
-        fill(0, n)
-    else:
-        chunk = -(-n // workers)
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), bounds))
-    return values
+        return np.full(n, math.exp(params.mu))
+    normals = (norm_inv(_uniform_for_scenario(seed, i)) for i in range(n))
+    return np.array([math.exp(z * params.sigma + params.mu) for z in normals])
 
 
 def _as_chronicle(chronicle: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -342,20 +320,18 @@ def generate_scenarios(
     n: int = DEFAULT_SCENARIOS,
     seed: int = 0,
     weights: WeightMatrix | None = None,
-    workers: int = 1,
 ) -> LossScenarioSet:
     """Simulate n mean-reverting loss-ratio paths for one portfolio.
 
     Each row applies the reversion recursion to its drawn year-1 ratio; the
-    matrix is identical for identical (portfolio, n, seed) regardless of
-    ``workers``.
+    matrix is identical for identical (portfolio, n, seed).
     """
     params = resolve_params(portfolio, weights)
     chron = _as_chronicle(portfolio.chronicle)
     nu = portfolio.reversion_speed
     _check_reversion_speed(nu)
 
-    sp1 = draw_initial_ratios(params, n, seed, workers=workers)
+    sp1 = draw_initial_ratios(params, n, seed)
     decay = nu ** np.arange(chron.size)
     paths = chron[np.newaxis, :] + (sp1[:, np.newaxis] - chron[0]) * decay[np.newaxis, :]
     paths[:, 0] = sp1

@@ -95,33 +95,6 @@ class PortfolioSpec:
         return len(self.chronicle)
 
 
-@dataclass(frozen=True)
-class PvfpSample:
-    """PVFP of one simulated scenario."""
-
-    scenario_index: int
-    pvfp: float
-
-
-def underwriting_result(premium: float, sp: float, profit_share: float) -> float:
-    """Insurer's annual result for one premium and loss ratio.
-
-    Positive results (sp < 1) are shared at the contractual rate; negative
-    results are borne in full, so the function is continuous at sp = 1 but
-    kinked: slope -premium*(1-share) below breakeven, -premium above.
-    """
-    if premium < 0.0:
-        raise ValueError(f"premium must be >= 0, got {premium}")
-    if sp < 0.0:
-        raise ValueError(f"loss ratio must be >= 0, got {sp}")
-    if not 0.0 <= profit_share <= 1.0:
-        raise ValueError(f"profit share must be in [0, 1], got {profit_share}")
-    result = premium * (1.0 - sp)
-    if sp < 1.0:
-        result *= 1.0 - profit_share
-    return result
-
-
 def premium_runoff(spec: PortfolioSpec) -> np.ndarray:
     """Projected premium vector P(t), t = 1..horizon, with no new business.
 
@@ -143,6 +116,29 @@ def _spread_discounts(curve: ZeroCurve, horizon: int, extra_spread: float) -> np
     return (1.0 + rates + extra_spread) ** -years
 
 
+def _pvfp_rows(
+    spec: PortfolioSpec,
+    paths: np.ndarray,
+    curve: ZeroCurve,
+    extra_spread: float,
+) -> np.ndarray:
+    """PVFP of each row of a (scenarios, horizon) loss-ratio matrix.
+
+    Positive yearly results (S/P < 1) are shared at the contractual rate;
+    losses are borne in full, so the result is continuous at S/P = 1 but
+    kinked there. Results are then taxed and discounted at the zero rate
+    shifted additively by ``extra_spread``.
+    """
+    if np.any(paths < 0.0):
+        raise ValueError("loss ratios must be >= 0")
+    if extra_spread < 0.0:
+        raise ValueError(f"extra spread must be >= 0, got {extra_spread}")
+    results = premium_runoff(spec) * (1.0 - paths)
+    results = np.where(paths < 1.0, results * (1.0 - spec.profit_share_rate), results)
+    discounts = _spread_discounts(curve, spec.horizon, extra_spread)
+    return np.sum(results * (1.0 - spec.tax_rate) * discounts, axis=1)
+
+
 def pvfp(
     spec: PortfolioSpec,
     sp_path: Sequence[float] | np.ndarray,
@@ -151,25 +147,14 @@ def pvfp(
 ) -> float:
     """Present value of future profits along one loss-ratio path.
 
-    Yearly underwriting results, shared and taxed, are discounted at the
-    zero rate shifted additively by ``extra_spread`` (zero spread prices at
-    the risk-free rate).
+    Zero spread prices at the risk-free rate.
     """
     path = np.asarray(sp_path, dtype=float)
     if path.shape != (spec.horizon,):
         raise ValueError(
             f"loss-ratio path has length {path.size}, portfolio horizon is {spec.horizon}"
         )
-    if np.any(path < 0.0):
-        raise ValueError("loss ratios must be >= 0")
-    if extra_spread < 0.0:
-        raise ValueError(f"extra spread must be >= 0, got {extra_spread}")
-
-    premiums = premium_runoff(spec)
-    results = premiums * (1.0 - path)
-    results = np.where(path < 1.0, results * (1.0 - spec.profit_share_rate), results)
-    discounts = _spread_discounts(curve, spec.horizon, extra_spread)
-    return float(np.sum(results * (1.0 - spec.tax_rate) * discounts))
+    return float(_pvfp_rows(spec, path[np.newaxis, :], curve, extra_spread)[0])
 
 
 def pvfp_batch(
@@ -177,13 +162,10 @@ def pvfp_batch(
     scenarios: LossScenarioSet,
     curve: ZeroCurve,
     extra_spread: float = 0.0,
-) -> list[PvfpSample]:
+) -> np.ndarray:
     """PVFP of every scenario row, in scenario order."""
     if scenarios.horizon != spec.horizon:
         raise ValueError(
             f"scenario horizon {scenarios.horizon} differs from portfolio horizon {spec.horizon}"
         )
-    return [
-        PvfpSample(scenario_index=i, pvfp=pvfp(spec, row, curve, extra_spread))
-        for i, row in enumerate(scenarios.scenarios)
-    ]
+    return _pvfp_rows(spec, scenarios.scenarios, curve, extra_spread)

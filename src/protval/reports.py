@@ -12,12 +12,13 @@ import json
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .cap import CapValuation
 from .config import CapInputs, RunConfig
 from .curves import MarketData
 from .loss import LossScenarioSet
-from .projection import PvfpSample
 from .risk import PvfpStatistics
 
 FAN_PROBS = (0.01, 0.25, 0.50, 0.75, 0.99)
@@ -108,12 +109,13 @@ def write_histogram_csv(path: Path, bins: Sequence[tuple[float, int]], bin_width
             writer.writerow([_fmt(left), _fmt(left + bin_width), str(count)])
 
 
-def write_pvfp_samples_csv(path: Path, samples: Sequence[PvfpSample]) -> None:
+def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
+    """One (scenario index, PVFP) row per entry of the PVFP vector."""
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["scenario", "pvfp"])
-        for sample in samples:
-            writer.writerow([str(sample.scenario_index), _fmt(sample.pvfp)])
+        for i, value in enumerate(samples.tolist()):
+            writer.writerow([str(i), _fmt(value)])
 
 
 def write_params_echo_csv(path: Path, rows: Sequence[tuple[str, float, float, float]]) -> None:

@@ -31,15 +31,12 @@ class SpreadFunction:
 
     a: float
     b: float
-    c: float = 1.0
 
     def __post_init__(self) -> None:
         if self.a <= 0.0:
             raise ValueError(f"a must be > 0, got {self.a}")
         if self.b <= 0.0:
             raise ValueError(f"b must be > 0, got {self.b}")
-        if self.c != 1.0:
-            raise ValueError(f"c is fixed at 1 (zero risk, zero spread), got {self.c}")
 
     def spread_for(self, rel_vol: float) -> float:
         """Spread for a relative PVFP volatility (Vol[PVFP] / E[PVFP])."""
@@ -79,18 +76,12 @@ def pvfp_stats(samples: Iterable[float]) -> tuple[float, float]:
     return statistics.fmean(values), statistics.stdev(values)
 
 
-def calibrate_spread(
-    points: Sequence[tuple[float, float]],
-    anchor_origin: bool = True,
-) -> SpreadFunction:
+def calibrate_spread(points: Sequence[tuple[float, float]]) -> SpreadFunction:
     """Fit a * ln(b * vol + 1) through two (rel_vol, spread) points and the origin.
 
-    The origin anchor fixes c = 1; b is found by bisection on the residual
-    s2 * ln(b*v1 + 1) - s1 * ln(b*v2 + 1), then a follows from the first
-    point.
+    b is found by bisection on the residual s2 * ln(b*v1 + 1) -
+    s1 * ln(b*v2 + 1), then a follows from the first point.
     """
-    if not anchor_origin:
-        raise ValueError("only origin-anchored calibration is supported (c = 1)")
     if len(points) != 2:
         raise ValueError(f"exactly two calibration points are required, got {len(points)}")
     (v1, s1), (v2, s2) = (map(float, p) for p in points)

@@ -27,7 +27,6 @@ from protval import (
     mean_reversion_path,
     norm_cdf,
     norm_inv,
-    underwriting_result,
 )
 from protval.cli import main
 
@@ -41,6 +40,7 @@ from .conftest import (
 )
 from .test_cap import monte_carlo_caplet
 from .test_cli import sample_config
+from .test_projection import one_year_result
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -217,9 +217,9 @@ def test_criterion_09_byte_identical_across_workers(tmp_path):
 
 
 def test_criterion_10_profit_sharing_asymmetry():
-    results = [underwriting_result(100.0, sp, 0.5) for sp in (0.5, 1.5)]
+    results = [one_year_result(100.0, sp, 0.5) for sp in (0.5, 1.5)]
     expected_mean = sum(results) / 2.0
-    at_mean_ratio = underwriting_result(100.0, 1.0, 0.5)
+    at_mean_ratio = one_year_result(100.0, 1.0, 0.5)
     ok = expected_mean == pytest.approx(-12.5) and expected_mean < at_mean_ratio == 0.0
     report(
         10,

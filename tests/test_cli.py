@@ -265,6 +265,22 @@ class TestValue:
         assert float(rows["p1"]["spread"]) == 0.0
         assert abs(float(rows["p1"]["cur"])) < 1e-6
 
+    def test_loss_making_portfolio_is_named(self, tmp_path, capsys):
+        write_market_files(tmp_path)
+        make_portfolio_file(tmp_path, "lossy", retained_loss_ratio=1.4, sigma=0.05)
+        config = write_json(tmp_path / "run.json", {
+            "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv"},
+            "portfolios": ["lossy.json"],
+            "scenarios": 200,
+            "seed": 1,
+            "horizon": 10,
+            "spread_points": [[0.10, 0.02], [0.20, 0.03]],
+            "output_dir": "out",
+        })
+        assert main(["value", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: portfolio 'lossy': mean PVFP must be > 0")
+
     def test_missing_spread_points_is_a_config_error(self, tmp_path, capsys):
         write_market_files(tmp_path)
         make_portfolio_file(tmp_path)
@@ -276,6 +292,52 @@ class TestValue:
         })
         assert main(["value", "--config", str(config)]) == 1
         assert "spread_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "bad_file", "number", "replacement"),
+    [
+        ("value", "curve.csv", "0.0268", "nan"),
+        ("price-cap", "vols.csv", "0.17", "inf"),
+        ("value", "chronicle.csv", "0.85", "nan"),
+        ("value", "p1.json", "1000.0", "NaN"),
+        ("value", "p1.json", "1000.0", "1e999"),
+        ("value", "replay.json", "54674", "Infinity"),
+    ],
+)
+def test_non_finite_input_is_rejected_naming_the_file(
+    tmp_path, capsys, command, bad_file, number, replacement
+):
+    write_market_files(tmp_path)
+    (tmp_path / "chronicle.csv").write_text("year,expected_sp\n1,0.8\n2,0.85\n", encoding="utf-8")
+    make_portfolio_file(tmp_path, chronicle_csv="chronicle.csv")
+    write_json(tmp_path / "cap.json", {"strike": 0.019, "index_tenor_years": 3, "notionals": [1.0, 1.0]})
+    write_json(tmp_path / "replay.json", [
+        {"id": "r1", "mean_pvfp": 54674, "vol_pvfp": 1074, "pvfp_tsr": 54674, "pvfp_tsr_spread": 53265},
+    ])
+    target = tmp_path / bad_file
+    text = target.read_text(encoding="utf-8")
+    assert number in text
+    target.write_text(text.replace(number, replacement, 1), encoding="utf-8")
+
+    run = {
+        "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv"},
+        "cap_spec": "cap.json",
+        "scenarios": 20,
+        "horizon": 2,
+        "spread_points": [[0.10, 0.02], [0.20, 0.03]],
+        "output_dir": "out",
+    }
+    if bad_file == "replay.json":
+        run["replay_pvfp"] = "replay.json"
+    else:
+        run["portfolios"] = ["p1.json"]
+    config = write_json(tmp_path / "run.json", run)
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad_file in err
+    assert "Traceback" not in err
 
 
 class TestCalibrateSpread:

@@ -187,12 +187,6 @@ class TestDrawInitialRatios:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, draw_initial_ratios(params, 256, seed=10))
 
-    def test_worker_count_does_not_change_the_draws(self):
-        params = lognormal_params_from_sigma(0.8, 0.25)
-        single = draw_initial_ratios(params, 501, seed=3, workers=1)
-        for workers in (2, 4, 8):
-            assert np.array_equal(single, draw_initial_ratios(params, 501, seed=3, workers=workers))
-
     def test_law_of_large_numbers_recovers_the_mean(self):
         params = lognormal_params(0.80, 0.25)
         values = draw_initial_ratios(params, 100_000, seed=2024)

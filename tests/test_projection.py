@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,12 @@ from protval import (
     premium_runoff,
     pvfp,
     pvfp_batch,
-    underwriting_result,
 )
 
-from .conftest import make_portfolio
+from .conftest import FIGURE_TENORS, FIGURE_ZERO_RATES, make_portfolio
 
 FLAT_ZERO_CURVE = ZeroCurve(tenors=(0.0, 50.0), zero_rates=(0.0, 0.0))
+FIGURE_CURVE = ZeroCurve(tenors=FIGURE_TENORS, zero_rates=FIGURE_ZERO_RATES)
 
 
 def scenario_set_from_rows(rows, chronicle, nu=0.8) -> LossScenarioSet:
@@ -33,59 +35,94 @@ def scenario_set_from_rows(rows, chronicle, nu=0.8) -> LossScenarioSet:
     )
 
 
+def underwriting_result(premium: float, sp: float, profit_share: float) -> float:
+    """Reference: the insurer's annual result for one premium and loss ratio.
+
+    Positive results (sp < 1) are shared at the contractual rate; negative
+    results are borne in full, so the function is continuous at sp = 1 but
+    kinked: slope -premium*(1-share) below breakeven, -premium above.
+    """
+    result = premium * (1.0 - sp)
+    if sp < 1.0:
+        result *= 1.0 - profit_share
+    return result
+
+
+def one_year_result(premium: float, sp: float, profit_share: float) -> float:
+    """The engine's underwriting result: a one-year PVFP, untaxed and undiscounted."""
+    spec = make_portfolio(premium=premium, profit_share=profit_share, tax=0.0, horizon=1)
+    return pvfp(spec, [sp], FLAT_ZERO_CURVE)
+
+
+def reference_terms(spec: PortfolioSpec, path, curve: ZeroCurve, extra_spread: float) -> list[float]:
+    """Plain-Python PVFP terms, one per projection year."""
+    terms = []
+    for t, sp in enumerate(path, start=1):
+        if isinstance(spec.renewal, TacitRenewal):
+            premium = spec.initial_premium * (1.0 - spec.renewal.lapse_rate) ** (t - 1)
+        else:
+            years = math.ceil(spec.renewal.mean_remaining_term_months / 12.0)
+            premium = spec.initial_premium * max(1.0 - (t - 1) / years, 0.0)
+        discount = (1.0 + curve.zero_rate(t) + extra_spread) ** -t
+        result = underwriting_result(premium, sp, spec.profit_share_rate)
+        terms.append(result * (1.0 - spec.tax_rate) * discount)
+    return terms
+
+
 class TestUnderwritingResult:
     def test_loss_fully_borne(self):
-        assert underwriting_result(100.0, 2.0, 0.5) == -100.0
+        assert one_year_result(100.0, 2.0, 0.5) == -100.0
 
     def test_profit_shared(self):
-        assert underwriting_result(100.0, 0.10, 0.5) == pytest.approx(45.0, rel=1e-12)
+        assert one_year_result(100.0, 0.10, 0.5) == pytest.approx(45.0, rel=1e-12)
 
     def test_breakeven_is_zero_for_any_share(self):
         for share in (0.0, 0.3, 1.0):
-            assert underwriting_result(100.0, 1.0, share) == 0.0
+            assert one_year_result(100.0, 1.0, share) == 0.0
 
     @given(share=st.floats(0.0, 1.0))
     @settings(max_examples=200)
     def test_continuity_at_breakeven(self, share):
         eps = 1e-9
-        assert abs(underwriting_result(100.0, 1.0 - eps, share)) < 1e-6
-        assert abs(underwriting_result(100.0, 1.0 + eps, share)) < 1e-6
+        assert abs(one_year_result(100.0, 1.0 - eps, share)) < 1e-6
+        assert abs(one_year_result(100.0, 1.0 + eps, share)) < 1e-6
 
     @given(sp=st.floats(0.0, 0.99), share=st.floats(0.0, 1.0))
     @settings(max_examples=200)
     def test_profit_branch_slope(self, sp, share):
-        lhs = underwriting_result(100.0, sp, share)
+        lhs = one_year_result(100.0, sp, share)
         assert lhs == pytest.approx(100.0 * (1.0 - sp) * (1.0 - share), rel=1e-12, abs=1e-12)
+        assert lhs == underwriting_result(100.0, sp, share)
 
     @given(gap=st.floats(0.01, 1.0))
     @settings(max_examples=200)
     def test_symmetry_without_sharing(self, gap):
-        assert underwriting_result(100.0, 1.0 - gap, 0.0) == pytest.approx(
-            -underwriting_result(100.0, 1.0 + gap, 0.0), rel=1e-12
+        assert one_year_result(100.0, 1.0 - gap, 0.0) == pytest.approx(
+            -one_year_result(100.0, 1.0 + gap, 0.0), rel=1e-12
         )
 
     @given(gap=st.floats(0.01, 1.0), share=st.floats(0.05, 0.95))
     @settings(max_examples=200)
     def test_sharing_flattens_the_profit_branch(self, gap, share):
-        profit = underwriting_result(100.0, 1.0 - gap, share)
-        loss = underwriting_result(100.0, 1.0 + gap, share)
+        profit = one_year_result(100.0, 1.0 - gap, share)
+        loss = one_year_result(100.0, 1.0 + gap, share)
         assert profit == pytest.approx((1.0 - share) * abs(loss), rel=1e-12)
         assert profit < abs(loss)
 
     def test_two_point_asymmetry(self):
         # E[result] over {0.5, 1.5} is (25 - 50)/2 = -12.5, while the result
         # at the mean ratio (1.0) is 0: sharing destroys expected value
-        results = [underwriting_result(100.0, sp, 0.5) for sp in (0.5, 1.5)]
+        results = [one_year_result(100.0, sp, 0.5) for sp in (0.5, 1.5)]
         assert sum(results) / 2 == pytest.approx(-12.5)
-        assert sum(results) / 2 < underwriting_result(100.0, 1.0, 0.5)
+        assert sum(results) / 2 < one_year_result(100.0, 1.0, 0.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="premium"):
-            underwriting_result(-1.0, 0.5, 0.5)
+            one_year_result(-1.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="loss ratio"):
-            underwriting_result(100.0, -0.5, 0.5)
+            one_year_result(100.0, -0.5, 0.5)
         with pytest.raises(ValueError, match="profit share"):
-            underwriting_result(100.0, 0.5, 1.5)
+            one_year_result(100.0, 0.5, 1.5)
 
 
 class TestPremiumRunoff:
@@ -168,16 +205,16 @@ class TestPvfpBatch:
         spec = make_portfolio(horizon=6)
         scenario_set = scenario_set_from_rows([spec.chronicle], spec.chronicle)
         samples = pvfp_batch(spec, scenario_set, figure_curve)
-        assert len(samples) == 1
-        assert samples[0].pvfp == pvfp(spec, spec.chronicle, figure_curve)
+        assert samples.shape == (1,)
+        assert samples[0] == pvfp(spec, spec.chronicle, figure_curve)
 
     def test_duplicate_rows_give_identical_samples(self, figure_curve):
         spec = make_portfolio(horizon=4)
         row = [0.7, 0.9, 1.1, 0.85]
         scenario_set = scenario_set_from_rows([row, row, row], spec.chronicle[:4])
         samples = pvfp_batch(spec, scenario_set, figure_curve)
-        assert samples[0].pvfp == samples[1].pvfp == samples[2].pvfp
-        assert [s.scenario_index for s in samples] == [0, 1, 2]
+        assert samples.shape == (3,)
+        assert samples[0] == samples[1] == samples[2]
 
     def test_two_point_distribution_shows_the_pvfp_asymmetry(self):
         # symmetric loss-ratio scenarios around breakeven, but shared
@@ -186,7 +223,7 @@ class TestPvfpBatch:
         rows = [[0.5] * 3, [1.5] * 3]
         scenario_set = scenario_set_from_rows(rows, spec.chronicle)
         samples = pvfp_batch(spec, scenario_set, FLAT_ZERO_CURVE)
-        mean_pvfp = sum(s.pvfp for s in samples) / 2
+        mean_pvfp = samples.sum() / 2
         central = pvfp(spec, spec.chronicle, FLAT_ZERO_CURVE)
         assert mean_pvfp < central
         assert central == 0.0
@@ -196,6 +233,46 @@ class TestPvfpBatch:
         scenario_set = scenario_set_from_rows([[0.8] * 3], [0.8] * 3)
         with pytest.raises(ValueError, match="horizon"):
             pvfp_batch(spec, scenario_set, figure_curve)
+
+    @given(
+        data=st.data(),
+        horizon=st.integers(1, 12),
+        n=st.integers(1, 6),
+        fixed_term=st.booleans(),
+        share=st.floats(0.0, 1.0),
+        tax=st.floats(0.0, 0.5),
+        extra_spread=st.floats(0.0, 0.05),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_python_reference_row_by_row(
+        self, data, horizon, n, fixed_term, share, tax, extra_spread
+    ):
+        renewal = (
+            FixedTerm(mean_remaining_term_months=data.draw(st.floats(1.0, 240.0)))
+            if fixed_term
+            else TacitRenewal(lapse_rate=data.draw(st.floats(0.0, 0.3)))
+        )
+        spec = PortfolioSpec(
+            id="prop",
+            initial_premium=data.draw(st.floats(1.0, 1e6)),
+            chronicle=(0.9,) * horizon,
+            renewal=renewal,
+            profit_share_rate=share,
+            tax_rate=tax,
+            mean_sp=0.9,
+            sigma=0.2,
+        )
+        # loss ratios on both sides of breakeven, breakeven itself included
+        ratio = st.one_of(st.floats(0.0, 2.5), st.just(1.0))
+        row = st.lists(ratio, min_size=horizon, max_size=horizon)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        samples = pvfp_batch(spec, scenario_set_from_rows(rows, spec.chronicle), FIGURE_CURVE, extra_spread)
+        assert samples.shape == (n,)
+        for path, value in zip(rows, samples):
+            terms = reference_terms(spec, path, FIGURE_CURVE, extra_spread)
+            scale = math.fsum(abs(v) for v in terms)
+            assert abs(value - math.fsum(terms)) <= 1e-12 * scale
+            assert value == pvfp(spec, path, FIGURE_CURVE, extra_spread)
 
 
 class TestPortfolioSpecValidation:

@@ -62,7 +62,6 @@ class TestCalibrateSpread:
 
     def test_anchored_at_the_origin(self, calibrated):
         assert calibrated.spread_for(0.0) == 0.0
-        assert calibrated.c == 1.0
 
     def test_reproduces_the_calibration_points(self, calibrated):
         for rel_vol, spread in SPREAD_CALIBRATION_POINTS:
@@ -118,8 +117,6 @@ class TestSpreadFor:
             SpreadFunction(a=0.0, b=1.0)
         with pytest.raises(ValueError, match="b must"):
             SpreadFunction(a=1.0, b=0.0)
-        with pytest.raises(ValueError, match="c is fixed"):
-            SpreadFunction(a=1.0, b=1.0, c=2.0)
 
 
 class TestUnderwritingRiskCost:
