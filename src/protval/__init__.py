@@ -8,7 +8,7 @@ Two risk measures are produced:
   PVFP projection and a risk-aversion spread.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .cap import CapSpec, CapValuation, caplet_price, norm_cdf, price_cap, remuneration_option_cost
 from .curves import MarketData, VolTermStructure, ZeroCurve
@@ -44,42 +44,3 @@ from .risk import (
     risk_statistics,
     underwriting_risk_cost,
 )
-
-__all__ = [
-    "CalibrationError",
-    "CapSpec",
-    "CapValuation",
-    "ConfigError",
-    "FixedTerm",
-    "LognormalParams",
-    "LossScenarioSet",
-    "MarketData",
-    "PortfolioSpec",
-    "PvfpStatistics",
-    "RiskCriteria",
-    "SpreadFunction",
-    "TacitRenewal",
-    "VolTermStructure",
-    "WeightMatrix",
-    "ZeroCurve",
-    "aggregate",
-    "calibrate_spread",
-    "caplet_price",
-    "draw_initial_ratios",
-    "generate_scenarios",
-    "histogram",
-    "lognormal_params",
-    "lognormal_params_from_sigma",
-    "mean_reversion_path",
-    "norm_cdf",
-    "norm_inv",
-    "premium_runoff",
-    "price_cap",
-    "pvfp",
-    "pvfp_batch",
-    "pvfp_stats",
-    "remuneration_option_cost",
-    "risk_statistics",
-    "underwriting_risk_cost",
-    "volatility_score",
-]

@@ -94,10 +94,42 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+_REQUIRED = object()
+
+
 def _require(data: dict[str, Any], key: str, path: Path) -> Any:
     if key not in data:
         raise ConfigError(f"{path}: missing required field {key!r}")
     return data[key]
+
+
+def _as_float(value: Any, path: Path, field: str) -> float:
+    """A JSON number as a float.
+
+    ``float()`` alone would also take the string "nan" and the boolean true,
+    and raises ``OverflowError`` on an integer beyond the float range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: field {field!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: field {field!r} is too large for a float") from None
+
+
+def _as_int(value: Any, path: Path, field: str) -> int:
+    """A JSON integer (or integral float) as an int; strings and booleans are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _float(data: dict[str, Any], key: str, path: Path, default: Any = _REQUIRED) -> float | None:
+    """Field ``key`` as a float; required unless a default is given. A null optional field is None."""
+    value = _require(data, key, path) if default is _REQUIRED else data.get(key, default)
+    return None if value is None else _as_float(value, path, key)
 
 
 def _load_json(path: Path, top: type = dict) -> Any:
@@ -195,30 +227,33 @@ def load_run_config(
     spread_points = data.get("spread_points")
     if spread_points is not None:
         try:
-            spread_points = tuple((float(v), float(s)) for v, s in spread_points)
+            spread_points = tuple(
+                (_as_float(v, path, "spread_points"), _as_float(s, path, "spread_points"))
+                for v, s in spread_points
+            )
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: spread_points must be [[rel_vol, spread], ...]") from exc
+            raise ConfigError(f"{path}: spread_points must be [[rel_vol, spread], ...] of numbers") from exc
 
-    merged_scenarios = merged("scenarios", scenarios)
-    merged_seed = merged("seed", seed)
-    merged_workers = merged("workers", workers)
+    def merged_int(name: str, flag: int | None, default: int) -> int:
+        value = merged(name, flag)
+        return default if value is None else _as_int(value, path, name)
 
     config = RunConfig(
         config_path=path,
         config_sha256=digest,
         curve_csv=_resolve(base, market["curve_csv"]) if "curve_csv" in market else None,
         vols_csv=_resolve(base, market["vols_csv"]) if "vols_csv" in market else None,
-        spot_index_rate=market.get("spot_index_rate"),
-        tax_rate=float(market.get("tax_rate", 0.0)),
+        spot_index_rate=_float(market, "spot_index_rate", path, default=None),
+        tax_rate=_float(market, "tax_rate", path, default=0.0),
         cap_spec_path=_resolve(base, data["cap_spec"]) if "cap_spec" in data else None,
         portfolio_paths=tuple(_resolve(base, p) for p in data.get("portfolios", ())),
         weights_path=_resolve(base, data["weights"]) if "weights" in data else None,
         replay_pvfp_path=_resolve(base, data["replay_pvfp"]) if "replay_pvfp" in data else None,
         spread_points=spread_points,
-        scenarios=int(merged_scenarios) if merged_scenarios is not None else DEFAULT_SCENARIOS,
-        seed=int(merged_seed) if merged_seed is not None else 0,
-        horizon=int(data.get("horizon", DEFAULT_HORIZON)),
-        workers=int(merged_workers) if merged_workers is not None else 1,
+        scenarios=merged_int("scenarios", scenarios, DEFAULT_SCENARIOS),
+        seed=merged_int("seed", seed, 0),
+        horizon=merged_int("horizon", None, DEFAULT_HORIZON),
+        workers=merged_int("workers", workers, 1),
         output_dir=_resolve(base, str(out_dir)),
     )
 
@@ -240,7 +275,7 @@ def load_market(config: RunConfig) -> MarketData:
     return MarketData(
         curve=curve,
         vols=vols,
-        spot_index_rate=float(config.spot_index_rate or 0.0),
+        spot_index_rate=config.spot_index_rate or 0.0,
         tax_rate=config.tax_rate,
     )
 
@@ -255,13 +290,15 @@ def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
     data = _load_json(path)
     try:
         spec = CapSpec(
-            strike=float(_require(data, "strike", path)),
-            notionals=tuple(float(n) for n in _require(data, "notionals", path)),
-            index_tenor=float(_require(data, "index_tenor_years", path)),
-            accrual=float(data.get("accrual_years", 1.0)),
-            strikes=tuple(float(s) for s in data["strikes"]) if "strikes" in data else None,
+            strike=_float(data, "strike", path),
+            notionals=tuple(_as_float(n, path, "notionals") for n in _require(data, "notionals", path)),
+            index_tenor=_float(data, "index_tenor_years", path),
+            accrual=_float(data, "accrual_years", path, default=1.0),
+            strikes=tuple(_as_float(s, path, "strikes") for s in data["strikes"]) if "strikes" in data else None,
             use_spot_for_first_period=bool(data.get("use_spot_for_first_period", False)),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if spec.use_spot_for_first_period and spot_index_rate is None:
@@ -275,13 +312,13 @@ def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
     if replay is not None:
         if not isinstance(replay, dict):
             raise ConfigError(f"{path}: field 'replay' must be an object")
-        costs = tuple(float(v) for v in _require(replay, "caplet_costs", path))
-        deterministic = float(_require(replay, "deterministic_cost", path))
+        costs = tuple(_as_float(v, path, "caplet_costs") for v in _require(replay, "caplet_costs", path))
+        deterministic = _float(replay, "deterministic_cost", path)
         if len(costs) != len(spec.notionals):
             raise ConfigError(f"{path}: replay.caplet_costs must cover period indices 0..n")
     return CapInputs(
         spec=spec,
-        booked_flows_pv=float(data.get("booked_flows_pv", 0.0)),
+        booked_flows_pv=_float(data, "booked_flows_pv", path, default=0.0),
         replay_caplet_costs=costs,
         replay_deterministic_cost=deterministic,
     )
@@ -290,7 +327,7 @@ def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
 def load_weight_matrix(path: Path) -> WeightMatrix:
     data = _load_json(path)
     cells = {
-        criterion: {bucket: float(w) for bucket, w in row.items()}
+        criterion: {bucket: _as_float(w, path, f"{criterion}.{bucket}") for bucket, w in row.items()}
         for criterion, row in data.items()
         if isinstance(row, dict)
     }
@@ -322,11 +359,9 @@ def _parse_renewal(data: dict[str, Any], path: Path) -> TacitRenewal | FixedTerm
     renewal = _require(data, "renewal", path)
     mode = _require(renewal, "mode", path)
     if mode == "tacit_renewal":
-        return TacitRenewal(lapse_rate=float(_require(renewal, "lapse_rate", path)))
+        return TacitRenewal(lapse_rate=_float(renewal, "lapse_rate", path))
     if mode == "fixed_term":
-        return FixedTerm(
-            mean_remaining_term_months=float(_require(renewal, "mean_remaining_term_months", path))
-        )
+        return FixedTerm(mean_remaining_term_months=_float(renewal, "mean_remaining_term_months", path))
     raise ConfigError(f"{path}: renewal.mode must be 'tacit_renewal' or 'fixed_term', got {mode!r}")
 
 
@@ -336,55 +371,51 @@ def _parse_criteria(data: dict[str, Any], path: Path) -> RiskCriteria | None:
         return None
     try:
         return RiskCriteria(
-            portfolio_age=float(_require(raw, "portfolio_age_years", path)),
+            portfolio_age=_float(raw, "portfolio_age_years", path),
             homogeneity=str(_require(raw, "homogeneity", path)),
             technical_bases_quality=str(_require(raw, "technical_bases_quality", path)),
             concentration=str(_require(raw, "concentration", path)),
             moral_hazard=str(_require(raw, "moral_hazard", path)),
             litigation=str(_require(raw, "litigation", path)),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: criteria: {exc}") from exc
 
 
 def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> PortfolioSpec:
     data = _load_json(path)
-    mean_sp = float(_require(data, "retained_loss_ratio", path))
+    mean_sp = _float(data, "retained_loss_ratio", path)
 
     if "chronicle_csv" in data:
         chronicle = tuple(load_chronicle(_resolve(path.parent, data["chronicle_csv"])))
     elif "chronicle" in data:
-        chronicle = tuple(float(v) for v in data["chronicle"])
+        chronicle = tuple(_as_float(v, path, "chronicle") for v in data["chronicle"])
     else:
-        horizon = int(data.get("horizon_years", default_horizon))
+        horizon = _as_int(data.get("horizon_years", default_horizon), path, "horizon_years")
         chronicle = (mean_sp,) * horizon
 
     try:
         return PortfolioSpec(
             id=str(_require(data, "id", path)),
-            initial_premium=float(_require(data, "initial_premium", path)),
+            initial_premium=_float(data, "initial_premium", path),
             chronicle=chronicle,
             renewal=_parse_renewal(data, path),
-            profit_share_rate=float(_require(data, "profit_share_rate", path)),
-            tax_rate=float(_require(data, "tax_rate", path)),
+            profit_share_rate=_float(data, "profit_share_rate", path),
+            tax_rate=_float(data, "tax_rate", path),
             mean_sp=mean_sp,
-            sigma=float(data["sigma"]) if data.get("sigma") is not None else None,
+            sigma=_float(data, "sigma", path, default=None),
             criteria=_parse_criteria(data, path),
-            reversion_speed=float(data.get("reversion_speed", DEFAULT_REVERSION_SPEED)),
-            actuarial_age=(
-                float(data["actuarial_age_years"])
-                if data.get("actuarial_age_years") is not None
-                else None
-            ),
-            accounting_loss_ratio=(
-                float(data["accounting_loss_ratio"])
-                if data.get("accounting_loss_ratio") is not None
-                else None
-            ),
+            reversion_speed=_float(data, "reversion_speed", path, default=DEFAULT_REVERSION_SPEED),
+            actuarial_age=_float(data, "actuarial_age_years", path, default=None),
+            accounting_loss_ratio=_float(data, "accounting_loss_ratio", path, default=None),
             risk_anticipation=(
                 bool(data["risk_anticipation"]) if data.get("risk_anticipation") is not None else None
             ),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -400,10 +431,10 @@ def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
         rows.append(
             ReplayPvfpRow(
                 id=str(_require(entry, "id", path)),
-                mean_pvfp=float(_require(entry, "mean_pvfp", path)),
-                vol_pvfp=float(_require(entry, "vol_pvfp", path)),
-                pvfp_tsr=float(_require(entry, "pvfp_tsr", path)),
-                pvfp_tsr_spread=float(_require(entry, "pvfp_tsr_spread", path)),
+                mean_pvfp=_float(entry, "mean_pvfp", path),
+                vol_pvfp=_float(entry, "vol_pvfp", path),
+                pvfp_tsr=_float(entry, "pvfp_tsr", path),
+                pvfp_tsr_spread=_float(entry, "pvfp_tsr_spread", path),
             )
         )
     return rows

@@ -56,33 +56,44 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def norm_inv(u: float) -> float:
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _rational_tail(q: np.ndarray) -> np.ndarray:
+    return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
+            / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+
+
+def norm_inv(u: float | np.ndarray) -> float | np.ndarray:
     """Standard normal quantile, accurate to well below 1e-9 absolute.
 
-    Rational approximation refined with one Halley step against the
-    erfc-based CDF, which leaves errors near machine precision.
+    Acklam's rational approximation refined with one Halley step against the
+    erfc-based CDF, which leaves errors near machine precision. Takes a
+    float (and returns a float) or an array (and returns an array of the
+    same shape); every probability must lie in (0, 1).
     """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"probability must be in (0, 1), got {u}")
+    p = np.asarray(u, dtype=float)
+    flat = p.reshape(-1)
+    inside = (flat > 0.0) & (flat < 1.0)
+    if not inside.all():
+        raise ValueError(f"probability must be in (0, 1), got {flat[~inside][0]}")
 
-    if u < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif u <= 1.0 - _P_LOW:
-        q = u - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+    x = np.empty_like(flat)
+    lower = flat < _P_LOW
+    upper = flat > 1.0 - _P_LOW
+    central = ~(lower | upper)
+    q = flat[central] - 0.5
+    r = q * q
+    x[central] = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
+                  / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+    x[lower] = _rational_tail(np.sqrt(-2.0 * np.log(flat[lower])))
+    x[upper] = -_rational_tail(np.sqrt(-2.0 * np.log(1.0 - flat[upper])))
 
     # Halley refinement: e is the CDF residual at x.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - u
-    w = e * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - w / (1.0 + 0.5 * x * w)
+    e = 0.5 * _erfc(-x / math.sqrt(2.0)).astype(float) - flat
+    w = e * _SQRT_2PI * np.exp(0.5 * x * x)
+    x = x - w / (1.0 + 0.5 * x * w)
+    return float(x[0]) if p.ndim == 0 else x.reshape(p.shape)
 
 
 @dataclass(frozen=True)
@@ -206,25 +217,20 @@ def lognormal_params_from_sigma(mean_sp: float, sigma: float) -> LognormalParams
     return LognormalParams(mu=math.log(mean_sp) - 0.5 * sigma * sigma, sigma=sigma)
 
 
-def _uniform_for_scenario(seed: int, index: int) -> float:
-    """One uniform from the substream keyed by (seed, scenario index).
-
-    Substreams make the draw independent of execution order. random() can
-    return exactly 0.0, which the quantile rejects; that draw is nudged to
-    the smallest representable step.
-    """
-    u = np.random.default_rng((seed, index)).random()
-    return u if u > 0.0 else 2.0 ** -53
-
-
 def draw_initial_ratios(params: LognormalParams, n: int, seed: int) -> np.ndarray:
-    """Draw n year-1 loss ratios exp(norm_inv(u_i) * sigma + mu), deterministic for a given seed."""
+    """Draw n year-1 loss ratios exp(norm_inv(u_i) * sigma + mu), deterministic for a given seed.
+
+    u_i is the i-th uniform of one Philox stream keyed by the seed, so the
+    first k of n draws are the k draws. random() can return exactly 0.0,
+    which the quantile rejects; that uniform is nudged to 2**-53.
+    """
     if n < 1:
         raise ValueError(f"scenario count must be >= 1, got {n}")
     if params.sigma == 0.0:
         return np.full(n, math.exp(params.mu))
-    normals = (norm_inv(_uniform_for_scenario(seed, i)) for i in range(n))
-    return np.array([math.exp(z * params.sigma + params.mu) for z in normals])
+    u = np.random.Generator(np.random.Philox(seed)).random(n)
+    u[u == 0.0] = 2.0 ** -53
+    return np.exp(norm_inv(u) * params.sigma + params.mu)
 
 
 def _as_chronicle(chronicle: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -85,11 +85,13 @@ def write_cap_report(
 
 
 def write_scenarios_csv(path: Path, scenario_set: LossScenarioSet) -> None:
+    """One (scenario index, year_1..year_H) row per path; numbers need no quoting, so no ``csv.writer``."""
+    header = ["scenario"] + [f"year_{t}" for t in range(1, scenario_set.horizon + 1)]
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["scenario"] + [f"year_{t}" for t in range(1, scenario_set.horizon + 1)])
-        for i, row in enumerate(scenario_set.scenarios):
-            writer.writerow([str(i)] + [_fmt(v) for v in row])
+        handle.write(",".join(header) + "\n")
+        handle.writelines(
+            f"{i},{','.join(map(repr, row.tolist()))}\n" for i, row in enumerate(scenario_set.scenarios)
+        )
 
 
 def write_fan_chart_csv(path: Path, scenario_set: LossScenarioSet) -> None:
@@ -112,10 +114,8 @@ def write_histogram_csv(path: Path, bins: Sequence[tuple[float, int]], bin_width
 def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
     """One (scenario index, PVFP) row per entry of the PVFP vector."""
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["scenario", "pvfp"])
-        for i, value in enumerate(samples.tolist()):
-            writer.writerow([str(i), _fmt(value)])
+        handle.write("scenario,pvfp\n")
+        handle.writelines(f"{i},{value!r}\n" for i, value in enumerate(samples.tolist()))
 
 
 def write_params_echo_csv(path: Path, rows: Sequence[tuple[str, float, float, float]]) -> None:

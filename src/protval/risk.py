@@ -10,9 +10,10 @@ rate.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import CalibrationError
 
@@ -68,12 +69,12 @@ class PvfpStatistics:
             raise ValueError(f"volatility must be >= 0, got {self.vol}")
 
 
-def pvfp_stats(samples: Iterable[float]) -> tuple[float, float]:
+def pvfp_stats(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation (n - 1) of PVFP values."""
-    values = [float(v) for v in samples]
-    if len(values) < 2:
-        raise ValueError(f"need at least 2 samples, got {len(values)}")
-    return statistics.fmean(values), statistics.stdev(values)
+    values = np.asarray(samples, dtype=float)
+    if values.size < 2:
+        raise ValueError(f"need at least 2 samples, got {values.size}")
+    return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
 def calibrate_spread(points: Sequence[tuple[float, float]]) -> SpreadFunction:

@@ -294,6 +294,30 @@ class TestValue:
         assert "spread_points" in capsys.readouterr().err
 
 
+def write_small_run(tmp_path: Path, replay: bool) -> Path:
+    """Curve, vols, chronicle, portfolio, cap spec and replay files, and a run config using them."""
+    write_market_files(tmp_path)
+    (tmp_path / "chronicle.csv").write_text("year,expected_sp\n1,0.8\n2,0.85\n", encoding="utf-8")
+    make_portfolio_file(tmp_path, chronicle_csv="chronicle.csv")
+    write_json(tmp_path / "cap.json", {"strike": 0.019, "index_tenor_years": 3, "notionals": [1.0, 1.0]})
+    write_json(tmp_path / "replay.json", [
+        {"id": "r1", "mean_pvfp": 54674, "vol_pvfp": 1074, "pvfp_tsr": 54674, "pvfp_tsr_spread": 53265},
+    ])
+    run = {
+        "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv", "tax_rate": 0.0},
+        "cap_spec": "cap.json",
+        "scenarios": 20,
+        "horizon": 2,
+        "spread_points": [[0.10, 0.02], [0.20, 0.03]],
+        "output_dir": "out",
+    }
+    if replay:
+        run["replay_pvfp"] = "replay.json"
+    else:
+        run["portfolios"] = ["p1.json"]
+    return write_json(tmp_path / "run.json", run)
+
+
 @pytest.mark.parametrize(
     ("command", "bad_file", "number", "replacement"),
     [
@@ -308,35 +332,44 @@ class TestValue:
 def test_non_finite_input_is_rejected_naming_the_file(
     tmp_path, capsys, command, bad_file, number, replacement
 ):
-    write_market_files(tmp_path)
-    (tmp_path / "chronicle.csv").write_text("year,expected_sp\n1,0.8\n2,0.85\n", encoding="utf-8")
-    make_portfolio_file(tmp_path, chronicle_csv="chronicle.csv")
-    write_json(tmp_path / "cap.json", {"strike": 0.019, "index_tenor_years": 3, "notionals": [1.0, 1.0]})
-    write_json(tmp_path / "replay.json", [
-        {"id": "r1", "mean_pvfp": 54674, "vol_pvfp": 1074, "pvfp_tsr": 54674, "pvfp_tsr_spread": 53265},
-    ])
+    config = write_small_run(tmp_path, replay=bad_file == "replay.json")
     target = tmp_path / bad_file
     text = target.read_text(encoding="utf-8")
     assert number in text
     target.write_text(text.replace(number, replacement, 1), encoding="utf-8")
 
-    run = {
-        "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv"},
-        "cap_spec": "cap.json",
-        "scenarios": 20,
-        "horizon": 2,
-        "spread_points": [[0.10, 0.02], [0.20, 0.03]],
-        "output_dir": "out",
-    }
-    if bad_file == "replay.json":
-        run["replay_pvfp"] = "replay.json"
-    else:
-        run["portfolios"] = ["p1.json"]
-    config = write_json(tmp_path / "run.json", run)
-
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and bad_file in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_value", ["nan", 10**400, True], ids=["json_string", "huge_integer", "boolean"])
+@pytest.mark.parametrize(
+    ("command", "bad_file", "field_path"),
+    [
+        ("value", "p1.json", ("initial_premium",)),
+        ("value", "replay.json", (0, "mean_pvfp")),
+        ("price-cap", "cap.json", ("strike",)),
+        ("value", "run.json", ("market", "tax_rate")),
+    ],
+    ids=["portfolio", "replay", "cap_spec", "run_config"],
+)
+def test_json_value_that_is_not_a_float_is_rejected_naming_file_and_field(
+    tmp_path, capsys, command, bad_file, field_path, bad_value
+):
+    config = write_small_run(tmp_path, replay=bad_file == "replay.json")
+    target = tmp_path / bad_file
+    data = json.loads(target.read_text(encoding="utf-8"))
+    parent = data
+    for key in field_path[:-1]:
+        parent = parent[key]
+    parent[field_path[-1]] = bad_value
+    write_json(target, data)
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad_file in err and repr(field_path[-1]) in err
     assert "Traceback" not in err
 
 

@@ -28,7 +28,6 @@ from protval import (
     norm_inv,
     volatility_score,
 )
-from protval.loss import _uniform_for_scenario
 
 from .conftest import TABLE_MEAN_SIGMA, make_portfolio
 
@@ -76,6 +75,24 @@ class TestNormInv:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError, match="probability"):
                 norm_inv(bad)
+
+    def test_array_domain_errors(self):
+        for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match=f"probability must be in \\(0, 1\\), got {bad}"):
+                norm_inv(np.array([0.2, bad, 0.7]))
+
+    def test_array_equals_element_wise_float_calls(self):
+        grid = np.concatenate([
+            np.linspace(1e-12, 0.05, 500),
+            np.linspace(0.05, 0.95, 1001),
+            1.0 - np.linspace(1e-12, 0.05, 500),
+            [2.0 ** -53, 0.02425, 1.0 - 0.02425],
+        ])
+        ours = norm_inv(grid)
+        assert isinstance(ours, np.ndarray) and ours.shape == grid.shape
+        assert ours.tolist() == [norm_inv(float(u)) for u in grid]
+        assert type(norm_inv(0.3)) is float
+        assert np.array_equal(norm_inv(grid.reshape(-1, 4)), ours.reshape(-1, 4))
 
 
 class TestVolatilityScore:
@@ -171,9 +188,15 @@ class TestDrawInitialRatios:
     def test_values_follow_the_quantile_transform_exactly(self):
         params = lognormal_params_from_sigma(0.8, 0.25)
         values = draw_initial_ratios(params, 64, seed=42)
-        for i, value in enumerate(values):
-            u = _uniform_for_scenario(42, i)
-            assert value == math.exp(norm_inv(u) * params.sigma + params.mu)
+        uniforms = np.random.Generator(np.random.Philox(42)).random(64)
+        expected = np.exp(np.array([norm_inv(float(u)) for u in uniforms]) * params.sigma + params.mu)
+        assert np.array_equal(values, expected)
+
+    def test_prefix_property(self):
+        params = lognormal_params_from_sigma(0.8, 0.25)
+        full = draw_initial_ratios(params, 1000, seed=3)
+        for k in (1, 7, 64, 999):
+            assert np.array_equal(draw_initial_ratios(params, k, seed=3), full[:k])
 
     def test_zero_sigma_collapses_to_the_median(self):
         params = lognormal_params_from_sigma(0.8, 0.0)
