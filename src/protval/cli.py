@@ -21,12 +21,12 @@ from .cap import CapValuation, price_cap
 from .config import (
     RunConfig,
     load_cap_inputs,
+    load_curve,
     load_market,
     load_portfolio,
     load_replay_pvfp,
     load_run_config,
     load_weight_matrix,
-    load_zero_curve_only,
 )
 from .errors import CalibrationError, ConfigError
 from .loss import generate_scenarios, histogram, resolve_params
@@ -63,11 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     return load_run_config(
         args.config,
         seed=getattr(args, "seed", None),
         scenarios=getattr(args, "scenarios", None),
-        workers=getattr(args, "workers", None),
         out=args.out,
     )
 
@@ -85,20 +87,16 @@ def cmd_price_cap(config: RunConfig) -> int:
     inputs = load_cap_inputs(config.cap_spec_path, config.spot_index_rate)
 
     if inputs.is_replay:
-        valuation = CapValuation.from_caplets(
-            inputs.replay_caplet_costs,
-            deterministic_value=inputs.replay_deterministic_cost,
-            booked_flows_pv=inputs.booked_flows_pv,
-            tax_rate=market.tax_rate,
-        )
+        caplets, deterministic = inputs.replay_caplet_costs, inputs.replay_deterministic_cost
     else:
         priced = price_cap(inputs.spec, market)
-        valuation = CapValuation.from_caplets(
-            [-v for v in priced.caplet_values],
-            deterministic_value=-priced.deterministic_value,
-            booked_flows_pv=inputs.booked_flows_pv,
-            tax_rate=market.tax_rate,
-        )
+        caplets, deterministic = [-v for v in priced.caplet_values], -priced.deterministic_value
+    valuation = CapValuation.from_caplets(
+        caplets,
+        deterministic_value=deterministic,
+        booked_flows_pv=inputs.booked_flows_pv,
+        tax_rate=market.tax_rate,
+    )
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     reports.write_cap_report(config.output_dir / "cap_report.csv", inputs, market, valuation)
@@ -155,7 +153,7 @@ def cmd_value(config: RunConfig) -> int:
             rows.append((entry.id, stats))
     else:
         portfolios, weights = _load_portfolios(config)
-        curve = load_zero_curve_only(config)
+        curve = load_curve(config)
         echo_rows = []
         for portfolio in portfolios:
             params = resolve_params(portfolio, weights)

@@ -13,14 +13,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Any, NoReturn
 
 import numpy as np
 
 from .cap import CapSpec
-from .curves import MarketData, load_vol_structure, load_zero_curve
+from .curves import MarketData, VolTermStructure, ZeroCurve
 from .errors import ConfigError
 from .loss import (
     DEFAULT_HORIZON,
@@ -61,6 +60,14 @@ class ReplayPvfpRow:
     pvfp_tsr: float
     pvfp_tsr_spread: float
 
+    def __post_init__(self) -> None:
+        if not self.mean_pvfp > 0.0:
+            raise ValueError(f"field 'mean_pvfp' must be > 0, got {self.mean_pvfp!r}")
+        if not self.vol_pvfp >= 0.0:
+            raise ValueError(f"field 'vol_pvfp' must be >= 0, got {self.vol_pvfp!r}")
+        if self.pvfp_tsr == 0.0:
+            raise ValueError("field 'pvfp_tsr' must not be 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -80,7 +87,6 @@ class RunConfig:
     scenarios: int
     seed: int
     horizon: int
-    workers: int
     output_dir: Path
 
     def __post_init__(self) -> None:
@@ -88,8 +94,6 @@ class RunConfig:
             raise ConfigError(f"scenarios must be >= 2, got {self.scenarios}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -101,6 +105,16 @@ def _require(data: dict[str, Any], key: str, path: Path) -> Any:
     if key not in data:
         raise ConfigError(f"{path}: missing required field {key!r}")
     return data[key]
+
+
+_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
+
+
+def _expect(value: Any, kind: type, path: Path, field: str) -> Any:
+    """``value`` unchanged if it is of the JSON ``kind`` (object, array, string or boolean)."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: field {field!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _as_float(value: Any, path: Path, field: str) -> float:
@@ -124,6 +138,11 @@ def _as_int(value: Any, path: Path, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: field {field!r} must be an integer, got {value!r}")
     return value
+
+
+def _floats(value: Any, path: Path, field: str) -> tuple[float, ...]:
+    """A JSON array of numbers as a tuple of floats."""
+    return tuple(_as_float(v, path, field) for v in _expect(value, list, path, field))
 
 
 def _float(data: dict[str, Any], key: str, path: Path, default: Any = _REQUIRED) -> float | None:
@@ -181,16 +200,16 @@ def _read_csv_pairs(path: Path, col_a: str, col_b: str) -> list[tuple[float, flo
     return rows
 
 
-def _resolve(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else (base / p).resolve()
+def _resolve(path: Path, field: str, value: Any) -> Path:
+    """A path given in file ``path``, relative to that file's directory unless absolute."""
+    p = Path(_expect(value, str, path, field))
+    return p if p.is_absolute() else (path.parent / p).resolve()
 
 
 def load_run_config(
     config_path: str | Path,
     seed: int | None = None,
     scenarios: int | None = None,
-    workers: int | None = None,
     out: str | None = None,
 ) -> RunConfig:
     """Load a run config, applying CLI overrides.
@@ -203,22 +222,18 @@ def load_run_config(
         raise ConfigError(f"{path}: config file not found")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     data = _load_json(path)
-    base = path.parent
 
-    def merged(name: str, flag: Any, display: Any = None) -> Any:
+    def merged(name: str, flag: Any) -> Any:
         file_value = data.get(name)
         if flag is None:
             return file_value
         if file_value is not None and file_value != flag:
             raise ConfigError(
-                f"{path}: {name}={file_value} conflicts with the command-line value "
-                f"{display if display is not None else flag}; remove one"
+                f"{path}: {name}={file_value} conflicts with the command-line value {flag}; remove one"
             )
         return flag
 
-    market = data.get("market", {})
-    if not isinstance(market, dict):
-        raise ConfigError(f"{path}: field 'market' must be an object")
+    market = _expect(data.get("market", {}), dict, path, "market")
 
     out_dir = merged("output_dir", out)
     if out_dir is None:
@@ -238,23 +253,27 @@ def load_run_config(
         value = merged(name, flag)
         return default if value is None else _as_int(value, path, name)
 
+    def ref(holder: dict[str, Any], name: str) -> Path | None:
+        return _resolve(path, name, holder[name]) if name in holder else None
+
     config = RunConfig(
         config_path=path,
         config_sha256=digest,
-        curve_csv=_resolve(base, market["curve_csv"]) if "curve_csv" in market else None,
-        vols_csv=_resolve(base, market["vols_csv"]) if "vols_csv" in market else None,
+        curve_csv=ref(market, "curve_csv"),
+        vols_csv=ref(market, "vols_csv"),
         spot_index_rate=_float(market, "spot_index_rate", path, default=None),
         tax_rate=_float(market, "tax_rate", path, default=0.0),
-        cap_spec_path=_resolve(base, data["cap_spec"]) if "cap_spec" in data else None,
-        portfolio_paths=tuple(_resolve(base, p) for p in data.get("portfolios", ())),
-        weights_path=_resolve(base, data["weights"]) if "weights" in data else None,
-        replay_pvfp_path=_resolve(base, data["replay_pvfp"]) if "replay_pvfp" in data else None,
+        cap_spec_path=ref(data, "cap_spec"),
+        portfolio_paths=tuple(
+            _resolve(path, "portfolios", p) for p in _expect(data.get("portfolios", []), list, path, "portfolios")
+        ),
+        weights_path=ref(data, "weights"),
+        replay_pvfp_path=ref(data, "replay_pvfp"),
         spread_points=spread_points,
         scenarios=merged_int("scenarios", scenarios, DEFAULT_SCENARIOS),
         seed=merged_int("seed", seed, 0),
         horizon=merged_int("horizon", None, DEFAULT_HORIZON),
-        workers=merged_int("workers", workers, 1),
-        output_dir=_resolve(base, str(out_dir)),
+        output_dir=_resolve(path, "output_dir", str(out_dir)),
     )
 
     referenced = [config.curve_csv, config.vols_csv, config.cap_spec_path,
@@ -265,25 +284,26 @@ def load_run_config(
     return config
 
 
+def load_curve(config: RunConfig) -> ZeroCurve:
+    if config.curve_csv is None:
+        raise ConfigError(f"{config.config_path}: market.curve_csv is required for this command")
+    tenors, rates = zip(*_read_csv_pairs(config.curve_csv, "tenor_years", "zero_rate"))
+    return ZeroCurve(tenors=tenors, zero_rates=rates)
+
+
 def load_market(config: RunConfig) -> MarketData:
     if config.curve_csv is None or config.vols_csv is None:
         raise ConfigError(
             f"{config.config_path}: market.curve_csv and market.vols_csv are required for this command"
         )
-    curve = load_zero_curve(_read_csv_pairs(config.curve_csv, "tenor_years", "zero_rate"))
-    vols = load_vol_structure(_read_csv_pairs(config.vols_csv, "fixing_years", "black_vol"))
+    curve = load_curve(config)
+    times, vols = zip(*_read_csv_pairs(config.vols_csv, "fixing_years", "black_vol"))
     return MarketData(
         curve=curve,
-        vols=vols,
+        vols=VolTermStructure(fixing_times=times, black_vols=vols),
         spot_index_rate=config.spot_index_rate or 0.0,
         tax_rate=config.tax_rate,
     )
-
-
-def load_zero_curve_only(config: RunConfig):
-    if config.curve_csv is None:
-        raise ConfigError(f"{config.config_path}: market.curve_csv is required for this command")
-    return load_zero_curve(_read_csv_pairs(config.curve_csv, "tenor_years", "zero_rate"))
 
 
 def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
@@ -291,11 +311,13 @@ def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
     try:
         spec = CapSpec(
             strike=_float(data, "strike", path),
-            notionals=tuple(_as_float(n, path, "notionals") for n in _require(data, "notionals", path)),
+            notionals=_floats(_require(data, "notionals", path), path, "notionals"),
             index_tenor=_float(data, "index_tenor_years", path),
             accrual=_float(data, "accrual_years", path, default=1.0),
-            strikes=tuple(_as_float(s, path, "strikes") for s in data["strikes"]) if "strikes" in data else None,
-            use_spot_for_first_period=bool(data.get("use_spot_for_first_period", False)),
+            strikes=_floats(data["strikes"], path, "strikes") if "strikes" in data else None,
+            use_spot_for_first_period=_expect(
+                data.get("use_spot_for_first_period", False), bool, path, "use_spot_for_first_period"
+            ),
         )
     except ConfigError:
         raise
@@ -310,9 +332,8 @@ def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
     costs = None
     deterministic = None
     if replay is not None:
-        if not isinstance(replay, dict):
-            raise ConfigError(f"{path}: field 'replay' must be an object")
-        costs = tuple(_as_float(v, path, "caplet_costs") for v in _require(replay, "caplet_costs", path))
+        _expect(replay, dict, path, "replay")
+        costs = _floats(_require(replay, "caplet_costs", path), path, "caplet_costs")
         deterministic = _float(replay, "deterministic_cost", path)
         if len(costs) != len(spec.notionals):
             raise ConfigError(f"{path}: replay.caplet_costs must cover period indices 0..n")
@@ -337,16 +358,6 @@ def load_weight_matrix(path: Path) -> WeightMatrix:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def default_weight_matrix() -> WeightMatrix:
-    """The illustrative weight matrix shipped with the package.
-
-    Placeholder values for demos and tests; production runs should supply a
-    matrix regressed on comparable individual-data portfolios.
-    """
-    with resources.as_file(resources.files("protval") / "data/illustrative_weights.json") as path:
-        return load_weight_matrix(path)
-
-
 def load_chronicle(path: Path) -> np.ndarray:
     rows = _read_csv_pairs(path, "year", "expected_sp")
     years = [int(y) for y, _ in rows]
@@ -356,7 +367,7 @@ def load_chronicle(path: Path) -> np.ndarray:
 
 
 def _parse_renewal(data: dict[str, Any], path: Path) -> TacitRenewal | FixedTerm:
-    renewal = _require(data, "renewal", path)
+    renewal = _expect(_require(data, "renewal", path), dict, path, "renewal")
     mode = _require(renewal, "mode", path)
     if mode == "tacit_renewal":
         return TacitRenewal(lapse_rate=_float(renewal, "lapse_rate", path))
@@ -369,6 +380,7 @@ def _parse_criteria(data: dict[str, Any], path: Path) -> RiskCriteria | None:
     raw = data.get("criteria")
     if raw is None:
         return None
+    _expect(raw, dict, path, "criteria")
     try:
         return RiskCriteria(
             portfolio_age=_float(raw, "portfolio_age_years", path),
@@ -389,9 +401,9 @@ def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> Portfo
     mean_sp = _float(data, "retained_loss_ratio", path)
 
     if "chronicle_csv" in data:
-        chronicle = tuple(load_chronicle(_resolve(path.parent, data["chronicle_csv"])))
+        chronicle = tuple(load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"])))
     elif "chronicle" in data:
-        chronicle = tuple(_as_float(v, path, "chronicle") for v in data["chronicle"])
+        chronicle = _floats(data["chronicle"], path, "chronicle")
     else:
         horizon = _as_int(data.get("horizon_years", default_horizon), path, "horizon_years")
         chronicle = (mean_sp,) * horizon
@@ -408,11 +420,6 @@ def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> Portfo
             sigma=_float(data, "sigma", path, default=None),
             criteria=_parse_criteria(data, path),
             reversion_speed=_float(data, "reversion_speed", path, default=DEFAULT_REVERSION_SPEED),
-            actuarial_age=_float(data, "actuarial_age_years", path, default=None),
-            accounting_loss_ratio=_float(data, "accounting_loss_ratio", path, default=None),
-            risk_anticipation=(
-                bool(data["risk_anticipation"]) if data.get("risk_anticipation") is not None else None
-            ),
         )
     except ConfigError:
         raise
@@ -428,13 +435,19 @@ def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
     for entry in data:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: replay rows must be JSON objects")
-        rows.append(
-            ReplayPvfpRow(
-                id=str(_require(entry, "id", path)),
-                mean_pvfp=_float(entry, "mean_pvfp", path),
-                vol_pvfp=_float(entry, "vol_pvfp", path),
-                pvfp_tsr=_float(entry, "pvfp_tsr", path),
-                pvfp_tsr_spread=_float(entry, "pvfp_tsr_spread", path),
+        row_id = str(_require(entry, "id", path))
+        try:
+            rows.append(
+                ReplayPvfpRow(
+                    id=row_id,
+                    mean_pvfp=_float(entry, "mean_pvfp", path),
+                    vol_pvfp=_float(entry, "vol_pvfp", path),
+                    pvfp_tsr=_float(entry, "pvfp_tsr", path),
+                    pvfp_tsr_spread=_float(entry, "pvfp_tsr_spread", path),
+                )
             )
-        )
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {row_id!r}: {exc}") from exc
     return rows

@@ -9,7 +9,6 @@ typical of aggregate market data do not support anything fancier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,6 +80,8 @@ class VolTermStructure:
         object.__setattr__(self, "black_vols", tuple(float(v) for v in self.black_vols))
         if len(self.fixing_times) != len(self.black_vols):
             raise ValueError("fixing_times and black_vols must have the same length")
+        if not self.fixing_times:
+            raise ConfigError("volatility term structure is empty")
         if any(b <= a for a, b in zip(self.fixing_times, self.fixing_times[1:])):
             raise ValueError("fixing_times must be strictly increasing")
         # zero is allowed: an all-zero surface is the deterministic pricing limit
@@ -89,8 +90,6 @@ class VolTermStructure:
 
     def vol_at(self, fix: float) -> float:
         """Volatility for a caplet fixing at ``fix`` years."""
-        if not self.fixing_times:
-            raise ConfigError("volatility term structure is empty")
         if fix < 0.0:
             raise ValueError(f"fixing time must be >= 0, got {fix}")
         return float(np.interp(fix, self.fixing_times, self.black_vols))
@@ -114,19 +113,3 @@ class MarketData:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tax_rate < 1.0:
             raise ValueError(f"tax_rate must be in [0, 1), got {self.tax_rate}")
-
-
-def load_zero_curve(rows: Sequence[tuple[float, float]]) -> ZeroCurve:
-    """Build a curve from (tenor_years, zero_rate) pairs, e.g. parsed CSV rows."""
-    if not rows:
-        raise ConfigError("zero curve input has no rows")
-    tenors, rates = zip(*rows)
-    return ZeroCurve(tenors=tenors, zero_rates=rates)
-
-
-def load_vol_structure(rows: Sequence[tuple[float, float]]) -> VolTermStructure:
-    """Build a vol term structure from (fixing_years, black_vol) pairs."""
-    if not rows:
-        raise ConfigError("volatility input has no rows")
-    times, vols = zip(*rows)
-    return VolTermStructure(fixing_times=times, black_vols=vols)

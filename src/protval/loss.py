@@ -200,12 +200,9 @@ def lognormal_params(mean_sp: float, vol_sp: float) -> LognormalParams:
     ``vol_sp`` is the coefficient of variation of S/P:
     sigma = sqrt(ln(vol^2 + 1)), mu = ln(mean) - sigma^2 / 2.
     """
-    if mean_sp <= 0.0:
-        raise ValueError(f"expected loss ratio must be > 0, got {mean_sp}")
     if vol_sp < 0.0:
         raise ValueError(f"volatility must be >= 0, got {vol_sp}")
-    sigma = math.sqrt(math.log1p(vol_sp * vol_sp))
-    return LognormalParams(mu=math.log(mean_sp) - 0.5 * sigma * sigma, sigma=sigma)
+    return lognormal_params_from_sigma(mean_sp, math.sqrt(math.log1p(vol_sp * vol_sp)))
 
 
 def lognormal_params_from_sigma(mean_sp: float, sigma: float) -> LognormalParams:
@@ -233,18 +230,18 @@ def draw_initial_ratios(params: LognormalParams, n: int, seed: int) -> np.ndarra
     return np.exp(norm_inv(u) * params.sigma + params.mu)
 
 
-def _as_chronicle(chronicle: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(chronicle, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("chronicle must be a non-empty vector")
-    if np.any(arr <= 0.0):
-        raise ValueError("chronicle values must be > 0")
-    return arr
-
-
 def _check_reversion_speed(nu: float) -> None:
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"reversion speed must be in (0, 1], got {nu}")
+
+
+def _reversion_paths(sp1: np.ndarray, chron: np.ndarray, nu: float) -> tuple[np.ndarray, int]:
+    """One reverting path per year-1 ratio, floored at 0, and the count of floored values."""
+    paths = chron + (sp1[:, np.newaxis] - chron[0]) * nu ** np.arange(chron.size)
+    paths[:, 0] = sp1
+    floored = int(np.count_nonzero(paths < 0.0))
+    np.maximum(paths, 0.0, out=paths)
+    return paths, floored
 
 
 def mean_reversion_path(
@@ -258,11 +255,14 @@ def mean_reversion_path(
     (loss ratios are nonnegative; deep negative gaps can otherwise push the
     formula below zero).
     """
-    chron = _as_chronicle(chronicle)
+    chron = np.asarray(chronicle, dtype=float)
+    if chron.ndim != 1 or chron.size == 0:
+        raise ValueError("chronicle must be a non-empty vector")
+    if np.any(chron <= 0.0):
+        raise ValueError("chronicle values must be > 0")
     _check_reversion_speed(nu)
-    path = chron + (sp1 - chron[0]) * nu ** np.arange(chron.size)
-    path[0] = sp1
-    return np.maximum(path, 0.0)
+    paths, _ = _reversion_paths(np.array([sp1], dtype=float), chron, nu)
+    return paths[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,17 +275,11 @@ class LossScenarioSet:
     """
 
     scenarios: np.ndarray
-    seed: int
-    chronicle: np.ndarray
-    reversion_speed: float
     floored_count: int = 0
 
     def __post_init__(self) -> None:
-        _check_reversion_speed(self.reversion_speed)
         if self.scenarios.ndim != 2:
             raise ValueError("scenario matrix must be 2-dimensional")
-        if self.scenarios.shape[1] != self.chronicle.size:
-            raise ValueError("scenario columns must match the chronicle length")
         if np.any(self.scenarios < 0.0):
             raise ValueError("loss ratios must be >= 0")
 
@@ -333,24 +327,9 @@ def generate_scenarios(
     matrix is identical for identical (portfolio, n, seed).
     """
     params = resolve_params(portfolio, weights)
-    chron = _as_chronicle(portfolio.chronicle)
-    nu = portfolio.reversion_speed
-    _check_reversion_speed(nu)
-
     sp1 = draw_initial_ratios(params, n, seed)
-    decay = nu ** np.arange(chron.size)
-    paths = chron[np.newaxis, :] + (sp1[:, np.newaxis] - chron[0]) * decay[np.newaxis, :]
-    paths[:, 0] = sp1
-    floored = int(np.count_nonzero(paths < 0.0))
-    np.maximum(paths, 0.0, out=paths)
-
-    return LossScenarioSet(
-        scenarios=paths,
-        seed=seed,
-        chronicle=chron,
-        reversion_speed=nu,
-        floored_count=floored,
-    )
+    paths, floored = _reversion_paths(sp1, np.asarray(portfolio.chronicle), portfolio.reversion_speed)
+    return LossScenarioSet(scenarios=paths, floored_count=floored)
 
 
 def histogram(values: Sequence[float] | np.ndarray, bin_width: float) -> list[tuple[float, int]]:

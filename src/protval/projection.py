@@ -16,11 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ZeroCurve
-from .loss import (
-    DEFAULT_REVERSION_SPEED,
-    LossScenarioSet,
-    RiskCriteria,
-)
+from .loss import DEFAULT_REVERSION_SPEED, LossScenarioSet, RiskCriteria, _check_reversion_speed
 
 
 @dataclass(frozen=True)
@@ -54,9 +50,7 @@ class PortfolioSpec:
     ``mean_sp`` is the retained (expected) year-1 loss ratio driving the
     stochastic draws; ``chronicle`` the deterministic expected path it
     reverts to. ``sigma`` takes precedence over ``criteria`` when both are
-    present. ``accounting_loss_ratio``, ``actuarial_age`` and
-    ``risk_anticipation`` are descriptive only and never enter the
-    projection.
+    present.
     """
 
     id: str
@@ -69,9 +63,6 @@ class PortfolioSpec:
     sigma: float | None = None
     criteria: RiskCriteria | None = None
     reversion_speed: float = DEFAULT_REVERSION_SPEED
-    actuarial_age: float | None = None
-    accounting_loss_ratio: float | None = None
-    risk_anticipation: bool | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chronicle", tuple(float(v) for v in self.chronicle))
@@ -89,6 +80,7 @@ class PortfolioSpec:
             raise ValueError("chronicle values must be > 0")
         if self.sigma is not None and self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        _check_reversion_speed(self.reversion_speed)
 
     @property
     def horizon(self) -> int:

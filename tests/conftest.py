@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from protval import MarketData, PortfolioSpec, TacitRenewal, VolTermStructure, ZeroCurve
+from protval.curves import MarketData, VolTermStructure, ZeroCurve
+from protval.projection import PortfolioSpec, TacitRenewal
 
 # Zero curve and cap volatilities of the published remuneration example
 # (annual grid, decimals).

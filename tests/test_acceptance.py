@@ -17,17 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protval import (
-    CapValuation,
-    calibrate_spread,
-    caplet_price,
+from protval.cap import CapValuation, caplet_price, norm_cdf
+from protval.loss import (
     generate_scenarios,
     lognormal_params,
     lognormal_params_from_sigma,
     mean_reversion_path,
-    norm_cdf,
     norm_inv,
 )
+from protval.risk import calibrate_spread
 from protval.cli import main
 
 from .conftest import (

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval import CapSpec, CapValuation, caplet_price, norm_cdf, price_cap, remuneration_option_cost
+from protval.cap import (
+    CapSpec,
+    CapValuation,
+    caplet_price,
+    norm_cdf,
+    price_cap,
+    remuneration_option_cost,
+)
 from protval.curves import MarketData, VolTermStructure, ZeroCurve
 
 from .conftest import (

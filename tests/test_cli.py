@@ -188,6 +188,11 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--seed", "7"]) == 0
         assert main(["simulate", "--config", str(config), "--workers", "2"]) == 0
 
+    def test_workers_below_one_is_rejected(self, tmp_path, capsys):
+        config = self.simulate_config(tmp_path)
+        assert main(["simulate", "--config", str(config), "--workers", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: --workers must be >= 1, got 0")
+
     def test_scored_portfolio_requires_weights(self, tmp_path, capsys):
         criteria = {
             "portfolio_age_years": 3,
@@ -318,6 +323,19 @@ def write_small_run(tmp_path: Path, replay: bool) -> Path:
     return write_json(tmp_path / "run.json", run)
 
 
+def run_with_field(tmp_path: Path, command: str, bad_file: str, field_path: tuple, value) -> int:
+    """Run ``command`` on the small run after setting one JSON field of ``bad_file`` to ``value``."""
+    config = write_small_run(tmp_path, replay=bad_file == "replay.json")
+    target = tmp_path / bad_file
+    data = json.loads(target.read_text(encoding="utf-8"))
+    parent = data
+    for key in field_path[:-1]:
+        parent = parent[key]
+    parent[field_path[-1]] = value
+    write_json(target, data)
+    return main([command, "--config", str(config)])
+
+
 @pytest.mark.parametrize(
     ("command", "bad_file", "number", "replacement"),
     [
@@ -358,19 +376,33 @@ def test_non_finite_input_is_rejected_naming_the_file(
 def test_json_value_that_is_not_a_float_is_rejected_naming_file_and_field(
     tmp_path, capsys, command, bad_file, field_path, bad_value
 ):
-    config = write_small_run(tmp_path, replay=bad_file == "replay.json")
-    target = tmp_path / bad_file
-    data = json.loads(target.read_text(encoding="utf-8"))
-    parent = data
-    for key in field_path[:-1]:
-        parent = parent[key]
-    parent[field_path[-1]] = bad_value
-    write_json(target, data)
-
-    assert main([command, "--config", str(config)]) == 1
+    assert run_with_field(tmp_path, command, bad_file, field_path, bad_value) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and bad_file in err and repr(field_path[-1]) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("command", "bad_file", "field_path", "bad_value", "expected"),
+    [
+        ("value", "p1.json", ("renewal",), 5, "field 'renewal' must be an object"),
+        ("value", "p1.json", ("criteria",), 5, "field 'criteria' must be an object"),
+        ("value", "run.json", ("portfolios",), 5, "field 'portfolios' must be an array"),
+        ("price-cap", "cap.json", ("notionals",), 5, "field 'notionals' must be an array"),
+        ("price-cap", "cap.json", ("use_spot_for_first_period",), "false",
+         "field 'use_spot_for_first_period' must be true or false"),
+        ("value", "replay.json", (0, "mean_pvfp"), 0, "row 'r1': field 'mean_pvfp' must be > 0"),
+        ("value", "replay.json", (0, "vol_pvfp"), -4.3e-06, "row 'r1': field 'vol_pvfp' must be >= 0"),
+        ("value", "replay.json", (0, "pvfp_tsr"), 0, "row 'r1': field 'pvfp_tsr' must not be 0"),
+    ],
+    ids=["renewal", "criteria", "portfolios", "notionals", "use_spot", "mean_pvfp", "vol_pvfp", "pvfp_tsr"],
+)
+def test_malformed_or_out_of_range_field_is_rejected_naming_file_and_field(
+    tmp_path, capsys, command, bad_file, field_path, bad_value, expected
+):
+    assert run_with_field(tmp_path, command, bad_file, field_path, bad_value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad_file in err and expected in err
 
 
 class TestCalibrateSpread:

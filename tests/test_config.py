@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import pytest
 
-from protval import ConfigError
 from protval.cli import main
 from protval.config import (
-    default_weight_matrix,
     load_chronicle,
     load_portfolio,
     load_run_config,
     load_weight_matrix,
 )
+from protval.errors import ConfigError
 
 from .test_cli import SAMPLE_DIR, make_portfolio_file, sample_config, write_json
 
@@ -65,7 +63,6 @@ class TestRunConfig:
         loaded = load_run_config(config)
         assert loaded.scenarios == 10_000
         assert loaded.horizon == 30
-        assert loaded.workers == 1
 
 
 class TestChronicle:
@@ -93,12 +90,8 @@ class TestChronicle:
 
 class TestWeights:
     def test_packaged_default_loads_and_scores(self):
-        weights = default_weight_matrix()
+        weights = load_weight_matrix(SAMPLE_DIR / "weights_illustrative.json")
         assert weights.weight("portfolio_age", "ge_4y") > 0.0
-
-    def test_sample_weight_file_matches_packaged_default(self):
-        shipped = load_weight_matrix(SAMPLE_DIR / "weights_illustrative.json")
-        assert shipped.cells == default_weight_matrix().cells
 
     def test_incomplete_file_is_diagnosed(self, tmp_path):
         path = write_json(tmp_path / "w.json", {"portfolio_age": {"lt_1y": 0.3}})
@@ -117,11 +110,11 @@ class TestPortfolioDiagnostics:
         with pytest.raises(ConfigError, match="renewal.mode"):
             load_portfolio(path)
 
-    def test_metadata_fields_are_carried(self):
-        spec = load_portfolio(SAMPLE_DIR / "portfolio_1.json")
-        assert spec.accounting_loss_ratio == 0.46
-        assert spec.risk_anticipation is True
-        assert spec.actuarial_age == 55
+    @pytest.mark.parametrize("speed", [0.0, 1.5])
+    def test_out_of_range_reversion_speed_names_the_file(self, tmp_path, speed):
+        path = make_portfolio_file(tmp_path, reversion_speed=speed)
+        with pytest.raises(ConfigError, match=r"p1\.json: reversion speed must be in \(0, 1\]"):
+            load_portfolio(path)
 
 
 class TestSampleRuns:

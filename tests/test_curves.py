@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval import ConfigError, MarketData, VolTermStructure, ZeroCurve
-from protval.curves import load_vol_structure, load_zero_curve
+from protval.config import load_curve, load_market, load_run_config
+from protval.curves import MarketData, VolTermStructure, ZeroCurve
+from protval.errors import ConfigError
 
 from .conftest import FIGURE_DISCOUNT_FACTORS, FIGURE_TENORS, FIGURE_VOLS, FIGURE_ZERO_RATES
+from .test_cli import write_json, write_market_files
 
 
 @st.composite
@@ -111,9 +113,8 @@ class TestVolTermStructure:
         assert figure_vols.vol_at(12.0) == FIGURE_VOLS[-1]
 
     def test_empty_structure_is_a_config_error(self):
-        empty = VolTermStructure(fixing_times=(), black_vols=())
-        with pytest.raises(ConfigError):
-            empty.vol_at(1.0)
+        with pytest.raises(ConfigError, match="empty"):
+            VolTermStructure(fixing_times=(), black_vols=())
 
     def test_negative_vol_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -130,13 +131,23 @@ class TestMarketData:
             MarketData(curve=figure_curve, vols=figure_vols, spot_index_rate=0.02, tax_rate=1.0)
 
 
+def market_config(directory):
+    return load_run_config(write_json(directory / "run.json", {
+        "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv"}, "output_dir": "out",
+    }))
+
+
 class TestLoaders:
-    def test_load_zero_curve_from_rows(self):
-        curve = load_zero_curve([(1.0, 0.02), (2.0, 0.03)])
+    def test_load_zero_curve_from_rows(self, tmp_path):
+        (tmp_path / "curve.csv").write_text("tenor_years,zero_rate\n1,0.02\n2,0.03\n", encoding="utf-8")
+        (tmp_path / "vols.csv").write_text("fixing_years,black_vol\n1,0.2\n", encoding="utf-8")
+        curve = load_curve(market_config(tmp_path))
         assert curve.zero_rate(2.0) == 0.03
 
-    def test_load_empty_rows_rejected(self):
-        with pytest.raises(ConfigError):
-            load_zero_curve([])
-        with pytest.raises(ConfigError):
-            load_vol_structure([])
+    def test_load_empty_rows_rejected(self, tmp_path):
+        for name in ("curve.csv", "vols.csv"):
+            write_market_files(tmp_path)
+            path = tmp_path / name
+            path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=f"{name}: no data rows"):
+                load_market(market_config(tmp_path))

@@ -12,8 +12,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval import (
-    ConfigError,
+from protval.cap import norm_cdf
+from protval.errors import ConfigError
+from protval.loss import (
     LognormalParams,
     LossScenarioSet,
     RiskCriteria,
@@ -24,14 +25,13 @@ from protval import (
     lognormal_params,
     lognormal_params_from_sigma,
     mean_reversion_path,
-    norm_cdf,
     norm_inv,
     volatility_score,
 )
 
 from .conftest import TABLE_MEAN_SIGMA, make_portfolio
 
-WEIGHTS_FILE = Path(__file__).resolve().parents[1] / "src" / "protval" / "data" / "illustrative_weights.json"
+WEIGHTS_FILE = Path(__file__).resolve().parents[1] / "sample_inputs" / "weights_illustrative.json"
 
 
 def uniform_weights(value: float = 1.0) -> WeightMatrix:
@@ -335,21 +335,7 @@ class TestGenerateScenarios:
 class TestScenarioSetValidation:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError, match=">= 0"):
-            LossScenarioSet(
-                scenarios=np.array([[-0.1, 0.2]]),
-                seed=0,
-                chronicle=np.array([0.8, 0.8]),
-                reversion_speed=0.8,
-            )
-
-    def test_rejects_horizon_mismatch(self):
-        with pytest.raises(ValueError, match="chronicle"):
-            LossScenarioSet(
-                scenarios=np.ones((3, 4)),
-                seed=0,
-                chronicle=np.array([0.8, 0.8]),
-                reversion_speed=0.8,
-            )
+            LossScenarioSet(scenarios=np.array([[-0.1, 0.2]]))
 
 
 class TestHistogram:

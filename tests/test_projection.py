@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval import (
+from protval.curves import ZeroCurve
+from protval.loss import LossScenarioSet
+from protval.projection import (
     FixedTerm,
-    LossScenarioSet,
     PortfolioSpec,
     TacitRenewal,
-    ZeroCurve,
     premium_runoff,
     pvfp,
     pvfp_batch,
@@ -26,13 +26,8 @@ FLAT_ZERO_CURVE = ZeroCurve(tenors=(0.0, 50.0), zero_rates=(0.0, 0.0))
 FIGURE_CURVE = ZeroCurve(tenors=FIGURE_TENORS, zero_rates=FIGURE_ZERO_RATES)
 
 
-def scenario_set_from_rows(rows, chronicle, nu=0.8) -> LossScenarioSet:
-    return LossScenarioSet(
-        scenarios=np.asarray(rows, dtype=float),
-        seed=0,
-        chronicle=np.asarray(chronicle, dtype=float),
-        reversion_speed=nu,
-    )
+def scenario_set_from_rows(rows) -> LossScenarioSet:
+    return LossScenarioSet(scenarios=np.asarray(rows, dtype=float))
 
 
 def underwriting_result(premium: float, sp: float, profit_share: float) -> float:
@@ -203,7 +198,7 @@ class TestPvfp:
 class TestPvfpBatch:
     def test_chronicle_scenario_reproduces_deterministic_value(self, figure_curve):
         spec = make_portfolio(horizon=6)
-        scenario_set = scenario_set_from_rows([spec.chronicle], spec.chronicle)
+        scenario_set = scenario_set_from_rows([spec.chronicle])
         samples = pvfp_batch(spec, scenario_set, figure_curve)
         assert samples.shape == (1,)
         assert samples[0] == pvfp(spec, spec.chronicle, figure_curve)
@@ -211,7 +206,7 @@ class TestPvfpBatch:
     def test_duplicate_rows_give_identical_samples(self, figure_curve):
         spec = make_portfolio(horizon=4)
         row = [0.7, 0.9, 1.1, 0.85]
-        scenario_set = scenario_set_from_rows([row, row, row], spec.chronicle[:4])
+        scenario_set = scenario_set_from_rows([row, row, row])
         samples = pvfp_batch(spec, scenario_set, figure_curve)
         assert samples.shape == (3,)
         assert samples[0] == samples[1] == samples[2]
@@ -221,7 +216,7 @@ class TestPvfpBatch:
         # profits: the sample-mean PVFP falls below the central-path PVFP
         spec = make_portfolio(mean_sp=1.0, profit_share=0.5, horizon=3)
         rows = [[0.5] * 3, [1.5] * 3]
-        scenario_set = scenario_set_from_rows(rows, spec.chronicle)
+        scenario_set = scenario_set_from_rows(rows)
         samples = pvfp_batch(spec, scenario_set, FLAT_ZERO_CURVE)
         mean_pvfp = samples.sum() / 2
         central = pvfp(spec, spec.chronicle, FLAT_ZERO_CURVE)
@@ -230,7 +225,7 @@ class TestPvfpBatch:
 
     def test_horizon_mismatch_rejected(self, figure_curve):
         spec = make_portfolio(horizon=5)
-        scenario_set = scenario_set_from_rows([[0.8] * 3], [0.8] * 3)
+        scenario_set = scenario_set_from_rows([[0.8] * 3])
         with pytest.raises(ValueError, match="horizon"):
             pvfp_batch(spec, scenario_set, figure_curve)
 
@@ -266,7 +261,7 @@ class TestPvfpBatch:
         ratio = st.one_of(st.floats(0.0, 2.5), st.just(1.0))
         row = st.lists(ratio, min_size=horizon, max_size=horizon)
         rows = data.draw(st.lists(row, min_size=n, max_size=n))
-        samples = pvfp_batch(spec, scenario_set_from_rows(rows, spec.chronicle), FIGURE_CURVE, extra_spread)
+        samples = pvfp_batch(spec, scenario_set_from_rows(rows), FIGURE_CURVE, extra_spread)
         assert samples.shape == (n,)
         for path, value in zip(rows, samples):
             terms = reference_terms(spec, path, FIGURE_CURVE, extra_spread)
