@@ -3,18 +3,17 @@
 The remuneration scheme pays the distributor the positive excess of a market
 index rate over a contractual minimum rate, on the technical provisions of
 the portfolio. That payoff is a cap: a strip of caplets whose notionals are
-the projected provisions per period.
+the projected provisions per period. ``cap_strip`` tabulates each period's
+pricing inputs once; the pricer and the report both read that table.
 
-Pricing convention: each caplet pays at the end of period j, on the forward
-rate fixing at the start of the period. Values from the pricer are
-nonnegative option values; report layers negate them when presenting them
-as insurer costs.
+Values from the pricer are nonnegative option values; report layers negate
+them when presenting them as insurer costs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .curves import MarketData
@@ -74,7 +73,7 @@ class CapSpec:
     """Cap on a market index with one notional per period.
 
     ``notionals[j]`` is the technical-provision amount for period index j,
-    j = 0..horizon. The period-0 entry is carried for reporting but its
+    j = 0..n. The period-0 entry is carried for reporting but its
     caplet is already fixed and never enters the option value.
 
     ``strikes`` optionally overrides the contractual strike per period
@@ -108,27 +107,47 @@ class CapSpec:
         if self.strikes is not None and len(self.strikes) != len(self.notionals):
             raise ValueError("per-period strikes must cover period indices 0..n")
 
-    @property
-    def horizon(self) -> int:
-        """Number of periods n (notionals run 0..n)."""
-        return len(self.notionals) - 1
 
-    def strike_for(self, period: int) -> float:
-        return self.strikes[period] if self.strikes is not None else self.strike
+@dataclass(frozen=True)
+class CapStrip:
+    """Per-period caplet inputs for period indices 0..n, as priced and as reported."""
 
-    def fixing_time(self, period: int) -> float:
-        """Fixing time of the period's caplet: the start of the period.
+    accrual: float
+    notionals: tuple[float, ...]
+    fixing_times: tuple[float, ...]
+    discount_factors: tuple[float, ...]
+    forwards: tuple[float, ...]
+    strikes: tuple[float, ...]
+    vols: tuple[float, ...]
 
-        Period 0 is already running; its rate was fixed at t = 0.
-        """
-        return max(period * self.accrual - self.accrual, 0.0)
 
-    def forward_for(self, period: int, market: MarketData) -> float:
-        """Index rate underlying one period: curve forward, or the observed
-        spot for the running period when the spec opts into the override."""
-        if period == 0 and self.use_spot_for_first_period:
-            return market.spot_index_rate
-        return market.curve.forward_index_rate(self.fixing_time(period), self.index_tenor)
+def cap_strip(spec: CapSpec, market: MarketData) -> CapStrip:
+    """The per-period table of the cap strip under the given market data.
+
+    Caplet j fixes at the start of its period, max(j * accrual - accrual, 0)
+    (period 0 is already running, fixed at t = 0), on the forward of the
+    index tenor, and pays at T_j = j * accrual, discounted with B(0, T_j)
+    and using the Black vol quoted for the fixing time. Period 0 takes the
+    observed spot instead of the curve forward when the spec opts into the
+    override; ``spec.strikes`` overrides the strike per period.
+    """
+    periods = range(len(spec.notionals))
+    fixing_times = tuple(max(j * spec.accrual - spec.accrual, 0.0) for j in periods)
+    forwards = tuple(
+        market.spot_index_rate
+        if j == 0 and spec.use_spot_for_first_period
+        else market.curve.forward_index_rate(fixing_times[j], spec.index_tenor)
+        for j in periods
+    )
+    return CapStrip(
+        accrual=spec.accrual,
+        notionals=spec.notionals,
+        fixing_times=fixing_times,
+        discount_factors=tuple(market.curve.discount_factor(j * spec.accrual) for j in periods),
+        forwards=forwards,
+        strikes=spec.strikes if spec.strikes is not None else (spec.strike,) * len(periods),
+        vols=tuple(market.vols.vol_at(t) for t in fixing_times),
+    )
 
 
 @dataclass(frozen=True)
@@ -145,8 +164,8 @@ class CapValuation:
     stochastic_value: float
     deterministic_value: float
     valuation_spread: float
-    booked_flows_pv: float = 0.0
-    crd: float = 0.0
+    booked_flows_pv: float
+    crd: float
 
     @classmethod
     def from_caplets(
@@ -164,46 +183,36 @@ class CapValuation:
         """
         values = tuple(float(v) for v in caplet_values)
         stochastic = sum(values[1:])
-        valuation = cls(
+        return cls(
             caplet_values=values,
             stochastic_value=stochastic,
             deterministic_value=float(deterministic_value),
             valuation_spread=stochastic - float(deterministic_value),
+            booked_flows_pv=float(booked_flows_pv),
+            crd=remuneration_option_cost(stochastic, booked_flows_pv, tax_rate),
         )
-        crd = remuneration_option_cost(valuation, booked_flows_pv, tax_rate)
-        return replace(valuation, booked_flows_pv=float(booked_flows_pv), crd=crd)
 
 
-def price_cap(spec: CapSpec, market: MarketData) -> CapValuation:
-    """Value the cap strip under the given market data.
+def price_cap(strip: CapStrip) -> CapValuation:
+    """Value the cap strip with Black-76, one caplet per period of the table.
 
-    Caplet j pays at T_j = j * accrual on the forward fixing at T_{j-1} for
-    the index tenor, discounted with B(0, T_j) and using the Black vol
-    quoted for the fixing time. The deterministic value reprices the same
-    strip with all vols forced to zero.
+    The deterministic value reprices the same strip with all vols forced
+    to zero.
     """
-    stochastic_caplets = []
-    deterministic_caplets = []
-    for j, notional in enumerate(spec.notionals):
-        t_fix = spec.fixing_time(j)
-        df = market.curve.discount_factor(j * spec.accrual)
-        fwd = spec.forward_for(j, market)
-        vol = market.vols.vol_at(t_fix)
-        strike = spec.strike_for(j)
-        stochastic_caplets.append(caplet_price(notional, df, fwd, strike, vol, t_fix, spec.accrual))
-        deterministic_caplets.append(caplet_price(notional, df, fwd, strike, 0.0, t_fix, spec.accrual))
-
-    return CapValuation.from_caplets(
-        stochastic_caplets,
-        deterministic_value=sum(deterministic_caplets[1:]),
-    )
+    stochastic, deterministic = [], []
+    for n, df, fwd, k, vol, t in zip(
+        strip.notionals, strip.discount_factors, strip.forwards, strip.strikes, strip.vols, strip.fixing_times
+    ):
+        stochastic.append(caplet_price(n, df, fwd, k, vol, t, strip.accrual))
+        deterministic.append(caplet_price(n, df, fwd, k, 0.0, t, strip.accrual))
+    return CapValuation.from_caplets(stochastic, deterministic_value=sum(deterministic[1:]))
 
 
-def remuneration_option_cost(valuation: CapValuation, booked_flows_pv: float, tax_rate: float) -> float:
+def remuneration_option_cost(stochastic_value: float, booked_flows_pv: float, tax_rate: float) -> float:
     """Net option cost after tax, beyond what the deterministic account already books.
 
     (stochastic value - discounted booked flows) * (1 - tax rate).
     """
     if not 0.0 <= tax_rate < 1.0:
         raise ValueError(f"tax_rate must be in [0, 1), got {tax_rate}")
-    return (valuation.stochastic_value - booked_flows_pv) * (1.0 - tax_rate)
+    return (stochastic_value - booked_flows_pv) * (1.0 - tax_rate)

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import __version__, reports
-from .cap import CapValuation, price_cap
+from .cap import CapValuation, cap_strip, price_cap
 from .config import (
     RunConfig,
     load_cap_inputs,
@@ -85,11 +85,12 @@ def cmd_price_cap(config: RunConfig) -> int:
         raise ConfigError(f"{config.config_path}: 'cap_spec' is required for price-cap")
     market = load_market(config)
     inputs = load_cap_inputs(config.cap_spec_path, config.spot_index_rate)
+    strip = cap_strip(inputs.spec, market)
 
-    if inputs.is_replay:
+    if inputs.replay_caplet_costs is not None:
         caplets, deterministic = inputs.replay_caplet_costs, inputs.replay_deterministic_cost
     else:
-        priced = price_cap(inputs.spec, market)
+        priced = price_cap(strip)
         caplets, deterministic = [-v for v in priced.caplet_values], -priced.deterministic_value
     valuation = CapValuation.from_caplets(
         caplets,
@@ -99,7 +100,7 @@ def cmd_price_cap(config: RunConfig) -> int:
     )
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    reports.write_cap_report(config.output_dir / "cap_report.csv", inputs, market, valuation)
+    reports.write_cap_report(config.output_dir / "cap_report.csv", strip, valuation)
     reports.write_manifest(config.output_dir, "price-cap", config)
 
     print(f"stochastic value     {reports.money(valuation.stochastic_value)}")
@@ -114,6 +115,11 @@ def _load_portfolios(config: RunConfig):
     if not config.portfolio_paths:
         raise ConfigError(f"{config.config_path}: 'portfolios' is required for this command")
     portfolios = [load_portfolio(p, config.horizon) for p in config.portfolio_paths]
+    seen = {}
+    for path, portfolio in zip(config.portfolio_paths, portfolios):
+        if portfolio.id in seen:
+            raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
+        seen[portfolio.id] = path
     weights = load_weight_matrix(config.weights_path) if config.weights_path else None
     return portfolios, weights
 

@@ -12,9 +12,10 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any, Iterator, NoReturn
 
 import numpy as np
 
@@ -44,10 +45,6 @@ class CapInputs:
     booked_flows_pv: float = 0.0
     replay_caplet_costs: tuple[float, ...] | None = None
     replay_deterministic_cost: float | None = None
-
-    @property
-    def is_replay(self) -> bool:
-        return self.replay_caplet_costs is not None
 
 
 @dataclass(frozen=True)
@@ -105,6 +102,17 @@ def _require(data: dict[str, Any], key: str, path: Path) -> Any:
     if key not in data:
         raise ConfigError(f"{path}: missing required field {key!r}")
     return data[key]
+
+
+@contextmanager
+def _naming(path: Path, context: str = "") -> Iterator[None]:
+    """Turn a ValueError raised in the block into a ConfigError naming ``path``; a ConfigError passes."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {context}{exc}") from exc
 
 
 _KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
@@ -288,7 +296,8 @@ def load_curve(config: RunConfig) -> ZeroCurve:
     if config.curve_csv is None:
         raise ConfigError(f"{config.config_path}: market.curve_csv is required for this command")
     tenors, rates = zip(*_read_csv_pairs(config.curve_csv, "tenor_years", "zero_rate"))
-    return ZeroCurve(tenors=tenors, zero_rates=rates)
+    with _naming(config.curve_csv):
+        return ZeroCurve(tenors=tenors, zero_rates=rates)
 
 
 def load_market(config: RunConfig) -> MarketData:
@@ -298,17 +307,20 @@ def load_market(config: RunConfig) -> MarketData:
         )
     curve = load_curve(config)
     times, vols = zip(*_read_csv_pairs(config.vols_csv, "fixing_years", "black_vol"))
-    return MarketData(
-        curve=curve,
-        vols=VolTermStructure(fixing_times=times, black_vols=vols),
-        spot_index_rate=config.spot_index_rate or 0.0,
-        tax_rate=config.tax_rate,
-    )
+    with _naming(config.vols_csv):
+        vol_structure = VolTermStructure(fixing_times=times, black_vols=vols)
+    with _naming(config.config_path, "market."):
+        return MarketData(
+            curve=curve,
+            vols=vol_structure,
+            spot_index_rate=config.spot_index_rate or 0.0,
+            tax_rate=config.tax_rate,
+        )
 
 
 def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
     data = _load_json(path)
-    try:
+    with _naming(path):
         spec = CapSpec(
             strike=_float(data, "strike", path),
             notionals=_floats(_require(data, "notionals", path), path, "notionals"),
@@ -319,10 +331,6 @@ def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
                 data.get("use_spot_for_first_period", False), bool, path, "use_spot_for_first_period"
             ),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     if spec.use_spot_for_first_period and spot_index_rate is None:
         raise ConfigError(
             f"{path}: use_spot_for_first_period needs market.spot_index_rate in the run config"
@@ -360,9 +368,8 @@ def load_weight_matrix(path: Path) -> WeightMatrix:
 
 def load_chronicle(path: Path) -> np.ndarray:
     rows = _read_csv_pairs(path, "year", "expected_sp")
-    years = [int(y) for y, _ in rows]
-    if years != list(range(1, len(rows) + 1)):
-        raise ConfigError(f"{path}: 'year' column must run 1..H without gaps")
+    if [y for y, _ in rows] != list(range(1, len(rows) + 1)):
+        raise ConfigError(f"{path}: 'year' column must run 1..H in whole years without gaps")
     return np.array([v for _, v in rows], dtype=float)
 
 
@@ -381,7 +388,7 @@ def _parse_criteria(data: dict[str, Any], path: Path) -> RiskCriteria | None:
     if raw is None:
         return None
     _expect(raw, dict, path, "criteria")
-    try:
+    with _naming(path, "criteria: "):
         return RiskCriteria(
             portfolio_age=_float(raw, "portfolio_age_years", path),
             homogeneity=str(_require(raw, "homogeneity", path)),
@@ -390,10 +397,6 @@ def _parse_criteria(data: dict[str, Any], path: Path) -> RiskCriteria | None:
             moral_hazard=str(_require(raw, "moral_hazard", path)),
             litigation=str(_require(raw, "litigation", path)),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: criteria: {exc}") from exc
 
 
 def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> PortfolioSpec:
@@ -408,7 +411,7 @@ def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> Portfo
         horizon = _as_int(data.get("horizon_years", default_horizon), path, "horizon_years")
         chronicle = (mean_sp,) * horizon
 
-    try:
+    with _naming(path):
         return PortfolioSpec(
             id=str(_require(data, "id", path)),
             initial_premium=_float(data, "initial_premium", path),
@@ -421,10 +424,6 @@ def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> Portfo
             criteria=_parse_criteria(data, path),
             reversion_speed=_float(data, "reversion_speed", path, default=DEFAULT_REVERSION_SPEED),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
@@ -436,7 +435,7 @@ def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: replay rows must be JSON objects")
         row_id = str(_require(entry, "id", path))
-        try:
+        with _naming(path, f"row {row_id!r}: "):
             rows.append(
                 ReplayPvfpRow(
                     id=row_id,
@@ -446,8 +445,4 @@ def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
                     pvfp_tsr_spread=_float(entry, "pvfp_tsr_spread", path),
                 )
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{path}: row {row_id!r}: {exc}") from exc
     return rows

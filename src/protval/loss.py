@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from .cap import norm_cdf
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -56,7 +57,7 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+_norm_cdf = np.frompyfunc(norm_cdf, 1, 1)
 
 
 def _rational_tail(q: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def norm_inv(u: float | np.ndarray) -> float | np.ndarray:
     x[upper] = -_rational_tail(np.sqrt(-2.0 * np.log(1.0 - flat[upper])))
 
     # Halley refinement: e is the CDF residual at x.
-    e = 0.5 * _erfc(-x / math.sqrt(2.0)).astype(float) - flat
+    e = _norm_cdf(x).astype(float) - flat
     w = e * _SQRT_2PI * np.exp(0.5 * x * x)
     x = x - w / (1.0 + 0.5 * x * w)
     return float(x[0]) if p.ndim == 0 else x.reshape(p.shape)

@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .cap import CapValuation
-from .config import CapInputs, RunConfig
-from .curves import MarketData
+from .cap import CapStrip, CapValuation
+from .config import RunConfig
 from .loss import LossScenarioSet
 from .risk import PvfpStatistics
 
@@ -50,32 +49,21 @@ def write_manifest(out_dir: Path, command: str, config: RunConfig) -> Path:
     return path
 
 
-def write_cap_report(
-    path: Path,
-    inputs: CapInputs,
-    market: MarketData,
-    valuation: CapValuation,
-) -> None:
+def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> None:
     """Cap valuation as a metric-per-row table over period indices 0..n.
 
+    The input rows print ``strip``, the table the caplets were priced from.
     ``valuation`` is cost-signed (insurer costs negative), matching how
     remuneration reports are presented.
     """
-    spec = inputs.spec
-    periods = range(len(spec.notionals))
-
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
-        writer.writerow(["metric"] + [str(j) for j in periods])
-        writer.writerow(["notional"] + [_fmt(n) for n in spec.notionals])
-        writer.writerow(
-            ["discount_factor"] + [_fmt(market.curve.discount_factor(j * spec.accrual)) for j in periods]
-        )
-        writer.writerow(["forward_rate"] + [_fmt(spec.forward_for(j, market)) for j in periods])
-        writer.writerow(["strike"] + [_fmt(spec.strike_for(j)) for j in periods])
-        writer.writerow(
-            ["volatility"] + [_fmt(market.vols.vol_at(spec.fixing_time(j))) for j in periods]
-        )
+        writer.writerow(["metric"] + [str(j) for j in range(len(strip.notionals))])
+        writer.writerow(["notional"] + [_fmt(n) for n in strip.notionals])
+        writer.writerow(["discount_factor"] + [_fmt(df) for df in strip.discount_factors])
+        writer.writerow(["forward_rate"] + [_fmt(f) for f in strip.forwards])
+        writer.writerow(["strike"] + [_fmt(k) for k in strip.strikes])
+        writer.writerow(["volatility"] + [_fmt(v) for v in strip.vols])
         writer.writerow(["caplet_cost"] + [_fmt(v) for v in valuation.caplet_values])
         writer.writerow(["stochastic_value", _fmt(valuation.stochastic_value)])
         writer.writerow(["deterministic_value", _fmt(valuation.deterministic_value)])

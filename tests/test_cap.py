@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from protval.cap import (
     CapSpec,
     CapValuation,
+    cap_strip,
     caplet_price,
     norm_cdf,
     price_cap,
@@ -153,7 +154,7 @@ class TestPriceCap:
     def test_zero_vol_out_of_the_money_prices_to_zero(self):
         market = self.flat_market(rate=0.02, vol=0.0)
         spec = CapSpec(strike=0.05, notionals=(1e6,) * 5, index_tenor=3.0)
-        valuation = price_cap(spec, market)
+        valuation = price_cap(cap_strip(spec, market))
         assert valuation.stochastic_value == 0.0
         assert valuation.deterministic_value == 0.0
         assert all(v == 0.0 for v in valuation.caplet_values)
@@ -161,14 +162,14 @@ class TestPriceCap:
     def test_zero_vol_market_has_no_valuation_spread(self):
         market = self.flat_market(rate=0.04, vol=0.0)
         spec = CapSpec(strike=0.02, notionals=(1e6,) * 5, index_tenor=3.0)
-        valuation = price_cap(spec, market)
+        valuation = price_cap(cap_strip(spec, market))
         assert valuation.stochastic_value > 0.0
         assert valuation.valuation_spread == 0.0
 
     def test_aggregate_identities_hold_exactly(self):
         market = self.flat_market(rate=0.03, vol=0.25)
         spec = CapSpec(strike=0.025, notionals=(5e5, 4e5, 3e5, 2e5, 1e5), index_tenor=3.0)
-        valuation = price_cap(spec, market)
+        valuation = price_cap(cap_strip(spec, market))
         assert valuation.stochastic_value == sum(valuation.caplet_values[1:])
         assert valuation.valuation_spread == valuation.stochastic_value - valuation.deterministic_value
 
@@ -176,10 +177,10 @@ class TestPriceCap:
         market = self.flat_market(rate=0.06, vol=0.2)
         with_p0 = CapSpec(strike=0.02, notionals=(1e9, 1e5, 1e5), index_tenor=3.0)
         without_p0 = CapSpec(strike=0.02, notionals=(0.0, 1e5, 1e5), index_tenor=3.0)
-        assert price_cap(with_p0, market).stochastic_value == pytest.approx(
-            price_cap(without_p0, market).stochastic_value
+        assert price_cap(cap_strip(with_p0, market)).stochastic_value == pytest.approx(
+            price_cap(cap_strip(without_p0, market)).stochastic_value
         )
-        assert price_cap(with_p0, market).caplet_values[0] > 0.0
+        assert price_cap(cap_strip(with_p0, market)).caplet_values[0] > 0.0
 
     def test_spot_override_applies_to_the_running_period_only(self):
         market = self.flat_market(rate=0.04, vol=0.2)
@@ -190,8 +191,8 @@ class TestPriceCap:
             strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0, use_spot_for_first_period=True
         )
         plain = CapSpec(strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0)
-        with_spot = price_cap(spec, market)
-        without_spot = price_cap(plain, market)
+        with_spot = price_cap(cap_strip(spec, market))
+        without_spot = price_cap(cap_strip(plain, market))
         # period 0 picks up the observed 10% spot; the period-1 caplet also
         # fixes at t=0 but stays on the curve-implied rate
         assert with_spot.caplet_values[0] == pytest.approx(1e6 * (0.10 - 0.02), rel=1e-12)
@@ -207,8 +208,10 @@ class TestPriceCap:
             index_tenor=3.0,
             strikes=(0.02, 0.02, 0.03),
         )
-        assert price_cap(bumped, market).caplet_values[2] < price_cap(flat, market).caplet_values[2]
-        assert price_cap(bumped, market).caplet_values[1] == price_cap(flat, market).caplet_values[1]
+        bumped_values = price_cap(cap_strip(bumped, market)).caplet_values
+        flat_values = price_cap(cap_strip(flat, market)).caplet_values
+        assert bumped_values[2] < flat_values[2]
+        assert bumped_values[1] == flat_values[1]
 
 
 class TestReportAggregates:
@@ -227,16 +230,16 @@ class TestReportAggregates:
 
     def test_fully_booked_option_costs_nothing(self):
         valuation = CapValuation.from_caplets((0.0, 100.0), deterministic_value=50.0)
-        assert remuneration_option_cost(valuation, booked_flows_pv=100.0, tax_rate=0.3) == 0.0
+        assert remuneration_option_cost(valuation.stochastic_value, booked_flows_pv=100.0, tax_rate=0.3) == 0.0
 
     def test_zero_tax_zero_booked_passes_through(self):
         valuation = CapValuation.from_caplets((0.0, 100.0), deterministic_value=50.0)
-        assert remuneration_option_cost(valuation, 0.0, 0.0) == valuation.stochastic_value
+        assert remuneration_option_cost(valuation.stochastic_value, 0.0, 0.0) == valuation.stochastic_value
 
     def test_tax_rate_bounds(self):
         valuation = CapValuation.from_caplets((0.0, 100.0), deterministic_value=50.0)
         with pytest.raises(ValueError, match="tax_rate"):
-            remuneration_option_cost(valuation, 0.0, 1.0)
+            remuneration_option_cost(valuation.stochastic_value, 0.0, 1.0)
 
 
 class TestCapSpecValidation:

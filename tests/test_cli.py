@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from protval.cap import caplet_price
 from protval.cli import main
 
 from .conftest import (
@@ -124,6 +125,36 @@ class TestPriceCap:
         })
         assert main(["price-cap", "--config", str(config)]) == 1
         assert "vols.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec_patch",
+        [
+            {},
+            {"use_spot_for_first_period": False},
+            {"strikes": [0.019, 0.021, 0.015, 0.019, 0.03, 0.0185, 0.019]},
+        ],
+        ids=["sample_spec", "curve_forward_for_period_0", "spot_and_per_period_strikes"],
+    )
+    def test_report_rows_reprice_the_caplet_costs(self, tmp_path, spec_patch):
+        spec = json.loads((SAMPLE_DIR / "cap_remuneration.json").read_text(encoding="utf-8"))
+        del spec["replay"]
+        spec.update(spec_patch)
+        config = sample_config(
+            "run_price_cap.json", tmp_path, cap_spec=str(write_json(tmp_path / "cap.json", spec))
+        )
+        assert main(["price-cap", "--config", str(config)]) == 0
+
+        report = read_report(tmp_path / "out" / "cap_report.csv")
+        rows = {name: [float(v) for v in values] for name, values in report.items() if name != "metric"}
+        inputs = zip(*(rows[k] for k in ("notional", "discount_factor", "forward_rate", "strike", "volatility")))
+        accrual = spec["accrual_years"]
+        repriced = [
+            caplet_price(n, df, fwd, k, vol, max(j * accrual - accrual, 0.0), accrual)
+            for j, (n, df, fwd, k, vol) in enumerate(inputs)
+        ]
+        assert repriced == [-c for c in rows["caplet_cost"]]
+        assert rows["strike"] == spec.get("strikes", [spec["strike"]] * len(spec["notionals"]))
+        assert (rows["forward_rate"][0] == 0.0195) == spec["use_spot_for_first_period"]
 
     def test_manifest_records_the_run(self, tmp_path):
         config = sample_config("run_price_cap.json", tmp_path)
@@ -362,6 +393,33 @@ def test_non_finite_input_is_rejected_naming_the_file(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("command", "bad_file", "header"),
+    [("value", "curve.csv", "tenor_years,zero_rate"), ("price-cap", "vols.csv", "fixing_years,black_vol")],
+)
+def test_decreasing_grid_is_rejected_naming_the_file(tmp_path, capsys, command, bad_file, header):
+    config = write_small_run(tmp_path, replay=False)
+    (tmp_path / bad_file).write_text(f"{header}\n2,0.02\n1,0.03\n", encoding="utf-8")
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / bad_file}: ") and "strictly increasing" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_duplicate_portfolio_id_is_rejected_naming_both_files(tmp_path, capsys, command):
+    config = write_small_run(tmp_path, replay=False)
+    make_portfolio_file(tmp_path, "p1_copy", id="p1", initial_premium=2000.0, chronicle_csv="chronicle.csv")
+    run = json.loads(config.read_text(encoding="utf-8"))
+    run["portfolios"].append("p1_copy.json")
+    write_json(config, run)
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: portfolio id 'p1' ") and "p1.json" in err and "p1_copy.json" in err
+    assert not list((tmp_path / "out").glob("p1_*.csv"))
+
+
 @pytest.mark.parametrize("bad_value", ["nan", 10**400, True], ids=["json_string", "huge_integer", "boolean"])
 @pytest.mark.parametrize(
     ("command", "bad_file", "field_path"),
@@ -394,8 +452,10 @@ def test_json_value_that_is_not_a_float_is_rejected_naming_file_and_field(
         ("value", "replay.json", (0, "mean_pvfp"), 0, "row 'r1': field 'mean_pvfp' must be > 0"),
         ("value", "replay.json", (0, "vol_pvfp"), -4.3e-06, "row 'r1': field 'vol_pvfp' must be >= 0"),
         ("value", "replay.json", (0, "pvfp_tsr"), 0, "row 'r1': field 'pvfp_tsr' must not be 0"),
+        ("price-cap", "run.json", ("market", "tax_rate"), 1.5, "market.tax_rate must be in [0, 1)"),
     ],
-    ids=["renewal", "criteria", "portfolios", "notionals", "use_spot", "mean_pvfp", "vol_pvfp", "pvfp_tsr"],
+    ids=["renewal", "criteria", "portfolios", "notionals", "use_spot", "mean_pvfp", "vol_pvfp", "pvfp_tsr",
+         "tax_rate"],
 )
 def test_malformed_or_out_of_range_field_is_rejected_naming_file_and_field(
     tmp_path, capsys, command, bad_file, field_path, bad_value, expected

@@ -71,6 +71,11 @@ class TestChronicle:
         with pytest.raises(ConfigError, match="1..H"):
             load_chronicle(path)
 
+    def test_fractional_year_is_rejected_naming_the_file(self, tmp_path):
+        path = write_chronicle(tmp_path / "c.csv", [(1.5, 0.8), (2, 0.9)])
+        with pytest.raises(ConfigError, match=r"c\.csv: 'year' column must run 1\.\.H in whole years"):
+            load_chronicle(path)
+
     def test_loads_in_year_order(self, tmp_path):
         path = write_chronicle(tmp_path / "c.csv", [(1, 0.8), (2, 0.9), (3, 1.0)])
         assert list(load_chronicle(path)) == [0.8, 0.9, 1.0]
