@@ -29,8 +29,8 @@ from .config import (
     load_weight_matrix,
 )
 from .errors import CalibrationError, ConfigError
-from .loss import generate_scenarios, histogram, resolve_params
-from .projection import pvfp, pvfp_batch
+from .loss import draw_initial_ratios, generate_scenarios, histogram, resolve_params
+from .projection import pvfp, pvfp_of_ratios
 from .risk import SpreadFunction, aggregate, calibrate_spread, pvfp_stats, risk_statistics
 
 HISTOGRAM_BIN_WIDTH = 0.10
@@ -117,6 +117,10 @@ def _load_portfolios(config: RunConfig):
     portfolios = [load_portfolio(p, config.horizon) for p in config.portfolio_paths]
     seen = {}
     for path, portfolio in zip(config.portfolio_paths, portfolios):
+        if portfolio.horizon != config.horizon:
+            raise ConfigError(
+                f"{path}: the chronicle covers {portfolio.horizon} years, the run horizon is {config.horizon}"
+            )
         if portfolio.id in seen:
             raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
         seen[portfolio.id] = path
@@ -165,8 +169,8 @@ def cmd_value(config: RunConfig) -> int:
             params = resolve_params(portfolio, weights)
             echo_rows.append((portfolio.id, portfolio.mean_sp, params.mu, params.sigma))
 
-            scenario_set = generate_scenarios(portfolio, config.scenarios, config.seed, weights=weights)
-            samples = pvfp_batch(portfolio, scenario_set, curve)
+            sp1 = draw_initial_ratios(params, config.scenarios, config.seed)
+            samples = pvfp_of_ratios(portfolio, sp1, curve)
             reports.write_pvfp_samples_csv(
                 config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples
             )

@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.tax_rate < 1.0:
+            raise ConfigError(f"{self.config_path}: market.tax_rate must be in [0, 1), got {self.tax_rate}")
 
 
 _REQUIRED = object()
@@ -309,13 +311,12 @@ def load_market(config: RunConfig) -> MarketData:
     times, vols = zip(*_read_csv_pairs(config.vols_csv, "fixing_years", "black_vol"))
     with _naming(config.vols_csv):
         vol_structure = VolTermStructure(fixing_times=times, black_vols=vols)
-    with _naming(config.config_path, "market."):
-        return MarketData(
-            curve=curve,
-            vols=vol_structure,
-            spot_index_rate=config.spot_index_rate or 0.0,
-            tax_rate=config.tax_rate,
-        )
+    return MarketData(
+        curve=curve,
+        vols=vol_structure,
+        spot_index_rate=config.spot_index_rate or 0.0,
+        tax_rate=config.tax_rate,
+    )
 
 
 def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:

@@ -57,9 +57,6 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-_norm_cdf = np.frompyfunc(norm_cdf, 1, 1)
-
-
 def _rational_tail(q: np.ndarray) -> np.ndarray:
     return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
@@ -91,7 +88,7 @@ def norm_inv(u: float | np.ndarray) -> float | np.ndarray:
     x[upper] = -_rational_tail(np.sqrt(-2.0 * np.log(1.0 - flat[upper])))
 
     # Halley refinement: e is the CDF residual at x.
-    e = _norm_cdf(x).astype(float) - flat
+    e = norm_cdf(x) - flat
     w = e * _SQRT_2PI * np.exp(0.5 * x * x)
     x = x - w / (1.0 + 0.5 * x * w)
     return float(x[0]) if p.ndim == 0 else x.reshape(p.shape)

@@ -16,7 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ZeroCurve
-from .loss import DEFAULT_REVERSION_SPEED, LossScenarioSet, RiskCriteria, _check_reversion_speed
+from .loss import DEFAULT_REVERSION_SPEED, RiskCriteria, _check_reversion_speed, _reversion_paths
+
+# Rows of loss-ratio paths that pvfp_of_ratios builds and values at a time.
+# A block of 30-year paths is 240 KB, so its temporaries stay in cache; on
+# a 2-vCPU x86 VM, 512 to 1024 rows valued 10,000 draws fastest.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,8 @@ def premium_runoff(spec: PortfolioSpec) -> np.ndarray:
 
 def _spread_discounts(curve: ZeroCurve, horizon: int, extra_spread: float) -> np.ndarray:
     """Discount factors (1 + z(t) + spread)^-t for t = 1..horizon."""
+    if extra_spread < 0.0:
+        raise ValueError(f"extra spread must be >= 0, got {extra_spread}")
     years = np.arange(1, horizon + 1, dtype=float)
     rates = np.interp(years, curve.tenors, curve.zero_rates)
     return (1.0 + rates + extra_spread) ** -years
@@ -111,24 +118,23 @@ def _spread_discounts(curve: ZeroCurve, horizon: int, extra_spread: float) -> np
 def _pvfp_rows(
     spec: PortfolioSpec,
     paths: np.ndarray,
-    curve: ZeroCurve,
-    extra_spread: float,
+    premiums: np.ndarray,
+    discounts: np.ndarray,
 ) -> np.ndarray:
-    """PVFP of each row of a (scenarios, horizon) loss-ratio matrix.
+    """PVFP of each row of a (rows, horizon) loss-ratio matrix.
 
     Positive yearly results (S/P < 1) are shared at the contractual rate;
     losses are borne in full, so the result is continuous at S/P = 1 but
-    kinked there. Results are then taxed and discounted at the zero rate
-    shifted additively by ``extra_spread``.
+    kinked there. Results are then taxed and discounted. The terms are built
+    in one buffer, in place, and each row is summed on its own, so a row's
+    PVFP does not depend on the rows around it.
     """
-    if np.any(paths < 0.0):
-        raise ValueError("loss ratios must be >= 0")
-    if extra_spread < 0.0:
-        raise ValueError(f"extra spread must be >= 0, got {extra_spread}")
-    results = premium_runoff(spec) * (1.0 - paths)
-    results = np.where(paths < 1.0, results * (1.0 - spec.profit_share_rate), results)
-    discounts = _spread_discounts(curve, spec.horizon, extra_spread)
-    return np.sum(results * (1.0 - spec.tax_rate) * discounts, axis=1)
+    results = np.subtract(1.0, paths)
+    results *= premiums
+    np.multiply(results, 1.0 - spec.profit_share_rate, out=results, where=paths < 1.0)
+    results *= 1.0 - spec.tax_rate
+    results *= discounts
+    return results.sum(axis=1)
 
 
 def pvfp(
@@ -146,18 +152,25 @@ def pvfp(
         raise ValueError(
             f"loss-ratio path has length {path.size}, portfolio horizon is {spec.horizon}"
         )
-    return float(_pvfp_rows(spec, path[np.newaxis, :], curve, extra_spread)[0])
+    if np.any(path < 0.0):
+        raise ValueError("loss ratios must be >= 0")
+    discounts = _spread_discounts(curve, spec.horizon, extra_spread)
+    return float(_pvfp_rows(spec, path[np.newaxis, :], premium_runoff(spec), discounts)[0])
 
 
-def pvfp_batch(
-    spec: PortfolioSpec,
-    scenarios: LossScenarioSet,
-    curve: ZeroCurve,
-    extra_spread: float = 0.0,
-) -> np.ndarray:
-    """PVFP of every scenario row, in scenario order."""
-    if scenarios.horizon != spec.horizon:
-        raise ValueError(
-            f"scenario horizon {scenarios.horizon} differs from portfolio horizon {spec.horizon}"
-        )
-    return _pvfp_rows(spec, scenarios.scenarios, curve, extra_spread)
+def pvfp_of_ratios(spec: PortfolioSpec, sp1: np.ndarray, curve: ZeroCurve) -> np.ndarray:
+    """PVFP at the risk-free rate of the reverting path from each year-1 loss ratio, in order.
+
+    The result equals ``_pvfp_rows`` on the full ``_reversion_paths`` matrix
+    bit for bit, but the paths are built and valued ``_BLOCK_ROWS`` rows at a
+    time, so no (scenarios x years) matrix is ever allocated.
+    """
+    chron = np.asarray(spec.chronicle)
+    premiums = premium_runoff(spec)
+    discounts = _spread_discounts(curve, spec.horizon, 0.0)
+    samples = np.empty(len(sp1))
+    for start in range(0, len(sp1), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        paths, _ = _reversion_paths(sp1[block], chron, spec.reversion_speed)
+        samples[block] = _pvfp_rows(spec, paths, premiums, discounts)
+    return samples

@@ -420,6 +420,21 @@ def test_duplicate_portfolio_id_is_rejected_naming_both_files(tmp_path, capsys, 
     assert not list((tmp_path / "out").glob("p1_*.csv"))
 
 
+@pytest.mark.parametrize("source", ["chronicle_csv", "chronicle"])
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_chronicle_length_differing_from_run_horizon_is_rejected(tmp_path, capsys, command, source):
+    config = write_small_run(tmp_path, replay=False)
+    (tmp_path / "chronicle.csv").write_text("year,expected_sp\n1,0.8\n2,0.85\n3,0.9\n", encoding="utf-8")
+    if source == "chronicle":
+        make_portfolio_file(tmp_path, chronicle=[0.8, 0.85, 0.9])
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'p1.json'}: ")
+    assert "covers 3 years, the run horizon is 2" in err
+    assert not list((tmp_path / "out").glob("p1_*.csv"))
+
+
 @pytest.mark.parametrize("bad_value", ["nan", 10**400, True], ids=["json_string", "huge_integer", "boolean"])
 @pytest.mark.parametrize(
     ("command", "bad_file", "field_path"),
@@ -453,9 +468,11 @@ def test_json_value_that_is_not_a_float_is_rejected_naming_file_and_field(
         ("value", "replay.json", (0, "vol_pvfp"), -4.3e-06, "row 'r1': field 'vol_pvfp' must be >= 0"),
         ("value", "replay.json", (0, "pvfp_tsr"), 0, "row 'r1': field 'pvfp_tsr' must not be 0"),
         ("price-cap", "run.json", ("market", "tax_rate"), 1.5, "market.tax_rate must be in [0, 1)"),
+        ("value", "run.json", ("market", "tax_rate"), 1.5, "market.tax_rate must be in [0, 1)"),
+        ("simulate", "run.json", ("market", "tax_rate"), -0.1, "market.tax_rate must be in [0, 1)"),
     ],
     ids=["renewal", "criteria", "portfolios", "notionals", "use_spot", "mean_pvfp", "vol_pvfp", "pvfp_tsr",
-         "tax_rate"],
+         "tax_rate", "tax_rate_value", "tax_rate_simulate"],
 )
 def test_malformed_or_out_of_range_field_is_rejected_naming_file_and_field(
     tmp_path, capsys, command, bad_file, field_path, bad_value, expected

@@ -6,18 +6,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protval.curves import ZeroCurve
-from protval.loss import LossScenarioSet
+from protval.loss import _reversion_paths
 from protval.projection import (
+    _BLOCK_ROWS,
     FixedTerm,
     PortfolioSpec,
     TacitRenewal,
+    _pvfp_rows,
+    _spread_discounts,
     premium_runoff,
     pvfp,
-    pvfp_batch,
+    pvfp_of_ratios,
 )
 
 from .conftest import FIGURE_TENORS, FIGURE_ZERO_RATES, make_portfolio
@@ -26,8 +29,10 @@ FLAT_ZERO_CURVE = ZeroCurve(tenors=(0.0, 50.0), zero_rates=(0.0, 0.0))
 FIGURE_CURVE = ZeroCurve(tenors=FIGURE_TENORS, zero_rates=FIGURE_ZERO_RATES)
 
 
-def scenario_set_from_rows(rows) -> LossScenarioSet:
-    return LossScenarioSet(scenarios=np.asarray(rows, dtype=float))
+def pvfp_rows(spec: PortfolioSpec, rows, curve: ZeroCurve, extra_spread: float = 0.0) -> np.ndarray:
+    """The engine's PVFP of each row of a loss-ratio matrix."""
+    discounts = _spread_discounts(curve, spec.horizon, extra_spread)
+    return _pvfp_rows(spec, np.asarray(rows, dtype=float), premium_runoff(spec), discounts)
 
 
 def underwriting_result(premium: float, sp: float, profit_share: float) -> float:
@@ -198,16 +203,14 @@ class TestPvfp:
 class TestPvfpBatch:
     def test_chronicle_scenario_reproduces_deterministic_value(self, figure_curve):
         spec = make_portfolio(horizon=6)
-        scenario_set = scenario_set_from_rows([spec.chronicle])
-        samples = pvfp_batch(spec, scenario_set, figure_curve)
+        samples = pvfp_rows(spec, [spec.chronicle], figure_curve)
         assert samples.shape == (1,)
         assert samples[0] == pvfp(spec, spec.chronicle, figure_curve)
 
     def test_duplicate_rows_give_identical_samples(self, figure_curve):
         spec = make_portfolio(horizon=4)
         row = [0.7, 0.9, 1.1, 0.85]
-        scenario_set = scenario_set_from_rows([row, row, row])
-        samples = pvfp_batch(spec, scenario_set, figure_curve)
+        samples = pvfp_rows(spec, [row, row, row], figure_curve)
         assert samples.shape == (3,)
         assert samples[0] == samples[1] == samples[2]
 
@@ -216,18 +219,11 @@ class TestPvfpBatch:
         # profits: the sample-mean PVFP falls below the central-path PVFP
         spec = make_portfolio(mean_sp=1.0, profit_share=0.5, horizon=3)
         rows = [[0.5] * 3, [1.5] * 3]
-        scenario_set = scenario_set_from_rows(rows)
-        samples = pvfp_batch(spec, scenario_set, FLAT_ZERO_CURVE)
+        samples = pvfp_rows(spec, rows, FLAT_ZERO_CURVE)
         mean_pvfp = samples.sum() / 2
         central = pvfp(spec, spec.chronicle, FLAT_ZERO_CURVE)
         assert mean_pvfp < central
         assert central == 0.0
-
-    def test_horizon_mismatch_rejected(self, figure_curve):
-        spec = make_portfolio(horizon=5)
-        scenario_set = scenario_set_from_rows([[0.8] * 3])
-        with pytest.raises(ValueError, match="horizon"):
-            pvfp_batch(spec, scenario_set, figure_curve)
 
     @given(
         data=st.data(),
@@ -261,13 +257,58 @@ class TestPvfpBatch:
         ratio = st.one_of(st.floats(0.0, 2.5), st.just(1.0))
         row = st.lists(ratio, min_size=horizon, max_size=horizon)
         rows = data.draw(st.lists(row, min_size=n, max_size=n))
-        samples = pvfp_batch(spec, scenario_set_from_rows(rows), FIGURE_CURVE, extra_spread)
+        samples = pvfp_rows(spec, rows, FIGURE_CURVE, extra_spread)
         assert samples.shape == (n,)
         for path, value in zip(rows, samples):
             terms = reference_terms(spec, path, FIGURE_CURVE, extra_spread)
             scale = math.fsum(abs(v) for v in terms)
             assert abs(value - math.fsum(terms)) <= 1e-12 * scale
             assert value == pvfp(spec, path, FIGURE_CURVE, extra_spread)
+
+
+class TestPvfpOfRatios:
+    # sp1 = 0 against a chronicle that starts at 1.5 and drops to 0.1 floors
+    # year 2; the ratios drawn on [0, 3] cross S/P = 1 in every year.
+    @given(
+        n=st.sampled_from([1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]),
+        seed=st.integers(0, 2**32 - 1),
+        chronicle=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=12),
+        nu=st.floats(0.05, 1.0),
+        fixed_term=st.booleans(),
+        renewal_level=st.floats(0.0, 1.0),
+        share=st.floats(0.0, 1.0),
+        tax=st.floats(0.0, 0.5),
+    )
+    @example(n=2 * _BLOCK_ROWS + 3, seed=0, chronicle=[1.5, 0.1, 0.9, 1.2], nu=0.8,
+             fixed_term=False, renewal_level=0.5, share=0.5, tax=0.275)
+    @example(n=2 * _BLOCK_ROWS + 3, seed=1, chronicle=[1.5, 0.1, 0.9, 1.2], nu=0.8,
+             fixed_term=True, renewal_level=0.1, share=0.5, tax=0.275)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_full_matrix_bit_for_bit(
+        self, n, seed, chronicle, nu, fixed_term, renewal_level, share, tax
+    ):
+        renewal = (
+            FixedTerm(mean_remaining_term_months=1.0 + 239.0 * renewal_level)
+            if fixed_term
+            else TacitRenewal(lapse_rate=0.3 * renewal_level)
+        )
+        spec = PortfolioSpec(
+            id="prop",
+            initial_premium=1e5,
+            chronicle=tuple(chronicle),
+            renewal=renewal,
+            profit_share_rate=share,
+            tax_rate=tax,
+            mean_sp=chronicle[0],
+            sigma=0.2,
+            reversion_speed=nu,
+        )
+        sp1 = np.random.default_rng(seed).uniform(0.0, 3.0, n)
+        sp1[::11] = 1.0
+        sp1[5::11] = 0.0
+        paths, _ = _reversion_paths(sp1, np.asarray(spec.chronicle), nu)
+        expected = pvfp_rows(spec, paths, FIGURE_CURVE)
+        assert np.array_equal(pvfp_of_ratios(spec, sp1, FIGURE_CURVE), expected)
 
 
 class TestPortfolioSpecValidation:
