@@ -88,11 +88,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.scenarios < 2:
-            raise ConfigError(f"scenarios must be >= 2, got {self.scenarios}")
+            raise ConfigError(f"{self.config_path}: scenarios must be >= 2, got {self.scenarios}")
         if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+            raise ConfigError(f"{self.config_path}: horizon must be >= 1, got {self.horizon}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"{self.config_path}: seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.tax_rate < 1.0:
             raise ConfigError(f"{self.config_path}: market.tax_rate must be in [0, 1), got {self.tax_rate}")
 

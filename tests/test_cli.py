@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,16 @@ from .conftest import (
 )
 
 SAMPLE_DIR = Path(__file__).resolve().parents[1] / "sample_inputs"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 _PATH_FIELDS = ("cap_spec", "weights", "replay_pvfp")
+MODERATE_CRITERIA = {
+    "portfolio_age_years": 3,
+    "homogeneity": "moderate",
+    "technical_bases_quality": "strong",
+    "concentration": "moderate",
+    "moral_hazard": "moderate",
+    "litigation": "moderate",
+}
 
 
 def sample_config(name: str, tmp_path: Path, **patch) -> Path:
@@ -225,24 +238,80 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: --workers must be >= 1, got 0")
 
     def test_scored_portfolio_requires_weights(self, tmp_path, capsys):
-        criteria = {
-            "portfolio_age_years": 3,
-            "homogeneity": "moderate",
-            "technical_bases_quality": "strong",
-            "concentration": "moderate",
-            "moral_hazard": "moderate",
-            "litigation": "moderate",
-        }
         config = self.simulate_config(tmp_path)
-        make_portfolio_file(tmp_path, sigma=None, criteria=criteria)
+        make_portfolio_file(tmp_path, sigma=None, criteria=MODERATE_CRITERIA)
         assert main(["simulate", "--config", str(config)]) == 1
         assert "weight matrix" in capsys.readouterr().err
 
         config = self.simulate_config(
             tmp_path, weights=str(SAMPLE_DIR / "weights_illustrative.json")
         )
-        make_portfolio_file(tmp_path, sigma=None, criteria=criteria)
+        make_portfolio_file(tmp_path, sigma=None, criteria=MODERATE_CRITERIA)
         assert main(["simulate", "--config", str(config)]) == 0
+
+
+class TestSimulateProcesses:
+    """``simulate`` forks one process per portfolio, up to the usable cores."""
+
+    @staticmethod
+    def two_portfolio_config(directory: Path) -> Path:
+        make_portfolio_file(directory, "p1")
+        make_portfolio_file(directory, "p2", sigma=0.3)
+        return write_json(directory / "run.json", {
+            "portfolios": ["p1.json", "p2.json"], "scenarios": 50, "seed": 3, "horizon": 8, "output_dir": "out",
+        })
+
+    @staticmethod
+    def run_on_two_cores(config: Path, patch: str = "") -> subprocess.CompletedProcess:
+        """``simulate`` in a fresh interpreter that sees two usable cores, after running ``patch``."""
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from protval import cli, reports\n"
+            f"{patch}\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_output_is_the_same_on_one_and_two_cores_and_matches_the_golden_digests(
+        self, tmp_path, monkeypatch
+    ):
+        from .test_golden import GOLDEN, run_digests
+
+        forks = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method: forks.append(method) or get_context(method)
+        )
+        digests = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            digests.append(run_digests("run_simulate.json", tmp_path / f"cores_{cores}"))
+        assert forks == ["fork"]
+        assert digests[0] == digests[1] == GOLDEN["run_simulate.json"]
+
+        one_portfolio = TestSimulate.simulate_config(tmp_path)
+        assert main(["simulate", "--config", str(one_portfolio)]) == 0
+        assert forks == ["fork"]
+
+    def test_child_that_raises_ends_in_an_error_line(self, tmp_path):
+        config = self.two_portfolio_config(tmp_path)
+        (tmp_path / "out" / "p2_scenarios.csv").mkdir(parents=True)
+        run = self.run_on_two_cores(config)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: [Errno 21] Is a directory: ") and "p2_scenarios.csv" in run.stderr
+        assert not (tmp_path / "out" / "simulate_manifest.json").exists()
+
+    def test_child_that_dies_ends_in_an_error_line(self, tmp_path):
+        config = self.two_portfolio_config(tmp_path)
+        run = self.run_on_two_cores(config, "reports.write_histogram_csv = lambda *args: os._exit(1)")
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: a simulate process ended abruptly") and "Traceback" not in run.stderr
+        assert not (tmp_path / "out" / "simulate_manifest.json").exists()
 
 
 class TestValue:
@@ -420,6 +489,19 @@ def test_duplicate_portfolio_id_is_rejected_naming_both_files(tmp_path, capsys, 
     assert not list((tmp_path / "out").glob("p1_*.csv"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_unresolvable_portfolio_parameters_stop_the_run_before_any_output(tmp_path, capsys, command):
+    config = write_small_run(tmp_path, replay=False)
+    make_portfolio_file(tmp_path, "p2", sigma=None, criteria=MODERATE_CRITERIA, chronicle=[0.8, 0.85])
+    run = json.loads(config.read_text(encoding="utf-8"))
+    write_json(config, {**run, "portfolios": ["p1.json", "p2.json"]})
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: portfolio 'p2' uses risk criteria but no weight matrix was given")
+    assert not list((tmp_path / "out").glob("p*_*"))
+
+
 @pytest.mark.parametrize("source", ["chronicle_csv", "chronicle"])
 @pytest.mark.parametrize("command", ["simulate", "value"])
 def test_chronicle_length_differing_from_run_horizon_is_rejected(tmp_path, capsys, command, source):
@@ -470,9 +552,12 @@ def test_json_value_that_is_not_a_float_is_rejected_naming_file_and_field(
         ("price-cap", "run.json", ("market", "tax_rate"), 1.5, "market.tax_rate must be in [0, 1)"),
         ("value", "run.json", ("market", "tax_rate"), 1.5, "market.tax_rate must be in [0, 1)"),
         ("simulate", "run.json", ("market", "tax_rate"), -0.1, "market.tax_rate must be in [0, 1)"),
+        ("value", "run.json", ("scenarios",), 1, "scenarios must be >= 2, got 1"),
+        ("simulate", "run.json", ("horizon",), 0, "horizon must be >= 1, got 0"),
+        ("simulate", "run.json", ("seed",), -1, "seed must be >= 0, got -1"),
     ],
     ids=["renewal", "criteria", "portfolios", "notionals", "use_spot", "mean_pvfp", "vol_pvfp", "pvfp_tsr",
-         "tax_rate", "tax_rate_value", "tax_rate_simulate"],
+         "tax_rate", "tax_rate_value", "tax_rate_simulate", "scenarios", "horizon", "seed"],
 )
 def test_malformed_or_out_of_range_field_is_rejected_naming_file_and_field(
     tmp_path, capsys, command, bad_file, field_path, bad_value, expected
