@@ -18,6 +18,8 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, reports
 from .cap import CapValuation, cap_strip, price_cap
 from .config import (
@@ -31,7 +33,14 @@ from .config import (
     load_weight_matrix,
 )
 from .errors import CalibrationError, ConfigError
-from .loss import WeightMatrix, draw_initial_ratios, generate_scenarios, histogram, resolve_params
+from .loss import (
+    LognormalParams,
+    draw_initial_ratios,
+    generate_scenarios,
+    histogram,
+    resolve_params,
+    standard_normals,
+)
 from .projection import PortfolioSpec, pvfp, pvfp_of_ratios
 from .risk import SpreadFunction, aggregate, calibrate_spread, pvfp_stats, risk_statistics
 
@@ -79,7 +88,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def _spread_function(config: RunConfig) -> SpreadFunction:
     if config.spread_points is None:
         raise ConfigError(f"{config.config_path}: 'spread_points' is required for this command")
-    return calibrate_spread(config.spread_points)
+    try:
+        return calibrate_spread(config.spread_points)
+    except CalibrationError as exc:
+        raise CalibrationError(f"{config.config_path}: spread_points: {exc}") from exc
 
 
 def cmd_price_cap(config: RunConfig) -> int:
@@ -113,8 +125,8 @@ def cmd_price_cap(config: RunConfig) -> int:
     return 0
 
 
-def _load_portfolios(config: RunConfig):
-    """The run's portfolios paired with their lognormal parameters, and the weight matrix.
+def _load_portfolios(config: RunConfig) -> list[tuple[PortfolioSpec, LognormalParams]]:
+    """The run's portfolios paired with their lognormal parameters.
 
     Every check runs here, so a bad portfolio stops the run before any output is written.
     """
@@ -131,12 +143,14 @@ def _load_portfolios(config: RunConfig):
             raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
         seen[portfolio.id] = path
     weights = load_weight_matrix(config.weights_path) if config.weights_path else None
-    return [(portfolio, resolve_params(portfolio, weights)) for portfolio in portfolios], weights
+    return [(portfolio, resolve_params(portfolio, weights)) for portfolio in portfolios]
 
 
-def _simulate_portfolio(config: RunConfig, weights: WeightMatrix | None, portfolio: PortfolioSpec) -> str:
+def _simulate_portfolio(
+    config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec, params: LognormalParams
+) -> str:
     """Write one portfolio's scenario, fan-chart and histogram files; return its summary line."""
-    scenario_set = generate_scenarios(portfolio, config.scenarios, config.seed, weights=weights)
+    scenario_set = generate_scenarios(portfolio, params, z)
     out = config.output_dir
     reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", scenario_set)
     reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", scenario_set)
@@ -149,15 +163,14 @@ def _simulate_portfolio(config: RunConfig, weights: WeightMatrix | None, portfol
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    pairs, weights = _load_portfolios(config)
-    portfolios = [portfolio for portfolio, _ in pairs]
+    portfolios, params = zip(*_load_portfolios(config))
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    simulate = functools.partial(_simulate_portfolio, config, weights)
+    simulate = functools.partial(_simulate_portfolio, config, standard_normals(config.scenarios, config.seed))
 
-    # A portfolio's draws depend only on the seed, so its files are the same whichever
-    # process writes them. Fork, not spawn, so that children start with numpy and the
-    # inputs loaded; the pool modules are imported only here because they add 20-30 ms
-    # to the start of every command.
+    # The draws are made once, before any fork, so a portfolio's files are the same
+    # whichever process writes them. Fork, not spawn, so that children start with
+    # numpy and the inputs loaded; the pool modules are imported only here because
+    # they add 20-30 ms to the start of every command.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     processes = min(cores, len(portfolios))
     if processes > 1:
@@ -167,14 +180,14 @@ def cmd_simulate(config: RunConfig) -> int:
 
         try:
             with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-                for line in pool.map(simulate, portfolios):
+                for line in pool.map(simulate, portfolios, params):
                     print(line)
         except BrokenProcessPool as exc:
             message = "a simulate process ended abruptly; its portfolio's files may be incomplete"
             raise ChildProcessError(message) from exc
     else:
-        for portfolio in portfolios:
-            print(simulate(portfolio))
+        for portfolio, portfolio_params in zip(portfolios, params):
+            print(simulate(portfolio, portfolio_params))
 
     reports.write_manifest(config.output_dir, "simulate", config)
     return 0
@@ -192,14 +205,14 @@ def cmd_value(config: RunConfig) -> int:
             )
             rows.append((entry.id, stats))
     else:
-        portfolios, _ = _load_portfolios(config)
+        portfolios = _load_portfolios(config)
         curve = load_curve(config)
+        z = standard_normals(config.scenarios, config.seed)
         echo_rows = []
         for portfolio, params in portfolios:
             echo_rows.append((portfolio.id, portfolio.mean_sp, params.mu, params.sigma))
 
-            sp1 = draw_initial_ratios(params, config.scenarios, config.seed)
-            samples = pvfp_of_ratios(portfolio, sp1, curve)
+            samples = pvfp_of_ratios(portfolio, draw_initial_ratios(params, z), curve)
             reports.write_pvfp_samples_csv(
                 config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples
             )

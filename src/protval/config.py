@@ -30,6 +30,7 @@ from .loss import (
     WeightMatrix,
 )
 from .projection import FixedTerm, PortfolioSpec, TacitRenewal
+from .risk import _check_calibration_points
 
 
 @dataclass(frozen=True)
@@ -258,6 +259,8 @@ def load_run_config(
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: spread_points must be [[rel_vol, spread], ...] of numbers") from exc
+        with _naming(path, "spread_points: "):
+            _check_calibration_points(spread_points)
 
     def merged_int(name: str, flag: int | None, default: int) -> int:
         value = merged(name, flag)

@@ -212,20 +212,26 @@ def lognormal_params_from_sigma(mean_sp: float, sigma: float) -> LognormalParams
     return LognormalParams(mu=math.log(mean_sp) - 0.5 * sigma * sigma, sigma=sigma)
 
 
-def draw_initial_ratios(params: LognormalParams, n: int, seed: int) -> np.ndarray:
-    """Draw n year-1 loss ratios exp(norm_inv(u_i) * sigma + mu), deterministic for a given seed.
+def standard_normals(n: int, seed: int) -> np.ndarray:
+    """n standard normal draws norm_inv(u_i), deterministic for a given seed.
 
     u_i is the i-th uniform of one Philox stream keyed by the seed, so the
     first k of n draws are the k draws. random() can return exactly 0.0,
-    which the quantile rejects; that uniform is nudged to 2**-53.
+    which the quantile rejects; that uniform is nudged to 2**-53. A run
+    draws this vector once and every portfolio reads it.
     """
     if n < 1:
         raise ValueError(f"scenario count must be >= 1, got {n}")
-    if params.sigma == 0.0:
-        return np.full(n, math.exp(params.mu))
     u = np.random.Generator(np.random.Philox(seed)).random(n)
     u[u == 0.0] = 2.0 ** -53
-    return np.exp(norm_inv(u) * params.sigma + params.mu)
+    return norm_inv(u)
+
+
+def draw_initial_ratios(params: LognormalParams, z: np.ndarray) -> np.ndarray:
+    """Year-1 loss ratios exp(z_i * sigma + mu), one per standard normal draw z_i."""
+    if params.sigma == 0.0:
+        return np.full(len(z), math.exp(params.mu))
+    return np.exp(z * params.sigma + params.mu)
 
 
 def _check_reversion_speed(nu: float) -> None:
@@ -233,13 +239,17 @@ def _check_reversion_speed(nu: float) -> None:
         raise ValueError(f"reversion speed must be in (0, 1], got {nu}")
 
 
-def _reversion_paths(sp1: np.ndarray, chron: np.ndarray, nu: float) -> tuple[np.ndarray, int]:
-    """One reverting path per year-1 ratio, floored at 0, and the count of floored values."""
-    paths = chron + (sp1[:, np.newaxis] - chron[0]) * nu ** np.arange(chron.size)
-    paths[:, 0] = sp1
-    floored = int(np.count_nonzero(paths < 0.0))
-    np.maximum(paths, 0.0, out=paths)
-    return paths, floored
+def _reversion_paths(sp1: np.ndarray, chron: np.ndarray, nu: float, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` (rows x years) the path reverting from each year-1 ratio, not yet floored at 0.
+
+    The path is chron[t] + (sp1 - chron[0]) * nu^t, built in place; the sum
+    is commutative in IEEE arithmetic, so the order of its terms does not
+    change the bits.
+    """
+    np.multiply((sp1 - chron[0])[:, np.newaxis], nu ** np.arange(chron.size), out=out)
+    out += chron
+    out[:, 0] = sp1
+    return out
 
 
 def mean_reversion_path(
@@ -259,8 +269,8 @@ def mean_reversion_path(
     if np.any(chron <= 0.0):
         raise ValueError("chronicle values must be > 0")
     _check_reversion_speed(nu)
-    paths, _ = _reversion_paths(np.array([sp1], dtype=float), chron, nu)
-    return paths[0]
+    path = _reversion_paths(np.array([sp1], dtype=float), chron, nu, np.empty((1, chron.size)))[0]
+    return np.maximum(path, 0.0, out=path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,20 +323,18 @@ def resolve_params(portfolio: "PortfolioSpec", weights: WeightMatrix | None = No
     return lognormal_params(portfolio.mean_sp, volatility_score(portfolio.criteria, weights))
 
 
-def generate_scenarios(
-    portfolio: "PortfolioSpec",
-    n: int = DEFAULT_SCENARIOS,
-    seed: int = 0,
-    weights: WeightMatrix | None = None,
-) -> LossScenarioSet:
-    """Simulate n mean-reverting loss-ratio paths for one portfolio.
+def generate_scenarios(portfolio: "PortfolioSpec", params: LognormalParams, z: np.ndarray) -> LossScenarioSet:
+    """Simulate one mean-reverting loss-ratio path per standard normal draw in ``z``.
 
-    Each row applies the reversion recursion to its drawn year-1 ratio; the
-    matrix is identical for identical (portfolio, n, seed).
+    Row i reverts from the year-1 ratio exp(z_i * sigma + mu) of ``params``
+    (see ``resolve_params``); the matrix is identical for identical
+    (portfolio, params, z).
     """
-    params = resolve_params(portfolio, weights)
-    sp1 = draw_initial_ratios(params, n, seed)
-    paths, floored = _reversion_paths(sp1, np.asarray(portfolio.chronicle), portfolio.reversion_speed)
+    sp1 = draw_initial_ratios(params, z)
+    chron = np.asarray(portfolio.chronicle)
+    paths = _reversion_paths(sp1, chron, portfolio.reversion_speed, np.empty((sp1.size, chron.size)))
+    floored = int(np.count_nonzero(paths < 0.0))
+    np.maximum(paths, 0.0, out=paths)
     return LossScenarioSet(scenarios=paths, floored_count=floored)
 
 

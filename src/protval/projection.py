@@ -120,18 +120,24 @@ def _pvfp_rows(
     paths: np.ndarray,
     premiums: np.ndarray,
     discounts: np.ndarray,
+    below: np.ndarray | None = None,
 ) -> np.ndarray:
-    """PVFP of each row of a (rows, horizon) loss-ratio matrix.
+    """PVFP of each row of a (rows, horizon) loss-ratio matrix; ``paths`` is overwritten.
 
     Positive yearly results (S/P < 1) are shared at the contractual rate;
     losses are borne in full, so the result is continuous at S/P = 1 but
     kinked there. Results are then taxed and discounted. The terms are built
-    in one buffer, in place, and each row is summed on its own, so a row's
-    PVFP does not depend on the rows around it.
+    in place in ``paths``, and each row is summed on its own, so a row's
+    PVFP does not depend on the rows around it. ``below``, a boolean array
+    of the same shape, receives the S/P < 1 mask; without it one is
+    allocated.
     """
-    results = np.subtract(1.0, paths)
+    results = np.subtract(1.0, paths, out=paths)
+    # For any float S/P, 1 - S/P > 0 exactly when S/P < 1: a difference of
+    # two distinct floats is never rounded to 0.
+    below = np.greater(results, 0.0, out=below)
     results *= premiums
-    np.multiply(results, 1.0 - spec.profit_share_rate, out=results, where=paths < 1.0)
+    np.multiply(results, 1.0 - spec.profit_share_rate, out=results, where=below)
     results *= 1.0 - spec.tax_rate
     results *= discounts
     return results.sum(axis=1)
@@ -147,7 +153,7 @@ def pvfp(
 
     Zero spread prices at the risk-free rate.
     """
-    path = np.asarray(sp_path, dtype=float)
+    path = np.array(sp_path, dtype=float)
     if path.shape != (spec.horizon,):
         raise ValueError(
             f"loss-ratio path has length {path.size}, portfolio horizon is {spec.horizon}"
@@ -161,16 +167,20 @@ def pvfp(
 def pvfp_of_ratios(spec: PortfolioSpec, sp1: np.ndarray, curve: ZeroCurve) -> np.ndarray:
     """PVFP at the risk-free rate of the reverting path from each year-1 loss ratio, in order.
 
-    The result equals ``_pvfp_rows`` on the full ``_reversion_paths`` matrix
-    bit for bit, but the paths are built and valued ``_BLOCK_ROWS`` rows at a
-    time, so no (scenarios x years) matrix is ever allocated.
+    The paths are built and valued ``_BLOCK_ROWS`` rows at a time in one
+    reused block buffer, so no (scenarios x years) matrix is ever allocated;
+    a row's PVFP does not depend on the block it falls in.
     """
     chron = np.asarray(spec.chronicle)
     premiums = premium_runoff(spec)
     discounts = _spread_discounts(curve, spec.horizon, 0.0)
+    buf = np.empty((min(len(sp1), _BLOCK_ROWS), spec.horizon))
+    below = np.empty(buf.shape, dtype=bool)
     samples = np.empty(len(sp1))
     for start in range(0, len(sp1), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        paths, _ = _reversion_paths(sp1[block], chron, spec.reversion_speed)
-        samples[block] = _pvfp_rows(spec, paths, premiums, discounts)
+        block = sp1[start:start + _BLOCK_ROWS]
+        rows = len(block)
+        paths = _reversion_paths(block, chron, spec.reversion_speed, buf[:rows])
+        np.maximum(paths, 0.0, out=paths)
+        samples[start:start + rows] = _pvfp_rows(spec, paths, premiums, discounts, below[:rows])
     return samples

@@ -8,9 +8,10 @@ CLI's job. Line endings are pinned to "\\n" for the same reason.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from .risk import PvfpStatistics
 FAN_PROBS = (0.01, 0.25, 0.50, 0.75, 0.99)
 FAN_LABELS = ("q01", "q25", "q50", "q75", "q99")
 
+# Lines joined into one write() call by _write_lines: one call per line costs
+# more than rendering the line, while a chunk of 1,024 lines stays small.
+_CHUNK_LINES = 1024
+
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -30,6 +35,13 @@ def _fmt(value: float) -> str:
 
 def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
+
+
+def _write_lines(handle, lines: Iterable[str]) -> None:
+    """Write non-empty ``lines`` with one ``write`` call per ``_CHUNK_LINES`` of them."""
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, _CHUNK_LINES)):
+        handle.write(chunk)
 
 
 def write_manifest(out_dir: Path, command: str, config: RunConfig) -> Path:
@@ -77,8 +89,9 @@ def write_scenarios_csv(path: Path, scenario_set: LossScenarioSet) -> None:
     header = ["scenario"] + [f"year_{t}" for t in range(1, scenario_set.horizon + 1)]
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(
-            f"{i},{','.join(map(repr, row.tolist()))}\n" for i, row in enumerate(scenario_set.scenarios)
+        _write_lines(
+            handle,
+            (f"{i},{','.join(map(repr, row.tolist()))}\n" for i, row in enumerate(scenario_set.scenarios)),
         )
 
 
@@ -103,7 +116,7 @@ def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
     """One (scenario index, PVFP) row per entry of the PVFP vector."""
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write("scenario,pvfp\n")
-        handle.writelines(f"{i},{value!r}\n" for i, value in enumerate(samples.tolist()))
+        _write_lines(handle, (f"{i},{value!r}\n" for i, value in enumerate(samples.tolist())))
 
 
 def write_params_echo_csv(path: Path, rows: Sequence[tuple[str, float, float, float]]) -> None:

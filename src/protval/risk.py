@@ -77,21 +77,29 @@ def pvfp_stats(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
+def _check_calibration_points(points: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """The (rel_vol, spread) points as floats; ValueError unless they are two, positive and distinct.
+
+    Distinct means distinct in both coordinates: a log curve through the
+    origin cannot pass through two points sharing either one.
+    """
+    if len(points) != 2:
+        raise ValueError(f"exactly two calibration points are required, got {len(points)}")
+    (v1, s1), (v2, s2) = pair = tuple((float(v), float(s)) for v, s in points)
+    if min(v1, s1, v2, s2) <= 0.0:
+        raise ValueError(f"calibration points must have positive coordinates, got {list(pair)}")
+    if v1 == v2 or s1 == s2:
+        raise ValueError(f"calibration points must be distinct in both coordinates, got {list(pair)}")
+    return pair
+
+
 def calibrate_spread(points: Sequence[tuple[float, float]]) -> SpreadFunction:
     """Fit a * ln(b * vol + 1) through two (rel_vol, spread) points and the origin.
 
     b is found by bisection on the residual s2 * ln(b*v1 + 1) -
     s1 * ln(b*v2 + 1), then a follows from the first point.
     """
-    if len(points) != 2:
-        raise ValueError(f"exactly two calibration points are required, got {len(points)}")
-    (v1, s1), (v2, s2) = (map(float, p) for p in points)
-    if min(v1, s1, v2, s2) <= 0.0:
-        raise ValueError("calibration points must have positive coordinates")
-    if v1 == v2 or s1 == s2:
-        raise ValueError("calibration points must be distinct in both coordinates")
-    if v1 > v2:
-        (v1, s1), (v2, s2) = (v2, s2), (v1, s1)
+    (v1, s1), (v2, s2) = sorted(_check_calibration_points(points))
 
     def residual(b: float) -> float:
         return s2 * math.log1p(b * v1) - s1 * math.log1p(b * v2)

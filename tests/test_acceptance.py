@@ -24,6 +24,8 @@ from protval.loss import (
     lognormal_params_from_sigma,
     mean_reversion_path,
     norm_inv,
+    resolve_params,
+    standard_normals,
 )
 from protval.risk import calibrate_spread
 from protval.cli import main
@@ -176,7 +178,8 @@ def test_criterion_08_mean_reversion_half_life():
     half_life_ok = abs(ratio_t4 - 0.512) < 1e-12
 
     portfolio = make_portfolio(mean_sp=0.80, sigma=0.25, horizon=12, nu=0.8)
-    paths = generate_scenarios(portfolio, n=100_000, seed=91).scenarios
+    z = standard_normals(100_000, seed=91)
+    paths = generate_scenarios(portfolio, resolve_params(portfolio), z).scenarios
     se = paths.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
     deviation = np.abs(paths.mean(axis=0) - np.asarray(portfolio.chronicle))
     centering_ok = bool(np.all(deviation <= 3.0 * se))

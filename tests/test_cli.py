@@ -567,6 +567,55 @@ def test_malformed_or_out_of_range_field_is_rejected_naming_file_and_field(
     assert err.startswith("error: ") and bad_file in err and expected in err
 
 
+@pytest.mark.parametrize("command", ["calibrate-spread", "value"])
+@pytest.mark.parametrize(
+    ("points", "expected"),
+    [
+        ([[0.10, 0.02], [0.20, 0.03], [0.30, 0.04]], "exactly two calibration points are required, got 3"),
+        ([[0.10, -0.02], [0.20, 0.03]], "calibration points must have positive coordinates"),
+        ([[0.10, 0.02], [0.10, 0.03]], "calibration points must be distinct in both coordinates"),
+        ([[0.10, 0.02], [0.20, 0.04]], "no spread curvature fits the points"),
+    ],
+    ids=["three_points", "negative_spread", "equal_rel_vols", "proportional_points"],
+)
+def test_bad_spread_points_are_rejected_naming_the_run_config(tmp_path, capsys, command, points, expected):
+    assert run_with_field(tmp_path, command, "run.json", ("spread_points",), points) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run.json'}: spread_points: {expected}")
+    assert not (tmp_path / "out").exists()
+
+
+class TestSharedDraws:
+    """Every portfolio of a run reads the same draws, so a portfolio's outputs do not depend on its neighbours."""
+
+    @staticmethod
+    def run(tmp_path: Path, command: str, portfolios: list[str], name: str) -> Path:
+        config = write_small_run(tmp_path, replay=False)
+        make_portfolio_file(tmp_path, "p0", sigma=0.35, retained_loss_ratio=0.7, chronicle_csv="chronicle.csv")
+        run = json.loads(config.read_text(encoding="utf-8"))
+        run.update(portfolios=portfolios, scenarios=1500, output_dir=name)
+        write_json(config, run)
+        assert main([command, "--config", str(config)]) == 0
+        return tmp_path / name
+
+    def test_value_outputs_of_a_portfolio_do_not_depend_on_the_others(self, tmp_path):
+        both = self.run(tmp_path, "value", ["p0.json", "p1.json"], "both")
+        alone = self.run(tmp_path, "value", ["p1.json"], "alone")
+        samples = "p1_pvfp_samples.csv"
+        assert (both / samples).read_bytes() == (alone / samples).read_bytes()
+        rows = [
+            {line for line in (out / "risk_report.csv").read_text(encoding="utf-8").splitlines()
+             if line.startswith("p1,")}
+            for out in (both, alone)
+        ]
+        assert len(rows[0]) == 1 and rows[0] == rows[1]
+
+    def test_simulate_scenarios_of_a_portfolio_do_not_depend_on_the_others(self, tmp_path):
+        both = self.run(tmp_path, "simulate", ["p0.json", "p1.json"], "both")
+        alone = self.run(tmp_path, "simulate", ["p1.json"], "alone")
+        assert (both / "p1_scenarios.csv").read_bytes() == (alone / "p1_scenarios.csv").read_bytes()
+
+
 class TestCalibrateSpread:
     def test_prints_and_writes_the_fit(self, tmp_path, capsys):
         config = sample_config("run_calibrate.json", tmp_path)

@@ -26,6 +26,8 @@ from protval.loss import (
     lognormal_params_from_sigma,
     mean_reversion_path,
     norm_inv,
+    resolve_params,
+    standard_normals,
     volatility_score,
 )
 
@@ -184,41 +186,52 @@ class TestLognormalParams:
             LognormalParams(mu=0.0, sigma=-1.0)
 
 
+class TestStandardNormals:
+    def test_rejects_an_empty_draw(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            standard_normals(0, seed=1)
+
+    def test_standard_normal_moments(self):
+        z = standard_normals(100_000, seed=2024)
+        se = 1.0 / math.sqrt(z.size)
+        assert abs(z.mean()) < 3.0 * se
+        assert abs(z.std(ddof=1) - 1.0) < 3.0 * se
+
+
 class TestDrawInitialRatios:
     def test_values_follow_the_quantile_transform_exactly(self):
         params = lognormal_params_from_sigma(0.8, 0.25)
-        values = draw_initial_ratios(params, 64, seed=42)
+        values = draw_initial_ratios(params, standard_normals(64, seed=42))
         uniforms = np.random.Generator(np.random.Philox(42)).random(64)
         expected = np.exp(np.array([norm_inv(float(u)) for u in uniforms]) * params.sigma + params.mu)
         assert np.array_equal(values, expected)
 
     def test_prefix_property(self):
-        params = lognormal_params_from_sigma(0.8, 0.25)
-        full = draw_initial_ratios(params, 1000, seed=3)
+        full = standard_normals(1000, seed=3)
         for k in (1, 7, 64, 999):
-            assert np.array_equal(draw_initial_ratios(params, k, seed=3), full[:k])
+            assert np.array_equal(standard_normals(k, seed=3), full[:k])
 
     def test_zero_sigma_collapses_to_the_median(self):
         params = lognormal_params_from_sigma(0.8, 0.0)
-        values = draw_initial_ratios(params, 16, seed=1)
+        values = draw_initial_ratios(params, standard_normals(16, seed=1))
+        assert values.shape == (16,)
         assert np.all(values == math.exp(params.mu))
 
     def test_same_seed_same_draws(self):
-        params = lognormal_params_from_sigma(0.8, 0.25)
-        a = draw_initial_ratios(params, 256, seed=9)
-        b = draw_initial_ratios(params, 256, seed=9)
+        a = standard_normals(256, seed=9)
+        b = standard_normals(256, seed=9)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, draw_initial_ratios(params, 256, seed=10))
+        assert not np.array_equal(a, standard_normals(256, seed=10))
 
     def test_law_of_large_numbers_recovers_the_mean(self):
         params = lognormal_params(0.80, 0.25)
-        values = draw_initial_ratios(params, 100_000, seed=2024)
+        values = draw_initial_ratios(params, standard_normals(100_000, seed=2024))
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - 0.80) < 3.0 * se
 
     def test_all_values_positive(self):
         params = lognormal_params(0.5, 1.5)
-        assert np.all(draw_initial_ratios(params, 2000, seed=5) > 0.0)
+        assert np.all(draw_initial_ratios(params, standard_normals(2000, seed=5)) > 0.0)
 
 
 class TestMeanReversionPath:
@@ -262,30 +275,35 @@ class TestMeanReversionPath:
             mean_reversion_path(1.0, [0.8], nu=1.5)
 
 
+def scenarios_of(portfolio, n: int, seed: int, weights: WeightMatrix | None = None) -> LossScenarioSet:
+    """``generate_scenarios`` on the portfolio's resolved parameters and the run's draws for (n, seed)."""
+    return generate_scenarios(portfolio, resolve_params(portfolio, weights), standard_normals(n, seed))
+
+
 class TestGenerateScenarios:
     def test_single_degenerate_scenario_equals_the_chronicle(self):
         portfolio = make_portfolio(mean_sp=0.8, sigma=0.0, horizon=6)
-        scenario_set = generate_scenarios(portfolio, n=1, seed=0)
+        scenario_set = scenarios_of(portfolio, n=1, seed=0)
         assert scenario_set.scenarios.shape == (1, 6)
         assert np.allclose(scenario_set.scenarios[0], portfolio.chronicle, rtol=1e-14)
 
     def test_same_seed_identical_matrices(self):
         portfolio = make_portfolio()
-        a = generate_scenarios(portfolio, n=300, seed=11)
-        b = generate_scenarios(portfolio, n=300, seed=11)
+        a = scenarios_of(portfolio, n=300, seed=11)
+        b = scenarios_of(portfolio, n=300, seed=11)
         assert np.array_equal(a.scenarios, b.scenarios)
 
     def test_rows_match_the_single_path_operation(self):
         portfolio = make_portfolio(horizon=8)
-        scenario_set = generate_scenarios(portfolio, n=50, seed=21)
+        scenario_set = scenarios_of(portfolio, n=50, seed=21)
         for i in range(50):
             sp1 = scenario_set.initial_ratios()[i]
             expected = mean_reversion_path(sp1, portfolio.chronicle, portfolio.reversion_speed)
             assert np.allclose(scenario_set.scenarios[i], expected, rtol=1e-15)
 
     def test_higher_vol_widens_the_initial_quantile_span(self):
-        low = generate_scenarios(make_portfolio(sigma=0.15), n=10_000, seed=77)
-        high = generate_scenarios(make_portfolio(sigma=0.30), n=10_000, seed=77)
+        low = scenarios_of(make_portfolio(sigma=0.15), n=10_000, seed=77)
+        high = scenarios_of(make_portfolio(sigma=0.30), n=10_000, seed=77)
         lo_q = np.quantile(low.initial_ratios(), [0.01, 0.99])
         hi_q = np.quantile(high.initial_ratios(), [0.01, 0.99])
         assert hi_q[1] - hi_q[0] > lo_q[1] - lo_q[0]
@@ -300,8 +318,8 @@ class TestGenerateScenarios:
         heavy = WeightMatrix(cells=heavier_cells)
 
         kwargs = dict(mean_sp=0.8, sigma=None, horizon=5)
-        light_set = generate_scenarios(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=light)
-        heavy_set = generate_scenarios(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=heavy)
+        light_set = scenarios_of(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=light)
+        heavy_set = scenarios_of(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=heavy)
         for p in (0.05, 0.10, 0.25):
             light_span = np.diff(np.quantile(light_set.initial_ratios(), [p, 1.0 - p]))[0]
             heavy_span = np.diff(np.quantile(heavy_set.initial_ratios(), [p, 1.0 - p]))[0]
@@ -309,7 +327,7 @@ class TestGenerateScenarios:
 
     def test_paths_center_on_the_chronicle(self):
         portfolio = make_portfolio(mean_sp=0.8, sigma=0.25, horizon=10)
-        scenario_set = generate_scenarios(portfolio, n=20_000, seed=303)
+        scenario_set = scenarios_of(portfolio, n=20_000, seed=303)
         paths = scenario_set.scenarios
         se = paths.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
         deviation = np.abs(paths.mean(axis=0) - np.asarray(portfolio.chronicle))
@@ -319,17 +337,17 @@ class TestGenerateScenarios:
         portfolio = make_portfolio(
             mean_sp=2.0, sigma=0.9, chronicle=(2.0, 0.01, 0.01, 0.01), nu=1.0
         )
-        scenario_set = generate_scenarios(portfolio, n=2000, seed=8)
+        scenario_set = scenarios_of(portfolio, n=2000, seed=8)
         assert scenario_set.floored_count > 0
         assert np.all(scenario_set.scenarios >= 0.0)
 
     def test_missing_parameter_routes_are_config_errors(self):
         no_sigma = make_portfolio(sigma=None)
         with pytest.raises(ConfigError, match="neither sigma nor risk criteria"):
-            generate_scenarios(no_sigma, n=10, seed=0)
+            resolve_params(no_sigma)
         scored = make_portfolio(sigma=None, criteria=all_moderate())
         with pytest.raises(ConfigError, match="weight matrix"):
-            generate_scenarios(scored, n=10, seed=0)
+            resolve_params(scored)
 
 
 class TestScenarioSetValidation:
@@ -362,7 +380,7 @@ class TestHistogram:
         # mean 0.80, CV 0.2: the density mode sits near 0.75, so the
         # 10%-bin histogram of 10^4 draws peaks inside [0.6, 0.9)
         params = lognormal_params(0.80, 0.2)
-        values = draw_initial_ratios(params, 10_000, seed=99)
+        values = draw_initial_ratios(params, standard_normals(10_000, seed=99))
         bins = histogram(values, bin_width=0.1)
         modal_left = max(bins, key=lambda item: item[1])[0]
         assert 0.6 <= modal_left < 0.9

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protval.curves import ZeroCurve
-from protval.loss import _reversion_paths
 from protval.projection import (
     _BLOCK_ROWS,
     FixedTerm,
@@ -30,9 +29,26 @@ FIGURE_CURVE = ZeroCurve(tenors=FIGURE_TENORS, zero_rates=FIGURE_ZERO_RATES)
 
 
 def pvfp_rows(spec: PortfolioSpec, rows, curve: ZeroCurve, extra_spread: float = 0.0) -> np.ndarray:
-    """The engine's PVFP of each row of a loss-ratio matrix."""
+    """The engine's PVFP of each row of a loss-ratio matrix (on a copy, since the engine works in place)."""
     discounts = _spread_discounts(curve, spec.horizon, extra_spread)
-    return _pvfp_rows(spec, np.asarray(rows, dtype=float), premium_runoff(spec), discounts)
+    return _pvfp_rows(spec, np.array(rows, dtype=float), premium_runoff(spec), discounts)
+
+
+def reference_reversion_paths(sp1: np.ndarray, chron: np.ndarray, nu: float) -> np.ndarray:
+    """Reference: the reverting paths out of place, floored at 0, in the operation order the golden digests pin."""
+    paths = chron + (sp1[:, np.newaxis] - chron[0]) * nu ** np.arange(chron.size)
+    paths[:, 0] = sp1
+    return np.maximum(paths, 0.0)
+
+
+def reference_pvfp_rows(spec: PortfolioSpec, paths: np.ndarray, curve: ZeroCurve) -> np.ndarray:
+    """Reference: the PVFP of each row out of place, with the S/P < 1 mask taken from the paths."""
+    results = np.subtract(1.0, paths)
+    results *= premium_runoff(spec)
+    np.multiply(results, 1.0 - spec.profit_share_rate, out=results, where=paths < 1.0)
+    results *= 1.0 - spec.tax_rate
+    results *= _spread_discounts(curve, spec.horizon, 0.0)
+    return results.sum(axis=1)
 
 
 def underwriting_result(premium: float, sp: float, profit_share: float) -> float:
@@ -266,13 +282,26 @@ class TestPvfpBatch:
             assert value == pvfp(spec, path, FIGURE_CURVE, extra_spread)
 
 
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns, so 0.0 and -0.0 differ."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+# Loss ratios at and next to the profit-share kink, and the floor.
+KINKS = (0.0, float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0)))
+
+
 class TestPvfpOfRatios:
     # sp1 = 0 against a chronicle that starts at 1.5 and drops to 0.1 floors
-    # year 2; the ratios drawn on [0, 3] cross S/P = 1 in every year.
+    # year 2; the ratios drawn on [0, 3] cross S/P = 1 in every year. Rows
+    # whose sp1 is the chronicle's first value follow the chronicle exactly,
+    # so a chronicle holding KINKS puts those values in later years.
     @given(
         n=st.sampled_from([1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]),
         seed=st.integers(0, 2**32 - 1),
-        chronicle=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=12),
+        chronicle=st.lists(
+            st.one_of(st.floats(0.05, 2.0), st.sampled_from(KINKS[1:])), min_size=1, max_size=12
+        ),
         nu=st.floats(0.05, 1.0),
         fixed_term=st.booleans(),
         renewal_level=st.floats(0.0, 1.0),
@@ -283,6 +312,8 @@ class TestPvfpOfRatios:
              fixed_term=False, renewal_level=0.5, share=0.5, tax=0.275)
     @example(n=2 * _BLOCK_ROWS + 3, seed=1, chronicle=[1.5, 0.1, 0.9, 1.2], nu=0.8,
              fixed_term=True, renewal_level=0.1, share=0.5, tax=0.275)
+    @example(n=_BLOCK_ROWS + 1, seed=2, chronicle=[1.0, KINKS[1], KINKS[3], 1.0, 0.05], nu=0.5,
+             fixed_term=True, renewal_level=0.05, share=0.3, tax=0.275)
     @settings(max_examples=40, deadline=None)
     def test_equals_the_full_matrix_bit_for_bit(
         self, n, seed, chronicle, nu, fixed_term, renewal_level, share, tax
@@ -304,11 +335,13 @@ class TestPvfpOfRatios:
             reversion_speed=nu,
         )
         sp1 = np.random.default_rng(seed).uniform(0.0, 3.0, n)
-        sp1[::11] = 1.0
-        sp1[5::11] = 0.0
-        paths, _ = _reversion_paths(sp1, np.asarray(spec.chronicle), nu)
-        expected = pvfp_rows(spec, paths, FIGURE_CURVE)
-        assert np.array_equal(pvfp_of_ratios(spec, sp1, FIGURE_CURVE), expected)
+        for offset, value in enumerate(KINKS + (chronicle[0],)):
+            sp1[offset * 2::11] = value
+        paths = reference_reversion_paths(sp1, np.asarray(spec.chronicle), nu)
+        expected = reference_pvfp_rows(spec, paths, FIGURE_CURVE)
+        assert same_bits(pvfp_of_ratios(spec, sp1, FIGURE_CURVE), expected)
+        for i in [*range(min(n, 22)), n - 1]:
+            assert same_bits(pvfp(spec, paths[i], FIGURE_CURVE), expected[i])
 
 
 class TestPortfolioSpecValidation:
