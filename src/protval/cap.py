@@ -111,11 +111,13 @@ class CapSpec:
         if any(n < 0.0 for n in self.notionals):
             raise ValueError("notionals must be >= 0")
         if self.accrual <= 0.0:
-            raise ValueError(f"accrual must be > 0, got {self.accrual}")
+            raise ValueError(f"accrual_years must be > 0, got {self.accrual}")
         if self.index_tenor <= 0.0:
-            raise ValueError(f"index_tenor must be > 0, got {self.index_tenor}")
+            raise ValueError(f"index_tenor_years must be > 0, got {self.index_tenor}")
         if self.strikes is not None and len(self.strikes) != len(self.notionals):
             raise ValueError("per-period strikes must cover period indices 0..n")
+        if self.strikes is not None and any(k <= 0.0 for k in self.strikes):
+            raise ValueError("per-period strikes must be > 0")
 
 
 @dataclass(frozen=True)

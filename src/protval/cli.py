@@ -36,9 +36,9 @@ from .errors import CalibrationError, ConfigError
 from .loss import (
     LognormalParams,
     draw_initial_ratios,
-    generate_scenarios,
     histogram,
     resolve_params,
+    reverting_paths,
     standard_normals,
 )
 from .projection import PortfolioSpec, pvfp, pvfp_of_ratios
@@ -110,7 +110,7 @@ def cmd_price_cap(config: RunConfig) -> int:
         caplets,
         deterministic_value=deterministic,
         booked_flows_pv=inputs.booked_flows_pv,
-        tax_rate=market.tax_rate,
+        tax_rate=config.tax_rate,
     )
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -150,16 +150,16 @@ def _simulate_portfolio(
     config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec, params: LognormalParams
 ) -> str:
     """Write one portfolio's scenario, fan-chart and histogram files; return its summary line."""
-    scenario_set = generate_scenarios(portfolio, params, z)
-    out = config.output_dir
-    reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", scenario_set)
-    reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", scenario_set)
-    bins = histogram(scenario_set.initial_ratios(), HISTOGRAM_BIN_WIDTH)
-    reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", bins, HISTOGRAM_BIN_WIDTH)
-    return (
-        f"{portfolio.id}: {scenario_set.n_scenarios} scenarios x {scenario_set.horizon} years, "
-        f"seed {config.seed}, floored {scenario_set.floored_count}"
+    paths, floored = reverting_paths(
+        draw_initial_ratios(params, z), portfolio.chronicle, portfolio.reversion_speed
     )
+    out = config.output_dir
+    reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", paths)
+    reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", paths)
+    bins = histogram(paths[:, 0], HISTOGRAM_BIN_WIDTH)
+    reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", bins, HISTOGRAM_BIN_WIDTH)
+    n_scenarios, horizon = paths.shape
+    return f"{portfolio.id}: {n_scenarios} scenarios x {horizon} years, seed {config.seed}, floored {floored}"
 
 
 def cmd_simulate(config: RunConfig) -> int:

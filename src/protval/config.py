@@ -157,9 +157,19 @@ def _floats(value: Any, path: Path, field: str) -> tuple[float, ...]:
 
 
 def _float(data: dict[str, Any], key: str, path: Path, default: Any = _REQUIRED) -> float | None:
-    """Field ``key`` as a float; required unless a default is given. A null optional field is None."""
+    """Field ``key`` as a float; required unless a default is given. Null is allowed only where the default is None."""
     value = _require(data, key, path) if default is _REQUIRED else data.get(key, default)
-    return None if value is None else _as_float(value, path, key)
+    return None if value is None and default is None else _as_float(value, path, key)
+
+
+def _file_name(value: Any, path: Path, field: str) -> str:
+    """A JSON string usable as one file-name component: non-empty, no path separator, not '.' or '..'."""
+    if not isinstance(value, str) or value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise ConfigError(
+            f"{path}: field {field!r} must be a file name (a non-empty string, not '.' or '..', "
+            f"with no '/' or '\\'), got {value!r}"
+        )
+    return value
 
 
 def _load_json(path: Path, top: type = dict) -> Any:
@@ -263,8 +273,10 @@ def load_run_config(
             _check_calibration_points(spread_points)
 
     def merged_int(name: str, flag: int | None, default: int) -> int:
+        if name in data:  # a null here is an error, not the default
+            data[name] = _as_int(data[name], path, name)
         value = merged(name, flag)
-        return default if value is None else _as_int(value, path, name)
+        return default if value is None else value
 
     def ref(holder: dict[str, Any], name: str) -> Path | None:
         return _resolve(path, name, holder[name]) if name in holder else None
@@ -301,7 +313,7 @@ def load_curve(config: RunConfig) -> ZeroCurve:
     if config.curve_csv is None:
         raise ConfigError(f"{config.config_path}: market.curve_csv is required for this command")
     tenors, rates = zip(*_read_csv_pairs(config.curve_csv, "tenor_years", "zero_rate"))
-    with _naming(config.curve_csv):
+    with _naming(config.curve_csv, "tenor_years/zero_rate: "):
         return ZeroCurve(tenors=tenors, zero_rates=rates)
 
 
@@ -312,14 +324,9 @@ def load_market(config: RunConfig) -> MarketData:
         )
     curve = load_curve(config)
     times, vols = zip(*_read_csv_pairs(config.vols_csv, "fixing_years", "black_vol"))
-    with _naming(config.vols_csv):
+    with _naming(config.vols_csv, "fixing_years/black_vol: "):
         vol_structure = VolTermStructure(fixing_times=times, black_vols=vols)
-    return MarketData(
-        curve=curve,
-        vols=vol_structure,
-        spot_index_rate=config.spot_index_rate or 0.0,
-        tax_rate=config.tax_rate,
-    )
+    return MarketData(curve=curve, vols=vol_structure, spot_index_rate=config.spot_index_rate or 0.0)
 
 
 def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
@@ -374,6 +381,8 @@ def load_chronicle(path: Path) -> np.ndarray:
     rows = _read_csv_pairs(path, "year", "expected_sp")
     if [y for y, _ in rows] != list(range(1, len(rows) + 1)):
         raise ConfigError(f"{path}: 'year' column must run 1..H in whole years without gaps")
+    if any(v <= 0.0 for _, v in rows):
+        raise ConfigError(f"{path}: 'expected_sp' values must be > 0")
     return np.array([v for _, v in rows], dtype=float)
 
 
@@ -413,11 +422,13 @@ def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> Portfo
         chronicle = _floats(data["chronicle"], path, "chronicle")
     else:
         horizon = _as_int(data.get("horizon_years", default_horizon), path, "horizon_years")
+        if horizon < 1:
+            raise ConfigError(f"{path}: field 'horizon_years' must be >= 1, got {horizon}")
         chronicle = (mean_sp,) * horizon
 
     with _naming(path):
         return PortfolioSpec(
-            id=str(_require(data, "id", path)),
+            id=_file_name(_require(data, "id", path), path, "id"),
             initial_premium=_float(data, "initial_premium", path),
             chronicle=chronicle,
             renewal=_parse_renewal(data, path),
@@ -438,7 +449,7 @@ def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
     for entry in data:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: replay rows must be JSON objects")
-        row_id = str(_require(entry, "id", path))
+        row_id = _expect(_require(entry, "id", path), str, path, "id")
         with _naming(path, f"row {row_id!r}: "):
             rows.append(
                 ReplayPvfpRow(

@@ -108,8 +108,3 @@ class MarketData:
     curve: ZeroCurve
     vols: VolTermStructure
     spot_index_rate: float
-    tax_rate: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tax_rate < 1.0:
-            raise ValueError(f"tax_rate must be in [0, 1), got {self.tax_rate}")

@@ -112,7 +112,7 @@ class RiskCriteria:
 
     def __post_init__(self) -> None:
         if self.portfolio_age < 0.0:
-            raise ValueError(f"portfolio age must be >= 0, got {self.portfolio_age}")
+            raise ValueError(f"portfolio_age_years must be >= 0, got {self.portfolio_age}")
         for name in RATING_CRITERIA:
             level = getattr(self, name)
             if level not in RATING_LEVELS:
@@ -252,16 +252,17 @@ def _reversion_paths(sp1: np.ndarray, chron: np.ndarray, nu: float, out: np.ndar
     return out
 
 
-def mean_reversion_path(
-    sp1: float,
+def reverting_paths(
+    sp1: np.ndarray,
     chronicle: Sequence[float] | np.ndarray,
     nu: float,
-) -> np.ndarray:
-    """Loss-ratio path reverting from the year-1 draw to the chronicle.
+) -> tuple[np.ndarray, int]:
+    """Loss-ratio paths reverting from each year-1 ratio to the chronicle, and how many values were floored.
 
-    path[t] = chronicle[t] + (sp1 - chronicle[1]) * nu^(t-1), floored at 0
-    (loss ratios are nonnegative; deep negative gaps can otherwise push the
-    formula below zero).
+    Row i of the (len(sp1) x years) matrix is
+    chronicle[t] + (sp1[i] - chronicle[1]) * nu^(t-1), floored at 0 (loss
+    ratios are nonnegative; deep negative gaps can otherwise push the
+    formula below zero). Column one holds ``sp1``.
     """
     chron = np.asarray(chronicle, dtype=float)
     if chron.ndim != 1 or chron.size == 0:
@@ -269,43 +270,10 @@ def mean_reversion_path(
     if np.any(chron <= 0.0):
         raise ValueError("chronicle values must be > 0")
     _check_reversion_speed(nu)
-    path = _reversion_paths(np.array([sp1], dtype=float), chron, nu, np.empty((1, chron.size)))[0]
-    return np.maximum(path, 0.0, out=path)
-
-
-@dataclass(frozen=True, eq=False)
-class LossScenarioSet:
-    """N simulated loss-ratio paths over the projection horizon.
-
-    ``scenarios[i, t-1]`` is S/P of scenario i in projection year t; column
-    one holds the lognormal draws. ``floored_count`` counts path values
-    clipped at the zero floor.
-    """
-
-    scenarios: np.ndarray
-    floored_count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.scenarios.ndim != 2:
-            raise ValueError("scenario matrix must be 2-dimensional")
-        if np.any(self.scenarios < 0.0):
-            raise ValueError("loss ratios must be >= 0")
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.scenarios.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.scenarios.shape[1]
-
-    def initial_ratios(self) -> np.ndarray:
-        """The drawn S/P(1) column."""
-        return self.scenarios[:, 0]
-
-    def quantile_fan(self, probs: Sequence[float] = (0.01, 0.25, 0.50, 0.75, 0.99)) -> np.ndarray:
-        """Per-year quantiles of the scenario fan, shape (horizon, len(probs))."""
-        return np.quantile(self.scenarios, probs, axis=0).T
+    paths = _reversion_paths(sp1, chron, nu, np.empty((len(sp1), chron.size)))
+    floored = int(np.count_nonzero(paths < 0.0))
+    np.maximum(paths, 0.0, out=paths)
+    return paths, floored
 
 
 def resolve_params(portfolio: "PortfolioSpec", weights: WeightMatrix | None = None) -> LognormalParams:
@@ -321,21 +289,6 @@ def resolve_params(portfolio: "PortfolioSpec", weights: WeightMatrix | None = No
     if weights is None:
         raise ConfigError(f"portfolio {portfolio.id!r} uses risk criteria but no weight matrix was given")
     return lognormal_params(portfolio.mean_sp, volatility_score(portfolio.criteria, weights))
-
-
-def generate_scenarios(portfolio: "PortfolioSpec", params: LognormalParams, z: np.ndarray) -> LossScenarioSet:
-    """Simulate one mean-reverting loss-ratio path per standard normal draw in ``z``.
-
-    Row i reverts from the year-1 ratio exp(z_i * sigma + mu) of ``params``
-    (see ``resolve_params``); the matrix is identical for identical
-    (portfolio, params, z).
-    """
-    sp1 = draw_initial_ratios(params, z)
-    chron = np.asarray(portfolio.chronicle)
-    paths = _reversion_paths(sp1, chron, portfolio.reversion_speed, np.empty((sp1.size, chron.size)))
-    floored = int(np.count_nonzero(paths < 0.0))
-    np.maximum(paths, 0.0, out=paths)
-    return LossScenarioSet(scenarios=paths, floored_count=floored)
 
 
 def histogram(values: Sequence[float] | np.ndarray, bin_width: float) -> list[tuple[float, int]]:

@@ -44,7 +44,7 @@ class FixedTerm:
     def __post_init__(self) -> None:
         if self.mean_remaining_term_months <= 0.0:
             raise ValueError(
-                f"mean remaining term must be > 0 months, got {self.mean_remaining_term_months}"
+                f"mean remaining term months must be > 0, got {self.mean_remaining_term_months}"
             )
 
 

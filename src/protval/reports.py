@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .cap import CapStrip, CapValuation
 from .config import RunConfig
-from .loss import LossScenarioSet
 from .risk import PvfpStatistics
 
 FAN_PROBS = (0.01, 0.25, 0.50, 0.75, 0.99)
@@ -84,19 +83,20 @@ def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> No
         writer.writerow(["crd", _fmt(valuation.crd)])
 
 
-def write_scenarios_csv(path: Path, scenario_set: LossScenarioSet) -> None:
+def write_scenarios_csv(path: Path, paths: np.ndarray) -> None:
     """One (scenario index, year_1..year_H) row per path; numbers need no quoting, so no ``csv.writer``."""
-    header = ["scenario"] + [f"year_{t}" for t in range(1, scenario_set.horizon + 1)]
+    header = ["scenario"] + [f"year_{t}" for t in range(1, paths.shape[1] + 1)]
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         _write_lines(
             handle,
-            (f"{i},{','.join(map(repr, row.tolist()))}\n" for i, row in enumerate(scenario_set.scenarios)),
+            (f"{i},{','.join(map(repr, row.tolist()))}\n" for i, row in enumerate(paths)),
         )
 
 
-def write_fan_chart_csv(path: Path, scenario_set: LossScenarioSet) -> None:
-    fan = scenario_set.quantile_fan(FAN_PROBS)
+def write_fan_chart_csv(path: Path, paths: np.ndarray) -> None:
+    """Per-year ``FAN_PROBS`` quantiles of the (scenarios x years) matrix, one row per year."""
+    fan = np.quantile(paths, FAN_PROBS, axis=0).T
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["year"] + list(FAN_LABELS))

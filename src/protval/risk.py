@@ -58,7 +58,6 @@ class PvfpStatistics:
 
     mean: float
     vol: float
-    rel_vol: float
     spread: float
     pvfp_tsr: float
     pvfp_spread: float
@@ -165,12 +164,10 @@ def risk_statistics(
     """
     if mean <= 0.0:
         raise ValueError(f"mean PVFP must be > 0 to define a relative volatility, got {mean}")
-    rel_vol = vol / mean
     return PvfpStatistics(
         mean=mean,
         vol=vol,
-        rel_vol=rel_vol,
-        spread=spread_fn.spread_for(rel_vol),
+        spread=spread_fn.spread_for(vol / mean),
         pvfp_tsr=pvfp_tsr,
         pvfp_spread=pvfp_spread,
         cur=underwriting_risk_cost(pvfp_tsr, mean, pvfp_spread),

@@ -54,7 +54,6 @@ def figure_market(figure_curve, figure_vols) -> MarketData:
         curve=figure_curve,
         vols=figure_vols,
         spot_index_rate=FIGURE_SPOT_INDEX_RATE,
-        tax_rate=FIGURE_TAX_RATE,
     )
 
 

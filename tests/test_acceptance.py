@@ -19,12 +19,12 @@ import pytest
 
 from protval.cap import CapValuation, caplet_price, norm_cdf
 from protval.loss import (
-    generate_scenarios,
+    draw_initial_ratios,
     lognormal_params,
     lognormal_params_from_sigma,
-    mean_reversion_path,
     norm_inv,
     resolve_params,
+    reverting_paths,
     standard_normals,
 )
 from protval.risk import calibrate_spread
@@ -173,13 +173,14 @@ def test_criterion_07_property_suites():
 
 
 def test_criterion_08_mean_reversion_half_life():
-    path = mean_reversion_path(1.0, [0.80] * 12, nu=0.8)
+    path = reverting_paths(np.array([1.0]), [0.80] * 12, nu=0.8)[0][0]
     ratio_t4 = (path[3] - 0.80) / (path[0] - 0.80)
     half_life_ok = abs(ratio_t4 - 0.512) < 1e-12
 
     portfolio = make_portfolio(mean_sp=0.80, sigma=0.25, horizon=12, nu=0.8)
     z = standard_normals(100_000, seed=91)
-    paths = generate_scenarios(portfolio, resolve_params(portfolio), z).scenarios
+    sp1 = draw_initial_ratios(resolve_params(portfolio), z)
+    paths, _ = reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
     se = paths.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
     deviation = np.abs(paths.mean(axis=0) - np.asarray(portfolio.chronicle))
     centering_ok = bool(np.all(deviation <= 3.0 * se))

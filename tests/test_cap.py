@@ -154,12 +154,11 @@ class TestCapletPrice:
 
 class TestPriceCap:
     @staticmethod
-    def flat_market(rate: float, vol: float, tax: float = 0.0) -> MarketData:
+    def flat_market(rate: float, vol: float) -> MarketData:
         return MarketData(
             curve=ZeroCurve(tenors=(0.0, 50.0), zero_rates=(rate, rate)),
             vols=VolTermStructure(fixing_times=(0.0, 50.0), black_vols=(vol, vol)),
             spot_index_rate=rate,
-            tax_rate=tax,
         )
 
     def test_zero_vol_out_of_the_money_prices_to_zero(self):
@@ -195,9 +194,7 @@ class TestPriceCap:
 
     def test_spot_override_applies_to_the_running_period_only(self):
         market = self.flat_market(rate=0.04, vol=0.2)
-        market = MarketData(
-            curve=market.curve, vols=market.vols, spot_index_rate=0.10, tax_rate=0.0
-        )
+        market = MarketData(curve=market.curve, vols=market.vols, spot_index_rate=0.10)
         spec = CapSpec(
             strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0, use_spot_for_first_period=True
         )

@@ -23,7 +23,8 @@ from .conftest import (
 )
 
 SAMPLE_DIR = Path(__file__).resolve().parents[1] / "sample_inputs"
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+ROOT_DIR = Path(__file__).resolve().parents[1]
+SRC_DIR = ROOT_DIR / "src"
 _PATH_FIELDS = ("cap_spec", "weights", "replay_pvfp")
 MODERATE_CRITERIA = {
     "portfolio_age_years": 3,
@@ -313,6 +314,27 @@ class TestSimulateProcesses:
         assert run.stderr.startswith("error: a simulate process ended abruptly") and "Traceback" not in run.stderr
         assert not (tmp_path / "out" / "simulate_manifest.json").exists()
 
+    def test_traced_run_completes_with_the_golden_digests(self):
+        """The benchmark's tracer wraps every layer function; ``simulate``'s forked children run the wrappers too."""
+        code = (
+            "import os, sys, tempfile\n"
+            "from pathlib import Path\n"
+            "sys.dont_write_bytecode = True\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"sys.path[:0] = [{str(ROOT_DIR / 'bench')!r}, {str(ROOT_DIR)!r}]\n"
+            "import protval.cli, tracing\n"
+            "tracer = tracing.Tracer()\n"
+            "tracer.install()\n"
+            "tracer.begin_pass()\n"
+            "from tests.test_golden import GOLDEN, run_digests\n"
+            "for name in ('run_simulate.json', 'run_value.json'):\n"
+            "    with tempfile.TemporaryDirectory() as scratch:\n"
+            "        assert run_digests(name, Path(scratch)) == GOLDEN[name], name\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+
 
 class TestValue:
     def test_replay_reproduces_published_report(self, tmp_path, capsys):
@@ -517,7 +539,9 @@ def test_chronicle_length_differing_from_run_horizon_is_rejected(tmp_path, capsy
     assert not list((tmp_path / "out").glob("p1_*.csv"))
 
 
-@pytest.mark.parametrize("bad_value", ["nan", 10**400, True], ids=["json_string", "huge_integer", "boolean"])
+@pytest.mark.parametrize(
+    "bad_value", ["nan", 10**400, True, None], ids=["json_string", "huge_integer", "boolean", "null"]
+)
 @pytest.mark.parametrize(
     ("command", "bad_file", "field_path"),
     [
@@ -535,6 +559,40 @@ def test_json_value_that_is_not_a_float_is_rejected_naming_file_and_field(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and bad_file in err and repr(field_path[-1]) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("command", "bad_file", "field_path"),
+    [
+        ("value", "p1.json", ("reversion_speed",)),
+        ("value", "p1.json", ("tax_rate",)),
+        ("value", "p1.json", ("profit_share_rate",)),
+        ("simulate", "run.json", ("market", "tax_rate")),
+        ("price-cap", "cap.json", ("accrual_years",)),
+        ("price-cap", "cap.json", ("booked_flows_pv",)),
+        ("value", "replay.json", (0, "pvfp_tsr_spread")),
+    ],
+    ids=["reversion_speed", "portfolio_tax_rate", "profit_share_rate", "market_tax_rate", "accrual_years",
+         "booked_flows_pv", "pvfp_tsr_spread"],
+)
+def test_null_in_a_number_field_with_a_default_is_rejected(tmp_path, capsys, command, bad_file, field_path):
+    assert run_with_field(tmp_path, command, bad_file, field_path, None) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / bad_file}: field {field_path[-1]!r} must be a number, got None\n"
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "sub/p", "sub\\p", "", ".", "..", None, 7])
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_portfolio_id_must_be_a_file_name(tmp_path, capsys, command, bad_id):
+    assert run_with_field(tmp_path, command, "p1.json", ("id",), bad_id) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'p1.json'}: field 'id' must be a file name")
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(("_pvfp_samples.csv", "_scenarios.csv"))]
+
+
+def test_replay_row_id_must_be_a_string(tmp_path, capsys):
+    assert run_with_field(tmp_path, "value", "replay.json", (0, "id"), 7) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'replay.json'}: field 'id' must be a string, got 7\n"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protval.config import load_curve, load_market, load_run_config
-from protval.curves import MarketData, VolTermStructure, ZeroCurve
+from protval.curves import VolTermStructure, ZeroCurve
 from protval.errors import ConfigError
 
 from .conftest import FIGURE_DISCOUNT_FACTORS, FIGURE_TENORS, FIGURE_VOLS, FIGURE_ZERO_RATES
@@ -123,12 +123,6 @@ class TestVolTermStructure:
     def test_zero_vol_allowed_for_deterministic_limit(self):
         flat = VolTermStructure(fixing_times=(1.0,), black_vols=(0.0,))
         assert flat.vol_at(5.0) == 0.0
-
-
-class TestMarketData:
-    def test_tax_rate_bounds(self, figure_curve, figure_vols):
-        with pytest.raises(ValueError, match="tax_rate"):
-            MarketData(curve=figure_curve, vols=figure_vols, spot_index_rate=0.02, tax_rate=1.0)
 
 
 def market_config(directory):

@@ -16,22 +16,21 @@ from protval.cap import norm_cdf
 from protval.errors import ConfigError
 from protval.loss import (
     LognormalParams,
-    LossScenarioSet,
     RiskCriteria,
     WeightMatrix,
     draw_initial_ratios,
-    generate_scenarios,
     histogram,
     lognormal_params,
     lognormal_params_from_sigma,
-    mean_reversion_path,
     norm_inv,
     resolve_params,
+    reverting_paths,
     standard_normals,
     volatility_score,
 )
 
 from .conftest import TABLE_MEAN_SIGMA, make_portfolio
+from .test_projection import reference_reversion_paths
 
 WEIGHTS_FILE = Path(__file__).resolve().parents[1] / "sample_inputs" / "weights_illustrative.json"
 
@@ -234,9 +233,14 @@ class TestDrawInitialRatios:
         assert np.all(draw_initial_ratios(params, standard_normals(2000, seed=5)) > 0.0)
 
 
+def one_path(sp1: float, chronicle, nu: float) -> np.ndarray:
+    """``reverting_paths`` on the one-element array [sp1]: its only path."""
+    return reverting_paths(np.array([sp1]), chronicle, nu)[0][0]
+
+
 class TestMeanReversionPath:
     def test_flat_chronicle_worked_values(self):
-        path = mean_reversion_path(1.0, [0.8] * 5, nu=0.8)
+        path = one_path(1.0, [0.8] * 5, nu=0.8)
         assert path[0] == 1.0
         assert path[1] == pytest.approx(0.96, abs=1e-12)
         assert path[2] == pytest.approx(0.928, abs=1e-12)
@@ -246,66 +250,67 @@ class TestMeanReversionPath:
 
     def test_zero_initial_gap_returns_the_chronicle(self):
         chronicle = [0.7, 0.75, 0.8, 0.85]
-        path = mean_reversion_path(0.7, chronicle, nu=0.8)
+        path = one_path(0.7, chronicle, nu=0.8)
         assert np.array_equal(path, np.asarray(chronicle))
 
     def test_no_reversion_keeps_the_gap(self):
-        path = mean_reversion_path(1.1, [0.8] * 6, nu=1.0)
+        path = one_path(1.1, [0.8] * 6, nu=1.0)
         assert np.all(path == pytest.approx(1.1, rel=1e-12))
 
     def test_gap_decays_with_ratio_nu(self):
         nu = 0.63
         chronicle = np.linspace(0.7, 1.0, 12)
-        path = mean_reversion_path(1.3, chronicle, nu=nu)
+        path = one_path(1.3, chronicle, nu=nu)
         gaps = path - chronicle
         for t in range(1, 11):
             assert gaps[t + 1] / gaps[t] == pytest.approx(nu, rel=1e-12)
 
     def test_negative_values_are_floored(self):
-        path = mean_reversion_path(0.05, [2.0, 0.01, 0.01], nu=1.0)
+        path = one_path(0.05, [2.0, 0.01, 0.01], nu=1.0)
         assert np.all(path >= 0.0)
         assert path[1] == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="non-empty"):
-            mean_reversion_path(1.0, [], nu=0.8)
+            one_path(1.0, [], nu=0.8)
         with pytest.raises(ValueError, match="reversion"):
-            mean_reversion_path(1.0, [0.8], nu=0.0)
+            one_path(1.0, [0.8], nu=0.0)
         with pytest.raises(ValueError, match="reversion"):
-            mean_reversion_path(1.0, [0.8], nu=1.5)
+            one_path(1.0, [0.8], nu=1.5)
 
 
-def scenarios_of(portfolio, n: int, seed: int, weights: WeightMatrix | None = None) -> LossScenarioSet:
-    """``generate_scenarios`` on the portfolio's resolved parameters and the run's draws for (n, seed)."""
-    return generate_scenarios(portfolio, resolve_params(portfolio, weights), standard_normals(n, seed))
+def scenarios_of(portfolio, n: int, seed: int, weights: WeightMatrix | None = None) -> tuple[np.ndarray, int]:
+    """``reverting_paths`` from the year-1 ratios of the portfolio's resolved parameters and the draws for (n, seed)."""
+    sp1 = draw_initial_ratios(resolve_params(portfolio, weights), standard_normals(n, seed))
+    return reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
 
 
 class TestGenerateScenarios:
     def test_single_degenerate_scenario_equals_the_chronicle(self):
         portfolio = make_portfolio(mean_sp=0.8, sigma=0.0, horizon=6)
-        scenario_set = scenarios_of(portfolio, n=1, seed=0)
-        assert scenario_set.scenarios.shape == (1, 6)
-        assert np.allclose(scenario_set.scenarios[0], portfolio.chronicle, rtol=1e-14)
+        paths, _ = scenarios_of(portfolio, n=1, seed=0)
+        assert paths.shape == (1, 6)
+        assert np.allclose(paths[0], portfolio.chronicle, rtol=1e-14)
 
     def test_same_seed_identical_matrices(self):
         portfolio = make_portfolio()
-        a = scenarios_of(portfolio, n=300, seed=11)
-        b = scenarios_of(portfolio, n=300, seed=11)
-        assert np.array_equal(a.scenarios, b.scenarios)
+        a, _ = scenarios_of(portfolio, n=300, seed=11)
+        b, _ = scenarios_of(portfolio, n=300, seed=11)
+        assert np.array_equal(a, b)
 
     def test_rows_match_the_single_path_operation(self):
         portfolio = make_portfolio(horizon=8)
-        scenario_set = scenarios_of(portfolio, n=50, seed=21)
+        paths, _ = scenarios_of(portfolio, n=50, seed=21)
+        chron = np.asarray(portfolio.chronicle)
         for i in range(50):
-            sp1 = scenario_set.initial_ratios()[i]
-            expected = mean_reversion_path(sp1, portfolio.chronicle, portfolio.reversion_speed)
-            assert np.allclose(scenario_set.scenarios[i], expected, rtol=1e-15)
+            expected = reference_reversion_paths(paths[i:i + 1, 0], chron, portfolio.reversion_speed)[0]
+            assert np.allclose(paths[i], expected, rtol=1e-15)
 
     def test_higher_vol_widens_the_initial_quantile_span(self):
-        low = scenarios_of(make_portfolio(sigma=0.15), n=10_000, seed=77)
-        high = scenarios_of(make_portfolio(sigma=0.30), n=10_000, seed=77)
-        lo_q = np.quantile(low.initial_ratios(), [0.01, 0.99])
-        hi_q = np.quantile(high.initial_ratios(), [0.01, 0.99])
+        low, _ = scenarios_of(make_portfolio(sigma=0.15), n=10_000, seed=77)
+        high, _ = scenarios_of(make_portfolio(sigma=0.30), n=10_000, seed=77)
+        lo_q = np.quantile(low[:, 0], [0.01, 0.99])
+        hi_q = np.quantile(high[:, 0], [0.01, 0.99])
         assert hi_q[1] - hi_q[0] > lo_q[1] - lo_q[0]
 
     def test_heavier_weights_widen_every_quantile_spread(self):
@@ -318,17 +323,16 @@ class TestGenerateScenarios:
         heavy = WeightMatrix(cells=heavier_cells)
 
         kwargs = dict(mean_sp=0.8, sigma=None, horizon=5)
-        light_set = scenarios_of(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=light)
-        heavy_set = scenarios_of(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=heavy)
+        light, _ = scenarios_of(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=light)
+        heavy, _ = scenarios_of(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=heavy)
         for p in (0.05, 0.10, 0.25):
-            light_span = np.diff(np.quantile(light_set.initial_ratios(), [p, 1.0 - p]))[0]
-            heavy_span = np.diff(np.quantile(heavy_set.initial_ratios(), [p, 1.0 - p]))[0]
+            light_span = np.diff(np.quantile(light[:, 0], [p, 1.0 - p]))[0]
+            heavy_span = np.diff(np.quantile(heavy[:, 0], [p, 1.0 - p]))[0]
             assert heavy_span >= light_span
 
     def test_paths_center_on_the_chronicle(self):
         portfolio = make_portfolio(mean_sp=0.8, sigma=0.25, horizon=10)
-        scenario_set = scenarios_of(portfolio, n=20_000, seed=303)
-        paths = scenario_set.scenarios
+        paths, _ = scenarios_of(portfolio, n=20_000, seed=303)
         se = paths.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
         deviation = np.abs(paths.mean(axis=0) - np.asarray(portfolio.chronicle))
         assert np.all(deviation <= 3.0 * se)
@@ -337,9 +341,9 @@ class TestGenerateScenarios:
         portfolio = make_portfolio(
             mean_sp=2.0, sigma=0.9, chronicle=(2.0, 0.01, 0.01, 0.01), nu=1.0
         )
-        scenario_set = scenarios_of(portfolio, n=2000, seed=8)
-        assert scenario_set.floored_count > 0
-        assert np.all(scenario_set.scenarios >= 0.0)
+        paths, floored = scenarios_of(portfolio, n=2000, seed=8)
+        assert floored > 0
+        assert np.all(paths >= 0.0)
 
     def test_missing_parameter_routes_are_config_errors(self):
         no_sigma = make_portfolio(sigma=None)
@@ -348,12 +352,6 @@ class TestGenerateScenarios:
         scored = make_portfolio(sigma=None, criteria=all_moderate())
         with pytest.raises(ConfigError, match="weight matrix"):
             resolve_params(scored)
-
-
-class TestScenarioSetValidation:
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            LossScenarioSet(scenarios=np.array([[-0.1, 0.2]]))
 
 
 class TestHistogram:

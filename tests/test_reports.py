@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protval.loss import LossScenarioSet
 from protval.reports import write_pvfp_samples_csv, write_scenarios_csv
 
 # Row counts around the writers' 1,024-line chunks.
@@ -42,7 +41,7 @@ def reference_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_scenarios_csv_matches_a_line_by_line_writer(tmp_path, n):
     matrix = values(n, 3)
-    write_scenarios_csv(tmp_path / "chunked.csv", LossScenarioSet(scenarios=matrix))
+    write_scenarios_csv(tmp_path / "chunked.csv", matrix)
     reference_scenarios_csv(tmp_path / "reference.csv", matrix)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

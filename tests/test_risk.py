@@ -137,7 +137,6 @@ class TestRiskStatistics:
     def test_assembles_the_report_row(self, calibrated):
         mean, vol, pvfp_tsr, pvfp_spread = TABLE_PVFP_ROWS[0]
         stats = risk_statistics(mean, vol, calibrated, pvfp_tsr, pvfp_spread)
-        assert stats.rel_vol == pytest.approx(vol / mean, rel=1e-12)
         assert stats.spread == calibrated.spread_for(vol / mean)
         assert stats.cur == underwriting_risk_cost(pvfp_tsr, mean, pvfp_spread)
 
