@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import MarketData
+from .curves import VolTermStructure, ZeroCurve
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -133,32 +133,40 @@ class CapStrip:
     vols: tuple[float, ...]
 
 
-def cap_strip(spec: CapSpec, market: MarketData) -> CapStrip:
-    """The per-period table of the cap strip under the given market data.
+def cap_strip(
+    spec: CapSpec,
+    curve: ZeroCurve,
+    vols: VolTermStructure,
+    spot_index_rate: float | None = None,
+) -> CapStrip:
+    """The per-period table of the cap strip on the given curve and vols.
 
     Caplet j fixes at the start of its period, max(j * accrual - accrual, 0)
     (period 0 is already running, fixed at t = 0), on the forward of the
     index tenor, and pays at T_j = j * accrual, discounted with B(0, T_j)
     and using the Black vol quoted for the fixing time. Period 0 takes the
-    observed spot instead of the curve forward when the spec opts into the
-    override; ``spec.strikes`` overrides the strike per period.
+    observed ``spot_index_rate`` instead of the curve forward when the spec
+    opts into the override (the two need not agree); ``spec.strikes``
+    overrides the strike per period.
     """
+    if spec.use_spot_for_first_period and spot_index_rate is None:
+        raise ValueError("use_spot_for_first_period needs a spot index rate")
     periods = range(len(spec.notionals))
     fixing_times = tuple(max(j * spec.accrual - spec.accrual, 0.0) for j in periods)
     forwards = tuple(
-        market.spot_index_rate
+        spot_index_rate
         if j == 0 and spec.use_spot_for_first_period
-        else market.curve.forward_index_rate(fixing_times[j], spec.index_tenor)
+        else curve.forward_index_rate(fixing_times[j], spec.index_tenor)
         for j in periods
     )
     return CapStrip(
         accrual=spec.accrual,
         notionals=spec.notionals,
         fixing_times=fixing_times,
-        discount_factors=tuple(market.curve.discount_factor(j * spec.accrual) for j in periods),
+        discount_factors=tuple(curve.discount_factor(j * spec.accrual) for j in periods),
         forwards=forwards,
         strikes=spec.strikes if spec.strikes is not None else (spec.strike,) * len(periods),
-        vols=tuple(market.vols.vol_at(t) for t in fixing_times),
+        vols=tuple(vols.vol_at(t) for t in fixing_times),
     )
 
 
@@ -209,13 +217,17 @@ def price_cap(strip: CapStrip) -> CapValuation:
     """Value the cap strip with Black-76, one caplet per period of the table.
 
     The deterministic value reprices the same strip with all vols forced
-    to zero.
+    to zero. A caplet that cannot be priced raises a ValueError naming its
+    period index.
     """
     stochastic, deterministic = [], []
-    for n, df, fwd, k, vol, t in zip(
+    for j, (n, df, fwd, k, vol, t) in enumerate(zip(
         strip.notionals, strip.discount_factors, strip.forwards, strip.strikes, strip.vols, strip.fixing_times
-    ):
-        stochastic.append(caplet_price(n, df, fwd, k, vol, t, strip.accrual))
+    )):
+        try:
+            stochastic.append(caplet_price(n, df, fwd, k, vol, t, strip.accrual))
+        except ValueError as exc:
+            raise ValueError(f"period {j}: {exc}") from exc
         deterministic.append(caplet_price(n, df, fwd, k, 0.0, t, strip.accrual))
     return CapValuation.from_caplets(stochastic, deterministic_value=sum(deterministic[1:]))
 

@@ -26,10 +26,10 @@ from .config import (
     RunConfig,
     load_cap_inputs,
     load_curve,
-    load_market,
     load_portfolio,
     load_replay_pvfp,
     load_run_config,
+    load_vols,
     load_weight_matrix,
 )
 from .errors import CalibrationError, ConfigError
@@ -97,19 +97,24 @@ def _spread_function(config: RunConfig) -> SpreadFunction:
 def cmd_price_cap(config: RunConfig) -> int:
     if config.cap_spec_path is None:
         raise ConfigError(f"{config.config_path}: 'cap_spec' is required for price-cap")
-    market = load_market(config)
-    inputs = load_cap_inputs(config.cap_spec_path, config.spot_index_rate)
-    strip = cap_strip(inputs.spec, market)
+    curve, vols = load_curve(config), load_vols(config)
+    spec, booked_flows_pv, replay = load_cap_inputs(config.cap_spec_path, config.spot_index_rate)
+    strip = cap_strip(spec, curve, vols, config.spot_index_rate)
 
-    if inputs.replay_caplet_costs is not None:
-        caplets, deterministic = inputs.replay_caplet_costs, inputs.replay_deterministic_cost
+    if replay is not None:
+        caplets, deterministic = replay
     else:
-        priced = price_cap(strip)
+        # The spec and the vols are checked at load, so a caplet that cannot be
+        # priced has a curve forward <= 0.
+        try:
+            priced = price_cap(strip)
+        except ValueError as exc:
+            raise ConfigError(f"{config.curve_csv}: {exc}") from exc
         caplets, deterministic = [-v for v in priced.caplet_values], -priced.deterministic_value
     valuation = CapValuation.from_caplets(
         caplets,
         deterministic_value=deterministic,
-        booked_flows_pv=inputs.booked_flows_pv,
+        booked_flows_pv=booked_flows_pv,
         tax_rate=config.tax_rate,
     )
 

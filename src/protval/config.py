@@ -20,7 +20,7 @@ from typing import Any, Iterator, NoReturn
 import numpy as np
 
 from .cap import CapSpec
-from .curves import MarketData, VolTermStructure, ZeroCurve
+from .curves import VolTermStructure, ZeroCurve
 from .errors import ConfigError
 from .loss import (
     DEFAULT_HORIZON,
@@ -31,21 +31,6 @@ from .loss import (
 )
 from .projection import FixedTerm, PortfolioSpec, TacitRenewal
 from .risk import _check_calibration_points
-
-
-@dataclass(frozen=True)
-class CapInputs:
-    """Cap spec plus the report-level figures that are direct inputs.
-
-    ``replay_caplet_costs``/``replay_deterministic_cost`` carry externally
-    booked per-period figures (insurer costs, negative); when present the
-    report recomputes only the aggregate identities instead of pricing.
-    """
-
-    spec: CapSpec
-    booked_flows_pv: float = 0.0
-    replay_caplet_costs: tuple[float, ...] | None = None
-    replay_deterministic_cost: float | None = None
 
 
 @dataclass(frozen=True)
@@ -317,19 +302,24 @@ def load_curve(config: RunConfig) -> ZeroCurve:
         return ZeroCurve(tenors=tenors, zero_rates=rates)
 
 
-def load_market(config: RunConfig) -> MarketData:
-    if config.curve_csv is None or config.vols_csv is None:
-        raise ConfigError(
-            f"{config.config_path}: market.curve_csv and market.vols_csv are required for this command"
-        )
-    curve = load_curve(config)
+def load_vols(config: RunConfig) -> VolTermStructure:
+    if config.vols_csv is None:
+        raise ConfigError(f"{config.config_path}: market.vols_csv is required for this command")
     times, vols = zip(*_read_csv_pairs(config.vols_csv, "fixing_years", "black_vol"))
     with _naming(config.vols_csv, "fixing_years/black_vol: "):
-        vol_structure = VolTermStructure(fixing_times=times, black_vols=vols)
-    return MarketData(curve=curve, vols=vol_structure, spot_index_rate=config.spot_index_rate or 0.0)
+        return VolTermStructure(fixing_times=times, black_vols=vols)
 
 
-def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
+def load_cap_inputs(
+    path: Path, spot_index_rate: float | None
+) -> tuple[CapSpec, float, tuple[tuple[float, ...], float] | None]:
+    """The cap spec, the discounted booked flows and the replay figures of a cap-spec file.
+
+    The replay figures are None, or ``(caplet_costs, deterministic_cost)``:
+    externally booked per-period figures (insurer costs, negative). When
+    they are present the report recomputes only the aggregate identities
+    instead of pricing.
+    """
     data = _load_json(path)
     with _naming(path):
         spec = CapSpec(
@@ -347,29 +337,29 @@ def load_cap_inputs(path: Path, spot_index_rate: float | None) -> CapInputs:
             f"{path}: use_spot_for_first_period needs market.spot_index_rate in the run config"
         )
 
-    replay = data.get("replay")
-    costs = None
-    deterministic = None
-    if replay is not None:
-        _expect(replay, dict, path, "replay")
-        costs = _floats(_require(replay, "caplet_costs", path), path, "caplet_costs")
-        deterministic = _float(replay, "deterministic_cost", path)
-        if len(costs) != len(spec.notionals):
+    raw_replay = data.get("replay")
+    replay = None
+    if raw_replay is not None:
+        _expect(raw_replay, dict, path, "replay")
+        replay = (
+            _floats(_require(raw_replay, "caplet_costs", path), path, "caplet_costs"),
+            _float(raw_replay, "deterministic_cost", path),
+        )
+        if len(replay[0]) != len(spec.notionals):
             raise ConfigError(f"{path}: replay.caplet_costs must cover period indices 0..n")
-    return CapInputs(
-        spec=spec,
-        booked_flows_pv=_float(data, "booked_flows_pv", path, default=0.0),
-        replay_caplet_costs=costs,
-        replay_deterministic_cost=deterministic,
-    )
+    return spec, _float(data, "booked_flows_pv", path, default=0.0), replay
 
 
 def load_weight_matrix(path: Path) -> WeightMatrix:
+    """Criterion -> {bucket: weight} cells of a JSON file; keys that start with '_' are comments."""
     data = _load_json(path)
     cells = {
-        criterion: {bucket: _as_float(w, path, f"{criterion}.{bucket}") for bucket, w in row.items()}
+        criterion: {
+            bucket: _as_float(w, path, f"{criterion}.{bucket}")
+            for bucket, w in _expect(row, dict, path, criterion).items()
+        }
         for criterion, row in data.items()
-        if isinstance(row, dict)
+        if not criterion.startswith("_")
     }
     try:
         return WeightMatrix(cells=cells)

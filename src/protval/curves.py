@@ -94,17 +94,3 @@ class VolTermStructure:
             raise ValueError(f"fixing time must be >= 0, got {fix}")
         return float(np.interp(fix, self.fixing_times, self.black_vols))
 
-
-@dataclass(frozen=True)
-class MarketData:
-    """Market inputs for the cap pricer.
-
-    ``spot_index_rate`` is the observed index level at t = 0 (e.g. the 3-year
-    government rate), kept separate from the curve because the two need not
-    agree; it is only used when a cap spec opts into the spot override for
-    the first fixing.
-    """
-
-    curve: ZeroCurve
-    vols: VolTermStructure
-    spot_index_rate: float

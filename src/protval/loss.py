@@ -239,30 +239,20 @@ def _check_reversion_speed(nu: float) -> None:
         raise ValueError(f"reversion speed must be in (0, 1], got {nu}")
 
 
-def _reversion_paths(sp1: np.ndarray, chron: np.ndarray, nu: float, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` (rows x years) the path reverting from each year-1 ratio, not yet floored at 0.
-
-    The path is chron[t] + (sp1 - chron[0]) * nu^t, built in place; the sum
-    is commutative in IEEE arithmetic, so the order of its terms does not
-    change the bits.
-    """
-    np.multiply((sp1 - chron[0])[:, np.newaxis], nu ** np.arange(chron.size), out=out)
-    out += chron
-    out[:, 0] = sp1
-    return out
-
-
 def reverting_paths(
     sp1: np.ndarray,
     chronicle: Sequence[float] | np.ndarray,
     nu: float,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Loss-ratio paths reverting from each year-1 ratio to the chronicle, and how many values were floored.
 
     Row i of the (len(sp1) x years) matrix is
     chronicle[t] + (sp1[i] - chronicle[1]) * nu^(t-1), floored at 0 (loss
     ratios are nonnegative; deep negative gaps can otherwise push the
-    formula below zero). Column one holds ``sp1``.
+    formula below zero). Column one holds ``sp1``. The matrix is built in
+    ``out`` when given, else in a new array; the sum is commutative in IEEE
+    arithmetic, so building it in place does not change the bits.
     """
     chron = np.asarray(chronicle, dtype=float)
     if chron.ndim != 1 or chron.size == 0:
@@ -270,7 +260,10 @@ def reverting_paths(
     if np.any(chron <= 0.0):
         raise ValueError("chronicle values must be > 0")
     _check_reversion_speed(nu)
-    paths = _reversion_paths(sp1, chron, nu, np.empty((len(sp1), chron.size)))
+    paths = np.empty((len(sp1), chron.size)) if out is None else out
+    np.multiply((sp1 - chron[0])[:, np.newaxis], nu ** np.arange(chron.size), out=paths)
+    paths += chron
+    paths[:, 0] = sp1
     floored = int(np.count_nonzero(paths < 0.0))
     np.maximum(paths, 0.0, out=paths)
     return paths, floored

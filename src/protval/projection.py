@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ZeroCurve
-from .loss import DEFAULT_REVERSION_SPEED, RiskCriteria, _check_reversion_speed, _reversion_paths
+from .loss import DEFAULT_REVERSION_SPEED, RiskCriteria, _check_reversion_speed, reverting_paths
 
 # Rows of loss-ratio paths that pvfp_of_ratios builds and values at a time.
 # A block of 30-year paths is 240 KB, so its temporaries stay in cache; on
@@ -167,9 +167,10 @@ def pvfp(
 def pvfp_of_ratios(spec: PortfolioSpec, sp1: np.ndarray, curve: ZeroCurve) -> np.ndarray:
     """PVFP at the risk-free rate of the reverting path from each year-1 loss ratio, in order.
 
-    The paths are built and valued ``_BLOCK_ROWS`` rows at a time in one
-    reused block buffer, so no (scenarios x years) matrix is ever allocated;
-    a row's PVFP does not depend on the block it falls in.
+    The paths are built by ``reverting_paths`` and valued ``_BLOCK_ROWS``
+    rows at a time in one reused block buffer, so no (scenarios x years)
+    matrix is ever allocated; a row's PVFP does not depend on the block it
+    falls in.
     """
     chron = np.asarray(spec.chronicle)
     premiums = premium_runoff(spec)
@@ -180,7 +181,6 @@ def pvfp_of_ratios(spec: PortfolioSpec, sp1: np.ndarray, curve: ZeroCurve) -> np
     for start in range(0, len(sp1), _BLOCK_ROWS):
         block = sp1[start:start + _BLOCK_ROWS]
         rows = len(block)
-        paths = _reversion_paths(block, chron, spec.reversion_speed, buf[:rows])
-        np.maximum(paths, 0.0, out=paths)
+        paths, _ = reverting_paths(block, chron, spec.reversion_speed, out=buf[:rows])
         samples[start:start + rows] = _pvfp_rows(spec, paths, premiums, discounts, below[:rows])
     return samples

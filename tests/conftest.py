@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from protval.curves import MarketData, VolTermStructure, ZeroCurve
+from protval.curves import VolTermStructure, ZeroCurve
 from protval.projection import PortfolioSpec, TacitRenewal
 
 # Zero curve and cap volatilities of the published remuneration example
@@ -25,7 +25,6 @@ FIGURE_CAPLET_COSTS = (-153.48, -3175.22, -1981.13, -1019.51, -404.18, -91.44, 0
 FIGURE_DETERMINISTIC_COST = -5268.03
 FIGURE_BOOKED_FLOWS_PV = -958.21
 FIGURE_TAX_RATE = 0.275
-FIGURE_SPOT_INDEX_RATE = 0.0195
 
 # Published per-portfolio PVFP figures (mean, vol, pvfp_tsr, pvfp_tsr+spread)
 # and the lognormal parameter pairs they go with.
@@ -46,15 +45,6 @@ def figure_curve() -> ZeroCurve:
 @pytest.fixture
 def figure_vols() -> VolTermStructure:
     return VolTermStructure(fixing_times=FIGURE_TENORS, black_vols=FIGURE_VOLS)
-
-
-@pytest.fixture
-def figure_market(figure_curve, figure_vols) -> MarketData:
-    return MarketData(
-        curve=figure_curve,
-        vols=figure_vols,
-        spot_index_rate=FIGURE_SPOT_INDEX_RATE,
-    )
 
 
 def make_portfolio(

@@ -18,7 +18,7 @@ from protval.cap import (
     price_cap,
     remuneration_option_cost,
 )
-from protval.curves import MarketData, VolTermStructure, ZeroCurve
+from protval.curves import VolTermStructure, ZeroCurve
 
 from .conftest import (
     FIGURE_BOOKED_FLOWS_PV,
@@ -154,17 +154,16 @@ class TestCapletPrice:
 
 class TestPriceCap:
     @staticmethod
-    def flat_market(rate: float, vol: float) -> MarketData:
-        return MarketData(
-            curve=ZeroCurve(tenors=(0.0, 50.0), zero_rates=(rate, rate)),
-            vols=VolTermStructure(fixing_times=(0.0, 50.0), black_vols=(vol, vol)),
-            spot_index_rate=rate,
+    def flat_market(rate: float, vol: float) -> tuple[ZeroCurve, VolTermStructure]:
+        return (
+            ZeroCurve(tenors=(0.0, 50.0), zero_rates=(rate, rate)),
+            VolTermStructure(fixing_times=(0.0, 50.0), black_vols=(vol, vol)),
         )
 
     def test_zero_vol_out_of_the_money_prices_to_zero(self):
         market = self.flat_market(rate=0.02, vol=0.0)
         spec = CapSpec(strike=0.05, notionals=(1e6,) * 5, index_tenor=3.0)
-        valuation = price_cap(cap_strip(spec, market))
+        valuation = price_cap(cap_strip(spec, *market))
         assert valuation.stochastic_value == 0.0
         assert valuation.deterministic_value == 0.0
         assert all(v == 0.0 for v in valuation.caplet_values)
@@ -172,14 +171,14 @@ class TestPriceCap:
     def test_zero_vol_market_has_no_valuation_spread(self):
         market = self.flat_market(rate=0.04, vol=0.0)
         spec = CapSpec(strike=0.02, notionals=(1e6,) * 5, index_tenor=3.0)
-        valuation = price_cap(cap_strip(spec, market))
+        valuation = price_cap(cap_strip(spec, *market))
         assert valuation.stochastic_value > 0.0
         assert valuation.valuation_spread == 0.0
 
     def test_aggregate_identities_hold_exactly(self):
         market = self.flat_market(rate=0.03, vol=0.25)
         spec = CapSpec(strike=0.025, notionals=(5e5, 4e5, 3e5, 2e5, 1e5), index_tenor=3.0)
-        valuation = price_cap(cap_strip(spec, market))
+        valuation = price_cap(cap_strip(spec, *market))
         assert valuation.stochastic_value == sum(valuation.caplet_values[1:])
         assert valuation.valuation_spread == valuation.stochastic_value - valuation.deterministic_value
 
@@ -187,25 +186,29 @@ class TestPriceCap:
         market = self.flat_market(rate=0.06, vol=0.2)
         with_p0 = CapSpec(strike=0.02, notionals=(1e9, 1e5, 1e5), index_tenor=3.0)
         without_p0 = CapSpec(strike=0.02, notionals=(0.0, 1e5, 1e5), index_tenor=3.0)
-        assert price_cap(cap_strip(with_p0, market)).stochastic_value == pytest.approx(
-            price_cap(cap_strip(without_p0, market)).stochastic_value
+        assert price_cap(cap_strip(with_p0, *market)).stochastic_value == pytest.approx(
+            price_cap(cap_strip(without_p0, *market)).stochastic_value
         )
-        assert price_cap(cap_strip(with_p0, market)).caplet_values[0] > 0.0
+        assert price_cap(cap_strip(with_p0, *market)).caplet_values[0] > 0.0
 
     def test_spot_override_applies_to_the_running_period_only(self):
         market = self.flat_market(rate=0.04, vol=0.2)
-        market = MarketData(curve=market.curve, vols=market.vols, spot_index_rate=0.10)
         spec = CapSpec(
             strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0, use_spot_for_first_period=True
         )
         plain = CapSpec(strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0)
-        with_spot = price_cap(cap_strip(spec, market))
-        without_spot = price_cap(cap_strip(plain, market))
+        with_spot = price_cap(cap_strip(spec, *market, spot_index_rate=0.10))
+        without_spot = price_cap(cap_strip(plain, *market, spot_index_rate=0.10))
         # period 0 picks up the observed 10% spot; the period-1 caplet also
         # fixes at t=0 but stays on the curve-implied rate
         assert with_spot.caplet_values[0] == pytest.approx(1e6 * (0.10 - 0.02), rel=1e-12)
         assert with_spot.caplet_values[1] == without_spot.caplet_values[1]
         assert with_spot.caplet_values[2] == without_spot.caplet_values[2]
+
+    def test_spot_override_without_a_spot_rate_is_rejected(self):
+        spec = CapSpec(strike=0.02, notionals=(1e6, 1e6), index_tenor=3.0, use_spot_for_first_period=True)
+        with pytest.raises(ValueError, match="use_spot_for_first_period needs a spot index rate"):
+            cap_strip(spec, *self.flat_market(rate=0.04, vol=0.2))
 
     def test_per_period_strike_override(self):
         market = self.flat_market(rate=0.04, vol=0.2)
@@ -216,8 +219,8 @@ class TestPriceCap:
             index_tenor=3.0,
             strikes=(0.02, 0.02, 0.03),
         )
-        bumped_values = price_cap(cap_strip(bumped, market)).caplet_values
-        flat_values = price_cap(cap_strip(flat, market)).caplet_values
+        bumped_values = price_cap(cap_strip(bumped, *market)).caplet_values
+        flat_values = price_cap(cap_strip(flat, *market)).caplet_values
         assert bumped_values[2] < flat_values[2]
         assert bumped_values[1] == flat_values[1]
 

@@ -10,10 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from protval.cap import caplet_price
 from protval.cli import main
+from protval.config import load_curve, load_portfolio, load_run_config
+from protval.projection import pvfp
 
 from .conftest import (
     FIGURE_CAPLET_COSTS,
@@ -169,6 +172,21 @@ class TestPriceCap:
         assert repriced == [-c for c in rows["caplet_cost"]]
         assert rows["strike"] == spec.get("strikes", [spec["strike"]] * len(spec["notionals"]))
         assert (rows["forward_rate"][0] == 0.0195) == spec["use_spot_for_first_period"]
+
+    def test_forward_below_zero_names_the_curve_and_the_period(self, tmp_path, capsys):
+        (tmp_path / "curve.csv").write_text("tenor_years,zero_rate\n0,-0.5\n10,-0.5\n", encoding="utf-8")
+        (tmp_path / "vols.csv").write_text("fixing_years,black_vol\n0,0.2\n10,0.2\n", encoding="utf-8")
+        write_json(tmp_path / "cap.json", {"strike": 0.02, "index_tenor_years": 1, "notionals": [1.0, 1.0, 1.0]})
+        config = write_json(tmp_path / "run.json", {
+            "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv"},
+            "cap_spec": "cap.json",
+            "output_dir": "out",
+        })
+        assert main(["price-cap", "--config", str(config)]) == 1
+        # period 1 fixes at t = 0 and is priced at intrinsic value; period 2 is the first with a vol
+        curve = (tmp_path / "curve.csv").resolve()
+        assert capsys.readouterr().err == f"error: {curve}: period 2: forward must be > 0 when vol > 0, got -0.5\n"
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_records_the_run(self, tmp_path):
         config = sample_config("run_price_cap.json", tmp_path)
@@ -672,6 +690,22 @@ class TestSharedDraws:
         both = self.run(tmp_path, "simulate", ["p0.json", "p1.json"], "both")
         alone = self.run(tmp_path, "simulate", ["p1.json"], "alone")
         assert (both / "p1_scenarios.csv").read_bytes() == (alone / "p1_scenarios.csv").read_bytes()
+
+
+def test_value_samples_are_the_pvfp_of_the_simulated_paths(tmp_path):
+    """At one seed and scenario count, each ``value`` PVFP sample is ``pvfp`` of the ``simulate`` path, bit for bit."""
+    config = sample_config("run_value.json", tmp_path, scenarios=2000)
+    assert main(["value", "--config", str(config)]) == 0
+    assert main(["simulate", "--config", str(config)]) == 0
+    run = load_run_config(config)
+    curve = load_curve(run)
+    for path in run.portfolio_paths:
+        spec = load_portfolio(path, run.horizon)
+        scenarios = np.loadtxt(run.output_dir / f"{spec.id}_scenarios.csv", delimiter=",", skiprows=1)
+        samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)
+        assert scenarios.shape == (2000, 1 + run.horizon)
+        repriced = np.array([pvfp(spec, row, curve) for row in scenarios[:, 1:]])
+        assert repriced.tobytes() == samples[:, 1].tobytes()
 
 
 class TestCalibrateSpread:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,14 @@ class TestWeights:
     def test_incomplete_file_is_diagnosed(self, tmp_path):
         path = write_json(tmp_path / "w.json", {"portfolio_age": {"lt_1y": 0.3}})
         with pytest.raises(ConfigError, match="portfolio_age|missing"):
+            load_weight_matrix(path)
+
+    @pytest.mark.parametrize("row", [3, None, "strong", [1.0]])
+    def test_row_that_is_not_an_object_is_rejected(self, tmp_path, row):
+        payload = json.loads((SAMPLE_DIR / "weights_illustrative.json").read_text(encoding="utf-8"))
+        payload["homogeneity"] = row
+        path = write_json(tmp_path / "w.json", payload)
+        with pytest.raises(ConfigError, match=r"w\.json: field 'homogeneity' must be an object, got "):
             load_weight_matrix(path)
 
 

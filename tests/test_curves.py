@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval.config import load_curve, load_market, load_run_config
+from protval.config import load_curve, load_run_config, load_vols
 from protval.curves import VolTermStructure, ZeroCurve
 from protval.errors import ConfigError
 
@@ -139,9 +139,9 @@ class TestLoaders:
         assert curve.zero_rate(2.0) == 0.03
 
     def test_load_empty_rows_rejected(self, tmp_path):
-        for name in ("curve.csv", "vols.csv"):
+        for name, load in (("curve.csv", load_curve), ("vols.csv", load_vols)):
             write_market_files(tmp_path)
             path = tmp_path / name
             path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
             with pytest.raises(ConfigError, match=f"{name}: no data rows"):
-                load_market(market_config(tmp_path))
+                load(market_config(tmp_path))

@@ -1,10 +1,12 @@
 """Input boundary: a bad value in any numeric input field ends in one error line naming the file and the field.
 
-Every numeric field of the run config, portfolio, cap spec and replay rows,
-and every value column of the curve, vol and chronicle CSVs, is given a
-value of the wrong kind (null, a string, a boolean or an array; NaN or
-±inf as CSV text) or one outside its range. The command must exit 1 with a
-single ``error:`` line that names the file and the field, and never raise.
+Every numeric field of the run config, portfolio, cap spec, replay rows and
+weight matrix, and every value column of the curve, vol and chronicle CSVs,
+is given a value of the wrong kind (null, a string, a boolean or an array;
+NaN or ±inf as CSV text) or one outside its range; a weight-matrix row is
+also given a value that is not an object, or is left out. The command must
+exit 1 with a single ``error:`` line that names the file and the field, and
+never raise.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -45,6 +48,7 @@ UNIT_INTERVAL_OUT = st.one_of(NEGATIVE, above(1.0))  # outside [0, 1)
 NOT_A_NUMBER = st.one_of(st.none(), st.text(max_size=4), st.booleans(), st.lists(st.integers(0, 9), max_size=2))
 NOT_AN_INTEGER = st.one_of(NOT_A_NUMBER, st.sampled_from([0.5, 2.25, -1.5]))
 NOT_AN_ARRAY = st.one_of(st.none(), st.text(max_size=4), st.booleans(), below(1e9))
+NOT_AN_OBJECT = st.one_of(NOT_AN_ARRAY, st.lists(st.integers(0, 9), max_size=2))
 # CSV cells that are not a finite number; no comma or quote, so the row keeps its columns.
 NOT_FINITE_TEXT = st.one_of(
     st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "1e999"]),
@@ -123,6 +127,9 @@ JSON_FIELDS = {
     "replay.vol_pvfp": JsonField("value", "replay.json", (0, "vol_pvfp"), "replay", NEGATIVE),
     "replay.pvfp_tsr": JsonField("value", "replay.json", (0, "pvfp_tsr"), "replay", st.just(0)),
     "replay.pvfp_tsr_spread": JsonField("value", "replay.json", (0, "pvfp_tsr_spread"), "replay", None),
+    "weights.criterion": JsonField("value", "weights.json", ("homogeneity",), "criteria", None, NOT_AN_OBJECT),
+    "weights.age_cell": JsonField("value", "weights.json", ("portfolio_age", "lt_4y"), "criteria", NONPOSITIVE),
+    "weights.rating_cell": JsonField("value", "weights.json", ("moral_hazard", "weak"), "criteria", NONPOSITIVE),
 }
 
 CSV_COLUMNS = {
@@ -136,8 +143,9 @@ CSV_COLUMNS = {
 
 
 def write_run(directory: Path, variant: str) -> Path:
-    """A small run of the given variant: market CSVs, a chronicle, a portfolio, a cap spec, replay rows, a config."""
+    """A small run of the given variant: its input files and its config."""
     write_market_files(directory)
+    shutil.copyfile(SAMPLE_DIR / "weights_illustrative.json", directory / "weights.json")
     (directory / "chronicle.csv").write_text("year,expected_sp\n1,0.8\n2,0.85\n", encoding="utf-8")
     portfolio: dict[str, Any] = {"chronicle_csv": "chronicle.csv"}
     if variant == "fixed_term":
@@ -167,7 +175,7 @@ def write_run(directory: Path, variant: str) -> Path:
     run: dict[str, Any] = {
         "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv", "tax_rate": 0.1, "spot_index_rate": 0.02},
         "cap_spec": "cap.json",
-        "weights": str(SAMPLE_DIR / "weights_illustrative.json"),
+        "weights": "weights.json",
         "scenarios": 20,
         "seed": 1,
         "horizon": 2,
@@ -214,6 +222,19 @@ def test_bad_json_number_is_rejected_naming_file_and_field(case: JsonField, data
         parent[case.path[-1]] = value
         write_json(target, payload)
         assert_one_named_error(*run_command(case.command, config), target, case.name)
+
+
+@pytest.mark.parametrize("path", [("litigation",), ("litigation", "strong"), ("portfolio_age", "ge_4y")])
+def test_missing_weight_criterion_or_bucket_is_rejected_naming_file_and_key(tmp_path, path):
+    config = write_run(tmp_path, "criteria")
+    target = tmp_path / "weights.json"
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    write_json(target, payload)
+    assert_one_named_error(*run_command("value", config), target, path[-1])
 
 
 @pytest.mark.parametrize("case", CSV_COLUMNS.values(), ids=CSV_COLUMNS.keys())

@@ -30,7 +30,7 @@ from protval.loss import (
 )
 
 from .conftest import TABLE_MEAN_SIGMA, make_portfolio
-from .test_projection import reference_reversion_paths
+from .test_projection import reference_reverting_paths
 
 WEIGHTS_FILE = Path(__file__).resolve().parents[1] / "sample_inputs" / "weights_illustrative.json"
 
@@ -270,6 +270,16 @@ class TestMeanReversionPath:
         assert np.all(path >= 0.0)
         assert path[1] == 0.0
 
+    def test_paths_built_in_a_given_buffer_equal_fresh_ones(self):
+        sp1 = np.array([0.05, 0.9, 1.6])
+        chronicle = [2.0, 0.01, 0.5, 1.2]
+        fresh, floored = reverting_paths(sp1, chronicle, 0.7)
+        out = np.full((3, 4), np.nan)
+        built, built_floored = reverting_paths(sp1, chronicle, 0.7, out=out)
+        assert built is out
+        assert built.tobytes() == fresh.tobytes()
+        assert built_floored == floored > 0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="non-empty"):
             one_path(1.0, [], nu=0.8)
@@ -303,7 +313,7 @@ class TestGenerateScenarios:
         paths, _ = scenarios_of(portfolio, n=50, seed=21)
         chron = np.asarray(portfolio.chronicle)
         for i in range(50):
-            expected = reference_reversion_paths(paths[i:i + 1, 0], chron, portfolio.reversion_speed)[0]
+            expected = reference_reverting_paths(paths[i:i + 1, 0], chron, portfolio.reversion_speed)[0]
             assert np.allclose(paths[i], expected, rtol=1e-15)
 
     def test_higher_vol_widens_the_initial_quantile_span(self):

@@ -34,7 +34,7 @@ def pvfp_rows(spec: PortfolioSpec, rows, curve: ZeroCurve, extra_spread: float =
     return _pvfp_rows(spec, np.array(rows, dtype=float), premium_runoff(spec), discounts)
 
 
-def reference_reversion_paths(sp1: np.ndarray, chron: np.ndarray, nu: float) -> np.ndarray:
+def reference_reverting_paths(sp1: np.ndarray, chron: np.ndarray, nu: float) -> np.ndarray:
     """Reference: the reverting paths out of place, floored at 0, in the operation order the golden digests pin."""
     paths = chron + (sp1[:, np.newaxis] - chron[0]) * nu ** np.arange(chron.size)
     paths[:, 0] = sp1
@@ -337,7 +337,7 @@ class TestPvfpOfRatios:
         sp1 = np.random.default_rng(seed).uniform(0.0, 3.0, n)
         for offset, value in enumerate(KINKS + (chronicle[0],)):
             sp1[offset * 2::11] = value
-        paths = reference_reversion_paths(sp1, np.asarray(spec.chronicle), nu)
+        paths = reference_reverting_paths(sp1, np.asarray(spec.chronicle), nu)
         expected = reference_pvfp_rows(spec, paths, FIGURE_CURVE)
         assert same_bits(pvfp_of_ratios(spec, sp1, FIGURE_CURVE), expected)
         for i in [*range(min(n, 22)), n - 1]:
