@@ -8,4 +8,4 @@ Two risk measures are produced:
   PVFP projection and a risk-aversion spread.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -16,23 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .curves import VolTermStructure, ZeroCurve
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def norm_cdf(x: float | np.ndarray) -> float | np.ndarray:
-    """Standard normal CDF, accurate to double precision via erfc.
-
-    Takes a float (and returns a float) or an array (and returns an array of
-    the same shape). Both run the builtin ``math.erfc`` on each value, so an
-    array entry equals the float call on it.
-    """
-    if isinstance(x, np.ndarray):
-        arg = -x / _SQRT2
-        return 0.5 * np.fromiter(map(math.erfc, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
+def norm_cdf(x: float) -> float:
+    """Standard normal CDF, accurate to double precision via erfc."""
     return 0.5 * math.erfc(-x / _SQRT2)
 
 

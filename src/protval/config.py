@@ -23,9 +23,11 @@ from .cap import CapSpec
 from .curves import VolTermStructure, ZeroCurve
 from .errors import ConfigError
 from .loss import (
+    BUCKETS,
     DEFAULT_HORIZON,
     DEFAULT_REVERSION_SPEED,
     DEFAULT_SCENARIOS,
+    RATING_CRITERIA,
     RiskCriteria,
     WeightMatrix,
 )
@@ -104,6 +106,14 @@ def _naming(path: Path, context: str = "") -> Iterator[None]:
 
 
 _KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
+
+
+def _known(data: dict[str, Any], keys: tuple[str, ...], path: Path, prefix: str = "") -> dict[str, Any]:
+    """``data`` unchanged if each of its keys is one of ``keys`` or starts with '_' (a comment)."""
+    for key in data:
+        if key not in keys and not key.startswith("_"):
+            raise ConfigError(f"{path}: unknown field '{prefix}{key}'")
+    return data
 
 
 def _expect(value: Any, kind: type, path: Path, field: str) -> Any:
@@ -227,7 +237,10 @@ def load_run_config(
     if not path.is_file():
         raise ConfigError(f"{path}: config file not found")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    data = _load_json(path)
+    data = _known(_load_json(path), (
+        "market", "portfolios", "weights", "cap_spec", "replay_pvfp", "spread_points",
+        "scenarios", "seed", "horizon", "output_dir",
+    ), path)
 
     def merged(name: str, flag: Any) -> Any:
         file_value = data.get(name)
@@ -239,7 +252,10 @@ def load_run_config(
             )
         return flag
 
-    market = _expect(data.get("market", {}), dict, path, "market")
+    market = _known(
+        _expect(data.get("market", {}), dict, path, "market"),
+        ("curve_csv", "vols_csv", "spot_index_rate", "tax_rate"), path, "market.",
+    )
 
     out_dir = merged("output_dir", out)
     if out_dir is None:
@@ -320,7 +336,10 @@ def load_cap_inputs(
     they are present the report recomputes only the aggregate identities
     instead of pricing.
     """
-    data = _load_json(path)
+    data = _known(_load_json(path), (
+        "strike", "notionals", "index_tenor_years", "accrual_years", "strikes",
+        "use_spot_for_first_period", "booked_flows_pv", "replay",
+    ), path)
     with _naming(path):
         spec = CapSpec(
             strike=_float(data, "strike", path),
@@ -340,7 +359,7 @@ def load_cap_inputs(
     raw_replay = data.get("replay")
     replay = None
     if raw_replay is not None:
-        _expect(raw_replay, dict, path, "replay")
+        _known(_expect(raw_replay, dict, path, "replay"), ("caplet_costs", "deterministic_cost"), path, "replay.")
         replay = (
             _floats(_require(raw_replay, "caplet_costs", path), path, "caplet_costs"),
             _float(raw_replay, "deterministic_cost", path),
@@ -352,15 +371,12 @@ def load_cap_inputs(
 
 def load_weight_matrix(path: Path) -> WeightMatrix:
     """Criterion -> {bucket: weight} cells of a JSON file; keys that start with '_' are comments."""
-    data = _load_json(path)
-    cells = {
-        criterion: {
-            bucket: _as_float(w, path, f"{criterion}.{bucket}")
-            for bucket, w in _expect(row, dict, path, criterion).items()
-        }
-        for criterion, row in data.items()
-        if not criterion.startswith("_")
-    }
+    data = _known(_load_json(path), tuple(BUCKETS), path)
+    cells = {}
+    for criterion, buckets in BUCKETS.items():
+        if criterion in data:
+            row = _known(_expect(data[criterion], dict, path, criterion), buckets, path, f"{criterion}.")
+            cells[criterion] = {b: _as_float(row[b], path, f"{criterion}.{b}") for b in buckets if b in row}
     try:
         return WeightMatrix(cells=cells)
     except ConfigError as exc:
@@ -380,8 +396,10 @@ def _parse_renewal(data: dict[str, Any], path: Path) -> TacitRenewal | FixedTerm
     renewal = _expect(_require(data, "renewal", path), dict, path, "renewal")
     mode = _require(renewal, "mode", path)
     if mode == "tacit_renewal":
+        _known(renewal, ("mode", "lapse_rate"), path, "renewal.")
         return TacitRenewal(lapse_rate=_float(renewal, "lapse_rate", path))
     if mode == "fixed_term":
+        _known(renewal, ("mode", "mean_remaining_term_months"), path, "renewal.")
         return FixedTerm(mean_remaining_term_months=_float(renewal, "mean_remaining_term_months", path))
     raise ConfigError(f"{path}: renewal.mode must be 'tacit_renewal' or 'fixed_term', got {mode!r}")
 
@@ -390,7 +408,7 @@ def _parse_criteria(data: dict[str, Any], path: Path) -> RiskCriteria | None:
     raw = data.get("criteria")
     if raw is None:
         return None
-    _expect(raw, dict, path, "criteria")
+    _known(_expect(raw, dict, path, "criteria"), ("portfolio_age_years",) + RATING_CRITERIA, path, "criteria.")
     with _naming(path, "criteria: "):
         return RiskCriteria(
             portfolio_age=_float(raw, "portfolio_age_years", path),
@@ -403,7 +421,10 @@ def _parse_criteria(data: dict[str, Any], path: Path) -> RiskCriteria | None:
 
 
 def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> PortfolioSpec:
-    data = _load_json(path)
+    data = _known(_load_json(path), (
+        "id", "initial_premium", "renewal", "profit_share_rate", "tax_rate", "retained_loss_ratio",
+        "sigma", "criteria", "reversion_speed", "chronicle_csv", "chronicle", "horizon_years",
+    ), path)
     mean_sp = _float(data, "retained_loss_ratio", path)
 
     if "chronicle_csv" in data:
@@ -439,6 +460,7 @@ def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
     for entry in data:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: replay rows must be JSON objects")
+        _known(entry, ("id", "mean_pvfp", "vol_pvfp", "pvfp_tsr", "pvfp_tsr_spread"), path)
         row_id = _expect(_require(entry, "id", path), str, path, "id")
         with _naming(path, f"row {row_id!r}: "):
             rows.append(

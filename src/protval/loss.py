@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .cap import norm_cdf
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -40,58 +39,7 @@ RATING_CRITERIA = (
     "moral_hazard",
     "litigation",
 )
-CRITERIA = (AGE_CRITERION,) + RATING_CRITERIA
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation of the standard normal quantile
-# (relative error ~1.15e-9 before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _rational_tail(q: np.ndarray) -> np.ndarray:
-    return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-            / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-
-
-def norm_inv(u: float | np.ndarray) -> float | np.ndarray:
-    """Standard normal quantile, accurate to well below 1e-9 absolute.
-
-    Acklam's rational approximation refined with one Halley step against the
-    erfc-based CDF, which leaves errors near machine precision. Takes a
-    float (and returns a float) or an array (and returns an array of the
-    same shape); every probability must lie in (0, 1).
-    """
-    p = np.asarray(u, dtype=float)
-    flat = p.reshape(-1)
-    inside = (flat > 0.0) & (flat < 1.0)
-    if not inside.all():
-        raise ValueError(f"probability must be in (0, 1), got {flat[~inside][0]}")
-
-    x = np.empty_like(flat)
-    lower = flat < _P_LOW
-    upper = flat > 1.0 - _P_LOW
-    central = ~(lower | upper)
-    q = flat[central] - 0.5
-    r = q * q
-    x[central] = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-                  / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    x[lower] = _rational_tail(np.sqrt(-2.0 * np.log(flat[lower])))
-    x[upper] = -_rational_tail(np.sqrt(-2.0 * np.log(1.0 - flat[upper])))
-
-    # Halley refinement: e is the CDF residual at x.
-    e = norm_cdf(x) - flat
-    w = e * _SQRT_2PI * np.exp(0.5 * x * x)
-    x = x - w / (1.0 + 0.5 * x * w)
-    return float(x[0]) if p.ndim == 0 else x.reshape(p.shape)
+BUCKETS = {AGE_CRITERION: AGE_BUCKETS, **dict.fromkeys(RATING_CRITERIA, RATING_LEVELS)}
 
 
 @dataclass(frozen=True)
@@ -134,8 +82,7 @@ class WeightMatrix:
     cells: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self) -> None:
-        for criterion in CRITERIA:
-            buckets = AGE_BUCKETS if criterion == AGE_CRITERION else RATING_LEVELS
+        for criterion, buckets in BUCKETS.items():
             row = self.cells.get(criterion)
             if row is None:
                 raise ConfigError(f"weight matrix is missing criterion {criterion!r}")
@@ -213,18 +160,15 @@ def lognormal_params_from_sigma(mean_sp: float, sigma: float) -> LognormalParams
 
 
 def standard_normals(n: int, seed: int) -> np.ndarray:
-    """n standard normal draws norm_inv(u_i), deterministic for a given seed.
+    """n standard normal draws, deterministic for a given seed.
 
-    u_i is the i-th uniform of one Philox stream keyed by the seed, so the
-    first k of n draws are the k draws. random() can return exactly 0.0,
-    which the quantile rejects; that uniform is nudged to 2**-53. A run
+    numpy's ``standard_normal`` (the ziggurat method) on one Philox stream
+    keyed by the seed, so the first k of n draws are the k draws. A run
     draws this vector once and every portfolio reads it.
     """
     if n < 1:
         raise ValueError(f"scenario count must be >= 1, got {n}")
-    u = np.random.Generator(np.random.Philox(seed)).random(n)
-    u[u == 0.0] = 2.0 ** -53
-    return norm_inv(u)
+    return np.random.Generator(np.random.Philox(seed)).standard_normal(n)
 
 
 def draw_initial_ratios(params: LognormalParams, z: np.ndarray) -> np.ndarray:

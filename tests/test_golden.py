@@ -5,7 +5,9 @@ that moves any output byte fails here and has to be a deliberate break,
 recorded with a version bump. Manifests are hashed without ``config_path``,
 which depends on where the inputs sit. The digests hold for numpy's float64
 kernels on an AVX-512 x86-64 CPU, where ``np.log``/``np.exp``/``**`` may
-differ in the last bit from other builds. Print the digests of the current
+differ in the last bit from other builds. They also hold for one numpy
+release only: numpy does not promise that a ``Generator`` method returns
+the same stream across its versions (NEP 19). Print the digests of the current
 code with::
 
     PYTHONPATH=src python -m tests.test_golden
@@ -39,35 +41,35 @@ GOLDEN = {
     "run_price_cap.json": {
         "<stdout>": "13a967691162ccaa3a579eb52d8aab688fe0282f3e0d0f212ccc5f5e6f856f09",
         "cap_report.csv": "51282bbc834a3903678535b56a0c02f1038dd92d0552f196618209041175326b",
-        "price-cap_manifest.json": "4114dd11d260448bd95f3f37a2a06fdda1c28ddfcf014db7f36f3529c654c206",
+        "price-cap_manifest.json": "03c9d59804a809e94c525900a62d874f14c92de5cbb1a69ee5bc6f0e56c8da58",
     },
     "run_simulate.json": {
         "<stdout>": "f751747ef71c07f617b46445d5c421a955e521fd5f0a6705289b9df5f9d98cf0",
-        "portfolio_1_fan_chart.csv": "5492969575c55ca07bd112eb62173c6b808d6bec0daafe24e52e31b7874213f9",
-        "portfolio_1_histogram.csv": "d5571c1bbe4c7eaff609fd6714c2ff35b0eb648f45e67146aa694549423da1b3",
-        "portfolio_1_scenarios.csv": "4efb9bf9698e05a1f2d21781ee8fbf10d78be8dc4266eb083de643559ca2acb4",
-        "portfolio_scored_fan_chart.csv": "29bfe536d953c2426afd8f550088c931296de3cb7d6d8175a5f48d7ff4a66206",
-        "portfolio_scored_histogram.csv": "182d4652062c36f31ee1570dd89fec9e0b9545cfe1550594a44902354cdbefed",
-        "portfolio_scored_scenarios.csv": "af9be94cc3b8dacc7dd55f09ef5e5bcd4aa3cf67be5e2b2f4d9f1a5096aa1dfd",
-        "simulate_manifest.json": "a68fd07ceb15ed2d852bb95dec0b4d62fa536924f5107767f2b797c125762efc",
+        "portfolio_1_fan_chart.csv": "bc815498437242835b51048ae3b91625c6e3c3f94c395a3976dc03271f74ef2c",
+        "portfolio_1_histogram.csv": "00938fb030602d911049ecdb5cc2471c0e78f388847e0d77d15352cee94d8439",
+        "portfolio_1_scenarios.csv": "49488f9774b82fd738c00711739a2d5d5ec8be8dba692933d50a28c669625f14",
+        "portfolio_scored_fan_chart.csv": "f4a183c6bcc6b1ff46ab0b853ee708258d12c29a67febdd54002af9f3d7d993b",
+        "portfolio_scored_histogram.csv": "ee0755611fa3d74ae323bd2262231159ba0cf313801a7349d4e0c6faa7a5a330",
+        "portfolio_scored_scenarios.csv": "b0ca8d24a73bcdf121ae251c1b58bd8403058d04f86acf30217e7ddba86c4728",
+        "simulate_manifest.json": "6682d22d0e662ac34f99500cc6eeeee76c505d33b8dfdbaa947bdb3916449d53",
     },
     "run_value.json": {
-        "<stdout>": "e2bb0758d0c8e556cc18ab957824b0cf4e2866cd92ec36776da536395f476d43",
+        "<stdout>": "dd49e963698c9086b4ca73932aaf2c91f6609c59b8f8e8c194ab2771735a8a99",
         "lognormal_params.csv": "8327ba32b08b7647f0b04e44d7d0a89692e43409561af15bd1bf51702a4b0e90",
-        "portfolio_1_pvfp_samples.csv": "ffea7a5a11be59cc5624a44d657c217ccede9f79794aabf3e968e01e371dd21e",
-        "portfolio_2_pvfp_samples.csv": "7d4004b8c5edc9d07c9414f8779b4389de094a79a4e4c92ab27158aace112401",
-        "portfolio_3_pvfp_samples.csv": "47a09e918b7b53cb18cec7c13a989cede430c11e8b0854e50453f9e561c5416b",
-        "risk_report.csv": "91552dc9aaf7bb87173b7f4e9a0270e9a039ca9f20870ac116dffa73df02268d",
-        "value_manifest.json": "4aea74eb805027d65da3a51d6a775fc5e0e8b21342336b686cee7535d4fd9e1c",
+        "portfolio_1_pvfp_samples.csv": "963c7cfea9756b908c746970e9fa8484b4c741d147c566e342709c473ff18d05",
+        "portfolio_2_pvfp_samples.csv": "82a014ef8a757baaafbfc651333190e5d9d7c76623665bc45cf12770f31b3485",
+        "portfolio_3_pvfp_samples.csv": "5c5d20bf1c2b432a21977fa1578672ac32f38dbd511b8f89edd9c06d2db6f431",
+        "risk_report.csv": "3ab23aae872ac0b99b8a2d344f5ba2ea028316cd15a1821f4a037b1da95242df",
+        "value_manifest.json": "b1d7cd7b74e7a1604947adf00c3f57475c118dfe639b58c9b59827fdce408703",
     },
     "run_value_replay.json": {
         "<stdout>": "124222f2e088b36c9ac3c605ae9461d5cc20a56565d552b90dca422d3bbde43f",
         "risk_report.csv": "0474d7e0e9410532675b3d96039352d34a55b551d16ec678e5022b8e1fb67c67",
-        "value_manifest.json": "a664cf183f618e294bad2665fbd2f8a62e83711610b1f77ec1b22a5a734ce605",
+        "value_manifest.json": "0959e5d5bdf4e0e59d48530561b21703af45fbd80617d992daa03feb76451470",
     },
     "run_calibrate.json": {
         "<stdout>": "cababd55a5aac98936262e395c1aeb7849509c4d06bb3af7440403a08e56f50c",
-        "calibrate-spread_manifest.json": "17bb8a35ac704c28140068260b94279efef664a01c8a29414418aeb4c022e2e4",
+        "calibrate-spread_manifest.json": "321db8f0768299ee1543ea368359ea2db096ce5c0eed87d4ee39ca820f036db5",
         "spread_function.json": "a787ec8dc40eaabea28b1f08bbd132ba27d62528d9f9868392afaa2de6245a9b",
     },
 }

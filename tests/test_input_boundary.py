@@ -4,9 +4,10 @@ Every numeric field of the run config, portfolio, cap spec, replay rows and
 weight matrix, and every value column of the curve, vol and chronicle CSVs,
 is given a value of the wrong kind (null, a string, a boolean or an array;
 NaN or ±inf as CSV text) or one outside its range; a weight-matrix row is
-also given a value that is not an object, or is left out. The command must
-exit 1 with a single ``error:`` line that names the file and the field, and
-never raise.
+also given a value that is not an object, or is left out. Every JSON object
+is also given a key that no loader reads. The command must exit 1 with a
+single ``error:`` line that names the file and the field, and never raise;
+a key that starts with '_' is a comment and is ignored.
 """
 
 from __future__ import annotations
@@ -235,6 +236,56 @@ def test_missing_weight_criterion_or_bucket_is_rejected_naming_file_and_key(tmp_
     del parent[path[-1]]
     write_json(target, payload)
     assert_one_named_error(*run_command("value", config), target, path[-1])
+
+
+# Every JSON object a loader reads: (command, file, keys from the top of the file to it, variant of ``write_run``).
+JSON_OBJECTS = {
+    "run": ("value", "run.json", (), "portfolio"),
+    "run.market": ("value", "run.json", ("market",), "portfolio"),
+    "portfolio": ("value", "p1.json", (), "portfolio"),
+    "portfolio.renewal.tacit_renewal": ("value", "p1.json", ("renewal",), "portfolio"),
+    "portfolio.renewal.fixed_term": ("value", "p1.json", ("renewal",), "fixed_term"),
+    "portfolio.criteria": ("value", "p1.json", ("criteria",), "criteria"),
+    "cap": ("price-cap", "cap.json", (), "cap"),
+    "cap.replay": ("price-cap", "cap.json", ("replay",), "cap_replay"),
+    "replay.row": ("value", "replay.json", (0,), "replay"),
+    "weights": ("value", "weights.json", (), "criteria"),
+    "weights.age_criterion": ("value", "weights.json", ("portfolio_age",), "criteria"),
+    "weights.rating_criterion": ("value", "weights.json", ("litigation",), "criteria"),
+}
+
+
+def add_key(directory: Path, file: str, keys: tuple, key: str, value: Any) -> Path:
+    """Set ``key`` to ``value`` in the object at ``keys`` in JSON ``file``; return the file."""
+    target = directory / file
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    parent = payload
+    for k in keys:
+        parent = parent[k]
+    parent[key] = value
+    write_json(target, payload)
+    return target
+
+
+@pytest.mark.parametrize("case", JSON_OBJECTS.values(), ids=JSON_OBJECTS.keys())
+def test_unknown_key_is_rejected_naming_file_and_key(tmp_path, case):
+    command, file, keys, variant = case
+    config = write_run(tmp_path, variant)
+    # A bucket of the wrong criterion is as unknown as a misspelt key.
+    key = "strong" if keys == ("portfolio_age",) else "reversion_sped"
+    target = add_key(tmp_path, file, keys, key, 0.3)
+    code, err = run_command(command, config)
+    assert_one_named_error(code, err, target, key)
+    assert "unknown field '" in err, err
+
+
+@pytest.mark.parametrize("case", JSON_OBJECTS.values(), ids=JSON_OBJECTS.keys())
+def test_key_starting_with_underscore_is_a_comment(tmp_path, case):
+    command, file, keys, variant = case
+    config = write_run(tmp_path, variant)
+    add_key(tmp_path, file, keys, "_comment", "a note")
+    code, err = run_command(command, config)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("case", CSV_COLUMNS.values(), ids=CSV_COLUMNS.keys())

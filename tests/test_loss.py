@@ -1,4 +1,4 @@
-"""Loss-ratio model: quantile function, scoring, draws, reversion, histogram."""
+"""Loss-ratio model: scoring, lognormal parameters, seeded draws, reversion, histogram."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval.cap import norm_cdf
 from protval.errors import ConfigError
 from protval.loss import (
     LognormalParams,
@@ -22,7 +20,6 @@ from protval.loss import (
     histogram,
     lognormal_params,
     lognormal_params_from_sigma,
-    norm_inv,
     resolve_params,
     reverting_paths,
     standard_normals,
@@ -51,49 +48,6 @@ def all_moderate(age: float = 10.0) -> RiskCriteria:
         moral_hazard="moderate",
         litigation="moderate",
     )
-
-
-class TestNormInv:
-    def test_median(self):
-        assert norm_inv(0.5) == 0.0
-
-    def test_upper_ninety_seven_point_five(self):
-        # scipy's ppf as the independent oracle: 1.959963984540054
-        assert norm_inv(0.975) == pytest.approx(float(scipy.stats.norm.ppf(0.975)), abs=1e-9)
-        assert norm_inv(0.975) == pytest.approx(1.959964, abs=1e-6)
-
-    def test_against_scipy_on_a_grid(self):
-        grid = np.linspace(1e-6, 1.0 - 1e-6, 2001)
-        oracle = scipy.stats.norm.ppf(grid)
-        ours = np.array([norm_inv(u) for u in grid])
-        assert np.max(np.abs(ours - oracle)) < 1e-9
-
-    def test_round_trip_through_cdf(self):
-        for u in np.linspace(1e-9, 1.0 - 1e-9, 1001):
-            assert norm_cdf(norm_inv(u)) == pytest.approx(u, abs=1e-9)
-
-    def test_domain_errors(self):
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError, match="probability"):
-                norm_inv(bad)
-
-    def test_array_domain_errors(self):
-        for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
-            with pytest.raises(ValueError, match=f"probability must be in \\(0, 1\\), got {bad}"):
-                norm_inv(np.array([0.2, bad, 0.7]))
-
-    def test_array_equals_element_wise_float_calls(self):
-        grid = np.concatenate([
-            np.linspace(1e-12, 0.05, 500),
-            np.linspace(0.05, 0.95, 1001),
-            1.0 - np.linspace(1e-12, 0.05, 500),
-            [2.0 ** -53, 0.02425, 1.0 - 0.02425],
-        ])
-        ours = norm_inv(grid)
-        assert isinstance(ours, np.ndarray) and ours.shape == grid.shape
-        assert ours.tolist() == [norm_inv(float(u)) for u in grid]
-        assert type(norm_inv(0.3)) is float
-        assert np.array_equal(norm_inv(grid.reshape(-1, 4)), ours.reshape(-1, 4))
 
 
 class TestVolatilityScore:
@@ -201,8 +155,8 @@ class TestDrawInitialRatios:
     def test_values_follow_the_quantile_transform_exactly(self):
         params = lognormal_params_from_sigma(0.8, 0.25)
         values = draw_initial_ratios(params, standard_normals(64, seed=42))
-        uniforms = np.random.Generator(np.random.Philox(42)).random(64)
-        expected = np.exp(np.array([norm_inv(float(u)) for u in uniforms]) * params.sigma + params.mu)
+        z = np.random.Generator(np.random.Philox(42)).standard_normal(64)
+        expected = np.exp(z * params.sigma + params.mu)
         assert np.array_equal(values, expected)
 
     def test_prefix_property(self):
