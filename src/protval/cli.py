@@ -37,7 +37,7 @@ from .loss import (
     LognormalParams,
     draw_initial_ratios,
     histogram,
-    resolve_params,
+    lognormal_params_from_sigma,
     reverting_paths,
     standard_normals,
 )
@@ -137,7 +137,8 @@ def _load_portfolios(config: RunConfig) -> list[tuple[PortfolioSpec, LognormalPa
     """
     if not config.portfolio_paths:
         raise ConfigError(f"{config.config_path}: 'portfolios' is required for this command")
-    portfolios = [load_portfolio(p, config.horizon) for p in config.portfolio_paths]
+    weights = load_weight_matrix(config.weights_path) if config.weights_path else None
+    portfolios = [load_portfolio(p, config.horizon, weights) for p in config.portfolio_paths]
     seen = {}
     for path, portfolio in zip(config.portfolio_paths, portfolios):
         if portfolio.horizon != config.horizon:
@@ -147,8 +148,7 @@ def _load_portfolios(config: RunConfig) -> list[tuple[PortfolioSpec, LognormalPa
         if portfolio.id in seen:
             raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
         seen[portfolio.id] = path
-    weights = load_weight_matrix(config.weights_path) if config.weights_path else None
-    return [(portfolio, resolve_params(portfolio, weights)) for portfolio in portfolios]
+    return [(p, lognormal_params_from_sigma(p.mean_sp, p.sigma)) for p in portfolios]
 
 
 def _simulate_portfolio(
@@ -200,20 +200,19 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_value(config: RunConfig) -> int:
     spread_fn = _spread_function(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
 
     if config.replay_pvfp_path is not None:
-        for entry in load_replay_pvfp(config.replay_pvfp_path):
-            stats = risk_statistics(
-                entry.mean_pvfp, entry.vol_pvfp, spread_fn, entry.pvfp_tsr, entry.pvfp_tsr_spread
-            )
-            rows.append((entry.id, stats))
+        rows = [
+            (row_id, risk_statistics(mean, vol, spread_fn, pvfp_tsr, pvfp_tsr_spread))
+            for row_id, mean, vol, pvfp_tsr, pvfp_tsr_spread in load_replay_pvfp(config.replay_pvfp_path)
+        ]
+        config.output_dir.mkdir(parents=True, exist_ok=True)
     else:
         portfolios = _load_portfolios(config)
         curve = load_curve(config)
+        config.output_dir.mkdir(parents=True, exist_ok=True)
         z = standard_normals(config.scenarios, config.seed)
-        echo_rows = []
+        rows, echo_rows = [], []
         for portfolio, params in portfolios:
             echo_rows.append((portfolio.id, portfolio.mean_sp, params.mu, params.sigma))
 

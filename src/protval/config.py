@@ -23,35 +23,19 @@ from .cap import CapSpec
 from .curves import VolTermStructure, ZeroCurve
 from .errors import ConfigError
 from .loss import (
+    AGE_CRITERION,
     BUCKETS,
     DEFAULT_HORIZON,
     DEFAULT_REVERSION_SPEED,
     DEFAULT_SCENARIOS,
     RATING_CRITERIA,
-    RiskCriteria,
-    WeightMatrix,
+    RATING_LEVELS,
+    age_bucket,
+    lognormal_params,
+    volatility_score,
 )
 from .projection import FixedTerm, PortfolioSpec, TacitRenewal
 from .risk import _check_calibration_points
-
-
-@dataclass(frozen=True)
-class ReplayPvfpRow:
-    """Pre-computed PVFP figures for one portfolio (replay mode)."""
-
-    id: str
-    mean_pvfp: float
-    vol_pvfp: float
-    pvfp_tsr: float
-    pvfp_tsr_spread: float
-
-    def __post_init__(self) -> None:
-        if not self.mean_pvfp > 0.0:
-            raise ValueError(f"field 'mean_pvfp' must be > 0, got {self.mean_pvfp!r}")
-        if not self.vol_pvfp >= 0.0:
-            raise ValueError(f"field 'vol_pvfp' must be >= 0, got {self.vol_pvfp!r}")
-        if self.pvfp_tsr == 0.0:
-            raise ValueError("field 'pvfp_tsr' must not be 0")
 
 
 @dataclass(frozen=True)
@@ -168,12 +152,17 @@ def _file_name(value: Any, path: Path, field: str) -> str:
 
 
 def _load_json(path: Path, top: type = dict) -> Any:
-    """Parse a JSON file whose top level is an object (or, with ``top=list``, an array).
+    """Parse a JSON file whose top level is an object (or, with ``top=list``, an array)."""
+    if not path.is_file():
+        raise ConfigError(f"{path}: file not found")
+    return _parse_json(path.read_bytes(), path, top)
+
+
+def _parse_json(raw: bytes, path: Path, top: type = dict) -> Any:
+    """Parse ``raw``, the UTF-8 bytes of JSON file ``path``.
 
     NaN, Infinity and literals that overflow a float (1e999) are rejected.
     """
-    if not path.is_file():
-        raise ConfigError(f"{path}: file not found")
 
     def reject(literal: str) -> NoReturn:
         raise ConfigError(f"{path}: non-finite number {literal} is not allowed")
@@ -185,9 +174,7 @@ def _load_json(path: Path, top: type = dict) -> Any:
         return value
 
     try:
-        data = json.loads(
-            path.read_text(encoding="utf-8"), parse_constant=reject, parse_float=finite_float
-        )
+        data = json.loads(raw.decode("utf-8"), parse_constant=reject, parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, top):
@@ -236,8 +223,8 @@ def load_run_config(
     path = Path(config_path).resolve()
     if not path.is_file():
         raise ConfigError(f"{path}: config file not found")
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    data = _known(_load_json(path), (
+    raw = path.read_bytes()  # read once, so the manifest's hash is of the bytes that were parsed
+    data = _known(_parse_json(raw, path), (
         "market", "portfolios", "weights", "cap_spec", "replay_pvfp", "spread_points",
         "scenarios", "seed", "horizon", "output_dir",
     ), path)
@@ -284,7 +271,7 @@ def load_run_config(
 
     config = RunConfig(
         config_path=path,
-        config_sha256=digest,
+        config_sha256=hashlib.sha256(raw).hexdigest(),
         curve_csv=ref(market, "curve_csv"),
         vols_csv=ref(market, "vols_csv"),
         spot_index_rate=_float(market, "spot_index_rate", path, default=None),
@@ -369,18 +356,26 @@ def load_cap_inputs(
     return spec, _float(data, "booked_flows_pv", path, default=0.0), replay
 
 
-def load_weight_matrix(path: Path) -> WeightMatrix:
-    """Criterion -> {bucket: weight} cells of a JSON file; keys that start with '_' are comments."""
+def load_weight_matrix(path: Path) -> dict[str, dict[str, float]]:
+    """Criterion -> {bucket: weight} of a JSON file, every cell of ``BUCKETS`` given and > 0.
+
+    Keys that start with '_' are comments.
+    """
     data = _known(_load_json(path), tuple(BUCKETS), path)
-    cells = {}
+    weights = {}
     for criterion, buckets in BUCKETS.items():
-        if criterion in data:
-            row = _known(_expect(data[criterion], dict, path, criterion), buckets, path, f"{criterion}.")
-            cells[criterion] = {b: _as_float(row[b], path, f"{criterion}.{b}") for b in buckets if b in row}
-    try:
-        return WeightMatrix(cells=cells)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        if criterion not in data:
+            raise ConfigError(f"{path}: weight matrix is missing criterion {criterion!r}")
+        row = _known(_expect(data[criterion], dict, path, criterion), buckets, path, f"{criterion}.")
+        weights[criterion] = {}
+        for bucket in buckets:
+            if bucket not in row:
+                raise ConfigError(f"{path}: weight matrix is missing cell ({criterion!r}, {bucket!r})")
+            weight = _as_float(row[bucket], path, f"{criterion}.{bucket}")
+            if weight <= 0.0:
+                raise ConfigError(f"{path}: weight for ({criterion!r}, {bucket!r}) must be > 0, got {weight}")
+            weights[criterion][bucket] = weight
+    return weights
 
 
 def load_chronicle(path: Path) -> np.ndarray:
@@ -404,38 +399,65 @@ def _parse_renewal(data: dict[str, Any], path: Path) -> TacitRenewal | FixedTerm
     raise ConfigError(f"{path}: renewal.mode must be 'tacit_renewal' or 'fixed_term', got {mode!r}")
 
 
-def _parse_criteria(data: dict[str, Any], path: Path) -> RiskCriteria | None:
-    raw = data.get("criteria")
-    if raw is None:
-        return None
+def _parse_criteria(raw: Any, path: Path) -> dict[str, str]:
+    """The criterion -> bucket choices of a portfolio's ``criteria`` object."""
     _known(_expect(raw, dict, path, "criteria"), ("portfolio_age_years",) + RATING_CRITERIA, path, "criteria.")
-    with _naming(path, "criteria: "):
-        return RiskCriteria(
-            portfolio_age=_float(raw, "portfolio_age_years", path),
-            homogeneity=str(_require(raw, "homogeneity", path)),
-            technical_bases_quality=str(_require(raw, "technical_bases_quality", path)),
-            concentration=str(_require(raw, "concentration", path)),
-            moral_hazard=str(_require(raw, "moral_hazard", path)),
-            litigation=str(_require(raw, "litigation", path)),
-        )
+    age = _float(raw, "portfolio_age_years", path)
+    if age < 0.0:
+        raise ConfigError(f"{path}: criteria: portfolio_age_years must be >= 0, got {age}")
+    buckets = {AGE_CRITERION: age_bucket(age)}
+    for name in RATING_CRITERIA:
+        level = _require(raw, name, path)
+        if level not in RATING_LEVELS:
+            raise ConfigError(f"{path}: criteria: {name} must be one of {RATING_LEVELS}, got {level!r}")
+        buckets[name] = level
+    return buckets
 
 
-def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> PortfolioSpec:
+_CHRONICLE_SOURCES = ("chronicle_csv", "chronicle", "horizon_years")
+
+
+def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]] | None) -> PortfolioSpec:
+    """The portfolio of a JSON file, with its sigma resolved.
+
+    ``sigma`` is read as given; without it, ``criteria`` is scored on
+    ``weights``, the run's weight matrix (None if the run has none). Given
+    both, ``sigma`` wins and ``criteria`` is still checked. The chronicle
+    comes from at most one of ``chronicle_csv``, ``chronicle`` and
+    ``horizon_years``; with none, it is ``horizon`` years at the retained
+    loss ratio.
+    """
     data = _known(_load_json(path), (
         "id", "initial_premium", "renewal", "profit_share_rate", "tax_rate", "retained_loss_ratio",
-        "sigma", "criteria", "reversion_speed", "chronicle_csv", "chronicle", "horizon_years",
+        "sigma", "criteria", "reversion_speed", *_CHRONICLE_SOURCES,
     ), path)
     mean_sp = _float(data, "retained_loss_ratio", path)
 
+    sources = [key for key in _CHRONICLE_SOURCES if key in data]
+    if len(sources) > 1:
+        raise ConfigError(
+            f"{path}: fields {sources[0]!r} and {sources[1]!r} conflict; give at most one of "
+            "'chronicle_csv', 'chronicle' and 'horizon_years'"
+        )
     if "chronicle_csv" in data:
         chronicle = tuple(load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"])))
     elif "chronicle" in data:
         chronicle = _floats(data["chronicle"], path, "chronicle")
     else:
-        horizon = _as_int(data.get("horizon_years", default_horizon), path, "horizon_years")
-        if horizon < 1:
-            raise ConfigError(f"{path}: field 'horizon_years' must be >= 1, got {horizon}")
-        chronicle = (mean_sp,) * horizon
+        years = _as_int(data.get("horizon_years", horizon), path, "horizon_years")
+        if years < 1:
+            raise ConfigError(f"{path}: field 'horizon_years' must be >= 1, got {years}")
+        chronicle = (mean_sp,) * years
+
+    sigma = _float(data, "sigma", path, default=None)
+    buckets = _parse_criteria(data["criteria"], path) if data.get("criteria") is not None else None
+    if sigma is None:
+        if buckets is None:
+            raise ConfigError(f"{path}: missing field 'sigma' or 'criteria'")
+        if weights is None:
+            raise ConfigError(f"{path}: field 'criteria' needs a weight matrix, and the run config names no 'weights'")
+        with _naming(path):
+            sigma = lognormal_params(mean_sp, volatility_score(buckets, weights)).sigma
 
     with _naming(path):
         return PortfolioSpec(
@@ -446,13 +468,16 @@ def load_portfolio(path: Path, default_horizon: int = DEFAULT_HORIZON) -> Portfo
             profit_share_rate=_float(data, "profit_share_rate", path),
             tax_rate=_float(data, "tax_rate", path),
             mean_sp=mean_sp,
-            sigma=_float(data, "sigma", path, default=None),
-            criteria=_parse_criteria(data, path),
+            sigma=sigma,
             reversion_speed=_float(data, "reversion_speed", path, default=DEFAULT_REVERSION_SPEED),
         )
 
 
-def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
+def load_replay_pvfp(path: Path) -> list[tuple[str, float, float, float, float]]:
+    """The (id, mean_pvfp, vol_pvfp, pvfp_tsr, pvfp_tsr_spread) rows of a replay file.
+
+    Each row needs mean_pvfp > 0, vol_pvfp >= 0 and pvfp_tsr != 0.
+    """
     data = _load_json(path, top=list)
     if not data:
         raise ConfigError(f"{path}: expected a non-empty JSON array of portfolio rows")
@@ -462,14 +487,14 @@ def load_replay_pvfp(path: Path) -> list[ReplayPvfpRow]:
             raise ConfigError(f"{path}: replay rows must be JSON objects")
         _known(entry, ("id", "mean_pvfp", "vol_pvfp", "pvfp_tsr", "pvfp_tsr_spread"), path)
         row_id = _expect(_require(entry, "id", path), str, path, "id")
-        with _naming(path, f"row {row_id!r}: "):
-            rows.append(
-                ReplayPvfpRow(
-                    id=row_id,
-                    mean_pvfp=_float(entry, "mean_pvfp", path),
-                    vol_pvfp=_float(entry, "vol_pvfp", path),
-                    pvfp_tsr=_float(entry, "pvfp_tsr", path),
-                    pvfp_tsr_spread=_float(entry, "pvfp_tsr_spread", path),
-                )
-            )
+        mean_pvfp, vol_pvfp, pvfp_tsr, pvfp_tsr_spread = (
+            _float(entry, key, path) for key in ("mean_pvfp", "vol_pvfp", "pvfp_tsr", "pvfp_tsr_spread")
+        )
+        if not mean_pvfp > 0.0:
+            raise ConfigError(f"{path}: row {row_id!r}: field 'mean_pvfp' must be > 0, got {mean_pvfp!r}")
+        if not vol_pvfp >= 0.0:
+            raise ConfigError(f"{path}: row {row_id!r}: field 'vol_pvfp' must be >= 0, got {vol_pvfp!r}")
+        if pvfp_tsr == 0.0:
+            raise ConfigError(f"{path}: row {row_id!r}: field 'pvfp_tsr' must not be 0")
+        rows.append((row_id, mean_pvfp, vol_pvfp, pvfp_tsr, pvfp_tsr_spread))
     return rows

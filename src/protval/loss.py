@@ -5,7 +5,9 @@ parameters are inverted from the expected ratio and a relative volatility.
 The volatility either comes straight from the portfolio's configuration or
 from a qualitative scoring grid: one age criterion and five risk criteria,
 each mapped to a multiplicative weight; the product of the six selected
-weights is the volatility.
+weights is the volatility. The five risk ratings take the levels "strong",
+"moderate" or "weak": the level of risk, not of quality, so a strong
+concentration risk pushes volatility up.
 
 Later years revert geometrically to the deterministic chronicle: the year-1
 gap shrinks by a factor ``reversion_speed`` per year. A speed of 0.8 halves
@@ -16,14 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-
-from .errors import ConfigError
-
-if TYPE_CHECKING:
-    from .projection import PortfolioSpec
 
 DEFAULT_REVERSION_SPEED = 0.8
 DEFAULT_SCENARIOS = 10_000
@@ -42,71 +39,24 @@ RATING_CRITERIA = (
 BUCKETS = {AGE_CRITERION: AGE_BUCKETS, **dict.fromkeys(RATING_CRITERIA, RATING_LEVELS)}
 
 
-@dataclass(frozen=True)
-class RiskCriteria:
-    """Qualitative volatility drivers of one portfolio.
+def age_bucket(age: float) -> str:
+    """The portfolio-age bucket of an age in years."""
+    if age < 1.0:
+        return "lt_1y"
+    if age < 4.0:
+        return "lt_4y"
+    return "ge_4y"
 
-    The five risk ratings take the levels "strong", "moderate" or "weak"
-    (the level of risk, not of quality: a strong concentration risk pushes
-    volatility up).
+
+def volatility_score(buckets: Mapping[str, str], weights: Mapping[str, Mapping[str, float]]) -> float:
+    """Relative volatility of S/P as the product of the six selected weights.
+
+    ``buckets`` maps each criterion of ``BUCKETS`` to its bucket and
+    ``weights`` each criterion to its {bucket: weight} row.
     """
-
-    portfolio_age: float
-    homogeneity: str
-    technical_bases_quality: str
-    concentration: str
-    moral_hazard: str
-    litigation: str
-
-    def __post_init__(self) -> None:
-        if self.portfolio_age < 0.0:
-            raise ValueError(f"portfolio_age_years must be >= 0, got {self.portfolio_age}")
-        for name in RATING_CRITERIA:
-            level = getattr(self, name)
-            if level not in RATING_LEVELS:
-                raise ValueError(f"{name} must be one of {RATING_LEVELS}, got {level!r}")
-
-    @property
-    def age_bucket(self) -> str:
-        if self.portfolio_age < 1.0:
-            return "lt_1y"
-        if self.portfolio_age < 4.0:
-            return "lt_4y"
-        return "ge_4y"
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Multiplicative weight per (criterion, bucket) cell of the scoring grid."""
-
-    cells: Mapping[str, Mapping[str, float]]
-
-    def __post_init__(self) -> None:
-        for criterion, buckets in BUCKETS.items():
-            row = self.cells.get(criterion)
-            if row is None:
-                raise ConfigError(f"weight matrix is missing criterion {criterion!r}")
-            for bucket in buckets:
-                weight = row.get(bucket)
-                if weight is None:
-                    raise ConfigError(f"weight matrix is missing cell ({criterion!r}, {bucket!r})")
-                if weight <= 0.0:
-                    raise ConfigError(
-                        f"weight for ({criterion!r}, {bucket!r}) must be > 0, got {weight}"
-                    )
-
-    def weight(self, criterion: str, bucket: str) -> float:
-        try:
-            return float(self.cells[criterion][bucket])
-        except KeyError as exc:
-            raise ConfigError(f"weight matrix is missing cell ({criterion!r}, {bucket!r})") from exc
-
-
-def volatility_score(criteria: RiskCriteria, weights: WeightMatrix) -> float:
-    """Relative volatility of S/P as the product of the six selected weights."""
-    vol = weights.weight(AGE_CRITERION, criteria.age_bucket)
+    vol = weights[AGE_CRITERION][buckets[AGE_CRITERION]]
     for name in RATING_CRITERIA:
-        vol *= weights.weight(name, getattr(criteria, name))
+        vol *= weights[name][buckets[name]]
     return vol
 
 
@@ -153,7 +103,7 @@ def lognormal_params(mean_sp: float, vol_sp: float) -> LognormalParams:
 def lognormal_params_from_sigma(mean_sp: float, sigma: float) -> LognormalParams:
     """Lognormal parameters from the mean and a directly specified sigma."""
     if mean_sp <= 0.0:
-        raise ValueError(f"expected loss ratio must be > 0, got {mean_sp}")
+        raise ValueError(f"retained loss ratio must be > 0, got {mean_sp}")
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     return LognormalParams(mu=math.log(mean_sp) - 0.5 * sigma * sigma, sigma=sigma)
@@ -211,21 +161,6 @@ def reverting_paths(
     floored = int(np.count_nonzero(paths < 0.0))
     np.maximum(paths, 0.0, out=paths)
     return paths, floored
-
-
-def resolve_params(portfolio: "PortfolioSpec", weights: WeightMatrix | None = None) -> LognormalParams:
-    """Lognormal parameters for a portfolio: direct sigma if given, else scored.
-
-    The direct-sigma route bypasses the qualitative grid entirely; the scored
-    route needs a weight matrix.
-    """
-    if portfolio.sigma is not None:
-        return lognormal_params_from_sigma(portfolio.mean_sp, portfolio.sigma)
-    if portfolio.criteria is None:
-        raise ConfigError(f"portfolio {portfolio.id!r} has neither sigma nor risk criteria")
-    if weights is None:
-        raise ConfigError(f"portfolio {portfolio.id!r} uses risk criteria but no weight matrix was given")
-    return lognormal_params(portfolio.mean_sp, volatility_score(portfolio.criteria, weights))
 
 
 def histogram(values: Sequence[float] | np.ndarray, bin_width: float) -> list[tuple[float, int]]:

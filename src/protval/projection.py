@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ZeroCurve
-from .loss import DEFAULT_REVERSION_SPEED, RiskCriteria, _check_reversion_speed, reverting_paths
+from .loss import DEFAULT_REVERSION_SPEED, _check_reversion_speed, reverting_paths
 
 # Rows of loss-ratio paths that pvfp_of_ratios builds and values at a time.
 # A block of 30-year paths is 240 KB, so its temporaries stay in cache; on
@@ -53,9 +53,8 @@ class PortfolioSpec:
     """Aggregate description of one protection portfolio.
 
     ``mean_sp`` is the retained (expected) year-1 loss ratio driving the
-    stochastic draws; ``chronicle`` the deterministic expected path it
-    reverts to. ``sigma`` takes precedence over ``criteria`` when both are
-    present.
+    stochastic draws, ``sigma`` the sigma of their lognormal law and
+    ``chronicle`` the deterministic expected path they revert to.
     """
 
     id: str
@@ -65,8 +64,7 @@ class PortfolioSpec:
     profit_share_rate: float
     tax_rate: float
     mean_sp: float
-    sigma: float | None = None
-    criteria: RiskCriteria | None = None
+    sigma: float
     reversion_speed: float = DEFAULT_REVERSION_SPEED
 
     def __post_init__(self) -> None:
@@ -83,7 +81,7 @@ class PortfolioSpec:
             raise ValueError("chronicle must not be empty")
         if any(v <= 0.0 for v in self.chronicle):
             raise ValueError("chronicle values must be > 0")
-        if self.sigma is not None and self.sigma < 0.0:
+        if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         _check_reversion_speed(self.reversion_speed)
 

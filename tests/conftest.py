@@ -49,7 +49,7 @@ def figure_vols() -> VolTermStructure:
 
 def make_portfolio(
     mean_sp: float = 0.80,
-    sigma: float | None = 0.20,
+    sigma: float = 0.20,
     horizon: int = 10,
     premium: float = 100.0,
     profit_share: float = 0.5,

@@ -23,7 +23,6 @@ from protval.loss import (
     draw_initial_ratios,
     lognormal_params,
     lognormal_params_from_sigma,
-    resolve_params,
     reverting_paths,
     standard_normals,
 )
@@ -179,7 +178,7 @@ def test_criterion_08_mean_reversion_half_life():
 
     portfolio = make_portfolio(mean_sp=0.80, sigma=0.25, horizon=12, nu=0.8)
     z = standard_normals(100_000, seed=91)
-    sp1 = draw_initial_ratios(resolve_params(portfolio), z)
+    sp1 = draw_initial_ratios(lognormal_params_from_sigma(portfolio.mean_sp, portfolio.sigma), z)
     paths, _ = reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
     se = paths.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
     deviation = np.abs(paths.mean(axis=0) - np.asarray(portfolio.chronicle))

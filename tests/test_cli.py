@@ -17,7 +17,7 @@ import scipy.stats
 from protval.cap import caplet_price
 from protval.cli import main
 from protval.config import load_curve, load_portfolio, load_run_config
-from protval.loss import draw_initial_ratios, resolve_params
+from protval.loss import draw_initial_ratios, lognormal_params_from_sigma
 from protval.projection import pvfp, pvfp_of_ratios
 
 from .conftest import (
@@ -262,7 +262,10 @@ class TestSimulate:
         config = self.simulate_config(tmp_path)
         make_portfolio_file(tmp_path, sigma=None, criteria=MODERATE_CRITERIA)
         assert main(["simulate", "--config", str(config)]) == 1
-        assert "weight matrix" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'p1.json'}: field 'criteria' needs a weight matrix, "
+            "and the run config names no 'weights'\n"
+        )
 
         config = self.simulate_config(
             tmp_path, weights=str(SAMPLE_DIR / "weights_illustrative.json")
@@ -392,6 +395,29 @@ class TestValue:
             params = {r["portfolio"]: r for r in csv.DictReader(fh)}
         assert float(params["p1"]["mu"]) == pytest.approx(-0.0693, abs=5e-4)
         assert (tmp_path / "out" / "p1_pvfp_samples.csv").is_file()
+
+    def test_scored_portfolio_values_like_the_same_file_with_its_echoed_sigma(self, tmp_path, capsys):
+        write_market_files(tmp_path)
+        make_portfolio_file(tmp_path, sigma=None, criteria=MODERATE_CRITERIA)
+        config = str(write_json(tmp_path / "run.json", {
+            "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv", "tax_rate": 0.275},
+            "portfolios": ["p1.json"],
+            "weights": str(SAMPLE_DIR / "weights_illustrative.json"),
+            "scenarios": 300,
+            "seed": 5,
+            "horizon": 10,
+            "spread_points": [[0.10, 0.02], [0.20, 0.03]],
+        }))
+        assert main(["value", "--config", config, "--out", str(tmp_path / "scored")]) == 0
+        scored_stdout = capsys.readouterr().out
+        with (tmp_path / "scored" / "lognormal_params.csv").open(newline="") as fh:
+            (echo,) = csv.DictReader(fh)
+        make_portfolio_file(tmp_path, sigma=float(echo["sigma"]))
+        assert main(["value", "--config", config, "--out", str(tmp_path / "direct")]) == 0
+
+        assert capsys.readouterr().out == scored_stdout
+        outputs = [{f.name: f.read_bytes() for f in (tmp_path / name).iterdir()} for name in ("scored", "direct")]
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
     def test_degenerate_two_scenario_run_has_zero_spread_and_cur(self, tmp_path):
         write_market_files(tmp_path)
@@ -540,8 +566,8 @@ def test_unresolvable_portfolio_parameters_stop_the_run_before_any_output(tmp_pa
 
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: portfolio 'p2' uses risk criteria but no weight matrix was given")
-    assert not list((tmp_path / "out").glob("p*_*"))
+    assert err.startswith(f"error: {tmp_path / 'p2.json'}: field 'criteria' needs a weight matrix")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("source", ["chronicle_csv", "chronicle"])
@@ -702,7 +728,7 @@ def test_value_samples_are_the_pvfp_of_the_simulated_paths(tmp_path):
     run = load_run_config(config)
     curve = load_curve(run)
     for path in run.portfolio_paths:
-        spec = load_portfolio(path, run.horizon)
+        spec = load_portfolio(path, run.horizon, None)
         scenarios = np.loadtxt(run.output_dir / f"{spec.id}_scenarios.csv", delimiter=",", skiprows=1)
         samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)
         assert scenarios.shape == (2000, 1 + run.horizon)
@@ -726,8 +752,9 @@ def test_value_mean_pvfp_is_within_three_standard_errors_of_a_quantile_grid_refe
     n = 200_000
     z = scipy.stats.norm.ppf((np.arange(n) + 0.5) / n)
     for path in run.portfolio_paths:
-        spec = load_portfolio(path, run.horizon)
-        reference = pvfp_of_ratios(spec, draw_initial_ratios(resolve_params(spec), z), curve).mean()
+        spec = load_portfolio(path, run.horizon, None)
+        params = lognormal_params_from_sigma(spec.mean_sp, spec.sigma)
+        reference = pvfp_of_ratios(spec, draw_initial_ratios(params, z), curve).mean()
         samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)[:, 1]
         assert samples.size == 10_000
         se = samples.std(ddof=1) / np.sqrt(samples.size)

@@ -84,24 +84,24 @@ class TestChronicle:
     def test_portfolio_with_chronicle_csv(self, tmp_path):
         write_chronicle(tmp_path / "c.csv", [(1, 1.04), (2, 1.05)])
         path = make_portfolio_file(tmp_path, chronicle_csv="c.csv", retained_loss_ratio=1.04)
-        spec = load_portfolio(path)
+        spec = load_portfolio(path, 30, None)
         assert spec.chronicle == (1.04, 1.05)
         assert spec.horizon == 2
 
     def test_flat_chronicle_fallback_uses_the_retained_ratio(self, tmp_path):
         path = make_portfolio_file(tmp_path, retained_loss_ratio=0.7)
-        spec = load_portfolio(path, default_horizon=4)
+        spec = load_portfolio(path, 4, None)
         assert spec.chronicle == (0.7, 0.7, 0.7, 0.7)
 
 
 class TestWeights:
     def test_packaged_default_loads_and_scores(self):
         weights = load_weight_matrix(SAMPLE_DIR / "weights_illustrative.json")
-        assert weights.weight("portfolio_age", "ge_4y") > 0.0
+        assert weights["portfolio_age"]["ge_4y"] > 0.0
 
     def test_incomplete_file_is_diagnosed(self, tmp_path):
         path = write_json(tmp_path / "w.json", {"portfolio_age": {"lt_1y": 0.3}})
-        with pytest.raises(ConfigError, match="portfolio_age|missing"):
+        with pytest.raises(ConfigError, match=r"w\.json: weight matrix is missing cell \('portfolio_age', 'lt_4y'\)"):
             load_weight_matrix(path)
 
     @pytest.mark.parametrize("row", [3, None, "strong", [1.0]])
@@ -117,18 +117,18 @@ class TestPortfolioDiagnostics:
     def test_missing_field_names_the_file(self, tmp_path):
         path = write_json(tmp_path / "p.json", {"id": "p"})
         with pytest.raises(ConfigError, match=r"p\.json.*retained_loss_ratio"):
-            load_portfolio(path)
+            load_portfolio(path, 30, None)
 
     def test_bad_renewal_mode(self, tmp_path):
         path = make_portfolio_file(tmp_path, renewal={"mode": "perpetual"})
         with pytest.raises(ConfigError, match="renewal.mode"):
-            load_portfolio(path)
+            load_portfolio(path, 30, None)
 
     @pytest.mark.parametrize("speed", [0.0, 1.5])
     def test_out_of_range_reversion_speed_names_the_file(self, tmp_path, speed):
         path = make_portfolio_file(tmp_path, reversion_speed=speed)
         with pytest.raises(ConfigError, match=r"p1\.json: reversion speed must be in \(0, 1\]"):
-            load_portfolio(path)
+            load_portfolio(path, 30, None)
 
 
 class TestSampleRuns:

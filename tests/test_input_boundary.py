@@ -97,6 +97,9 @@ JSON_FIELDS = {
     ),
     "portfolio.tax_rate": JsonField("value", "p1.json", ("tax_rate",), "portfolio", UNIT_INTERVAL_OUT),
     "portfolio.retained_loss_ratio": JsonField("value", "p1.json", ("retained_loss_ratio",), "portfolio", NONPOSITIVE),
+    "portfolio.retained_loss_ratio_scored": JsonField(
+        "value", "p1.json", ("retained_loss_ratio",), "criteria", NONPOSITIVE
+    ),
     "portfolio.sigma": JsonField(
         "value", "p1.json", ("sigma",), "portfolio", NEGATIVE, NOT_A_NUMBER.filter(lambda v: v is not None)
     ),
@@ -236,6 +239,31 @@ def test_missing_weight_criterion_or_bucket_is_rejected_naming_file_and_key(tmp_
     del parent[path[-1]]
     write_json(target, payload)
     assert_one_named_error(*run_command("value", config), target, path[-1])
+
+
+@pytest.mark.parametrize("command", ["simulate", "value"])
+@pytest.mark.parametrize(
+    ("variant", "file", "changes", "field"),
+    [
+        ("portfolio", "p1.json", {"sigma": None}, "sigma"),
+        ("criteria", "p1.json", {"criteria": {**MODERATE_CRITERIA, "litigation": "severe"}}, "litigation"),
+        ("criteria", "run.json", {"weights": None}, "criteria"),
+        ("portfolio", "p1.json", {"chronicle": [0.8, 0.85]}, "chronicle"),
+        ("portfolio", "p1.json", {"horizon_years": "abc"}, "horizon_years"),
+    ],
+    ids=["neither_sigma_nor_criteria", "bad_criteria_level", "criteria_without_weights",
+         "chronicle_and_chronicle_csv", "horizon_years_and_chronicle_csv"],
+)
+def test_unresolvable_portfolio_stops_naming_the_portfolio_before_any_output(
+    tmp_path, command, variant, file, changes, field
+):
+    """A portfolio whose sigma cannot be resolved, or that names two chronicle sources; a None change deletes a key."""
+    config = write_run(tmp_path, variant)
+    target = tmp_path / file
+    payload = {**json.loads(target.read_text(encoding="utf-8")), **changes}
+    write_json(target, {k: v for k, v in payload.items() if v is not None})
+    assert_one_named_error(*run_command(command, config), tmp_path / "p1.json", field)
+    assert not (tmp_path / "out").exists()
 
 
 # Every JSON object a loader reads: (command, file, keys from the top of the file to it, variant of ``write_run``).

@@ -11,43 +11,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protval.config import load_portfolio, load_weight_matrix
 from protval.errors import ConfigError
 from protval.loss import (
+    BUCKETS,
+    RATING_CRITERIA,
     LognormalParams,
-    RiskCriteria,
-    WeightMatrix,
+    age_bucket,
     draw_initial_ratios,
     histogram,
     lognormal_params,
     lognormal_params_from_sigma,
-    resolve_params,
     reverting_paths,
     standard_normals,
     volatility_score,
 )
 
 from .conftest import TABLE_MEAN_SIGMA, make_portfolio
+from .test_cli import make_portfolio_file, write_json
 from .test_projection import reference_reverting_paths
 
 WEIGHTS_FILE = Path(__file__).resolve().parents[1] / "sample_inputs" / "weights_illustrative.json"
 
 
-def uniform_weights(value: float = 1.0) -> WeightMatrix:
-    cells = {"portfolio_age": {b: value for b in ("lt_1y", "lt_4y", "ge_4y")}}
-    for name in ("homogeneity", "technical_bases_quality", "concentration", "moral_hazard", "litigation"):
-        cells[name] = {b: value for b in ("strong", "moderate", "weak")}
-    return WeightMatrix(cells=cells)
+def uniform_weights(value: float = 1.0) -> dict[str, dict[str, float]]:
+    return {criterion: dict.fromkeys(buckets, value) for criterion, buckets in BUCKETS.items()}
 
 
-def all_moderate(age: float = 10.0) -> RiskCriteria:
-    return RiskCriteria(
-        portfolio_age=age,
-        homogeneity="moderate",
-        technical_bases_quality="moderate",
-        concentration="moderate",
-        moral_hazard="moderate",
-        litigation="moderate",
-    )
+def all_moderate(age: float = 10.0) -> dict[str, str]:
+    """The criterion -> bucket choices of a portfolio of the given age rated "moderate" on every risk."""
+    return {"portfolio_age": age_bucket(age), **dict.fromkeys(RATING_CRITERIA, "moderate")}
+
+
+def scored_portfolio_file(directory: Path, age: float = 10.0, **levels) -> Path:
+    """A portfolio file with no sigma, scored by its ``criteria``: "moderate" on every risk unless given."""
+    criteria = {"portfolio_age_years": age, **dict.fromkeys(RATING_CRITERIA, "moderate"), **levels}
+    return make_portfolio_file(directory, sigma=None, criteria=criteria)
 
 
 class TestVolatilityScore:
@@ -65,42 +64,44 @@ class TestVolatilityScore:
             ("moral_hazard", "moderate"),
             ("litigation", "moderate"),
         ]:
-            weights = uniform_weights(1.0)
-            bumped = {c: dict(row) for c, row in weights.cells.items()}
+            bumped = uniform_weights(1.0)
             bumped[criterion][bucket] *= 1.5
-            assert volatility_score(criteria, WeightMatrix(cells=bumped)) > base
+            assert volatility_score(criteria, bumped) > base
 
     def test_shipped_illustrative_matrix_against_direct_product(self):
         raw = json.loads(WEIGHTS_FILE.read_text(encoding="utf-8"))
         expected = raw["portfolio_age"]["ge_4y"]
         for name in ("homogeneity", "technical_bases_quality", "concentration", "moral_hazard", "litigation"):
             expected *= raw[name]["moderate"]
-        weights = WeightMatrix(
-            cells={c: row for c, row in raw.items() if isinstance(row, dict)}
-        )
+        weights = load_weight_matrix(WEIGHTS_FILE)
         assert volatility_score(all_moderate(age=10.0), weights) == pytest.approx(expected, rel=1e-12)
 
     def test_age_buckets(self):
-        assert all_moderate(age=0.5).age_bucket == "lt_1y"
-        assert all_moderate(age=3.0).age_bucket == "lt_4y"
-        assert all_moderate(age=4.0).age_bucket == "ge_4y"
+        assert age_bucket(0.0) == "lt_1y"
+        assert age_bucket(0.5) == "lt_1y"
+        assert age_bucket(1.0) == "lt_4y"
+        assert age_bucket(3.0) == "lt_4y"
+        assert age_bucket(4.0) == "ge_4y"
 
-    def test_missing_cell_is_config_error(self):
-        cells = {c: dict(row) for c, row in uniform_weights().cells.items()}
+    def test_missing_cell_is_config_error(self, tmp_path):
+        cells = uniform_weights()
         del cells["moral_hazard"]["weak"]
-        with pytest.raises(ConfigError, match="moral_hazard"):
-            WeightMatrix(cells=cells)
+        path = write_json(tmp_path / "w.json", cells)
+        with pytest.raises(ConfigError, match=r"w\.json: weight matrix is missing cell \('moral_hazard', 'weak'\)"):
+            load_weight_matrix(path)
 
-    def test_invalid_rating_rejected(self):
-        with pytest.raises(ValueError, match="homogeneity"):
-            RiskCriteria(
-                portfolio_age=2.0,
-                homogeneity="severe",
-                technical_bases_quality="moderate",
-                concentration="moderate",
-                moral_hazard="moderate",
-                litigation="moderate",
-            )
+    @pytest.mark.parametrize("weight", [0.0, -0.5])
+    def test_weight_not_above_zero_is_config_error(self, tmp_path, weight):
+        cells = uniform_weights()
+        cells["concentration"]["strong"] = weight
+        path = write_json(tmp_path / "w.json", cells)
+        with pytest.raises(ConfigError, match=r"w\.json: weight for \('concentration', 'strong'\) must be > 0"):
+            load_weight_matrix(path)
+
+    def test_invalid_rating_rejected(self, tmp_path):
+        path = scored_portfolio_file(tmp_path, age=2.0, homogeneity="severe")
+        with pytest.raises(ConfigError, match=r"p1\.json: criteria: homogeneity must be one of"):
+            load_portfolio(path, 10, uniform_weights())
 
 
 class TestLognormalParams:
@@ -243,9 +244,10 @@ class TestMeanReversionPath:
             one_path(1.0, [0.8], nu=1.5)
 
 
-def scenarios_of(portfolio, n: int, seed: int, weights: WeightMatrix | None = None) -> tuple[np.ndarray, int]:
-    """``reverting_paths`` from the year-1 ratios of the portfolio's resolved parameters and the draws for (n, seed)."""
-    sp1 = draw_initial_ratios(resolve_params(portfolio, weights), standard_normals(n, seed))
+def scenarios_of(portfolio, n: int, seed: int) -> tuple[np.ndarray, int]:
+    """``reverting_paths`` from the year-1 ratios of the portfolio's lognormal law and the draws for (n, seed)."""
+    params = lognormal_params_from_sigma(portfolio.mean_sp, portfolio.sigma)
+    sp1 = draw_initial_ratios(params, standard_normals(n, seed))
     return reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
 
 
@@ -277,18 +279,14 @@ class TestGenerateScenarios:
         hi_q = np.quantile(high[:, 0], [0.01, 0.99])
         assert hi_q[1] - hi_q[0] > lo_q[1] - lo_q[0]
 
-    def test_heavier_weights_widen_every_quantile_spread(self):
-        criteria = all_moderate(age=10.0)
-        base_weights = uniform_weights(1.0)
-        cells = {c: {b: w * 0.2 for b, w in row.items()} for c, row in base_weights.cells.items()}
-        light = WeightMatrix(cells=cells)
-        heavier_cells = {c: dict(row) for c, row in cells.items()}
-        heavier_cells["concentration"]["moderate"] *= 1.8
-        heavy = WeightMatrix(cells=heavier_cells)
+    def test_heavier_weights_widen_every_quantile_spread(self, tmp_path):
+        path = scored_portfolio_file(tmp_path)
+        light_weights = uniform_weights(0.2)
+        heavy_weights = uniform_weights(0.2)
+        heavy_weights["concentration"]["moderate"] *= 1.8
 
-        kwargs = dict(mean_sp=0.8, sigma=None, horizon=5)
-        light, _ = scenarios_of(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=light)
-        heavy, _ = scenarios_of(make_portfolio(criteria=criteria, **kwargs), n=4000, seed=5, weights=heavy)
+        light, _ = scenarios_of(load_portfolio(path, 5, light_weights), n=4000, seed=5)
+        heavy, _ = scenarios_of(load_portfolio(path, 5, heavy_weights), n=4000, seed=5)
         for p in (0.05, 0.10, 0.25):
             light_span = np.diff(np.quantile(light[:, 0], [p, 1.0 - p]))[0]
             heavy_span = np.diff(np.quantile(heavy[:, 0], [p, 1.0 - p]))[0]
@@ -309,13 +307,21 @@ class TestGenerateScenarios:
         assert floored > 0
         assert np.all(paths >= 0.0)
 
-    def test_missing_parameter_routes_are_config_errors(self):
-        no_sigma = make_portfolio(sigma=None)
-        with pytest.raises(ConfigError, match="neither sigma nor risk criteria"):
-            resolve_params(no_sigma)
-        scored = make_portfolio(sigma=None, criteria=all_moderate())
-        with pytest.raises(ConfigError, match="weight matrix"):
-            resolve_params(scored)
+    def test_scored_portfolio_draws_like_a_direct_one_with_its_sigma(self, tmp_path):
+        weights = load_weight_matrix(WEIGHTS_FILE)
+        scored = load_portfolio(scored_portfolio_file(tmp_path), 6, weights)
+        sigma = lognormal_params(0.8, volatility_score(all_moderate(), weights)).sigma
+        assert scored.sigma == sigma
+        direct = make_portfolio(mean_sp=0.8, sigma=sigma, horizon=6)
+        assert scenarios_of(scored, n=500, seed=4)[0].tobytes() == scenarios_of(direct, n=500, seed=4)[0].tobytes()
+
+    def test_missing_parameter_routes_are_config_errors(self, tmp_path):
+        no_sigma = make_portfolio_file(tmp_path, "p1", sigma=None)
+        with pytest.raises(ConfigError, match=r"p1\.json: missing field 'sigma' or 'criteria'"):
+            load_portfolio(no_sigma, 10, uniform_weights())
+        scored = scored_portfolio_file(tmp_path)
+        with pytest.raises(ConfigError, match=r"p1\.json: field 'criteria' needs a weight matrix"):
+            load_portfolio(scored, 10, None)
 
 
 class TestHistogram:
