@@ -33,16 +33,9 @@ from .config import (
     load_weight_matrix,
 )
 from .errors import CalibrationError, ConfigError
-from .loss import (
-    LognormalParams,
-    draw_initial_ratios,
-    histogram,
-    lognormal_params_from_sigma,
-    reverting_paths,
-    standard_normals,
-)
+from .loss import draw_initial_ratios, histogram, lognormal_mu, reverting_paths, standard_normals
 from .projection import PortfolioSpec, pvfp, pvfp_of_ratios
-from .risk import SpreadFunction, aggregate, calibrate_spread, pvfp_stats, risk_statistics
+from .risk import PvfpStatistics, SpreadFunction, aggregate, calibrate_spread, pvfp_stats
 
 HISTOGRAM_BIN_WIDTH = 0.10
 
@@ -130,8 +123,8 @@ def cmd_price_cap(config: RunConfig) -> int:
     return 0
 
 
-def _load_portfolios(config: RunConfig) -> list[tuple[PortfolioSpec, LognormalParams]]:
-    """The run's portfolios paired with their lognormal parameters.
+def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
+    """The run's portfolios.
 
     Every check runs here, so a bad portfolio stops the run before any output is written.
     """
@@ -148,16 +141,13 @@ def _load_portfolios(config: RunConfig) -> list[tuple[PortfolioSpec, LognormalPa
         if portfolio.id in seen:
             raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
         seen[portfolio.id] = path
-    return [(p, lognormal_params_from_sigma(p.mean_sp, p.sigma)) for p in portfolios]
+    return portfolios
 
 
-def _simulate_portfolio(
-    config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec, params: LognormalParams
-) -> str:
+def _simulate_portfolio(config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec) -> str:
     """Write one portfolio's scenario, fan-chart and histogram files; return its summary line."""
-    paths, floored = reverting_paths(
-        draw_initial_ratios(params, z), portfolio.chronicle, portfolio.reversion_speed
-    )
+    sp1 = draw_initial_ratios(lognormal_mu(portfolio.mean_sp, portfolio.sigma), portfolio.sigma, z)
+    paths, floored = reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
     out = config.output_dir
     reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", paths)
     reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", paths)
@@ -168,7 +158,7 @@ def _simulate_portfolio(
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    portfolios, params = zip(*_load_portfolios(config))
+    portfolios = _load_portfolios(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     simulate = functools.partial(_simulate_portfolio, config, standard_normals(config.scenarios, config.seed))
 
@@ -185,14 +175,14 @@ def cmd_simulate(config: RunConfig) -> int:
 
         try:
             with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-                for line in pool.map(simulate, portfolios, params):
+                for line in pool.map(simulate, portfolios):
                     print(line)
         except BrokenProcessPool as exc:
             message = "a simulate process ended abruptly; its portfolio's files may be incomplete"
             raise ChildProcessError(message) from exc
     else:
-        for portfolio, portfolio_params in zip(portfolios, params):
-            print(simulate(portfolio, portfolio_params))
+        for portfolio in portfolios:
+            print(simulate(portfolio))
 
     reports.write_manifest(config.output_dir, "simulate", config)
     return 0
@@ -203,7 +193,7 @@ def cmd_value(config: RunConfig) -> int:
 
     if config.replay_pvfp_path is not None:
         rows = [
-            (row_id, risk_statistics(mean, vol, spread_fn, pvfp_tsr, pvfp_tsr_spread))
+            (row_id, PvfpStatistics(mean, vol, spread_fn.spread_for(vol / mean), pvfp_tsr, pvfp_tsr_spread))
             for row_id, mean, vol, pvfp_tsr, pvfp_tsr_spread in load_replay_pvfp(config.replay_pvfp_path)
         ]
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -213,10 +203,11 @@ def cmd_value(config: RunConfig) -> int:
         config.output_dir.mkdir(parents=True, exist_ok=True)
         z = standard_normals(config.scenarios, config.seed)
         rows, echo_rows = [], []
-        for portfolio, params in portfolios:
-            echo_rows.append((portfolio.id, portfolio.mean_sp, params.mu, params.sigma))
+        for portfolio in portfolios:
+            mu = lognormal_mu(portfolio.mean_sp, portfolio.sigma)
+            echo_rows.append((portfolio.id, portfolio.mean_sp, mu, portfolio.sigma))
 
-            samples = pvfp_of_ratios(portfolio, draw_initial_ratios(params, z), curve)
+            samples = pvfp_of_ratios(portfolio, draw_initial_ratios(mu, portfolio.sigma, z), curve)
             reports.write_pvfp_samples_csv(
                 config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples
             )
@@ -228,7 +219,7 @@ def cmd_value(config: RunConfig) -> int:
             spread = spread_fn.spread_for(vol / mean)
             pvfp_tsr = pvfp(portfolio, portfolio.chronicle, curve)
             pvfp_spread = pvfp(portfolio, portfolio.chronicle, curve, extra_spread=spread)
-            rows.append((portfolio.id, risk_statistics(mean, vol, spread_fn, pvfp_tsr, pvfp_spread)))
+            rows.append((portfolio.id, PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)))
 
         reports.write_params_echo_csv(config.output_dir / "lognormal_params.csv", echo_rows)
         print("lognormal parameters:")

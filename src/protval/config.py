@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from contextlib import contextmanager
@@ -31,7 +32,7 @@ from .loss import (
     RATING_CRITERIA,
     RATING_LEVELS,
     age_bucket,
-    lognormal_params,
+    lognormal_sigma,
     volatility_score,
 )
 from .projection import FixedTerm, PortfolioSpec, TacitRenewal
@@ -158,6 +159,13 @@ def _load_json(path: Path, top: type = dict) -> Any:
     return _parse_json(path.read_bytes(), path, top)
 
 
+def _decode(raw: bytes, path: Path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
+
+
 def _parse_json(raw: bytes, path: Path, top: type = dict) -> Any:
     """Parse ``raw``, the UTF-8 bytes of JSON file ``path``.
 
@@ -174,7 +182,7 @@ def _parse_json(raw: bytes, path: Path, top: type = dict) -> Any:
         return value
 
     try:
-        data = json.loads(raw.decode("utf-8"), parse_constant=reject, parse_float=finite_float)
+        data = json.loads(_decode(raw, path), parse_constant=reject, parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, top):
@@ -185,7 +193,7 @@ def _parse_json(raw: bytes, path: Path, top: type = dict) -> Any:
 def _read_csv_pairs(path: Path, col_a: str, col_b: str) -> list[tuple[float, float]]:
     if not path.is_file():
         raise ConfigError(f"{path}: file not found")
-    with path.open(newline="", encoding="utf-8") as handle:
+    with io.StringIO(_decode(path.read_bytes(), path), newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or col_a not in reader.fieldnames or col_b not in reader.fieldnames:
             raise ConfigError(f"{path}: expected CSV header with columns {col_a!r},{col_b!r}")
@@ -450,14 +458,13 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
         chronicle = (mean_sp,) * years
 
     sigma = _float(data, "sigma", path, default=None)
-    buckets = _parse_criteria(data["criteria"], path) if data.get("criteria") is not None else None
+    buckets = _parse_criteria(data["criteria"], path) if "criteria" in data else None
     if sigma is None:
         if buckets is None:
             raise ConfigError(f"{path}: missing field 'sigma' or 'criteria'")
         if weights is None:
             raise ConfigError(f"{path}: field 'criteria' needs a weight matrix, and the run config names no 'weights'")
-        with _naming(path):
-            sigma = lognormal_params(mean_sp, volatility_score(buckets, weights)).sigma
+        sigma = lognormal_sigma(volatility_score(buckets, weights))
 
     with _naming(path):
         return PortfolioSpec(

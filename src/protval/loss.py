@@ -17,7 +17,6 @@ the gap in about three years.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,53 +59,29 @@ def volatility_score(buckets: Mapping[str, str], weights: Mapping[str, Mapping[s
     return vol
 
 
-@dataclass(frozen=True)
-class LognormalParams:
-    """Parameters of the lognormal law LN(mu, sigma) followed by S/P(1).
-
-    sigma = 0 is the degenerate point mass at exp(mu).
-    """
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        try:
-            finite = math.isfinite(self.mean)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError("implied mean exp(mu + sigma^2/2) must be finite")
-
-    @property
-    def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma * self.sigma)
-
-    @property
-    def coefficient_of_variation(self) -> float:
-        return math.sqrt(math.expm1(self.sigma * self.sigma))
-
-
-def lognormal_params(mean_sp: float, vol_sp: float) -> LognormalParams:
-    """Invert (mean, relative volatility) into lognormal parameters.
-
-    ``vol_sp`` is the coefficient of variation of S/P:
-    sigma = sqrt(ln(vol^2 + 1)), mu = ln(mean) - sigma^2 / 2.
-    """
+def lognormal_sigma(vol_sp: float) -> float:
+    """The sigma of the lognormal law whose coefficient of variation is ``vol_sp``: sqrt(ln(vol^2 + 1))."""
     if vol_sp < 0.0:
         raise ValueError(f"volatility must be >= 0, got {vol_sp}")
-    return lognormal_params_from_sigma(mean_sp, math.sqrt(math.log1p(vol_sp * vol_sp)))
+    return math.sqrt(math.log1p(vol_sp * vol_sp))
 
 
-def lognormal_params_from_sigma(mean_sp: float, sigma: float) -> LognormalParams:
-    """Lognormal parameters from the mean and a directly specified sigma."""
+def lognormal_mu(mean_sp: float, sigma: float) -> float:
+    """The mu of the lognormal law LN(mu, sigma) of mean ``mean_sp``: ln(mean) - sigma^2 / 2.
+
+    sigma = 0 is the point mass at the mean; the implied mean exp(mu + sigma^2/2) must be finite.
+    """
     if mean_sp <= 0.0:
         raise ValueError(f"retained loss ratio must be > 0, got {mean_sp}")
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return LognormalParams(mu=math.log(mean_sp) - 0.5 * sigma * sigma, sigma=sigma)
+    mu = math.log(mean_sp) - 0.5 * sigma * sigma
+    try:
+        if math.isfinite(math.exp(mu + 0.5 * sigma * sigma)):
+            return mu
+    except OverflowError:
+        pass
+    raise ValueError("implied mean exp(mu + sigma^2/2) must be finite")
 
 
 def standard_normals(n: int, seed: int) -> np.ndarray:
@@ -121,11 +96,11 @@ def standard_normals(n: int, seed: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(seed)).standard_normal(n)
 
 
-def draw_initial_ratios(params: LognormalParams, z: np.ndarray) -> np.ndarray:
+def draw_initial_ratios(mu: float, sigma: float, z: np.ndarray) -> np.ndarray:
     """Year-1 loss ratios exp(z_i * sigma + mu), one per standard normal draw z_i."""
-    if params.sigma == 0.0:
-        return np.full(len(z), math.exp(params.mu))
-    return np.exp(z * params.sigma + params.mu)
+    if sigma == 0.0:
+        return np.full(len(z), math.exp(mu))
+    return np.exp(z * sigma + mu)
 
 
 def _check_reversion_speed(nu: float) -> None:

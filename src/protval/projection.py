@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ZeroCurve
-from .loss import DEFAULT_REVERSION_SPEED, _check_reversion_speed, reverting_paths
+from .loss import DEFAULT_REVERSION_SPEED, _check_reversion_speed, lognormal_mu, reverting_paths
 
 # Rows of loss-ratio paths that pvfp_of_ratios builds and values at a time.
 # A block of 30-year paths is 240 KB, so its temporaries stay in cache; on
@@ -75,14 +75,11 @@ class PortfolioSpec:
             raise ValueError(f"profit share rate must be in [0, 1], got {self.profit_share_rate}")
         if not 0.0 <= self.tax_rate < 1.0:
             raise ValueError(f"tax rate must be in [0, 1), got {self.tax_rate}")
-        if self.mean_sp <= 0.0:
-            raise ValueError(f"retained loss ratio must be > 0, got {self.mean_sp}")
+        lognormal_mu(self.mean_sp, self.sigma)  # checks the law
         if not self.chronicle:
             raise ValueError("chronicle must not be empty")
         if any(v <= 0.0 for v in self.chronicle):
             raise ValueError("chronicle values must be > 0")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         _check_reversion_speed(self.reversion_speed)
 
     @property

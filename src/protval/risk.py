@@ -50,10 +50,11 @@ class SpreadFunction:
 class PvfpStatistics:
     """Per-portfolio risk report row.
 
-    ``mean``/``vol`` are the sample statistics of the simulated PVFPs,
+    ``mean``/``vol`` are the sample statistics of the simulated (or
+    replayed) PVFPs, ``spread`` the spread for their relative volatility,
     ``pvfp_tsr``/``pvfp_spread`` the deterministic-scenario PVFPs at the
     risk-free rate and at the spreaded rate, and ``cur`` the cost of
-    underwriting risk.
+    underwriting risk they imply.
     """
 
     mean: float
@@ -61,11 +62,18 @@ class PvfpStatistics:
     spread: float
     pvfp_tsr: float
     pvfp_spread: float
-    cur: float
 
     def __post_init__(self) -> None:
+        if self.mean <= 0.0:
+            raise ValueError(f"mean PVFP must be > 0 to define a relative volatility, got {self.mean}")
         if self.vol < 0.0:
             raise ValueError(f"volatility must be >= 0, got {self.vol}")
+        if self.pvfp_tsr == 0.0:  # as in underwriting_risk_cost, so that a degenerate row stops the run at once
+            raise ValueError("portfolio is degenerate: PVFP at the risk-free rate is 0")
+
+    @property
+    def cur(self) -> float:
+        return underwriting_risk_cost(self.pvfp_tsr, self.mean, self.pvfp_spread)
 
 
 def pvfp_stats(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
@@ -147,31 +155,6 @@ def underwriting_risk_cost(pvfp_tsr: float, mean_pvfp: float, pvfp_spread: float
     if pvfp_tsr == 0.0:
         raise ValueError("portfolio is degenerate: PVFP at the risk-free rate is 0")
     return pvfp_tsr - mean_pvfp * (pvfp_spread / pvfp_tsr)
-
-
-def risk_statistics(
-    mean: float,
-    vol: float,
-    spread_fn: SpreadFunction,
-    pvfp_tsr: float,
-    pvfp_spread: float,
-) -> PvfpStatistics:
-    """Assemble the report row for one portfolio.
-
-    The spread recorded alongside is re-derived from the relative
-    volatility, so replayed and simulated rows go through the same spread
-    function.
-    """
-    if mean <= 0.0:
-        raise ValueError(f"mean PVFP must be > 0 to define a relative volatility, got {mean}")
-    return PvfpStatistics(
-        mean=mean,
-        vol=vol,
-        spread=spread_fn.spread_for(vol / mean),
-        pvfp_tsr=pvfp_tsr,
-        pvfp_spread=pvfp_spread,
-        cur=underwriting_risk_cost(pvfp_tsr, mean, pvfp_spread),
-    )
 
 
 def aggregate(reports: Sequence[PvfpStatistics]) -> tuple[float, float]:

@@ -19,13 +19,7 @@ import pytest
 import scipy.stats
 
 from protval.cap import CapValuation, caplet_price, norm_cdf
-from protval.loss import (
-    draw_initial_ratios,
-    lognormal_params,
-    lognormal_params_from_sigma,
-    reverting_paths,
-    standard_normals,
-)
+from protval.loss import draw_initial_ratios, lognormal_mu, lognormal_sigma, reverting_paths, standard_normals
 from protval.risk import calibrate_spread
 from protval.cli import main
 
@@ -50,7 +44,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 def test_criterion_01_lognormal_mu_echo():
     expected = (-0.069, -0.938, -0.545)
     published = (-0.07, -0.94, -0.54)
-    computed = [lognormal_params_from_sigma(m, s).mu for m, s in TABLE_MEAN_SIGMA]
+    computed = [lognormal_mu(m, s) for m, s in TABLE_MEAN_SIGMA]
     ok = all(abs(c - e) < 5e-4 for c, e in zip(computed, expected)) and all(
         abs(c - p) <= 0.006 for c, p in zip(computed, published)
     )
@@ -159,8 +153,9 @@ def test_criterion_07_property_suites():
     params_err = 0.0
     for mean in (0.2, 0.5, 0.8, 0.95, 1.3):
         for cv in (0.0, 0.05, 0.19, 0.5, 1.0):
-            p = lognormal_params(mean, cv)
-            params_err = max(params_err, abs(p.mean - mean), abs(p.coefficient_of_variation - cv))
+            sigma = lognormal_sigma(cv)
+            implied_mean = math.exp(lognormal_mu(mean, sigma) + 0.5 * sigma * sigma)
+            params_err = max(params_err, abs(implied_mean - mean), abs(math.sqrt(math.expm1(sigma * sigma)) - cv))
 
     ok = mono_ok and intrinsic_ok and round_trip < 1e-9 and params_err < 1e-12
     report(
@@ -178,7 +173,7 @@ def test_criterion_08_mean_reversion_half_life():
 
     portfolio = make_portfolio(mean_sp=0.80, sigma=0.25, horizon=12, nu=0.8)
     z = standard_normals(100_000, seed=91)
-    sp1 = draw_initial_ratios(lognormal_params_from_sigma(portfolio.mean_sp, portfolio.sigma), z)
+    sp1 = draw_initial_ratios(lognormal_mu(portfolio.mean_sp, portfolio.sigma), portfolio.sigma, z)
     paths, _ = reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
     se = paths.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
     deviation = np.abs(paths.mean(axis=0) - np.asarray(portfolio.chronicle))

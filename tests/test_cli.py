@@ -17,7 +17,7 @@ import scipy.stats
 from protval.cap import caplet_price
 from protval.cli import main
 from protval.config import load_curve, load_portfolio, load_run_config
-from protval.loss import draw_initial_ratios, lognormal_params_from_sigma
+from protval.loss import draw_initial_ratios, lognormal_mu
 from protval.projection import pvfp, pvfp_of_ratios
 
 from .conftest import (
@@ -753,8 +753,8 @@ def test_value_mean_pvfp_is_within_three_standard_errors_of_a_quantile_grid_refe
     z = scipy.stats.norm.ppf((np.arange(n) + 0.5) / n)
     for path in run.portfolio_paths:
         spec = load_portfolio(path, run.horizon, None)
-        params = lognormal_params_from_sigma(spec.mean_sp, spec.sigma)
-        reference = pvfp_of_ratios(spec, draw_initial_ratios(params, z), curve).mean()
+        sp1 = draw_initial_ratios(lognormal_mu(spec.mean_sp, spec.sigma), spec.sigma, z)
+        reference = pvfp_of_ratios(spec, sp1, curve).mean()
         samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)[:, 1]
         assert samples.size == 10_000
         se = samples.std(ddof=1) / np.sqrt(samples.size)

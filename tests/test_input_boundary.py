@@ -7,7 +7,8 @@ NaN or ±inf as CSV text) or one outside its range; a weight-matrix row is
 also given a value that is not an object, or is left out. Every JSON object
 is also given a key that no loader reads. The command must exit 1 with a
 single ``error:`` line that names the file and the field, and never raise;
-a key that starts with '_' is a comment and is ignored.
+a key that starts with '_' is a comment and is ignored. Every input file is
+also given a byte that is not UTF-8, and the error line must name the file.
 """
 
 from __future__ import annotations
@@ -100,9 +101,12 @@ JSON_FIELDS = {
     "portfolio.retained_loss_ratio_scored": JsonField(
         "value", "p1.json", ("retained_loss_ratio",), "criteria", NONPOSITIVE
     ),
+    # Above 1.9e154, 0.5 * sigma * sigma overflows, so the law has no finite mean.
     "portfolio.sigma": JsonField(
-        "value", "p1.json", ("sigma",), "portfolio", NEGATIVE, NOT_A_NUMBER.filter(lambda v: v is not None)
+        "value", "p1.json", ("sigma",), "portfolio", st.one_of(NEGATIVE, above(1.9e154)),
+        NOT_A_NUMBER.filter(lambda v: v is not None),
     ),
+    "portfolio.criteria": JsonField("value", "p1.json", ("criteria",), "portfolio", None, NOT_AN_OBJECT),
     "portfolio.reversion_speed": JsonField(
         "simulate", "p1.json", ("reversion_speed",), "portfolio", st.one_of(NONPOSITIVE, ABOVE_ONE)
     ),
@@ -331,3 +335,28 @@ def test_bad_csv_value_is_rejected_naming_file_and_column(case: CsvColumn, data)
         cells[case.column] = text
         target.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
         assert_one_named_error(*run_command(case.command, config), target, header.split(",")[case.column])
+
+
+# Every input file, with a command and a variant of ``write_run`` that reads it.
+INPUT_FILES = {
+    "run": ("value", "run.json", "portfolio"),
+    "portfolio": ("value", "p1.json", "portfolio"),
+    "cap": ("price-cap", "cap.json", "cap"),
+    "weights": ("value", "weights.json", "criteria"),
+    "replay": ("value", "replay.json", "replay"),
+    "curve": ("value", "curve.csv", "portfolio"),
+    "vols": ("price-cap", "vols.csv", "cap"),
+    "chronicle": ("simulate", "chronicle.csv", "portfolio"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_FILES.values(), ids=INPUT_FILES.keys())
+def test_file_that_is_not_utf8_is_rejected_naming_the_file(tmp_path, case):
+    command, file, variant = case
+    config = write_run(tmp_path, variant)
+    target = tmp_path / file
+    raw = target.read_bytes()
+    cut = raw.index(b"\n") + 1  # a 0xff byte at the start of the second line
+    target.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    assert_one_named_error(*run_command(command, config), target, "not UTF-8")
+    assert not (tmp_path / "out").exists()

@@ -16,12 +16,11 @@ from protval.errors import ConfigError
 from protval.loss import (
     BUCKETS,
     RATING_CRITERIA,
-    LognormalParams,
     age_bucket,
     draw_initial_ratios,
     histogram,
-    lognormal_params,
-    lognormal_params_from_sigma,
+    lognormal_mu,
+    lognormal_sigma,
     reverting_paths,
     standard_normals,
     volatility_score,
@@ -109,35 +108,37 @@ class TestLognormalParams:
         # mu values follow from ln(mean) - sigma^2/2; displays round to -7%, -94%, -54%
         expected_mu = (-0.0693, -0.9383, -0.5446)
         for (mean, sigma), mu in zip(TABLE_MEAN_SIGMA, expected_mu):
-            params = lognormal_params_from_sigma(mean, sigma)
-            assert params.mu == pytest.approx(mu, abs=5e-5)
-            assert params.mean == pytest.approx(mean, rel=1e-12)
+            computed = lognormal_mu(mean, sigma)
+            assert computed == pytest.approx(mu, abs=5e-5)
+            assert math.exp(computed + 0.5 * sigma * sigma) == pytest.approx(mean, rel=1e-12)
 
     def test_first_portfolio_via_coefficient_of_variation(self):
         cv = math.sqrt(math.exp(0.19**2) - 1.0)
-        params = lognormal_params(0.95, cv)
-        assert params.sigma == pytest.approx(0.19, abs=1e-12)
-        assert params.mu == pytest.approx(-0.069, abs=5e-4)
+        sigma = lognormal_sigma(cv)
+        assert sigma == pytest.approx(0.19, abs=1e-12)
+        assert lognormal_mu(0.95, sigma) == pytest.approx(-0.069, abs=5e-4)
 
     def test_degenerate_point_mass(self):
-        params = lognormal_params(1.0, 0.0)
-        assert params.mu == 0.0
-        assert params.sigma == 0.0
+        assert lognormal_sigma(0.0) == 0.0
+        assert lognormal_mu(1.0, 0.0) == 0.0
 
     @given(mean=st.floats(0.01, 5.0), vol=st.floats(0.0, 3.0))
     @settings(max_examples=300)
     def test_round_trips(self, mean, vol):
-        params = lognormal_params(mean, vol)
-        assert params.mean == pytest.approx(mean, rel=1e-12)
-        assert params.coefficient_of_variation == pytest.approx(vol, rel=1e-12, abs=1e-12)
+        sigma = lognormal_sigma(vol)
+        mu = lognormal_mu(mean, sigma)
+        assert math.exp(mu + 0.5 * sigma * sigma) == pytest.approx(mean, rel=1e-12)
+        assert math.sqrt(math.expm1(sigma * sigma)) == pytest.approx(vol, rel=1e-12, abs=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError, match="> 0"):
-            lognormal_params(0.0, 0.2)
-        with pytest.raises(ValueError, match=">= 0"):
-            lognormal_params(0.8, -0.1)
-        with pytest.raises(ValueError, match=">= 0"):
-            LognormalParams(mu=0.0, sigma=-1.0)
+        with pytest.raises(ValueError, match="retained loss ratio must be > 0"):
+            lognormal_mu(0.0, 0.2)
+        with pytest.raises(ValueError, match="volatility must be >= 0"):
+            lognormal_sigma(-0.1)
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            lognormal_mu(0.8, -1.0)
+        with pytest.raises(ValueError, match="implied mean .* must be finite"):
+            lognormal_mu(0.8, 1e200)
 
 
 class TestStandardNormals:
@@ -154,10 +155,10 @@ class TestStandardNormals:
 
 class TestDrawInitialRatios:
     def test_values_follow_the_quantile_transform_exactly(self):
-        params = lognormal_params_from_sigma(0.8, 0.25)
-        values = draw_initial_ratios(params, standard_normals(64, seed=42))
+        mu = lognormal_mu(0.8, 0.25)
+        values = draw_initial_ratios(mu, 0.25, standard_normals(64, seed=42))
         z = np.random.Generator(np.random.Philox(42)).standard_normal(64)
-        expected = np.exp(z * params.sigma + params.mu)
+        expected = np.exp(z * 0.25 + mu)
         assert np.array_equal(values, expected)
 
     def test_prefix_property(self):
@@ -166,10 +167,10 @@ class TestDrawInitialRatios:
             assert np.array_equal(standard_normals(k, seed=3), full[:k])
 
     def test_zero_sigma_collapses_to_the_median(self):
-        params = lognormal_params_from_sigma(0.8, 0.0)
-        values = draw_initial_ratios(params, standard_normals(16, seed=1))
+        mu = lognormal_mu(0.8, 0.0)
+        values = draw_initial_ratios(mu, 0.0, standard_normals(16, seed=1))
         assert values.shape == (16,)
-        assert np.all(values == math.exp(params.mu))
+        assert np.all(values == math.exp(mu))
 
     def test_same_seed_same_draws(self):
         a = standard_normals(256, seed=9)
@@ -178,14 +179,14 @@ class TestDrawInitialRatios:
         assert not np.array_equal(a, standard_normals(256, seed=10))
 
     def test_law_of_large_numbers_recovers_the_mean(self):
-        params = lognormal_params(0.80, 0.25)
-        values = draw_initial_ratios(params, standard_normals(100_000, seed=2024))
+        sigma = lognormal_sigma(0.25)
+        values = draw_initial_ratios(lognormal_mu(0.80, sigma), sigma, standard_normals(100_000, seed=2024))
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - 0.80) < 3.0 * se
 
     def test_all_values_positive(self):
-        params = lognormal_params(0.5, 1.5)
-        assert np.all(draw_initial_ratios(params, standard_normals(2000, seed=5)) > 0.0)
+        sigma = lognormal_sigma(1.5)
+        assert np.all(draw_initial_ratios(lognormal_mu(0.5, sigma), sigma, standard_normals(2000, seed=5)) > 0.0)
 
 
 def one_path(sp1: float, chronicle, nu: float) -> np.ndarray:
@@ -246,8 +247,8 @@ class TestMeanReversionPath:
 
 def scenarios_of(portfolio, n: int, seed: int) -> tuple[np.ndarray, int]:
     """``reverting_paths`` from the year-1 ratios of the portfolio's lognormal law and the draws for (n, seed)."""
-    params = lognormal_params_from_sigma(portfolio.mean_sp, portfolio.sigma)
-    sp1 = draw_initial_ratios(params, standard_normals(n, seed))
+    mu = lognormal_mu(portfolio.mean_sp, portfolio.sigma)
+    sp1 = draw_initial_ratios(mu, portfolio.sigma, standard_normals(n, seed))
     return reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
 
 
@@ -310,7 +311,7 @@ class TestGenerateScenarios:
     def test_scored_portfolio_draws_like_a_direct_one_with_its_sigma(self, tmp_path):
         weights = load_weight_matrix(WEIGHTS_FILE)
         scored = load_portfolio(scored_portfolio_file(tmp_path), 6, weights)
-        sigma = lognormal_params(0.8, volatility_score(all_moderate(), weights)).sigma
+        sigma = lognormal_sigma(volatility_score(all_moderate(), weights))
         assert scored.sigma == sigma
         direct = make_portfolio(mean_sp=0.8, sigma=sigma, horizon=6)
         assert scenarios_of(scored, n=500, seed=4)[0].tobytes() == scenarios_of(direct, n=500, seed=4)[0].tobytes()
@@ -347,8 +348,8 @@ class TestHistogram:
     def test_modal_bin_of_a_moderate_vol_draw(self):
         # mean 0.80, CV 0.2: the density mode sits near 0.75, so the
         # 10%-bin histogram of 10^4 draws peaks inside [0.6, 0.9)
-        params = lognormal_params(0.80, 0.2)
-        values = draw_initial_ratios(params, standard_normals(10_000, seed=99))
+        sigma = lognormal_sigma(0.2)
+        values = draw_initial_ratios(lognormal_mu(0.80, sigma), sigma, standard_normals(10_000, seed=99))
         bins = histogram(values, bin_width=0.1)
         modal_left = max(bins, key=lambda item: item[1])[0]
         assert 0.6 <= modal_left < 0.9

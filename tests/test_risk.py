@@ -16,7 +16,6 @@ from protval.risk import (
     aggregate,
     calibrate_spread,
     pvfp_stats,
-    risk_statistics,
     underwriting_risk_cost,
 )
 
@@ -131,25 +130,26 @@ class TestUnderwritingRiskCost:
     def test_degenerate_portfolio_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             underwriting_risk_cost(0.0, 10.0, 5.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            PvfpStatistics(10.0, 1.0, 0.01, 0.0, 5.0)
 
 
 class TestRiskStatistics:
     def test_assembles_the_report_row(self, calibrated):
         mean, vol, pvfp_tsr, pvfp_spread = TABLE_PVFP_ROWS[0]
-        stats = risk_statistics(mean, vol, calibrated, pvfp_tsr, pvfp_spread)
-        assert stats.spread == calibrated.spread_for(vol / mean)
+        stats = PvfpStatistics(mean, vol, calibrated.spread_for(vol / mean), pvfp_tsr, pvfp_spread)
         assert stats.cur == underwriting_risk_cost(pvfp_tsr, mean, pvfp_spread)
 
-    def test_nonpositive_mean_rejected(self, calibrated):
+    def test_nonpositive_mean_rejected(self):
         with pytest.raises(ValueError, match="mean PVFP"):
-            risk_statistics(0.0, 1.0, calibrated, 10.0, 9.0)
+            PvfpStatistics(0.0, 1.0, 0.01, 10.0, 9.0)
 
 
 class TestAggregate:
     @staticmethod
     def rows(calibrated) -> list[PvfpStatistics]:
         return [
-            risk_statistics(mean, vol, calibrated, pvfp_tsr, pvfp_spread)
+            PvfpStatistics(mean, vol, calibrated.spread_for(vol / mean), pvfp_tsr, pvfp_spread)
             for mean, vol, pvfp_tsr, pvfp_spread in TABLE_PVFP_ROWS
         ]
 
