@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import pickle
 import sys
+from typing import Callable, NoReturn, TypeVar
 
 import numpy as np
 
@@ -32,12 +34,15 @@ from .config import (
     load_vols,
     load_weight_matrix,
 )
+from .curves import ZeroCurve
 from .errors import CalibrationError, ConfigError
 from .loss import draw_initial_ratios, histogram, lognormal_mu, reverting_paths, standard_normals
 from .projection import PortfolioSpec, pvfp, pvfp_of_ratios
 from .risk import PvfpStatistics, SpreadFunction, aggregate, calibrate_spread, pvfp_stats
 
 HISTOGRAM_BIN_WIDTH = 0.10
+
+T = TypeVar("T")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,35 +162,114 @@ def _simulate_portfolio(config: RunConfig, z: np.ndarray, portfolio: PortfolioSp
     return f"{portfolio.id}: {n_scenarios} scenarios x {horizon} years, seed {config.seed}, floored {floored}"
 
 
+def _run_chunk(work: Callable[[PortfolioSpec], T], chunk: list[PortfolioSpec], write_fd: int) -> NoReturn:
+    """In a forked child: write the pickled results of ``work`` over ``chunk``, or its first exception, and exit.
+
+    ``os._exit`` skips the parent's cleanup and leaves unflushed stdio buffers unwritten.
+    """
+    status = 1
+    try:
+        try:
+            outcome: list[T] | BaseException = [work(portfolio) for portfolio in chunk]
+        except BaseException as exc:  # handed to the parent, which raises it
+            outcome = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios: list[PortfolioSpec]) -> list[T]:
+    """``[work(p) for p in portfolios]``, run in forked processes when more than one core is usable.
+
+    It uses min(usable cores, portfolios) processes; with one, it runs in-process.
+    Otherwise it splits the portfolios into that many contiguous chunks and forks
+    one child per chunk, which sends back the results of its chunk, or its first
+    exception, through a pipe. The parent does no portfolio work: it reads each
+    pipe to EOF in chunk order, reaps every child on every path, and raises the
+    first failure in portfolio order. A child that did not send a whole answer
+    ends the run with ``ChildProcessError``.
+
+    The caller loads the inputs and draws the standard normals before this call,
+    so a portfolio's results and files are the same whichever process makes them.
+    Importing numpy leaves OpenBLAS's idle thread alive, and a fork copies only
+    the calling thread; that is safe here because ``src/`` calls no BLAS routine
+    (no ``@``, ``dot`` or ``linalg``), so no child needs that pool or its locks.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    processes = min(cores, len(portfolios))
+    if processes < 2:
+        return [work(portfolio) for portfolio in portfolios]
+    bounds = [len(portfolios) * k // processes for k in range(processes + 1)]
+    chunks = [portfolios[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    children, statuses = [], []  # (pid, read end of its pipe) and wait status, in chunk order
+    try:
+        for chunk in chunks:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _run_chunk(work, chunk, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        answers = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()  # a child still writing gets EPIPE and exits, so the wait cannot hang on it
+            statuses.append(os.waitpid(pid, 0)[1])
+
+    results: list[T] = []
+    for chunk, answer, status in zip(chunks, answers, statuses):
+        if status != 0 or not answer:
+            ids = ", ".join(repr(portfolio.id) for portfolio in chunk)
+            raise ChildProcessError(
+                f"a {command} process ended abruptly; the files of portfolio(s) {ids} may be incomplete"
+            )
+        outcome = pickle.loads(answer)  # bytes our own child wrote
+        if isinstance(outcome, BaseException):
+            raise outcome
+        results += outcome
+    return results
+
+
 def cmd_simulate(config: RunConfig) -> int:
     portfolios = _load_portfolios(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     simulate = functools.partial(_simulate_portfolio, config, standard_normals(config.scenarios, config.seed))
-
-    # The draws are made once, before any fork, so a portfolio's files are the same
-    # whichever process writes them. Fork, not spawn, so that children start with
-    # numpy and the inputs loaded; the pool modules are imported only here because
-    # they add 20-30 ms to the start of every command.
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    processes = min(cores, len(portfolios))
-    if processes > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-                for line in pool.map(simulate, portfolios):
-                    print(line)
-        except BrokenProcessPool as exc:
-            message = "a simulate process ended abruptly; its portfolio's files may be incomplete"
-            raise ChildProcessError(message) from exc
-    else:
-        for portfolio in portfolios:
-            print(simulate(portfolio))
-
+    for line in _map_portfolios("simulate", simulate, portfolios):
+        print(line)
     reports.write_manifest(config.output_dir, "simulate", config)
     return 0
+
+
+def _value_portfolio(
+    config: RunConfig, curve: ZeroCurve, spread_fn: SpreadFunction, z: np.ndarray, portfolio: PortfolioSpec
+) -> tuple[tuple[str, float, float, float], PvfpStatistics]:
+    """Write one portfolio's PVFP samples file; return its lognormal echo row and its risk report row.
+
+    The row is built, and so checked, before the file is written: a portfolio that cannot be priced writes nothing.
+    """
+    mu = lognormal_mu(portfolio.mean_sp, portfolio.sigma)
+    samples = pvfp_of_ratios(portfolio, draw_initial_ratios(mu, portfolio.sigma, z), curve)
+    mean, vol = pvfp_stats(samples)
+    if mean <= 0.0:
+        raise ValueError(f"portfolio {portfolio.id!r}: mean PVFP must be > 0 to price its risk, got {mean!r}")
+    spread = spread_fn.spread_for(vol / mean)
+    pvfp_tsr = pvfp(portfolio, portfolio.chronicle, curve)
+    pvfp_spread = pvfp(portfolio, portfolio.chronicle, curve, extra_spread=spread)
+    try:
+        stats = PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)
+    except ValueError as exc:
+        raise ValueError(f"portfolio {portfolio.id!r}: {exc}") from exc
+    reports.write_pvfp_samples_csv(config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples)
+    return (portfolio.id, portfolio.mean_sp, mu, portfolio.sigma), stats
 
 
 def cmd_value(config: RunConfig) -> int:
@@ -202,24 +286,10 @@ def cmd_value(config: RunConfig) -> int:
         curve = load_curve(config)
         config.output_dir.mkdir(parents=True, exist_ok=True)
         z = standard_normals(config.scenarios, config.seed)
-        rows, echo_rows = [], []
-        for portfolio in portfolios:
-            mu = lognormal_mu(portfolio.mean_sp, portfolio.sigma)
-            echo_rows.append((portfolio.id, portfolio.mean_sp, mu, portfolio.sigma))
-
-            samples = pvfp_of_ratios(portfolio, draw_initial_ratios(mu, portfolio.sigma, z), curve)
-            reports.write_pvfp_samples_csv(
-                config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples
-            )
-            mean, vol = pvfp_stats(samples)
-            if mean <= 0.0:
-                raise ValueError(
-                    f"portfolio {portfolio.id!r}: mean PVFP must be > 0 to price its risk, got {mean!r}"
-                )
-            spread = spread_fn.spread_for(vol / mean)
-            pvfp_tsr = pvfp(portfolio, portfolio.chronicle, curve)
-            pvfp_spread = pvfp(portfolio, portfolio.chronicle, curve, extra_spread=spread)
-            rows.append((portfolio.id, PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)))
+        value = functools.partial(_value_portfolio, config, curve, spread_fn, z)
+        valued = _map_portfolios("value", value, portfolios)
+        echo_rows = [echo for echo, _ in valued]
+        rows = [(echo[0], stats) for echo, stats in valued]
 
         reports.write_params_echo_csv(config.output_dir / "lognormal_params.csv", echo_rows)
         print("lognormal parameters:")

@@ -24,6 +24,8 @@ import numpy as np
 DEFAULT_REVERSION_SPEED = 0.8
 DEFAULT_SCENARIOS = 10_000
 DEFAULT_HORIZON = 30
+# Realistic laws give back their mean within about 1e-16 (acceptance criterion 7).
+MEAN_ROUND_TRIP_RTOL = 1e-9
 
 RATING_LEVELS = ("strong", "moderate", "weak")
 AGE_BUCKETS = ("lt_1y", "lt_4y", "ge_4y")
@@ -69,7 +71,10 @@ def lognormal_sigma(vol_sp: float) -> float:
 def lognormal_mu(mean_sp: float, sigma: float) -> float:
     """The mu of the lognormal law LN(mu, sigma) of mean ``mean_sp``: ln(mean) - sigma^2 / 2.
 
-    sigma = 0 is the point mass at the mean; the implied mean exp(mu + sigma^2/2) must be finite.
+    sigma = 0 is the point mass at the mean. The implied mean exp(mu + sigma^2/2)
+    must be finite and give back ``mean_sp`` within ``MEAN_ROUND_TRIP_RTOL``: for a
+    huge but finite sigma, ln(mean) is lost in the rounding of mu and the law has
+    another mean.
     """
     if mean_sp <= 0.0:
         raise ValueError(f"retained loss ratio must be > 0, got {mean_sp}")
@@ -77,11 +82,17 @@ def lognormal_mu(mean_sp: float, sigma: float) -> float:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     mu = math.log(mean_sp) - 0.5 * sigma * sigma
     try:
-        if math.isfinite(math.exp(mu + 0.5 * sigma * sigma)):
-            return mu
+        implied = math.exp(mu + 0.5 * sigma * sigma)
     except OverflowError:
-        pass
-    raise ValueError("implied mean exp(mu + sigma^2/2) must be finite")
+        implied = math.inf
+    if not math.isfinite(implied):
+        raise ValueError("implied mean exp(mu + sigma^2/2) must be finite")
+    if abs(implied - mean_sp) > MEAN_ROUND_TRIP_RTOL * mean_sp:
+        raise ValueError(
+            f"implied mean exp(mu + sigma^2/2) must equal the retained loss ratio {mean_sp!r} "
+            f"within a relative {MEAN_ROUND_TRIP_RTOL}, got {implied!r} for sigma {sigma!r}"
+        )
+    return mu
 
 
 def standard_normals(n: int, seed: int) -> np.ndarray:

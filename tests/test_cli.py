@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -274,8 +273,54 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config)]) == 0
 
 
+def set_usable_cores(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """Records one entry per ``os.fork`` call made in this process."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def no_child_is_left() -> bool:
+    """True when this process has no child, running or waiting to be reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def run_on_two_cores(command: str, config: Path, patch: str = "") -> subprocess.CompletedProcess:
+    """``command`` in a fresh interpreter that sees two usable cores, after running ``patch``.
+
+    The interpreter exits with ``main``'s code, or with an error if ``main`` left a child unreaped.
+    """
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from protval import cli, reports\n"
+        f"{patch}\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    sys.exit(code)\n"
+        "sys.exit('a child process was left unreaped')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, command, "--config", str(config)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestSimulateProcesses:
-    """``simulate`` forks one process per portfolio, up to the usable cores."""
+    """``simulate`` forks one process per chunk of portfolios, up to the usable cores."""
 
     @staticmethod
     def two_portfolio_config(directory: Path) -> Path:
@@ -285,54 +330,34 @@ class TestSimulateProcesses:
             "portfolios": ["p1.json", "p2.json"], "scenarios": 50, "seed": 3, "horizon": 8, "output_dir": "out",
         })
 
-    @staticmethod
-    def run_on_two_cores(config: Path, patch: str = "") -> subprocess.CompletedProcess:
-        """``simulate`` in a fresh interpreter that sees two usable cores, after running ``patch``."""
-        code = (
-            "import os, sys\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "from protval import cli, reports\n"
-            f"{patch}\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])}
-        return subprocess.run(
-            [sys.executable, "-c", code, "simulate", "--config", str(config)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-
     def test_output_is_the_same_on_one_and_two_cores_and_matches_the_golden_digests(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, forks
     ):
         from .test_golden import GOLDEN, run_digests
 
-        forks = []
-        get_context = multiprocessing.get_context
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda method: forks.append(method) or get_context(method)
-        )
         digests = []
         for cores in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            set_usable_cores(monkeypatch, cores)
             digests.append(run_digests("run_simulate.json", tmp_path / f"cores_{cores}"))
-        assert forks == ["fork"]
+            assert no_child_is_left()
+        assert len(forks) == 2
         assert digests[0] == digests[1] == GOLDEN["run_simulate.json"]
 
         one_portfolio = TestSimulate.simulate_config(tmp_path)
         assert main(["simulate", "--config", str(one_portfolio)]) == 0
-        assert forks == ["fork"]
+        assert len(forks) == 2
 
     def test_child_that_raises_ends_in_an_error_line(self, tmp_path):
         config = self.two_portfolio_config(tmp_path)
         (tmp_path / "out" / "p2_scenarios.csv").mkdir(parents=True)
-        run = self.run_on_two_cores(config)
+        run = run_on_two_cores("simulate", config)
         assert run.returncode == 1
         assert run.stderr.startswith("error: [Errno 21] Is a directory: ") and "p2_scenarios.csv" in run.stderr
         assert not (tmp_path / "out" / "simulate_manifest.json").exists()
 
     def test_child_that_dies_ends_in_an_error_line(self, tmp_path):
         config = self.two_portfolio_config(tmp_path)
-        run = self.run_on_two_cores(config, "reports.write_histogram_csv = lambda *args: os._exit(1)")
+        run = run_on_two_cores("simulate", config, "reports.write_histogram_csv = lambda *args: os._exit(1)")
         assert run.returncode == 1
         assert run.stderr.startswith("error: a simulate process ended abruptly") and "Traceback" not in run.stderr
         assert not (tmp_path / "out" / "simulate_manifest.json").exists()
@@ -357,6 +382,105 @@ class TestSimulateProcesses:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
+
+
+class TestValueProcesses:
+    """``value`` forks one process per chunk of portfolios, up to the usable cores."""
+
+    @staticmethod
+    def run_config(directory: Path, portfolios: list[str], output_dir: str = "out") -> Path:
+        write_market_files(directory)
+        return write_json(directory / "run.json", {
+            "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv", "tax_rate": 0.275},
+            "portfolios": [f"{name}.json" for name in portfolios],
+            "scenarios": 200,
+            "seed": 1,
+            "horizon": 10,
+            "spread_points": [[0.10, 0.02], [0.20, 0.03]],
+            "output_dir": output_dir,
+        })
+
+    def test_output_is_the_same_on_one_and_two_cores_and_matches_the_golden_digests(
+        self, tmp_path, monkeypatch, forks
+    ):
+        from .test_golden import GOLDEN, run_digests
+
+        for cores, forked in ((1, 0), (2, 2)):
+            set_usable_cores(monkeypatch, cores)
+            assert run_digests("run_value.json", tmp_path / f"cores_{cores}") == GOLDEN["run_value.json"]
+            assert len(forks) == forked and no_child_is_left()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_first_failing_portfolio_in_input_order_is_named(self, tmp_path, monkeypatch, capsys, cores):
+        # On two cores the chunks are p1-p2 and p3-p4, and each fails.
+        for name in ("p1", "p4"):
+            make_portfolio_file(tmp_path, name)
+        for name in ("p2", "p3"):
+            make_portfolio_file(tmp_path, name, retained_loss_ratio=1.4, sigma=0.05)
+        config = self.run_config(tmp_path, ["p1", "p2", "p3", "p4"])
+        set_usable_cores(monkeypatch, cores)
+
+        assert main(["value", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: portfolio 'p2': mean PVFP must be > 0")
+        assert captured.err.count("\n") == 1
+        assert no_child_is_left()
+        out = tmp_path / "out"
+        assert not (out / "p2_pvfp_samples.csv").exists() and not (out / "p3_pvfp_samples.csv").exists()
+        assert not (out / "risk_report.csv").exists() and not (out / "value_manifest.json").exists()
+
+    def test_child_that_dies_ends_in_an_error_line(self, tmp_path):
+        make_portfolio_file(tmp_path, "p1")
+        make_portfolio_file(tmp_path, "p2", sigma=0.3)
+        config = self.run_config(tmp_path, ["p1", "p2"])
+        run = run_on_two_cores("value", config, "reports.write_pvfp_samples_csv = lambda *args: os._exit(1)")
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: a value process ended abruptly") and "Traceback" not in run.stderr
+        assert run.stderr.count("\n") == 1
+        assert not (tmp_path / "out" / "risk_report.csv").exists()
+        assert not (tmp_path / "out" / "value_manifest.json").exists()
+
+    def test_failed_fork_reaps_the_children_already_started(self, tmp_path, monkeypatch, capsys):
+        for name in ("p1", "p2"):
+            make_portfolio_file(tmp_path, name)
+        config = self.run_config(tmp_path, ["p1", "p2"])
+        set_usable_cores(monkeypatch, 2)
+        fork, calls = os.fork, []
+
+        def fork_once():
+            calls.append(1)
+            if len(calls) > 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert main(["value", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
+        assert no_child_is_left()
+        assert not (tmp_path / "out" / "value_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_five_portfolios_give_the_same_files_and_stdout_on_one_two_and_three_cores(
+    tmp_path, monkeypatch, capsys, forks, command
+):
+    """Three cores split five portfolios 1-2-2, two split them 2-3."""
+    names = [f"p{i}" for i in range(1, 6)]
+    for i, name in enumerate(names):
+        make_portfolio_file(tmp_path, name, sigma=0.1 + 0.05 * i, profit_share_rate=0.1 * i)
+    outputs = []
+    for cores in (1, 2, 3):
+        set_usable_cores(monkeypatch, cores)
+        config = TestValueProcesses.run_config(tmp_path, names, output_dir=f"cores_{cores}")
+        assert main([command, "--config", str(config)]) == 0
+        out = tmp_path / f"cores_{cores}"
+        assert no_child_is_left()
+        files = {path.name: path.read_bytes() for path in out.iterdir() if "manifest" not in path.name}
+        outputs.append((capsys.readouterr().out, files))
+    assert len(forks) == 2 + 3
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0][1]) == (15 if command == "simulate" else 7)
 
 
 class TestValue:
@@ -453,6 +577,30 @@ class TestValue:
         assert main(["value", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: portfolio 'lossy': mean PVFP must be > 0")
+        assert not (tmp_path / "out" / "lossy_pvfp_samples.csv").exists()
+
+    def test_degenerate_portfolio_is_named_and_writes_nothing(self, tmp_path, capsys):
+        # A flat chronicle at S/P = 1 with no profit share has no profit: PVFP at the risk-free rate is 0.
+        write_market_files(tmp_path)
+        make_portfolio_file(
+            tmp_path, "flat", chronicle=[1.0] * 5, profit_share_rate=0.0, retained_loss_ratio=1.0, sigma=0.05
+        )
+        config = write_json(tmp_path / "run.json", {
+            "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv"},
+            "portfolios": ["flat.json"],
+            "scenarios": 200,
+            "seed": 3,
+            "horizon": 5,
+            "spread_points": [[0.10, 0.02], [0.20, 0.03]],
+            "output_dir": "out",
+        })
+        assert main(["value", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: portfolio 'flat': portfolio is degenerate: PVFP at the risk-free rate is 0\n"
+        )
+        out = tmp_path / "out"
+        assert not (out / "flat_pvfp_samples.csv").exists()
+        assert not (out / "risk_report.csv").exists() and not (out / "value_manifest.json").exists()
 
     def test_missing_spread_points_is_a_config_error(self, tmp_path, capsys):
         write_market_files(tmp_path)
@@ -567,6 +715,20 @@ def test_unresolvable_portfolio_parameters_stop_the_run_before_any_output(tmp_pa
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'p2.json'}: field 'criteria' needs a weight matrix")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", [1e100, 1.35e154])
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_sigma_too_large_for_the_mean_to_round_trip_is_rejected_naming_the_file(tmp_path, capsys, command, sigma):
+    portfolio = json.loads((SAMPLE_DIR / "portfolio_1.json").read_text(encoding="utf-8"))
+    bad_file = write_json(tmp_path / "portfolio_1.json", {**portfolio, "sigma": sigma})
+    config = sample_config("run_value.json", tmp_path, portfolios=[str(bad_file)], scenarios=20)
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad_file}: implied mean exp(mu + sigma^2/2) must equal the retained loss ratio")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

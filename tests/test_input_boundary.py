@@ -101,9 +101,10 @@ JSON_FIELDS = {
     "portfolio.retained_loss_ratio_scored": JsonField(
         "value", "p1.json", ("retained_loss_ratio",), "criteria", NONPOSITIVE
     ),
-    # Above 1.9e154, 0.5 * sigma * sigma overflows, so the law has no finite mean.
+    # Above 1e8, 0.5 * sigma * sigma >= 2**52, so ln(0.8) - 0.5 * sigma * sigma rounds to -0.5 * sigma * sigma
+    # and the implied mean is exp(0) = 1, not 0.8; above 1.9e154 it overflows, so the law has no finite mean.
     "portfolio.sigma": JsonField(
-        "value", "p1.json", ("sigma",), "portfolio", st.one_of(NEGATIVE, above(1.9e154)),
+        "value", "p1.json", ("sigma",), "portfolio", st.one_of(NEGATIVE, above(1e8)),
         NOT_A_NUMBER.filter(lambda v: v is not None),
     ),
     "portfolio.criteria": JsonField("value", "p1.json", ("criteria",), "portfolio", None, NOT_AN_OBJECT),

@@ -140,6 +140,12 @@ class TestLognormalParams:
         with pytest.raises(ValueError, match="implied mean .* must be finite"):
             lognormal_mu(0.8, 1e200)
 
+    @pytest.mark.parametrize("sigma", [1e100, 1.35e154])
+    def test_sigma_that_loses_the_mean_in_rounding_is_rejected(self, sigma):
+        # mu = ln(0.8) - sigma^2/2 rounds to -sigma^2/2, so exp(mu + sigma^2/2) is exp(0) = 1, not 0.8.
+        with pytest.raises(ValueError, match=r"must equal the retained loss ratio 0\.8 within a relative 1e-09, got 1\.0"):
+            lognormal_mu(0.8, sigma)
+
 
 class TestStandardNormals:
     def test_rejects_an_empty_draw(self):

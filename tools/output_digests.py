@@ -4,8 +4,12 @@ The runs are the three benchmark workloads (``value_paper``, ``simulate_fan``
 and ``book_close``) at seeds 1-3, with inputs generated by
 ``bench/workloads.py``, and the five sample runs of ``sample_inputs/``. Every
 job runs in this process through ``protval.cli.main``, on the ``src/`` of the
-checkout that holds this file. One line is printed per job's exit code, per
-job's stdout and per output file:
+checkout that holds this file. Every job runs twice, with
+``os.sched_getaffinity`` patched to report one usable core and then two, so
+that the in-process and the forked paths of ``simulate`` and ``value`` both
+run on any host; if the two runs differ, the script exits 1 naming the first
+file that differs. One line is printed per job's exit code, per job's stdout
+and per output file:
 
     <run>/<job>/<file> <sha256>
 
@@ -23,10 +27,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
@@ -58,8 +64,7 @@ def _file_digest(path: Path) -> str:
     return _sha256(data)
 
 
-def run_job(name: str, argv: list[str], out_dir: Path) -> list[str]:
-    """Run one engine command and return the digest lines of its exit code, stdout and files."""
+def _job_digests(name: str, argv: list[str], out_dir: Path) -> list[str]:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)
@@ -67,6 +72,22 @@ def run_job(name: str, argv: list[str], out_dir: Path) -> list[str]:
     if out_dir.is_dir():
         lines += [f"{name}/{path.name} {_file_digest(path)}" for path in sorted(out_dir.iterdir())]
     return lines
+
+
+def run_job(name: str, argv: list[str], out_dir: Path) -> list[str]:
+    """Run one engine command on one usable core and on two; return the digest lines of its exit code, stdout and files.
+
+    Exits 1, naming the first differing file, when the two runs differ.
+    """
+    runs = []
+    for cores in (1, 2):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores)), create=True):
+            runs.append(_job_digests(name, argv, out_dir))
+    if runs[0] != runs[1]:
+        differing = sorted(set(runs[0]) ^ set(runs[1]))[0].split(" ")[0]
+        sys.exit(f"error: {differing} differs between one and two usable cores")
+    return runs[0]
 
 
 def digest_lines(scratch: Path) -> list[str]:
