@@ -56,14 +56,11 @@ def caplet_price(
         raise ValueError(f"accrual must be > 0, got {accrual}")
 
     scale = notional * accrual * df_pay
-    if vol == 0.0 or t_fix == 0.0:
+    sd = vol * math.sqrt(t_fix)
+    if sd == 0.0:  # vol = 0, t_fix = 0 or an underflowing product: the deterministic limit
         return scale * max(fwd - strike, 0.0)
     if fwd <= 0.0:
         raise ValueError(f"forward must be > 0 when vol > 0, got {fwd}")
-
-    sd = vol * math.sqrt(t_fix)
-    if sd == 0.0:  # underflow of a vanishing stdev: deterministic limit
-        return scale * max(fwd - strike, 0.0)
     d = (math.log(fwd / strike) + 0.5 * vol * vol * t_fix) / sd
     return scale * (fwd * norm_cdf(d) - strike * norm_cdf(d - sd))
 

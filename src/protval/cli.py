@@ -18,6 +18,7 @@ import functools
 import os
 import pickle
 import sys
+import warnings
 from typing import Callable, NoReturn, TypeVar
 
 import numpy as np
@@ -36,11 +37,9 @@ from .config import (
 )
 from .curves import ZeroCurve
 from .errors import CalibrationError, ConfigError
-from .loss import draw_initial_ratios, histogram, lognormal_mu, reverting_paths, standard_normals
+from .loss import draw_initial_ratios, lognormal_mu, reverting_paths, standard_normals
 from .projection import PortfolioSpec, pvfp, pvfp_of_ratios
 from .risk import PvfpStatistics, SpreadFunction, aggregate, calibrate_spread, pvfp_stats
-
-HISTOGRAM_BIN_WIDTH = 0.10
 
 T = TypeVar("T")
 
@@ -139,10 +138,6 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
     portfolios = [load_portfolio(p, config.horizon, weights) for p in config.portfolio_paths]
     seen = {}
     for path, portfolio in zip(config.portfolio_paths, portfolios):
-        if portfolio.horizon != config.horizon:
-            raise ConfigError(
-                f"{path}: the chronicle covers {portfolio.horizon} years, the run horizon is {config.horizon}"
-            )
         if portfolio.id in seen:
             raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
         seen[portfolio.id] = path
@@ -156,8 +151,7 @@ def _simulate_portfolio(config: RunConfig, z: np.ndarray, portfolio: PortfolioSp
     out = config.output_dir
     reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", paths)
     reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", paths)
-    bins = histogram(paths[:, 0], HISTOGRAM_BIN_WIDTH)
-    reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", bins, HISTOGRAM_BIN_WIDTH)
+    reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", paths[:, 0])
     n_scenarios, horizon = paths.shape
     return f"{portfolio.id}: {n_scenarios} scenarios x {horizon} years, seed {config.seed}, floored {floored}"
 
@@ -196,6 +190,9 @@ def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios
     Importing numpy leaves OpenBLAS's idle thread alive, and a fork copies only
     the calling thread; that is safe here because ``src/`` calls no BLAS routine
     (no ``@``, ``dot`` or ``linalg``), so no child needs that pool or its locks.
+    For the same reason the fork ignores CPython 3.12+'s ``DeprecationWarning``
+    about forking a multi-threaded process: raised as an error in the parent,
+    it would lose the pid of a child that already exists.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     processes = min(cores, len(portfolios))
@@ -209,7 +206,9 @@ def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios
         for chunk in chunks:
             read_fd, write_fd = os.pipe()
             try:
-                pid = os.fork()
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
+                    pid = os.fork()
             except OSError:
                 os.close(read_fd)
                 os.close(write_fd)
@@ -241,9 +240,9 @@ def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios
 
 def cmd_simulate(config: RunConfig) -> int:
     portfolios = _load_portfolios(config)
+    z = standard_normals(config.scenarios, config.seed)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    simulate = functools.partial(_simulate_portfolio, config, standard_normals(config.scenarios, config.seed))
-    for line in _map_portfolios("simulate", simulate, portfolios):
+    for line in _map_portfolios("simulate", functools.partial(_simulate_portfolio, config, z), portfolios):
         print(line)
     reports.write_manifest(config.output_dir, "simulate", config)
     return 0
@@ -251,8 +250,8 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def _value_portfolio(
     config: RunConfig, curve: ZeroCurve, spread_fn: SpreadFunction, z: np.ndarray, portfolio: PortfolioSpec
-) -> tuple[tuple[str, float, float, float], PvfpStatistics]:
-    """Write one portfolio's PVFP samples file; return its lognormal echo row and its risk report row.
+) -> PvfpStatistics:
+    """Write one portfolio's PVFP samples file; return its risk report row.
 
     The row is built, and so checked, before the file is written: a portfolio that cannot be priced writes nothing.
     """
@@ -269,7 +268,7 @@ def _value_portfolio(
     except ValueError as exc:
         raise ValueError(f"portfolio {portfolio.id!r}: {exc}") from exc
     reports.write_pvfp_samples_csv(config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples)
-    return (portfolio.id, portfolio.mean_sp, mu, portfolio.sigma), stats
+    return stats
 
 
 def cmd_value(config: RunConfig) -> int:
@@ -284,12 +283,11 @@ def cmd_value(config: RunConfig) -> int:
     else:
         portfolios = _load_portfolios(config)
         curve = load_curve(config)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
         z = standard_normals(config.scenarios, config.seed)
+        config.output_dir.mkdir(parents=True, exist_ok=True)
         value = functools.partial(_value_portfolio, config, curve, spread_fn, z)
-        valued = _map_portfolios("value", value, portfolios)
-        echo_rows = [echo for echo, _ in valued]
-        rows = [(echo[0], stats) for echo, stats in valued]
+        rows = [(p.id, stats) for p, stats in zip(portfolios, _map_portfolios("value", value, portfolios))]
+        echo_rows = [(p.id, p.mean_sp, lognormal_mu(p.mean_sp, p.sigma), p.sigma) for p in portfolios]
 
         reports.write_params_echo_csv(config.output_dir / "lognormal_params.csv", echo_rows)
         print("lognormal parameters:")
@@ -343,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](config)
-    except (ConfigError, CalibrationError, ValueError, OSError) as exc:
+    except (CalibrationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -422,40 +422,29 @@ def _parse_criteria(raw: Any, path: Path) -> dict[str, str]:
     return buckets
 
 
-_CHRONICLE_SOURCES = ("chronicle_csv", "chronicle", "horizon_years")
-
-
 def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]] | None) -> PortfolioSpec:
-    """The portfolio of a JSON file, with its sigma resolved.
+    """The portfolio of a JSON file, with its sigma resolved and its chronicle ``horizon`` years long.
 
     ``sigma`` is read as given; without it, ``criteria`` is scored on
     ``weights``, the run's weight matrix (None if the run has none). Given
     both, ``sigma`` wins and ``criteria`` is still checked. The chronicle
-    comes from at most one of ``chronicle_csv``, ``chronicle`` and
-    ``horizon_years``; with none, it is ``horizon`` years at the retained
-    loss ratio.
+    comes from at most one of ``chronicle_csv`` and ``chronicle``; with
+    neither, it is ``horizon`` years at the retained loss ratio.
     """
     data = _known(_load_json(path), (
         "id", "initial_premium", "renewal", "profit_share_rate", "tax_rate", "retained_loss_ratio",
-        "sigma", "criteria", "reversion_speed", *_CHRONICLE_SOURCES,
+        "sigma", "criteria", "reversion_speed", "chronicle_csv", "chronicle",
     ), path)
     mean_sp = _float(data, "retained_loss_ratio", path)
 
-    sources = [key for key in _CHRONICLE_SOURCES if key in data]
-    if len(sources) > 1:
-        raise ConfigError(
-            f"{path}: fields {sources[0]!r} and {sources[1]!r} conflict; give at most one of "
-            "'chronicle_csv', 'chronicle' and 'horizon_years'"
-        )
+    if "chronicle_csv" in data and "chronicle" in data:
+        raise ConfigError(f"{path}: fields 'chronicle_csv' and 'chronicle' conflict; give at most one")
     if "chronicle_csv" in data:
         chronicle = tuple(load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"])))
     elif "chronicle" in data:
         chronicle = _floats(data["chronicle"], path, "chronicle")
     else:
-        years = _as_int(data.get("horizon_years", horizon), path, "horizon_years")
-        if years < 1:
-            raise ConfigError(f"{path}: field 'horizon_years' must be >= 1, got {years}")
-        chronicle = (mean_sp,) * years
+        chronicle = (mean_sp,) * horizon
 
     sigma = _float(data, "sigma", path, default=None)
     buckets = _parse_criteria(data["criteria"], path) if "criteria" in data else None
@@ -467,7 +456,7 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
         sigma = lognormal_sigma(volatility_score(buckets, weights))
 
     with _naming(path):
-        return PortfolioSpec(
+        portfolio = PortfolioSpec(
             id=_file_name(_require(data, "id", path), path, "id"),
             initial_premium=_float(data, "initial_premium", path),
             chronicle=chronicle,
@@ -478,6 +467,9 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
             sigma=sigma,
             reversion_speed=_float(data, "reversion_speed", path, default=DEFAULT_REVERSION_SPEED),
         )
+    if portfolio.horizon != horizon:
+        raise ConfigError(f"{path}: the chronicle covers {portfolio.horizon} years, the run horizon is {horizon}")
+    return portfolio
 
 
 def load_replay_pvfp(path: Path) -> list[tuple[str, float, float, float, float]]:

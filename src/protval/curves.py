@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 @dataclass(frozen=True)
 class ZeroCurve:
@@ -81,7 +79,7 @@ class VolTermStructure:
         if len(self.fixing_times) != len(self.black_vols):
             raise ValueError("fixing_times and black_vols must have the same length")
         if not self.fixing_times:
-            raise ConfigError("volatility term structure is empty")
+            raise ValueError("volatility term structure is empty")
         if any(b <= a for a, b in zip(self.fixing_times, self.fixing_times[1:])):
             raise ValueError("fixing_times must be strictly increasing")
         # zero is allowed: an all-zero surface is the deterministic pricing limit

@@ -147,22 +147,3 @@ def reverting_paths(
     floored = int(np.count_nonzero(paths < 0.0))
     np.maximum(paths, 0.0, out=paths)
     return paths, floored
-
-
-def histogram(values: Sequence[float] | np.ndarray, bin_width: float) -> list[tuple[float, int]]:
-    """Counts per left-closed bin [k*w, (k+1)*w), as (left edge, count) pairs.
-
-    Bins are contiguous from 0 (or from the lowest occupied bin if values go
-    negative) up to the highest occupied bin, so the output can be tabulated
-    directly. The small epsilon keeps values like 0.3 in the bin whose edge
-    they mathematically sit on despite binary rounding of v / w.
-    """
-    if bin_width <= 0.0:
-        raise ValueError(f"bin width must be > 0, got {bin_width}")
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return []
-    k = np.floor(arr / bin_width + 1e-9).astype(int)
-    k_lo = min(0, int(k.min()))
-    counts = np.bincount(k - k_lo, minlength=int(k.max()) - k_lo + 1)
-    return [((k_lo + i) * bin_width, int(c)) for i, c in enumerate(counts)]

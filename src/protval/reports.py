@@ -22,6 +22,7 @@ from .risk import PvfpStatistics
 
 FAN_PROBS = (0.01, 0.25, 0.50, 0.75, 0.99)
 FAN_LABELS = ("q01", "q25", "q50", "q75", "q99")
+HISTOGRAM_BIN_WIDTH = 0.10
 
 # Lines joined into one write() call by _write_lines: one call per line costs
 # more than rendering the line, while a chunk of 1,024 lines stays small.
@@ -45,7 +46,6 @@ def _write_lines(handle, lines: Iterable[str]) -> None:
 
 def write_manifest(out_dir: Path, command: str, config: RunConfig) -> Path:
     """Record what produced this output directory, enabling exact reruns."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{command}_manifest.json"
     payload = {
         "command": command,
@@ -104,12 +104,20 @@ def write_fan_chart_csv(path: Path, paths: np.ndarray) -> None:
             writer.writerow([str(t)] + [_fmt(q) for q in quantiles])
 
 
-def write_histogram_csv(path: Path, bins: Sequence[tuple[float, int]], bin_width: float) -> None:
+def write_histogram_csv(path: Path, year1: np.ndarray) -> None:
+    """Counts of the year-1 loss ratios per bin [i*w, (i+1)*w) of width ``HISTOGRAM_BIN_WIDTH``.
+
+    The ratios are >= 0, so the bins run from 0 up to the highest occupied one.
+    The small epsilon keeps values like 0.3 in the bin whose edge they
+    mathematically sit on despite binary rounding of v / w.
+    """
+    counts = np.bincount(np.floor(year1 / HISTOGRAM_BIN_WIDTH + 1e-9).astype(int))
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["bin_left", "bin_right", "count"])
-        for left, count in bins:
-            writer.writerow([_fmt(left), _fmt(left + bin_width), str(count)])
+        for i, count in enumerate(counts.tolist()):
+            left = i * HISTOGRAM_BIN_WIDTH
+            writer.writerow([_fmt(left), _fmt(left + HISTOGRAM_BIN_WIDTH), str(count)])
 
 
 def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:

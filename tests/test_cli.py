@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,48 @@ class TestValueProcesses:
         assert not (tmp_path / "out" / "value_manifest.json").exists()
 
 
+def reap_children() -> int:
+    """Wait for every child of this process; return how many there were."""
+    reaped = 0
+    while True:
+        try:
+            os.waitpid(-1, 0)
+        except ChildProcessError:
+            return reaped
+        reaped += 1
+
+
+@pytest.mark.parametrize("config_name", ["run_simulate.json", "run_value.json"])
+def test_fork_warning_in_the_parent_neither_fails_the_run_nor_loses_a_child(tmp_path, monkeypatch, config_name):
+    """CPython 3.12+ warns in the parent when a process with more than one thread forks.
+
+    The suite turns that ``DeprecationWarning`` into an error, raised after the child exists.
+    """
+    from .test_golden import GOLDEN, run_digests
+
+    set_usable_cores(monkeypatch, 2)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, "
+                "use of fork() may lead to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    try:
+        digests = run_digests(config_name, tmp_path)
+    finally:
+        left = reap_children()
+    assert left == 0
+    assert digests == GOLDEN[config_name]
+
+
 @pytest.mark.parametrize("command", ["simulate", "value"])
 def test_five_portfolios_give_the_same_files_and_stdout_on_one_two_and_three_cores(
     tmp_path, monkeypatch, capsys, forks, command
@@ -729,6 +772,24 @@ def test_sigma_too_large_for_the_mean_to_round_trip_is_rejected_naming_the_file(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad_file}: implied mean exp(mu + sigma^2/2) must equal the retained loss ratio")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenarios", [10**15, 10**30])
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_scenario_count_too_large_to_draw_stops_before_any_output(tmp_path, capsys, command, scenarios):
+    """10**15 draws need 7 PiB, which fails at once and reserves nothing; 10**30 exceeds numpy's largest dimension.
+
+    Run in-process, so a ``MemoryError`` that escaped ``main`` would fail the test with its traceback.
+    """
+    config = write_small_run(tmp_path, replay=False)
+    run = json.loads(config.read_text(encoding="utf-8"))
+    del run["scenarios"]
+    write_json(config, run)
+
+    assert main([command, "--config", str(config), "--scenarios", str(scenarios)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

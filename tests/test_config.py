@@ -84,9 +84,17 @@ class TestChronicle:
     def test_portfolio_with_chronicle_csv(self, tmp_path):
         write_chronicle(tmp_path / "c.csv", [(1, 1.04), (2, 1.05)])
         path = make_portfolio_file(tmp_path, chronicle_csv="c.csv", retained_loss_ratio=1.04)
-        spec = load_portfolio(path, 30, None)
+        spec = load_portfolio(path, 2, None)
         assert spec.chronicle == (1.04, 1.05)
         assert spec.horizon == 2
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_chronicle_of_another_length_than_the_horizon_is_rejected(self, tmp_path, horizon):
+        write_chronicle(tmp_path / "c.csv", [(1, 1.04), (2, 1.05)])
+        path = make_portfolio_file(tmp_path, chronicle_csv="c.csv", retained_loss_ratio=1.04)
+        message = rf"p1\.json: the chronicle covers 2 years, the run horizon is {horizon}$"
+        with pytest.raises(ConfigError, match=message):
+            load_portfolio(path, horizon, None)
 
     def test_flat_chronicle_fallback_uses_the_retained_ratio(self, tmp_path):
         path = make_portfolio_file(tmp_path, retained_loss_ratio=0.7)

@@ -112,8 +112,8 @@ class TestVolTermStructure:
     def test_flat_beyond_last_node(self, figure_vols):
         assert figure_vols.vol_at(12.0) == FIGURE_VOLS[-1]
 
-    def test_empty_structure_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="empty"):
+    def test_empty_structure_is_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
             VolTermStructure(fixing_times=(), black_vols=())
 
     def test_negative_vol_rejected(self):

@@ -111,9 +111,6 @@ JSON_FIELDS = {
     "portfolio.reversion_speed": JsonField(
         "simulate", "p1.json", ("reversion_speed",), "portfolio", st.one_of(NONPOSITIVE, ABOVE_ONE)
     ),
-    "portfolio.horizon_years": JsonField(
-        "value", "p1.json", ("horizon_years",), "horizon_years", st.integers(max_value=0), NOT_AN_INTEGER
-    ),
     "portfolio.chronicle": JsonField("value", "p1.json", ("chronicle",), "chronicle", None, NOT_AN_ARRAY),
     "portfolio.chronicle_value": JsonField("simulate", "p1.json", ("chronicle", 1), "chronicle", NONPOSITIVE),
     "portfolio.portfolio_age_years": JsonField(
@@ -163,8 +160,6 @@ def write_run(directory: Path, variant: str) -> Path:
         portfolio.update(sigma=None, criteria=MODERATE_CRITERIA)
     elif variant == "chronicle":
         portfolio.update(chronicle_csv=None, chronicle=[0.8, 0.85])
-    elif variant == "horizon_years":
-        portfolio.update(chronicle_csv=None, horizon_years=2)
     make_portfolio_file(directory, **portfolio)
     cap = {
         "strike": 0.019,
@@ -254,10 +249,9 @@ def test_missing_weight_criterion_or_bucket_is_rejected_naming_file_and_key(tmp_
         ("criteria", "p1.json", {"criteria": {**MODERATE_CRITERIA, "litigation": "severe"}}, "litigation"),
         ("criteria", "run.json", {"weights": None}, "criteria"),
         ("portfolio", "p1.json", {"chronicle": [0.8, 0.85]}, "chronicle"),
-        ("portfolio", "p1.json", {"horizon_years": "abc"}, "horizon_years"),
     ],
     ids=["neither_sigma_nor_criteria", "bad_criteria_level", "criteria_without_weights",
-         "chronicle_and_chronicle_csv", "horizon_years_and_chronicle_csv"],
+         "chronicle_and_chronicle_csv"],
 )
 def test_unresolvable_portfolio_stops_naming_the_portfolio_before_any_output(
     tmp_path, command, variant, file, changes, field
@@ -310,6 +304,17 @@ def test_unknown_key_is_rejected_naming_file_and_key(tmp_path, case):
     code, err = run_command(command, config)
     assert_one_named_error(code, err, target, key)
     assert "unknown field '" in err, err
+
+
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_horizon_years_is_an_unknown_portfolio_field(tmp_path, command):
+    """The chronicle's length is the run's ``horizon``; a portfolio cannot restate it."""
+    config = write_run(tmp_path, "chronicle")
+    target = add_key(tmp_path, "p1.json", (), "horizon_years", 2)
+    code, err = run_command(command, config)
+    assert_one_named_error(code, err, target, "horizon_years")
+    assert err == f"error: {target.resolve()}: unknown field 'horizon_years'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", JSON_OBJECTS.values(), ids=JSON_OBJECTS.keys())

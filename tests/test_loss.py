@@ -1,4 +1,4 @@
-"""Loss-ratio model: scoring, lognormal parameters, seeded draws, reversion, histogram."""
+"""Loss-ratio model: scoring, lognormal parameters, seeded draws, reversion."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from protval.loss import (
     RATING_CRITERIA,
     age_bucket,
     draw_initial_ratios,
-    histogram,
     lognormal_mu,
     lognormal_sigma,
     reverting_paths,
@@ -329,37 +328,3 @@ class TestGenerateScenarios:
         scored = scored_portfolio_file(tmp_path)
         with pytest.raises(ConfigError, match=r"p1\.json: field 'criteria' needs a weight matrix"):
             load_portfolio(scored, 10, None)
-
-
-class TestHistogram:
-    def test_worked_example(self):
-        bins = histogram([0.05, 0.15, 0.15], bin_width=0.1)
-        assert bins == [(0.0, 1), (pytest.approx(0.1), 2)]
-
-    def test_boundary_value_lands_in_its_own_bin(self):
-        bins = dict(histogram([0.3], bin_width=0.1))
-        occupied = [left for left, count in bins.items() if count]
-        assert occupied == [pytest.approx(0.3)]
-
-    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=200), st.floats(0.01, 1.0))
-    @settings(max_examples=200)
-    def test_counts_are_conserved(self, values, width):
-        assert sum(c for _, c in histogram(values, width)) == len(values)
-
-    def test_bins_start_at_zero_for_nonnegative_data(self):
-        bins = histogram([0.55], bin_width=0.1)
-        assert bins[0][0] == 0.0
-        assert len(bins) == 6
-
-    def test_modal_bin_of_a_moderate_vol_draw(self):
-        # mean 0.80, CV 0.2: the density mode sits near 0.75, so the
-        # 10%-bin histogram of 10^4 draws peaks inside [0.6, 0.9)
-        sigma = lognormal_sigma(0.2)
-        values = draw_initial_ratios(lognormal_mu(0.80, sigma), sigma, standard_normals(10_000, seed=99))
-        bins = histogram(values, bin_width=0.1)
-        modal_left = max(bins, key=lambda item: item[1])[0]
-        assert 0.6 <= modal_left < 0.9
-
-    def test_bad_width_rejected(self):
-        with pytest.raises(ValueError, match="bin width"):
-            histogram([1.0], 0.0)

@@ -1,13 +1,18 @@
-"""CSV writers: the bytes of the chunked writers against one-line-at-a-time references."""
+"""CSV writers: the bytes of the chunked writers against one-line-at-a-time references, and the histogram's bins."""
 
 from __future__ import annotations
 
+import csv
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from protval.reports import write_pvfp_samples_csv, write_scenarios_csv
+from protval.loss import draw_initial_ratios, lognormal_mu, lognormal_sigma, standard_normals
+from protval.reports import write_histogram_csv, write_pvfp_samples_csv, write_scenarios_csv
 
 # Row counts around the writers' 1,024-line chunks.
 ROW_COUNTS = (1, 1023, 1024, 1025, 2049)
@@ -55,3 +60,42 @@ def test_pvfp_samples_csv_matches_a_line_by_line_writer(tmp_path, n):
     data = (tmp_path / "chunked.csv").read_bytes()
     assert data == (tmp_path / "reference.csv").read_bytes()
     assert data.count(b"\n") == n + 1
+
+
+def histogram_rows(directory: Path, year1: list[float] | np.ndarray) -> list[tuple[float, float, int]]:
+    """The (bin_left, bin_right, count) rows that ``write_histogram_csv`` writes for ``year1``."""
+    path = directory / "histogram.csv"
+    write_histogram_csv(path, np.asarray(year1, dtype=float))
+    with path.open(newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["bin_left", "bin_right", "count"]
+    return [(float(left), float(right), int(count)) for left, right, count in rows]
+
+
+class TestHistogram:
+    def test_worked_example(self, tmp_path):
+        write_histogram_csv(tmp_path / "h.csv", np.array([0.05, 0.15, 0.15]))
+        assert (tmp_path / "h.csv").read_bytes() == b"bin_left,bin_right,count\n0.0,0.1,1\n0.1,0.2,2\n"
+
+    def test_boundary_value_lands_in_its_own_bin(self, tmp_path):
+        occupied = [left for left, _, count in histogram_rows(tmp_path, [0.3]) if count]
+        assert occupied == [pytest.approx(0.3)]
+
+    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=200))
+    @settings(max_examples=200)
+    def test_counts_are_conserved(self, values):
+        with tempfile.TemporaryDirectory() as scratch:
+            assert sum(count for _, _, count in histogram_rows(Path(scratch), values)) == len(values)
+
+    def test_bins_start_at_zero_for_nonnegative_data(self, tmp_path):
+        rows = histogram_rows(tmp_path, [0.55])
+        assert rows[0][0] == 0.0
+        assert len(rows) == 6
+
+    def test_modal_bin_of_a_moderate_vol_draw(self, tmp_path):
+        # mean 0.80, CV 0.2: the density mode sits near 0.75, so the
+        # 10%-bin histogram of 10^4 draws peaks inside [0.6, 0.9)
+        sigma = lognormal_sigma(0.2)
+        values = draw_initial_ratios(lognormal_mu(0.80, sigma), sigma, standard_normals(10_000, seed=99))
+        modal_left = max(histogram_rows(tmp_path, values), key=lambda row: row[2])[0]
+        assert 0.6 <= modal_left < 0.9
