@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, reports
 from .cap import CapValuation, cap_strip, price_cap
 from .config import (
+    ConfigError,
     RunConfig,
     load_cap_inputs,
     load_curve,
@@ -36,10 +37,9 @@ from .config import (
     load_weight_matrix,
 )
 from .curves import ZeroCurve
-from .errors import CalibrationError, ConfigError
 from .loss import draw_initial_ratios, lognormal_mu, reverting_paths, standard_normals
 from .projection import PortfolioSpec, pvfp, pvfp_of_ratios
-from .risk import PvfpStatistics, SpreadFunction, aggregate, calibrate_spread, pvfp_stats
+from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
 
 T = TypeVar("T")
 
@@ -83,12 +83,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _spread_function(config: RunConfig) -> SpreadFunction:
-    if config.spread_points is None:
+    if config.spread_fn is None:
         raise ConfigError(f"{config.config_path}: 'spread_points' is required for this command")
-    try:
-        return calibrate_spread(config.spread_points)
-    except CalibrationError as exc:
-        raise CalibrationError(f"{config.config_path}: spread_points: {exc}") from exc
+    return config.spread_fn
 
 
 def cmd_price_cap(config: RunConfig) -> int:
@@ -142,6 +139,14 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
             raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
         seen[portfolio.id] = path
     return portfolios
+
+
+def _draw_normals(config: RunConfig) -> np.ndarray:
+    """The run's standard normals; a count too large to draw raises a ConfigError naming the run config."""
+    try:
+        return standard_normals(config.scenarios, config.seed)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{config.config_path}: scenarios={config.scenarios}: {exc}") from exc
 
 
 def _simulate_portfolio(config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec) -> str:
@@ -240,7 +245,7 @@ def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios
 
 def cmd_simulate(config: RunConfig) -> int:
     portfolios = _load_portfolios(config)
-    z = standard_normals(config.scenarios, config.seed)
+    z = _draw_normals(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for line in _map_portfolios("simulate", functools.partial(_simulate_portfolio, config, z), portfolios):
         print(line)
@@ -283,7 +288,7 @@ def cmd_value(config: RunConfig) -> int:
     else:
         portfolios = _load_portfolios(config)
         curve = load_curve(config)
-        z = standard_normals(config.scenarios, config.seed)
+        z = _draw_normals(config)
         config.output_dir.mkdir(parents=True, exist_ok=True)
         value = functools.partial(_value_portfolio, config, curve, spread_fn, z)
         rows = [(p.id, stats) for p, stats in zip(portfolios, _map_portfolios("value", value, portfolios))]
@@ -341,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](config)
-    except (CalibrationError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, NoReturn
 
-import numpy as np
-
 from .cap import CapSpec
 from .curves import VolTermStructure, ZeroCurve
-from .errors import ConfigError
 from .loss import (
     AGE_CRITERION,
     BUCKETS,
@@ -36,7 +33,11 @@ from .loss import (
     volatility_score,
 )
 from .projection import FixedTerm, PortfolioSpec, TacitRenewal
-from .risk import _check_calibration_points
+from .risk import SpreadFunction, calibrate_spread
+
+
+class ConfigError(ValueError):
+    """Raised when configuration inputs are missing, malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class RunConfig:
     portfolio_paths: tuple[Path, ...]
     weights_path: Path | None
     replay_pvfp_path: Path | None
-    spread_points: tuple[tuple[float, float], ...] | None
+    spread_fn: SpreadFunction | None
     scenarios: int
     seed: int
     horizon: int
@@ -252,21 +253,24 @@ def load_run_config(
         ("curve_csv", "vols_csv", "spot_index_rate", "tax_rate"), path, "market.",
     )
 
-    out_dir = merged("output_dir", out)
-    if out_dir is None:
+    # The file's output_dir is relative to the file, the --out flag to the working directory.
+    if "output_dir" in data:
+        data["output_dir"] = _resolve(path, "output_dir", data["output_dir"])
+    output_dir = merged("output_dir", None if out is None else Path(out).resolve())
+    if output_dir is None:
         raise ConfigError(f"{path}: missing required field 'output_dir' (or pass --out)")
 
-    spread_points = data.get("spread_points")
-    if spread_points is not None:
+    spread_fn = None
+    if data.get("spread_points") is not None:
         try:
             spread_points = tuple(
                 (_as_float(v, path, "spread_points"), _as_float(s, path, "spread_points"))
-                for v, s in spread_points
+                for v, s in data["spread_points"]
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: spread_points must be [[rel_vol, spread], ...] of numbers") from exc
         with _naming(path, "spread_points: "):
-            _check_calibration_points(spread_points)
+            spread_fn = calibrate_spread(spread_points)
 
     def merged_int(name: str, flag: int | None, default: int) -> int:
         if name in data:  # a null here is an error, not the default
@@ -290,11 +294,11 @@ def load_run_config(
         ),
         weights_path=ref(data, "weights"),
         replay_pvfp_path=ref(data, "replay_pvfp"),
-        spread_points=spread_points,
+        spread_fn=spread_fn,
         scenarios=merged_int("scenarios", scenarios, DEFAULT_SCENARIOS),
         seed=merged_int("seed", seed, 0),
         horizon=merged_int("horizon", None, DEFAULT_HORIZON),
-        output_dir=_resolve(path, "output_dir", str(out_dir)),
+        output_dir=output_dir,
     )
 
     referenced = [config.curve_csv, config.vols_csv, config.cap_spec_path,
@@ -386,13 +390,13 @@ def load_weight_matrix(path: Path) -> dict[str, dict[str, float]]:
     return weights
 
 
-def load_chronicle(path: Path) -> np.ndarray:
+def load_chronicle(path: Path) -> tuple[float, ...]:
     rows = _read_csv_pairs(path, "year", "expected_sp")
     if [y for y, _ in rows] != list(range(1, len(rows) + 1)):
         raise ConfigError(f"{path}: 'year' column must run 1..H in whole years without gaps")
     if any(v <= 0.0 for _, v in rows):
         raise ConfigError(f"{path}: 'expected_sp' values must be > 0")
-    return np.array([v for _, v in rows], dtype=float)
+    return tuple(v for _, v in rows)
 
 
 def _parse_renewal(data: dict[str, Any], path: Path) -> TacitRenewal | FixedTerm:
@@ -440,7 +444,7 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
     if "chronicle_csv" in data and "chronicle" in data:
         raise ConfigError(f"{path}: fields 'chronicle_csv' and 'chronicle' conflict; give at most one")
     if "chronicle_csv" in data:
-        chronicle = tuple(load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"])))
+        chronicle = load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"]))
     elif "chronicle" in data:
         chronicle = _floats(data["chronicle"], path, "chronicle")
     else:

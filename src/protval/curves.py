@@ -42,8 +42,6 @@ class ZeroCurve:
 
     def discount_factor(self, t: float) -> float:
         """Discount factor (1 + z(t))^-t; equals 1 at t = 0."""
-        if t < 0.0:
-            raise ValueError(f"tenor must be >= 0, got {t}")
         if t == 0.0:
             return 1.0
         return (1.0 + self.zero_rate(t)) ** -t

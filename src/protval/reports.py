@@ -33,8 +33,10 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+def _write_rows(path: Path, rows: Iterable[Sequence[str]]) -> None:
+    """Write ``rows`` to ``path`` as CSV, each line ended by "\\n"."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def _write_lines(handle, lines: Iterable[str]) -> None:
@@ -67,20 +69,20 @@ def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> No
     ``valuation`` is cost-signed (insurer costs negative), matching how
     remuneration reports are presented.
     """
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["metric"] + [str(j) for j in range(len(strip.notionals))])
-        writer.writerow(["notional"] + [_fmt(n) for n in strip.notionals])
-        writer.writerow(["discount_factor"] + [_fmt(df) for df in strip.discount_factors])
-        writer.writerow(["forward_rate"] + [_fmt(f) for f in strip.forwards])
-        writer.writerow(["strike"] + [_fmt(k) for k in strip.strikes])
-        writer.writerow(["volatility"] + [_fmt(v) for v in strip.vols])
-        writer.writerow(["caplet_cost"] + [_fmt(v) for v in valuation.caplet_values])
-        writer.writerow(["stochastic_value", _fmt(valuation.stochastic_value)])
-        writer.writerow(["deterministic_value", _fmt(valuation.deterministic_value)])
-        writer.writerow(["valuation_spread", _fmt(valuation.valuation_spread)])
-        writer.writerow(["booked_flows_pv", _fmt(valuation.booked_flows_pv)])
-        writer.writerow(["crd", _fmt(valuation.crd)])
+    _write_rows(path, [
+        ["metric"] + [str(j) for j in range(len(strip.notionals))],
+        ["notional"] + [_fmt(n) for n in strip.notionals],
+        ["discount_factor"] + [_fmt(df) for df in strip.discount_factors],
+        ["forward_rate"] + [_fmt(f) for f in strip.forwards],
+        ["strike"] + [_fmt(k) for k in strip.strikes],
+        ["volatility"] + [_fmt(v) for v in strip.vols],
+        ["caplet_cost"] + [_fmt(v) for v in valuation.caplet_values],
+        ["stochastic_value", _fmt(valuation.stochastic_value)],
+        ["deterministic_value", _fmt(valuation.deterministic_value)],
+        ["valuation_spread", _fmt(valuation.valuation_spread)],
+        ["booked_flows_pv", _fmt(valuation.booked_flows_pv)],
+        ["crd", _fmt(valuation.crd)],
+    ])
 
 
 def write_scenarios_csv(path: Path, paths: np.ndarray) -> None:
@@ -97,11 +99,10 @@ def write_scenarios_csv(path: Path, paths: np.ndarray) -> None:
 def write_fan_chart_csv(path: Path, paths: np.ndarray) -> None:
     """Per-year ``FAN_PROBS`` quantiles of the (scenarios x years) matrix, one row per year."""
     fan = np.quantile(paths, FAN_PROBS, axis=0).T
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["year"] + list(FAN_LABELS))
-        for t, quantiles in enumerate(fan, start=1):
-            writer.writerow([str(t)] + [_fmt(q) for q in quantiles])
+    _write_rows(path, [
+        ["year"] + list(FAN_LABELS),
+        *([str(t)] + [_fmt(q) for q in quantiles] for t, quantiles in enumerate(fan, start=1)),
+    ])
 
 
 def write_histogram_csv(path: Path, year1: np.ndarray) -> None:
@@ -112,12 +113,11 @@ def write_histogram_csv(path: Path, year1: np.ndarray) -> None:
     mathematically sit on despite binary rounding of v / w.
     """
     counts = np.bincount(np.floor(year1 / HISTOGRAM_BIN_WIDTH + 1e-9).astype(int))
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, count in enumerate(counts.tolist()):
-            left = i * HISTOGRAM_BIN_WIDTH
-            writer.writerow([_fmt(left), _fmt(left + HISTOGRAM_BIN_WIDTH), str(count)])
+    lefts = [i * HISTOGRAM_BIN_WIDTH for i in range(len(counts))]
+    _write_rows(path, [
+        ["bin_left", "bin_right", "count"],
+        *([_fmt(left), _fmt(left + HISTOGRAM_BIN_WIDTH), str(count)] for left, count in zip(lefts, counts.tolist())),
+    ])
 
 
 def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
@@ -129,11 +129,10 @@ def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
 
 def write_params_echo_csv(path: Path, rows: Sequence[tuple[str, float, float, float]]) -> None:
     """Lognormal parameter echo: (portfolio, retained ratio, mu, sigma) rows."""
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["portfolio", "mean_sp", "mu", "sigma"])
-        for name, mean_sp, mu, sigma in rows:
-            writer.writerow([name, _fmt(mean_sp), _fmt(mu), _fmt(sigma)])
+    _write_rows(path, [
+        ["portfolio", "mean_sp", "mu", "sigma"],
+        *([name, _fmt(mean_sp), _fmt(mu), _fmt(sigma)] for name, mean_sp, mu, sigma in rows),
+    ])
 
 
 def write_risk_report_csv(
@@ -141,24 +140,22 @@ def write_risk_report_csv(
     rows: Sequence[tuple[str, PvfpStatistics]],
     totals: tuple[float, float],
 ) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(
-            ["portfolio", "mean_pvfp", "vol_pvfp", "spread", "pvfp_tsr_spread", "pvfp_tsr", "cur"]
-        )
-        for name, stats in rows:
-            writer.writerow(
-                [
-                    name,
-                    _fmt(stats.mean),
-                    _fmt(stats.vol),
-                    _fmt(stats.spread),
-                    _fmt(stats.pvfp_spread),
-                    _fmt(stats.pvfp_tsr),
-                    _fmt(stats.cur),
-                ]
-            )
-        writer.writerow(["TOTAL", "", "", "", "", _fmt(totals[0]), _fmt(totals[1])])
+    _write_rows(path, [
+        ["portfolio", "mean_pvfp", "vol_pvfp", "spread", "pvfp_tsr_spread", "pvfp_tsr", "cur"],
+        *(
+            [
+                name,
+                _fmt(stats.mean),
+                _fmt(stats.vol),
+                _fmt(stats.spread),
+                _fmt(stats.pvfp_spread),
+                _fmt(stats.pvfp_tsr),
+                _fmt(stats.cur),
+            ]
+            for name, stats in rows
+        ),
+        ["TOTAL", "", "", "", "", _fmt(totals[0]), _fmt(totals[1])],
+    ])
 
 
 def pct(value: float, decimals: int = 0) -> str:

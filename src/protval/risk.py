@@ -15,11 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CalibrationError
-
 _BISECTION_LO = 1e-9
 _BISECTION_HI = 1e6
 _RESIDUAL_TOL = 1e-10
+
+
+class CalibrationError(ValueError):
+    """Raised when a calibration root search cannot bracket or reach its target residual."""
 
 
 @dataclass(frozen=True)
@@ -84,29 +86,22 @@ def pvfp_stats(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
-def _check_calibration_points(points: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    """The (rel_vol, spread) points as floats; ValueError unless they are two, positive and distinct.
-
-    Distinct means distinct in both coordinates: a log curve through the
-    origin cannot pass through two points sharing either one.
-    """
-    if len(points) != 2:
-        raise ValueError(f"exactly two calibration points are required, got {len(points)}")
-    (v1, s1), (v2, s2) = pair = tuple((float(v), float(s)) for v, s in points)
-    if min(v1, s1, v2, s2) <= 0.0:
-        raise ValueError(f"calibration points must have positive coordinates, got {list(pair)}")
-    if v1 == v2 or s1 == s2:
-        raise ValueError(f"calibration points must be distinct in both coordinates, got {list(pair)}")
-    return pair
-
-
 def calibrate_spread(points: Sequence[tuple[float, float]]) -> SpreadFunction:
     """Fit a * ln(b * vol + 1) through two (rel_vol, spread) points and the origin.
 
-    b is found by bisection on the residual s2 * ln(b*v1 + 1) -
-    s1 * ln(b*v2 + 1), then a follows from the first point.
+    The points must be two, with positive coordinates, and distinct in both
+    coordinates: a log curve through the origin cannot pass through two
+    points sharing either one. b is found by bisection on the residual
+    s2 * ln(b*v1 + 1) - s1 * ln(b*v2 + 1), then a follows from the first point.
     """
-    (v1, s1), (v2, s2) = sorted(_check_calibration_points(points))
+    if len(points) != 2:
+        raise ValueError(f"exactly two calibration points are required, got {len(points)}")
+    pair = [(float(v), float(s)) for v, s in points]
+    (v1, s1), (v2, s2) = sorted(pair)
+    if min(v1, s1, v2, s2) <= 0.0:
+        raise ValueError(f"calibration points must have positive coordinates, got {pair}")
+    if v1 == v2 or s1 == s2:
+        raise ValueError(f"calibration points must be distinct in both coordinates, got {pair}")
 
     def residual(b: float) -> float:
         return s2 * math.log1p(b * v1) - s1 * math.log1p(b * v2)

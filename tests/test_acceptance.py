@@ -32,7 +32,7 @@ from .conftest import (
     make_portfolio,
 )
 from .test_cap import monte_carlo_caplet
-from .test_cli import sample_config
+from .test_cli import forks, sample_config, set_usable_cores  # forks is a fixture
 from .test_projection import one_year_result
 
 
@@ -186,30 +186,29 @@ def test_criterion_08_mean_reversion_half_life():
     )
 
 
-def test_criterion_09_byte_identical_across_workers(tmp_path):
+def test_criterion_09_byte_identical_across_workers(tmp_path, monkeypatch, forks):
+    """Three portfolios give the same files on 1, 2 and 3 usable cores, that is with 0, 2 and 3 worker processes."""
+    sample = Path(__file__).resolve().parents[1] / "sample_inputs"
     base = {
-        "portfolios": [str(Path(__file__).resolve().parents[1] / "sample_inputs" / "portfolio_1.json")],
+        "portfolios": [str(sample / f"portfolio_{k}.json") for k in (1, 2, 3)],
         "scenarios": 500,
         "seed": 13,
         "horizon": 10,
-        "market": {
-            "curve_csv": str(Path(__file__).resolve().parents[1] / "sample_inputs" / "market_curve.csv"),
-            "vols_csv": str(Path(__file__).resolve().parents[1] / "sample_inputs" / "market_vols.csv"),
-        },
+        "market": {"curve_csv": str(sample / "market_curve.csv"), "vols_csv": str(sample / "market_vols.csv")},
         "spread_points": [[0.10, 0.02], [0.20, 0.03]],
-        "output_dir": "out",
     }
     snapshots = []
     config = tmp_path / "run.json"
     config.write_text(json.dumps(base, indent=2), encoding="utf-8")
-    for workers in (1, 4, 8):
-        assert main(["simulate", "--config", str(config), "--workers", str(workers)]) == 0
-        assert main(["value", "--config", str(config), "--workers", str(workers)]) == 0
-        files = sorted((tmp_path / "out").glob("*.csv"))
-        snapshots.append({f.name: f.read_bytes() for f in files})
-    ok = snapshots[0] == snapshots[1] == snapshots[2]
+    for cores in (1, 2, 3):
+        set_usable_cores(monkeypatch, cores)
+        out = tmp_path / f"cores_{cores}"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["value", "--config", str(config), "--out", str(out)]) == 0
+        snapshots.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+    ok = snapshots[0] == snapshots[1] == snapshots[2] and len(forks) == 2 * (2 + 3)
     names = sorted(snapshots[0])
-    report(9, ok, f"{len(names)} files identical across workers 1/4/8 (incl. {names[-1]})")
+    report(9, ok, f"{len(names)} files identical on 1/2/3 usable cores, {len(forks)} forks (incl. {names[-1]})")
 
 
 def test_criterion_10_profit_sharing_asymmetry():

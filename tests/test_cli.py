@@ -789,7 +789,7 @@ def test_scenario_count_too_large_to_draw_stops_before_any_output(tmp_path, caps
 
     assert main([command, "--config", str(config), "--scenarios", str(scenarios)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {config}: scenarios={scenarios}: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -882,9 +882,12 @@ def test_replay_row_id_must_be_a_string(tmp_path, capsys):
         ("value", "run.json", ("scenarios",), 1, "scenarios must be >= 2, got 1"),
         ("simulate", "run.json", ("horizon",), 0, "horizon must be >= 1, got 0"),
         ("simulate", "run.json", ("seed",), -1, "seed must be >= 0, got -1"),
+        ("simulate", "run.json", ("output_dir",), ["a", "b"], "field 'output_dir' must be a string, got ['a', 'b']"),
+        ("calibrate-spread", "run.json", ("output_dir",), 5, "field 'output_dir' must be a string, got 5"),
     ],
     ids=["renewal", "criteria", "portfolios", "notionals", "use_spot", "mean_pvfp", "vol_pvfp", "pvfp_tsr",
-         "tax_rate", "tax_rate_value", "tax_rate_simulate", "scenarios", "horizon", "seed"],
+         "tax_rate", "tax_rate_value", "tax_rate_simulate", "scenarios", "horizon", "seed", "output_dir_array",
+         "output_dir_number"],
 )
 def test_malformed_or_out_of_range_field_is_rejected_naming_file_and_field(
     tmp_path, capsys, command, bad_file, field_path, bad_value, expected
@@ -894,7 +897,7 @@ def test_malformed_or_out_of_range_field_is_rejected_naming_file_and_field(
     assert err.startswith("error: ") and bad_file in err and expected in err
 
 
-@pytest.mark.parametrize("command", ["calibrate-spread", "value"])
+@pytest.mark.parametrize("command", ["calibrate-spread", "value", "price-cap", "simulate"])
 @pytest.mark.parametrize(
     ("points", "expected"),
     [
@@ -910,6 +913,38 @@ def test_bad_spread_points_are_rejected_naming_the_run_config(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'run.json'}: spread_points: {expected}")
     assert not (tmp_path / "out").exists()
+
+
+def test_relative_out_flag_resolves_against_the_working_directory(tmp_path, monkeypatch):
+    inputs, cwd = tmp_path / "inputs", tmp_path / "cwd"
+    inputs.mkdir()
+    cwd.mkdir()
+    config = write_small_run(inputs, replay=True)
+    run = json.loads(config.read_text(encoding="utf-8"))
+    del run["output_dir"]
+    write_json(config, run)
+    monkeypatch.chdir(cwd)
+
+    assert main(["calibrate-spread", "--config", str(config), "--out", "relout"]) == 0
+    assert (cwd / "relout" / "spread_function.json").is_file()
+    assert not (inputs / "relout").exists()
+
+
+def test_out_flag_conflicts_with_the_config_only_when_the_resolved_directories_differ(tmp_path, monkeypatch, capsys):
+    """The config's ``"output_dir": "out"`` is ``<config dir>/out``; ``--out out`` is ``<cwd>/out``."""
+    config = write_small_run(tmp_path, replay=True)
+    assert main(["calibrate-spread", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "spread_function.json").is_file()
+
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["calibrate-spread", "--config", str(config), "--out", "out"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: output_dir={tmp_path / 'out'} conflicts with the command-line value {cwd / 'out'}; "
+        "remove one\n"
+    )
+    assert not (cwd / "out").exists()
 
 
 class TestSharedDraws:

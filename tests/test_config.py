@@ -10,12 +10,12 @@ import pytest
 
 from protval.cli import main
 from protval.config import (
+    ConfigError,
     load_chronicle,
     load_portfolio,
     load_run_config,
     load_weight_matrix,
 )
-from protval.errors import ConfigError
 
 from .test_cli import SAMPLE_DIR, make_portfolio_file, sample_config, write_json
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval.config import load_curve, load_run_config, load_vols
+from protval.config import ConfigError, load_curve, load_run_config, load_vols
 from protval.curves import VolTermStructure, ZeroCurve
-from protval.errors import ConfigError
 
 from .conftest import FIGURE_DISCOUNT_FACTORS, FIGURE_TENORS, FIGURE_VOLS, FIGURE_ZERO_RATES
 from .test_cli import write_json, write_market_files

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval.config import load_portfolio, load_weight_matrix
-from protval.errors import ConfigError
+from protval.config import ConfigError, load_portfolio, load_weight_matrix
 from protval.loss import (
     BUCKETS,
     RATING_CRITERIA,

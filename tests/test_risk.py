@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protval.errors import CalibrationError
 from protval.risk import (
+    CalibrationError,
     PvfpStatistics,
     SpreadFunction,
     aggregate,
