@@ -448,7 +448,10 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
     elif "chronicle" in data:
         chronicle = _floats(data["chronicle"], path, "chronicle")
     else:
-        chronicle = (mean_sp,) * horizon
+        try:
+            chronicle = (mean_sp,) * horizon
+        except (MemoryError, OverflowError):
+            raise ConfigError(f"{path}: horizon={horizon} is too long to repeat the retained loss ratio over") from None
 
     sigma = _float(data, "sigma", path, default=None)
     buckets = _parse_criteria(data["criteria"], path) if "criteria" in data else None
@@ -479,17 +482,21 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
 def load_replay_pvfp(path: Path) -> list[tuple[str, float, float, float, float]]:
     """The (id, mean_pvfp, vol_pvfp, pvfp_tsr, pvfp_tsr_spread) rows of a replay file.
 
-    Each row needs mean_pvfp > 0, vol_pvfp >= 0 and pvfp_tsr != 0.
+    Each row needs an id no other row has, mean_pvfp > 0, vol_pvfp >= 0 and pvfp_tsr != 0.
     """
     data = _load_json(path, top=list)
     if not data:
         raise ConfigError(f"{path}: expected a non-empty JSON array of portfolio rows")
     rows = []
+    seen = set()
     for entry in data:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: replay rows must be JSON objects")
         _known(entry, ("id", "mean_pvfp", "vol_pvfp", "pvfp_tsr", "pvfp_tsr_spread"), path)
         row_id = _expect(_require(entry, "id", path), str, path, "id")
+        if row_id in seen:
+            raise ConfigError(f"{path}: portfolio id {row_id!r} is used in more than one row")
+        seen.add(row_id)
         mean_pvfp, vol_pvfp, pvfp_tsr, pvfp_tsr_spread = (
             _float(entry, key, path) for key in ("mean_pvfp", "vol_pvfp", "pvfp_tsr", "pvfp_tsr_spread")
         )

@@ -123,16 +123,13 @@ def reverting_paths(
     sp1: np.ndarray,
     chronicle: Sequence[float] | np.ndarray,
     nu: float,
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Loss-ratio paths reverting from each year-1 ratio to the chronicle, and how many values were floored.
 
     Row i of the (len(sp1) x years) matrix is
     chronicle[t] + (sp1[i] - chronicle[1]) * nu^(t-1), floored at 0 (loss
     ratios are nonnegative; deep negative gaps can otherwise push the
-    formula below zero). Column one holds ``sp1``. The matrix is built in
-    ``out`` when given, else in a new array; the sum is commutative in IEEE
-    arithmetic, so building it in place does not change the bits.
+    formula below zero). Column one holds ``sp1``.
     """
     chron = np.asarray(chronicle, dtype=float)
     if chron.ndim != 1 or chron.size == 0:
@@ -140,8 +137,7 @@ def reverting_paths(
     if np.any(chron <= 0.0):
         raise ValueError("chronicle values must be > 0")
     _check_reversion_speed(nu)
-    paths = np.empty((len(sp1), chron.size)) if out is None else out
-    np.multiply((sp1 - chron[0])[:, np.newaxis], nu ** np.arange(chron.size), out=paths)
+    paths = (sp1 - chron[0])[:, np.newaxis] * nu ** np.arange(chron.size)
     paths += chron
     paths[:, 0] = sp1
     floored = int(np.count_nonzero(paths < 0.0))

@@ -793,6 +793,22 @@ def test_scenario_count_too_large_to_draw_stops_before_any_output(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("horizon", [10**15, 10**21, 1e300])
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_horizon_too_long_to_build_a_chronicle_stops_before_any_output(tmp_path, capsys, command, horizon):
+    """10**15 years of chronicle need 8 PB, which fails at once; 10**21 and 1e300 exceed a tuple's largest length.
+
+    The portfolio has no chronicle of its own, so its chronicle repeats the retained loss ratio over the horizon.
+    """
+    portfolio = make_portfolio_file(tmp_path)
+    config = sample_config("run_value.json", tmp_path, portfolios=[str(portfolio)], scenarios=20, horizon=horizon)
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {portfolio}: horizon={int(horizon)} ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", ["chronicle_csv", "chronicle"])
 @pytest.mark.parametrize("command", ["simulate", "value"])
 def test_chronicle_length_differing_from_run_horizon_is_rejected(tmp_path, capsys, command, source):
@@ -862,6 +878,16 @@ def test_portfolio_id_must_be_a_file_name(tmp_path, capsys, command, bad_id):
 def test_replay_row_id_must_be_a_string(tmp_path, capsys):
     assert run_with_field(tmp_path, "value", "replay.json", (0, "id"), 7) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'replay.json'}: field 'id' must be a string, got 7\n"
+
+
+def test_replay_id_repeated_in_a_later_row_is_rejected(tmp_path, capsys):
+    rows = json.loads((SAMPLE_DIR / "replay_pvfp.json").read_text(encoding="utf-8"))
+    replay = write_json(tmp_path / "replay_pvfp.json", [*rows, rows[0]])
+    config = sample_config("run_value_replay.json", tmp_path, replay_pvfp=str(replay))
+
+    assert main(["value", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {replay}: portfolio id 'portfolio_1' is used in more than one row\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -230,16 +230,6 @@ class TestMeanReversionPath:
         assert np.all(path >= 0.0)
         assert path[1] == 0.0
 
-    def test_paths_built_in_a_given_buffer_equal_fresh_ones(self):
-        sp1 = np.array([0.05, 0.9, 1.6])
-        chronicle = [2.0, 0.01, 0.5, 1.2]
-        fresh, floored = reverting_paths(sp1, chronicle, 0.7)
-        out = np.full((3, 4), np.nan)
-        built, built_floored = reverting_paths(sp1, chronicle, 0.7, out=out)
-        assert built is out
-        assert built.tobytes() == fresh.tobytes()
-        assert built_floored == floored > 0
-
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="non-empty"):
             one_path(1.0, [], nu=0.8)

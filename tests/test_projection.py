@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from protval.curves import ZeroCurve
 from protval.projection import (
-    _BLOCK_ROWS,
     FixedTerm,
     PortfolioSpec,
     TacitRenewal,
@@ -297,7 +296,7 @@ class TestPvfpOfRatios:
     # whose sp1 is the chronicle's first value follow the chronicle exactly,
     # so a chronicle holding KINKS puts those values in later years.
     @given(
-        n=st.sampled_from([1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]),
+        n=st.sampled_from([1, 1023, 1024, 1025, 2051]),
         seed=st.integers(0, 2**32 - 1),
         chronicle=st.lists(
             st.one_of(st.floats(0.05, 2.0), st.sampled_from(KINKS[1:])), min_size=1, max_size=12
@@ -308,11 +307,11 @@ class TestPvfpOfRatios:
         share=st.floats(0.0, 1.0),
         tax=st.floats(0.0, 0.5),
     )
-    @example(n=2 * _BLOCK_ROWS + 3, seed=0, chronicle=[1.5, 0.1, 0.9, 1.2], nu=0.8,
+    @example(n=2051, seed=0, chronicle=[1.5, 0.1, 0.9, 1.2], nu=0.8,
              fixed_term=False, renewal_level=0.5, share=0.5, tax=0.275)
-    @example(n=2 * _BLOCK_ROWS + 3, seed=1, chronicle=[1.5, 0.1, 0.9, 1.2], nu=0.8,
+    @example(n=2051, seed=1, chronicle=[1.5, 0.1, 0.9, 1.2], nu=0.8,
              fixed_term=True, renewal_level=0.1, share=0.5, tax=0.275)
-    @example(n=_BLOCK_ROWS + 1, seed=2, chronicle=[1.0, KINKS[1], KINKS[3], 1.0, 0.05], nu=0.5,
+    @example(n=1025, seed=2, chronicle=[1.0, KINKS[1], KINKS[3], 1.0, 0.05], nu=0.5,
              fixed_term=True, renewal_level=0.05, share=0.3, tax=0.275)
     @settings(max_examples=40, deadline=None)
     def test_equals_the_full_matrix_bit_for_bit(
