@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .curves import VolTermStructure, ZeroCurve
 
@@ -165,47 +164,40 @@ class CapValuation:
     periods 1..n only (the period-0 caplet is already fixed and paid).
     Values carry the caller's sign convention: the pricer produces
     nonnegative option values, replayed report figures are insurer costs.
+    The aggregates are properties of these inputs, so they match the caplets.
     """
 
     caplet_values: tuple[float, ...]
-    stochastic_value: float
     deterministic_value: float
-    valuation_spread: float
-    booked_flows_pv: float
-    crd: float
+    booked_flows_pv: float = 0.0
+    tax_rate: float = 0.0
 
-    @classmethod
-    def from_caplets(
-        cls,
-        caplet_values: Sequence[float],
-        deterministic_value: float,
-        booked_flows_pv: float = 0.0,
-        tax_rate: float = 0.0,
-    ) -> "CapValuation":
-        """Assemble the aggregates from per-period caplet values.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "caplet_values", tuple(float(v) for v in self.caplet_values))
+        if not 0.0 <= self.tax_rate < 1.0:
+            raise ValueError(f"tax_rate must be in [0, 1), got {self.tax_rate}")
 
-        Used both by the pricer and by replay mode, where externally booked
-        per-period figures are supplied and only the aggregate identities
-        are recomputed.
-        """
-        values = tuple(float(v) for v in caplet_values)
-        stochastic = sum(values[1:])
-        return cls(
-            caplet_values=values,
-            stochastic_value=stochastic,
-            deterministic_value=float(deterministic_value),
-            valuation_spread=stochastic - float(deterministic_value),
-            booked_flows_pv=float(booked_flows_pv),
-            crd=remuneration_option_cost(stochastic, booked_flows_pv, tax_rate),
-        )
+    @property
+    def stochastic_value(self) -> float:
+        return sum(self.caplet_values[1:])
+
+    @property
+    def valuation_spread(self) -> float:
+        return self.stochastic_value - self.deterministic_value
+
+    @property
+    def crd(self) -> float:
+        """Net option cost after tax beyond the booked flows: (stochastic value - booked flows pv) * (1 - tax rate)."""
+        return (self.stochastic_value - self.booked_flows_pv) * (1.0 - self.tax_rate)
 
 
-def price_cap(strip: CapStrip) -> CapValuation:
+def price_cap(strip: CapStrip) -> tuple[tuple[float, ...], float]:
     """Value the cap strip with Black-76, one caplet per period of the table.
 
-    The deterministic value reprices the same strip with all vols forced
-    to zero. A caplet that cannot be priced raises a ValueError naming its
-    period index.
+    Returns ``(caplet_values, deterministic_value)``, the pair a cap spec's
+    replay block holds. The deterministic value reprices the same strip with
+    all vols forced to zero. A caplet that cannot be priced raises a
+    ValueError naming its period index.
     """
     stochastic, deterministic = [], []
     for j, (n, df, fwd, k, vol, t) in enumerate(zip(
@@ -216,14 +208,4 @@ def price_cap(strip: CapStrip) -> CapValuation:
         except ValueError as exc:
             raise ValueError(f"period {j}: {exc}") from exc
         deterministic.append(caplet_price(n, df, fwd, k, 0.0, t, strip.accrual))
-    return CapValuation.from_caplets(stochastic, deterministic_value=sum(deterministic[1:]))
-
-
-def remuneration_option_cost(stochastic_value: float, booked_flows_pv: float, tax_rate: float) -> float:
-    """Net option cost after tax, beyond what the deterministic account already books.
-
-    (stochastic value - discounted booked flows) * (1 - tax rate).
-    """
-    if not 0.0 <= tax_rate < 1.0:
-        raise ValueError(f"tax_rate must be in [0, 1), got {tax_rate}")
-    return (stochastic_value - booked_flows_pv) * (1.0 - tax_rate)
+    return tuple(stochastic), sum(deterministic[1:])

@@ -93,24 +93,16 @@ def cmd_price_cap(config: RunConfig) -> int:
         raise ConfigError(f"{config.config_path}: 'cap_spec' is required for price-cap")
     curve, vols = load_curve(config), load_vols(config)
     spec, booked_flows_pv, replay = load_cap_inputs(config.cap_spec_path, config.spot_index_rate)
-    strip = cap_strip(spec, curve, vols, config.spot_index_rate)
-
-    if replay is not None:
-        caplets, deterministic = replay
-    else:
-        # The spec and the vols are checked at load, so a caplet that cannot be
-        # priced has a curve forward <= 0.
-        try:
-            priced = price_cap(strip)
-        except ValueError as exc:
-            raise ConfigError(f"{config.curve_csv}: {exc}") from exc
-        caplets, deterministic = [-v for v in priced.caplet_values], -priced.deterministic_value
-    valuation = CapValuation.from_caplets(
-        caplets,
-        deterministic_value=deterministic,
-        booked_flows_pv=booked_flows_pv,
-        tax_rate=config.tax_rate,
-    )
+    # The spec and the vols are checked at load, so a strip that cannot be built
+    # or a caplet that cannot be priced comes from the curve.
+    try:
+        strip = cap_strip(spec, curve, vols, config.spot_index_rate)
+        if replay is None:
+            values, deterministic = price_cap(strip)
+            replay = [-v for v in values], -deterministic  # insurer costs, as a replay block holds them
+    except ValueError as exc:
+        raise ConfigError(f"{config.curve_csv}: {exc}") from exc
+    valuation = CapValuation(*replay, booked_flows_pv, config.tax_rate)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     reports.write_cap_report(config.output_dir / "cap_report.csv", strip, valuation)

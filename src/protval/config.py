@@ -124,8 +124,8 @@ def _as_float(value: Any, path: Path, field: str) -> float:
 
 
 def _as_int(value: Any, path: Path, field: str) -> int:
-    """A JSON integer (or integral float) as an int; strings and booleans are rejected."""
-    if isinstance(value, float) and value.is_integer():
+    """A JSON integer, or an integral float of magnitude <= 2**53 (so read exactly), as an int."""
+    if isinstance(value, float) and value.is_integer() and abs(value) <= 2.0**53:
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: field {field!r} must be an integer, got {value!r}")
@@ -170,11 +170,20 @@ def _decode(raw: bytes, path: Path) -> str:
 def _parse_json(raw: bytes, path: Path, top: type = dict) -> Any:
     """Parse ``raw``, the UTF-8 bytes of JSON file ``path``.
 
-    NaN, Infinity and literals that overflow a float (1e999) are rejected.
+    NaN, Infinity, literals that overflow a float (1e999) and a key given
+    twice in one object are rejected.
     """
 
     def reject(literal: str) -> NoReturn:
         raise ConfigError(f"{path}: non-finite number {literal} is not allowed")
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ConfigError(f"{path}: field {key!r} is given more than once")
+        return data
 
     def finite_float(literal: str) -> float:
         value = float(literal)
@@ -183,7 +192,7 @@ def _parse_json(raw: bytes, path: Path, top: type = dict) -> Any:
         return value
 
     try:
-        data = json.loads(_decode(raw, path), parse_constant=reject, parse_float=finite_float)
+        data = json.loads(_decode(raw, path), object_pairs_hook=unique, parse_constant=reject, parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, top):

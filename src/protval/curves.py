@@ -8,6 +8,7 @@ typical of aggregate market data do not support anything fancier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,23 +42,36 @@ class ZeroCurve:
         return float(np.interp(t, self.tenors, self.zero_rates))
 
     def discount_factor(self, t: float) -> float:
-        """Discount factor (1 + z(t))^-t; equals 1 at t = 0."""
+        """Discount factor (1 + z(t))^-t; equals 1 at t = 0. Overflow or underflow to 0 raises a ValueError."""
         if t == 0.0:
             return 1.0
-        return (1.0 + self.zero_rate(t)) ** -t
+        z = self.zero_rate(t)
+        try:
+            df = (1.0 + z) ** -t
+            if df > 0.0:
+                return df
+        except OverflowError:
+            pass
+        raise ValueError(f"discount factor at tenor {t:g} with zero rate {z!r} is outside the float range")
 
     def forward_index_rate(self, fix: float, tenor: float) -> float:
         """Annualized geometric forward rate fixing at ``fix`` for an index of ``tenor`` years.
 
         Satisfies (1 + fwd)^tenor * DF(fix + tenor) = DF(fix). At fix = 0 this
-        is the spot zero rate of the index tenor.
+        is the spot zero rate of the index tenor. A non-finite forward raises.
         """
         if fix < 0.0:
             raise ValueError(f"fixing time must be >= 0, got {fix}")
         if tenor <= 0.0:
             raise ValueError(f"index tenor must be > 0, got {tenor}")
         ratio = self.discount_factor(fix) / self.discount_factor(fix + tenor)
-        return ratio ** (1.0 / tenor) - 1.0
+        try:
+            fwd = ratio ** (1.0 / tenor) - 1.0
+            if math.isfinite(fwd):
+                return fwd
+        except OverflowError:
+            pass
+        raise ValueError(f"forward rate fixing at {fix:g} for {tenor:g} years is outside the float range")
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,8 @@ class PvfpStatistics:
 
     ``mean``/``vol`` are the sample statistics of the simulated (or
     replayed) PVFPs, ``spread`` the spread for their relative volatility,
-    ``pvfp_tsr``/``pvfp_spread`` the deterministic-scenario PVFPs at the
-    risk-free rate and at the spreaded rate, and ``cur`` the cost of
-    underwriting risk they imply.
+    and ``pvfp_tsr``/``pvfp_spread`` the deterministic-scenario PVFPs at the
+    risk-free rate and at the spreaded rate.
     """
 
     mean: float
@@ -66,16 +65,26 @@ class PvfpStatistics:
     pvfp_spread: float
 
     def __post_init__(self) -> None:
+        for name in ("mean", "vol", "spread", "pvfp_tsr", "pvfp_spread"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.mean <= 0.0:
             raise ValueError(f"mean PVFP must be > 0 to define a relative volatility, got {self.mean}")
         if self.vol < 0.0:
             raise ValueError(f"volatility must be >= 0, got {self.vol}")
-        if self.pvfp_tsr == 0.0:  # as in underwriting_risk_cost, so that a degenerate row stops the run at once
+        if self.pvfp_tsr == 0.0:  # checked here, not in ``cur``, so that a degenerate row stops the run at once
             raise ValueError("portfolio is degenerate: PVFP at the risk-free rate is 0")
 
     @property
     def cur(self) -> float:
-        return underwriting_risk_cost(self.pvfp_tsr, self.mean, self.pvfp_spread)
+        """Cost of underwriting risk.
+
+        pvfp_tsr - mean * (pvfp_spread / pvfp_tsr): the spread-discounted
+        to risk-free ratio of the deterministic scenario is applied to the
+        expectation, and the shortfall against the deterministic PVFP is the
+        cost. Positive values are destroyed value.
+        """
+        return self.pvfp_tsr - self.mean * (self.pvfp_spread / self.pvfp_tsr)
 
 
 def pvfp_stats(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
@@ -137,19 +146,6 @@ def calibrate_spread(points: Sequence[tuple[float, float]]) -> SpreadFunction:
             f"above the {_RESIDUAL_TOL:g} target"
         )
     return SpreadFunction(a=s1 / math.log1p(b * v1), b=b)
-
-
-def underwriting_risk_cost(pvfp_tsr: float, mean_pvfp: float, pvfp_spread: float) -> float:
-    """Cost of underwriting risk.
-
-    pvfp_tsr - mean_pvfp * (pvfp_spread / pvfp_tsr): the spread-discounted
-    to risk-free ratio of the deterministic scenario is applied to the
-    expectation, and the shortfall against the deterministic PVFP is the
-    cost. Positive values are destroyed value.
-    """
-    if pvfp_tsr == 0.0:
-        raise ValueError("portfolio is degenerate: PVFP at the risk-free rate is 0")
-    return pvfp_tsr - mean_pvfp * (pvfp_spread / pvfp_tsr)
 
 
 def aggregate(reports: Sequence[PvfpStatistics]) -> tuple[float, float]:

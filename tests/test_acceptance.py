@@ -84,7 +84,7 @@ def test_criterion_04_replay_cur_report(tmp_path):
 
 
 def test_criterion_05_cap_aggregate_identities():
-    valuation = CapValuation.from_caplets(
+    valuation = CapValuation(
         FIGURE_CAPLET_COSTS,
         deterministic_value=-5_268.03,
         booked_flows_pv=FIGURE_BOOKED_FLOWS_PV,

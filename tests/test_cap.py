@@ -16,7 +16,6 @@ from protval.cap import (
     caplet_price,
     norm_cdf,
     price_cap,
-    remuneration_option_cost,
 )
 from protval.curves import VolTermStructure, ZeroCurve
 
@@ -152,7 +151,7 @@ class TestPriceCap:
     def test_zero_vol_out_of_the_money_prices_to_zero(self):
         market = self.flat_market(rate=0.02, vol=0.0)
         spec = CapSpec(strike=0.05, notionals=(1e6,) * 5, index_tenor=3.0)
-        valuation = price_cap(cap_strip(spec, *market))
+        valuation = CapValuation(*price_cap(cap_strip(spec, *market)))
         assert valuation.stochastic_value == 0.0
         assert valuation.deterministic_value == 0.0
         assert all(v == 0.0 for v in valuation.caplet_values)
@@ -160,14 +159,14 @@ class TestPriceCap:
     def test_zero_vol_market_has_no_valuation_spread(self):
         market = self.flat_market(rate=0.04, vol=0.0)
         spec = CapSpec(strike=0.02, notionals=(1e6,) * 5, index_tenor=3.0)
-        valuation = price_cap(cap_strip(spec, *market))
+        valuation = CapValuation(*price_cap(cap_strip(spec, *market)))
         assert valuation.stochastic_value > 0.0
         assert valuation.valuation_spread == 0.0
 
     def test_aggregate_identities_hold_exactly(self):
         market = self.flat_market(rate=0.03, vol=0.25)
         spec = CapSpec(strike=0.025, notionals=(5e5, 4e5, 3e5, 2e5, 1e5), index_tenor=3.0)
-        valuation = price_cap(cap_strip(spec, *market))
+        valuation = CapValuation(*price_cap(cap_strip(spec, *market)))
         assert valuation.stochastic_value == sum(valuation.caplet_values[1:])
         assert valuation.valuation_spread == valuation.stochastic_value - valuation.deterministic_value
 
@@ -175,10 +174,10 @@ class TestPriceCap:
         market = self.flat_market(rate=0.06, vol=0.2)
         with_p0 = CapSpec(strike=0.02, notionals=(1e9, 1e5, 1e5), index_tenor=3.0)
         without_p0 = CapSpec(strike=0.02, notionals=(0.0, 1e5, 1e5), index_tenor=3.0)
-        assert price_cap(cap_strip(with_p0, *market)).stochastic_value == pytest.approx(
-            price_cap(cap_strip(without_p0, *market)).stochastic_value
+        assert CapValuation(*price_cap(cap_strip(with_p0, *market))).stochastic_value == pytest.approx(
+            CapValuation(*price_cap(cap_strip(without_p0, *market))).stochastic_value
         )
-        assert price_cap(cap_strip(with_p0, *market)).caplet_values[0] > 0.0
+        assert price_cap(cap_strip(with_p0, *market))[0][0] > 0.0
 
     def test_spot_override_applies_to_the_running_period_only(self):
         market = self.flat_market(rate=0.04, vol=0.2)
@@ -186,13 +185,13 @@ class TestPriceCap:
             strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0, use_spot_for_first_period=True
         )
         plain = CapSpec(strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0)
-        with_spot = price_cap(cap_strip(spec, *market, spot_index_rate=0.10))
-        without_spot = price_cap(cap_strip(plain, *market, spot_index_rate=0.10))
+        with_spot, _ = price_cap(cap_strip(spec, *market, spot_index_rate=0.10))
+        without_spot, _ = price_cap(cap_strip(plain, *market, spot_index_rate=0.10))
         # period 0 picks up the observed 10% spot; the period-1 caplet also
         # fixes at t=0 but stays on the curve-implied rate
-        assert with_spot.caplet_values[0] == pytest.approx(1e6 * (0.10 - 0.02), rel=1e-12)
-        assert with_spot.caplet_values[1] == without_spot.caplet_values[1]
-        assert with_spot.caplet_values[2] == without_spot.caplet_values[2]
+        assert with_spot[0] == pytest.approx(1e6 * (0.10 - 0.02), rel=1e-12)
+        assert with_spot[1] == without_spot[1]
+        assert with_spot[2] == without_spot[2]
 
     def test_spot_override_without_a_spot_rate_is_rejected(self):
         spec = CapSpec(strike=0.02, notionals=(1e6, 1e6), index_tenor=3.0, use_spot_for_first_period=True)
@@ -208,15 +207,15 @@ class TestPriceCap:
             index_tenor=3.0,
             strikes=(0.02, 0.02, 0.03),
         )
-        bumped_values = price_cap(cap_strip(bumped, *market)).caplet_values
-        flat_values = price_cap(cap_strip(flat, *market)).caplet_values
+        bumped_values, _ = price_cap(cap_strip(bumped, *market))
+        flat_values, _ = price_cap(cap_strip(flat, *market))
         assert bumped_values[2] < flat_values[2]
         assert bumped_values[1] == flat_values[1]
 
 
 class TestReportAggregates:
     def test_published_aggregates_from_caplet_costs(self):
-        valuation = CapValuation.from_caplets(
+        valuation = CapValuation(
             FIGURE_CAPLET_COSTS,
             deterministic_value=FIGURE_DETERMINISTIC_COST,
             booked_flows_pv=FIGURE_BOOKED_FLOWS_PV,
@@ -229,17 +228,36 @@ class TestReportAggregates:
         assert valuation.crd == pytest.approx(-4_142.12, abs=0.01)
 
     def test_fully_booked_option_costs_nothing(self):
-        valuation = CapValuation.from_caplets((0.0, 100.0), deterministic_value=50.0)
-        assert remuneration_option_cost(valuation.stochastic_value, booked_flows_pv=100.0, tax_rate=0.3) == 0.0
+        valuation = CapValuation((0.0, 100.0), deterministic_value=50.0, booked_flows_pv=100.0, tax_rate=0.3)
+        assert valuation.crd == 0.0
 
     def test_zero_tax_zero_booked_passes_through(self):
-        valuation = CapValuation.from_caplets((0.0, 100.0), deterministic_value=50.0)
-        assert remuneration_option_cost(valuation.stochastic_value, 0.0, 0.0) == valuation.stochastic_value
+        valuation = CapValuation((0.0, 100.0), deterministic_value=50.0)
+        assert valuation.crd == valuation.stochastic_value
 
     def test_tax_rate_bounds(self):
-        valuation = CapValuation.from_caplets((0.0, 100.0), deterministic_value=50.0)
-        with pytest.raises(ValueError, match="tax_rate"):
-            remuneration_option_cost(valuation.stochastic_value, 0.0, 1.0)
+        for tax_rate in (1.0, -0.1):
+            with pytest.raises(ValueError, match=r"tax_rate must be in \[0, 1\)"):
+                CapValuation((0.0, 100.0), deterministic_value=50.0, tax_rate=tax_rate)
+
+    @given(
+        caplets=st.lists(st.floats(-1e9, 1e9), min_size=2, max_size=12),
+        deterministic=st.floats(-1e9, 1e9),
+        booked=st.floats(-1e9, 1e9),
+        tax_rate=st.floats(0.0, 0.99),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_aggregates_follow_the_caplets(self, caplets, deterministic, booked, tax_rate):
+        """The aggregates are computed from the stored inputs, so no valuation can disagree with its caplets."""
+        valuation = CapValuation(caplets, deterministic, booked, tax_rate)
+        stochastic = sum(caplets[1:])
+        assert valuation.caplet_values == tuple(caplets)
+        assert valuation.stochastic_value == stochastic
+        assert valuation.valuation_spread == stochastic - deterministic
+        assert valuation.crd == (stochastic - booked) * (1.0 - tax_rate)
+        for aggregate in ("stochastic_value", "valuation_spread", "crd"):
+            with pytest.raises(TypeError, match=aggregate):
+                CapValuation(caplets, deterministic, **{aggregate: 0.0})
 
 
 class TestCapSpecValidation:

@@ -721,6 +721,59 @@ def test_non_finite_input_is_rejected_naming_the_file(
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning in the PVFP discounts
+@pytest.mark.parametrize(
+    ("command", "rate", "message"),
+    [
+        ("value", "-0.99999999999999", "portfolio 'portfolio_1': mean must be finite, got nan"),
+        ("price-cap", "-0.99999999999999", "{curve}: discount factor at tenor 23 with zero rate -0.99999999999999 "),
+        ("price-cap", "1e12", "{curve}: discount factor at tenor 27 with zero rate 1000000000000.0 "),
+    ],
+)
+def test_extreme_but_accepted_curve_stops_with_one_error_and_writes_no_non_finite_number(
+    tmp_path, capsys, command, rate, message
+):
+    """A rate just above -1 overflows the discount factors, a huge rate underflows them to 0."""
+    curve = tmp_path / "curve.csv"
+    curve.write_text(f"tenor_years,zero_rate\n0,{rate}\n1,{rate}\n", encoding="utf-8")
+    market = {"curve_csv": str(curve), "vols_csv": str(SAMPLE_DIR / "market_vols.csv"), "spot_index_rate": 0.0195}
+    spec = json.loads((SAMPLE_DIR / "cap_remuneration.json").read_text(encoding="utf-8"))
+    del spec["replay"]
+    cap = write_json(tmp_path / "cap.json", {**spec, "notionals": [1e6] * 40})
+    name = "run_value.json" if command == "value" else "run_price_cap.json"
+    config = sample_config(name, tmp_path, market=market, cap_spec=str(cap), scenarios=50)
+
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(curve=curve)) and err.count("\n") == 1
+    written = [f.read_text(encoding="utf-8") for f in tmp_path.glob("out/**/*") if f.is_file()]
+    assert not any("nan" in text or "inf" in text for text in written)
+
+
+@pytest.mark.parametrize(
+    ("bad_file", "key", "value"),
+    [
+        ("run.json", "scenarios", 20),
+        ("run.json", "tax_rate", 0.1),
+        ("p1.json", "sigma", 0.25),
+        ("cap.json", "strike", 0.02),
+        ("replay.json", "vol_pvfp", 1074),
+    ],
+)
+def test_key_given_twice_in_one_object_is_rejected_naming_the_file(tmp_path, capsys, bad_file, key, value):
+    """JSON allows a repeated key and Python's parser keeps the last value; the engine names the repeat instead."""
+    config = write_small_run(tmp_path, replay=bad_file == "replay.json")
+    target = tmp_path / bad_file
+    text = target.read_text(encoding="utf-8")
+    assert f'"{key}": ' in text
+    target.write_text(text.replace(f'"{key}": ', f'"{key}": {value}, "{key}": ', 1), encoding="utf-8")
+
+    command = "price-cap" if bad_file == "cap.json" else "value"
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {target}: field {key!r} is given more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     ("command", "bad_file", "header"),
     [("value", "curve.csv", "tenor_years,zero_rate"), ("price-cap", "vols.csv", "fixing_years,black_vol")],
@@ -793,10 +846,10 @@ def test_scenario_count_too_large_to_draw_stops_before_any_output(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("horizon", [10**15, 10**21, 1e300])
+@pytest.mark.parametrize("horizon", [10**15, 10**21])
 @pytest.mark.parametrize("command", ["simulate", "value"])
 def test_horizon_too_long_to_build_a_chronicle_stops_before_any_output(tmp_path, capsys, command, horizon):
-    """10**15 years of chronicle need 8 PB, which fails at once; 10**21 and 1e300 exceed a tuple's largest length.
+    """10**15 years of chronicle need 8 PB, which fails at once; 10**21 exceeds a tuple's largest length.
 
     The portfolio has no chronicle of its own, so its chronicle repeats the retained loss ratio over the horizon.
     """
@@ -805,8 +858,29 @@ def test_horizon_too_long_to_build_a_chronicle_stops_before_any_output(tmp_path,
 
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {portfolio}: horizon={int(horizon)} ") and err.count("\n") == 1
+    assert err.startswith(f"error: {portfolio}: horizon={horizon} ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("seed", 1e30), ("horizon", 1e300), ("scenarios", 2.0**53 + 2), ("seed", -(2.0**54)), ("horizon", 2.5)],
+)
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_float_that_is_not_an_exact_integer_is_rejected(tmp_path, capsys, command, field, value):
+    """Above 2**53 a float is not the integer that was written (1e30 reads 1000000000000000019884624838656)."""
+    config = sample_config("run_value.json", tmp_path, **{field: value})
+
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: field {field!r} must be an integer, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_up_to_2_to_the_53_is_read_as_that_integer(tmp_path):
+    config = sample_config("run_value.json", tmp_path, seed=2.0**53, scenarios=20.0, horizon=30.0)
+    run = load_run_config(config)
+    assert (run.seed, run.scenarios, run.horizon) == (2**53, 20, 30)
+    assert all(type(v) is int for v in (run.seed, run.scenarios, run.horizon))
 
 
 @pytest.mark.parametrize("source", ["chronicle_csv", "chronicle"])

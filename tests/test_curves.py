@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,14 @@ class TestZeroCurve:
     def test_flat_extrapolation_beyond_last_node(self, figure_curve):
         assert figure_curve.zero_rate(30.0) == FIGURE_ZERO_RATES[-1]
 
+    @pytest.mark.parametrize(("rate", "tenor"), [(-0.99999999999999, 23.0), (1e12, 27.0), (1e200, 2.0)])
+    def test_discount_factor_outside_the_float_range_rejected(self, rate, tenor):
+        """(1 + z)^-t overflows (rate near -1) or underflows to 0 (huge rate); either is an error, not inf or 0."""
+        curve = ZeroCurve(tenors=(0.0, 1.0), zero_rates=(rate, rate))
+        message = f"discount factor at tenor {tenor:g} with zero rate {rate!r} is outside the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            curve.discount_factor(tenor)
+
     # steeply inverted curves imply negative forwards and a locally rising
     # discount factor, so the monotonicity claim only holds away from them;
     # non-decreasing rate curves are always in the valid regime
@@ -95,6 +105,18 @@ class TestForwardIndexRate:
         fwd = curve.forward_index_rate(fix, tenor)
         lhs = (1.0 + fwd) ** tenor * curve.discount_factor(fix + tenor)
         assert lhs == pytest.approx(curve.discount_factor(fix), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        ("rates", "fix", "tenor"),
+        [((-0.99999999999999, 1e12), 5.0, 0.25), ((-0.99999999999999, 1e9), 14.0, 1.0)],
+        ids=["power_overflows", "ratio_overflows"],
+    )
+    def test_forward_outside_the_float_range_rejected(self, rates, fix, tenor):
+        """Each discount factor is in range, but the forward between them is not."""
+        curve = ZeroCurve(tenors=(fix, fix + tenor), zero_rates=rates)
+        message = f"forward rate fixing at {fix:g} for {tenor:g} years is outside the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            curve.forward_index_rate(fix, tenor)
 
     def test_non_positive_tenor_rejected(self, figure_curve):
         with pytest.raises(ValueError, match="> 0"):

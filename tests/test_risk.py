@@ -16,7 +16,6 @@ from protval.risk import (
     aggregate,
     calibrate_spread,
     pvfp_stats,
-    underwriting_risk_cost,
 )
 
 from .conftest import SPREAD_CALIBRATION_POINTS, TABLE_PVFP_ROWS
@@ -119,17 +118,16 @@ class TestSpreadFor:
 
 
 class TestUnderwritingRiskCost:
-    def test_published_rows(self):
+    def test_published_rows(self, calibrated):
         expected = (3_482.0, 1_409.0, 45_600.0)
-        for (mean, _, pvfp_tsr, pvfp_spread), target in zip(TABLE_PVFP_ROWS, expected):
-            assert underwriting_risk_cost(pvfp_tsr, mean, pvfp_spread) == pytest.approx(target, abs=1.0)
+        for (mean, vol, pvfp_tsr, pvfp_spread), target in zip(TABLE_PVFP_ROWS, expected):
+            stats = PvfpStatistics(mean, vol, calibrated.spread_for(vol / mean), pvfp_tsr, pvfp_spread)
+            assert stats.cur == pytest.approx(target, abs=1.0)
 
     def test_no_spread_no_cost_in_the_restricted_case(self):
-        assert underwriting_risk_cost(100.0, 100.0, 100.0) == 0.0
+        assert PvfpStatistics(100.0, 0.0, 0.0, 100.0, 100.0).cur == 0.0
 
     def test_degenerate_portfolio_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            underwriting_risk_cost(0.0, 10.0, 5.0)
         with pytest.raises(ValueError, match="degenerate"):
             PvfpStatistics(10.0, 1.0, 0.01, 0.0, 5.0)
 
@@ -138,11 +136,19 @@ class TestRiskStatistics:
     def test_assembles_the_report_row(self, calibrated):
         mean, vol, pvfp_tsr, pvfp_spread = TABLE_PVFP_ROWS[0]
         stats = PvfpStatistics(mean, vol, calibrated.spread_for(vol / mean), pvfp_tsr, pvfp_spread)
-        assert stats.cur == underwriting_risk_cost(pvfp_tsr, mean, pvfp_spread)
+        assert stats.cur == pvfp_tsr - mean * (pvfp_spread / pvfp_tsr)
 
     def test_nonpositive_mean_rejected(self):
         with pytest.raises(ValueError, match="mean PVFP"):
             PvfpStatistics(0.0, 1.0, 0.01, 10.0, 9.0)
+
+    @pytest.mark.parametrize("field", ["mean", "vol", "spread", "pvfp_tsr", "pvfp_spread"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        values = dict(mean=10.0, vol=1.0, spread=0.01, pvfp_tsr=10.0, pvfp_spread=9.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
+            PvfpStatistics(**values)
 
 
 class TestAggregate:
