@@ -66,32 +66,26 @@ def caplet_price(
 
 @dataclass(frozen=True)
 class CapSpec:
-    """Cap on a market index with one notional per period.
+    """Cap on a market index with one notional and one strike per period.
 
-    ``notionals[j]`` is the technical-provision amount for period index j,
-    j = 0..n. The period-0 entry is carried for reporting but its
-    caplet is already fixed and never enters the option value.
-
-    ``strikes`` optionally overrides the contractual strike per period
-    (some remuneration conventions display a period-varying rate).
-    ``use_spot_for_first_period`` bases the already-running period 0 on the
-    observed spot index rate instead of the curve-implied one; the two need
-    not agree, and conventions quote the observed rate.
+    ``notionals[j]`` and ``strikes[j]`` are the technical-provision amount
+    and the contractual rate for period index j, j = 0..n. The period-0
+    entry is carried for reporting but its caplet is already fixed and never
+    enters the option value. ``first_forward`` is the observed index rate
+    the already-running period 0 is based on, or None to use the
+    curve-implied forward; the two need not agree, and conventions quote the
+    observed rate.
     """
 
-    strike: float
     notionals: tuple[float, ...]
+    strikes: tuple[float, ...]
     index_tenor: float
     accrual: float = 1.0
-    strikes: tuple[float, ...] | None = None
-    use_spot_for_first_period: bool = False
+    first_forward: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "notionals", tuple(float(n) for n in self.notionals))
-        if self.strikes is not None:
-            object.__setattr__(self, "strikes", tuple(float(s) for s in self.strikes))
-        if self.strike <= 0.0:
-            raise ValueError(f"strike must be > 0, got {self.strike}")
+        object.__setattr__(self, "strikes", tuple(float(s) for s in self.strikes))
         if len(self.notionals) < 2:
             raise ValueError("need notionals for period indices 0..n with n >= 1")
         if any(n < 0.0 for n in self.notionals):
@@ -100,9 +94,9 @@ class CapSpec:
             raise ValueError(f"accrual_years must be > 0, got {self.accrual}")
         if self.index_tenor <= 0.0:
             raise ValueError(f"index_tenor_years must be > 0, got {self.index_tenor}")
-        if self.strikes is not None and len(self.strikes) != len(self.notionals):
+        if len(self.strikes) != len(self.notionals):
             raise ValueError("per-period strikes must cover period indices 0..n")
-        if self.strikes is not None and any(k <= 0.0 for k in self.strikes):
+        if any(k <= 0.0 for k in self.strikes):
             raise ValueError("per-period strikes must be > 0")
 
 
@@ -119,29 +113,20 @@ class CapStrip:
     vols: tuple[float, ...]
 
 
-def cap_strip(
-    spec: CapSpec,
-    curve: ZeroCurve,
-    vols: VolTermStructure,
-    spot_index_rate: float | None = None,
-) -> CapStrip:
+def cap_strip(spec: CapSpec, curve: ZeroCurve, vols: VolTermStructure) -> CapStrip:
     """The per-period table of the cap strip on the given curve and vols.
 
     Caplet j fixes at the start of its period, max(j * accrual - accrual, 0)
     (period 0 is already running, fixed at t = 0), on the forward of the
     index tenor, and pays at T_j = j * accrual, discounted with B(0, T_j)
-    and using the Black vol quoted for the fixing time. Period 0 takes the
-    observed ``spot_index_rate`` instead of the curve forward when the spec
-    opts into the override (the two need not agree); ``spec.strikes``
-    overrides the strike per period.
+    and using the Black vol quoted for the fixing time. Period 0 takes
+    ``spec.first_forward`` instead of the curve forward when it is given.
     """
-    if spec.use_spot_for_first_period and spot_index_rate is None:
-        raise ValueError("use_spot_for_first_period needs a spot index rate")
     periods = range(len(spec.notionals))
     fixing_times = tuple(max(j * spec.accrual - spec.accrual, 0.0) for j in periods)
     forwards = tuple(
-        spot_index_rate
-        if j == 0 and spec.use_spot_for_first_period
+        spec.first_forward
+        if j == 0 and spec.first_forward is not None
         else curve.forward_index_rate(fixing_times[j], spec.index_tenor)
         for j in periods
     )
@@ -151,7 +136,7 @@ def cap_strip(
         fixing_times=fixing_times,
         discount_factors=tuple(curve.discount_factor(j * spec.accrual) for j in periods),
         forwards=forwards,
-        strikes=spec.strikes if spec.strikes is not None else (spec.strike,) * len(periods),
+        strikes=spec.strikes,
         vols=tuple(vols.vol_at(t) for t in fixing_times),
     )
 
@@ -164,7 +149,8 @@ class CapValuation:
     periods 1..n only (the period-0 caplet is already fixed and paid).
     Values carry the caller's sign convention: the pricer produces
     nonnegative option values, replayed report figures are insurer costs.
-    The aggregates are properties of these inputs, so they match the caplets.
+    The aggregates are properties of these inputs, so they match the caplets;
+    an aggregate outside the float range raises at construction.
     """
 
     caplet_values: tuple[float, ...]
@@ -176,6 +162,9 @@ class CapValuation:
         object.__setattr__(self, "caplet_values", tuple(float(v) for v in self.caplet_values))
         if not 0.0 <= self.tax_rate < 1.0:
             raise ValueError(f"tax_rate must be in [0, 1), got {self.tax_rate}")
+        for name in ("stochastic_value", "valuation_spread", "crd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def stochastic_value(self) -> float:
@@ -196,8 +185,8 @@ def price_cap(strip: CapStrip) -> tuple[tuple[float, ...], float]:
 
     Returns ``(caplet_values, deterministic_value)``, the pair a cap spec's
     replay block holds. The deterministic value reprices the same strip with
-    all vols forced to zero. A caplet that cannot be priced raises a
-    ValueError naming its period index.
+    all vols forced to zero. A caplet that cannot be priced, or whose value
+    is outside the float range, raises a ValueError naming its period index.
     """
     stochastic, deterministic = [], []
     for j, (n, df, fwd, k, vol, t) in enumerate(zip(
@@ -205,6 +194,8 @@ def price_cap(strip: CapStrip) -> tuple[tuple[float, ...], float]:
     )):
         try:
             stochastic.append(caplet_price(n, df, fwd, k, vol, t, strip.accrual))
+            if not math.isfinite(stochastic[-1]):
+                raise ValueError(f"caplet value must be finite, got {stochastic[-1]!r}")
         except ValueError as exc:
             raise ValueError(f"period {j}: {exc}") from exc
         deterministic.append(caplet_price(n, df, fwd, k, 0.0, t, strip.accrual))

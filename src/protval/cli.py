@@ -38,7 +38,7 @@ from .config import (
 )
 from .curves import ZeroCurve
 from .loss import draw_initial_ratios, lognormal_mu, reverting_paths, standard_normals
-from .projection import PortfolioSpec, pvfp, pvfp_of_ratios
+from .projection import PortfolioSpec, _spread_discounts, pvfp, pvfp_of_ratios
 from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
 
 T = TypeVar("T")
@@ -88,32 +88,35 @@ def _spread_function(config: RunConfig) -> SpreadFunction:
     return config.spread_fn
 
 
-def cmd_price_cap(config: RunConfig) -> int:
+def cmd_price_cap(config: RunConfig) -> None:
     if config.cap_spec_path is None:
         raise ConfigError(f"{config.config_path}: 'cap_spec' is required for price-cap")
     curve, vols = load_curve(config), load_vols(config)
     spec, booked_flows_pv, replay = load_cap_inputs(config.cap_spec_path, config.spot_index_rate)
-    # The spec and the vols are checked at load, so a strip that cannot be built
-    # or a caplet that cannot be priced comes from the curve.
+    # The spec and the vols are checked at load, so a strip that cannot be built comes from the curve.
     try:
-        strip = cap_strip(spec, curve, vols, config.spot_index_rate)
+        strip = cap_strip(spec, curve, vols)
+    except ValueError as exc:
+        raise ConfigError(f"{config.curve_csv}: {exc}") from exc
+    # A caplet or an aggregate outside the float range comes from the replay
+    # figures, or else from any of the files the caplets are priced from.
+    sources = [config.cap_spec_path] + ([config.curve_csv, config.vols_csv] if replay is None else [])
+    try:
         if replay is None:
             values, deterministic = price_cap(strip)
             replay = [-v for v in values], -deterministic  # insurer costs, as a replay block holds them
+        valuation = CapValuation(*replay, booked_flows_pv, config.tax_rate)
     except ValueError as exc:
-        raise ConfigError(f"{config.curve_csv}: {exc}") from exc
-    valuation = CapValuation(*replay, booked_flows_pv, config.tax_rate)
+        raise ConfigError(f"{', '.join(map(str, sources))}: {exc}") from exc
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     reports.write_cap_report(config.output_dir / "cap_report.csv", strip, valuation)
-    reports.write_manifest(config.output_dir, "price-cap", config)
 
     print(f"stochastic value     {reports.money(valuation.stochastic_value)}")
     print(f"deterministic value  {reports.money(valuation.deterministic_value)}")
     print(f"valuation spread     {reports.money(valuation.valuation_spread)}")
     print(f"booked flows pv      {reports.money(valuation.booked_flows_pv)}")
     print(f"crd                  {reports.money(valuation.crd)}")
-    return 0
 
 
 def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
@@ -131,6 +134,23 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
             raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
         seen[portfolio.id] = path
     return portfolios
+
+
+def _load_discountable_curve(config: RunConfig) -> ZeroCurve:
+    """The run's curve, checked that no risk-free discount factor for years 1..horizon overflows.
+
+    One that underflows to 0 drops its year from the PVFP and passes; a spreaded factor is no larger.
+    """
+    curve = load_curve(config)
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(_spread_discounts(curve, config.horizon, 0.0))
+    if not finite.all():
+        year = int(np.argmin(finite)) + 1
+        raise ConfigError(
+            f"{config.curve_csv}: discount factor at tenor {year} with zero rate {curve.zero_rate(year)!r} "
+            "is outside the float range"
+        )
+    return curve
 
 
 def _draw_normals(config: RunConfig) -> np.ndarray:
@@ -235,14 +255,12 @@ def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios
     return results
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig) -> None:
     portfolios = _load_portfolios(config)
     z = _draw_normals(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for line in _map_portfolios("simulate", functools.partial(_simulate_portfolio, config, z), portfolios):
         print(line)
-    reports.write_manifest(config.output_dir, "simulate", config)
-    return 0
 
 
 def _value_portfolio(
@@ -268,18 +286,15 @@ def _value_portfolio(
     return stats
 
 
-def cmd_value(config: RunConfig) -> int:
+def cmd_value(config: RunConfig) -> None:
     spread_fn = _spread_function(config)
 
     if config.replay_pvfp_path is not None:
-        rows = [
-            (row_id, PvfpStatistics(mean, vol, spread_fn.spread_for(vol / mean), pvfp_tsr, pvfp_tsr_spread))
-            for row_id, mean, vol, pvfp_tsr, pvfp_tsr_spread in load_replay_pvfp(config.replay_pvfp_path)
-        ]
+        rows = load_replay_pvfp(config.replay_pvfp_path, spread_fn)
         config.output_dir.mkdir(parents=True, exist_ok=True)
     else:
         portfolios = _load_portfolios(config)
-        curve = load_curve(config)
+        curve = _load_discountable_curve(config)
         z = _draw_normals(config)
         config.output_dir.mkdir(parents=True, exist_ok=True)
         value = functools.partial(_value_portfolio, config, curve, spread_fn, z)
@@ -293,9 +308,11 @@ def cmd_value(config: RunConfig) -> int:
             print(f"  {name:<15} {reports.pct(mean_sp):>8} {reports.pct(mu):>8} {reports.pct(sigma):>8}")
         print()
 
-    totals = aggregate([stats for _, stats in rows])
+    try:
+        totals = aggregate([stats for _, stats in rows])
+    except ValueError as exc:
+        raise ConfigError(f"{config.replay_pvfp_path or config.config_path}: {exc}") from exc
     reports.write_risk_report_csv(config.output_dir / "risk_report.csv", rows, totals)
-    reports.write_manifest(config.output_dir, "value", config)
 
     print("risk report:")
     print("  portfolio         mean_pvfp     vol_pvfp  spread  pvfp_tsr_spread      pvfp_tsr           cur")
@@ -309,10 +326,9 @@ def cmd_value(config: RunConfig) -> int:
         f"  {'TOTAL':<15} {'':>12} {'':>12} {'':>7} {'':>16} "
         f"{reports.money(totals[0]):>13} {reports.money(totals[1]):>13}"
     )
-    return 0
 
 
-def cmd_calibrate_spread(config: RunConfig) -> int:
+def cmd_calibrate_spread(config: RunConfig) -> None:
     spread_fn = _spread_function(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out = config.output_dir / "spread_function.json"
@@ -320,9 +336,7 @@ def cmd_calibrate_spread(config: RunConfig) -> int:
         f'{{\n  "a": {spread_fn.a!r},\n  "b": {spread_fn.b!r},\n  "c": 1.0\n}}\n',
         encoding="utf-8",
     )
-    reports.write_manifest(config.output_dir, "calibrate-spread", config)
     print(f"spread(vol) = a * ln(b * vol + 1) with a = {spread_fn.a:.6f}, b = {spread_fn.b:.4f}")
-    return 0
 
 
 _COMMANDS = {
@@ -337,7 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        return _COMMANDS[args.command](config)
+        _COMMANDS[args.command](config)
+        reports.write_manifest(config.output_dir, args.command, config)
+        return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from .loss import (
     volatility_score,
 )
 from .projection import FixedTerm, PortfolioSpec, TacitRenewal
-from .risk import SpreadFunction, calibrate_spread
+from .risk import PvfpStatistics, SpreadFunction, calibrate_spread
 
 
 class ConfigError(ValueError):
@@ -339,27 +339,28 @@ def load_cap_inputs(
 ) -> tuple[CapSpec, float, tuple[tuple[float, ...], float] | None]:
     """The cap spec, the discounted booked flows and the replay figures of a cap-spec file.
 
-    The replay figures are None, or ``(caplet_costs, deterministic_cost)``:
-    externally booked per-period figures (insurer costs, negative). When
-    they are present the report recomputes only the aggregate identities
-    instead of pricing.
+    The spec's strikes are the file's ``strikes``, or its ``strike`` for
+    every period; its period-0 forward is ``spot_index_rate`` when the file
+    sets ``use_spot_for_first_period``. The replay figures are None, or
+    ``(caplet_costs, deterministic_cost)``: externally booked per-period
+    figures (insurer costs, negative). When they are present the report
+    recomputes only the aggregate identities instead of pricing.
     """
     data = _known(_load_json(path), (
         "strike", "notionals", "index_tenor_years", "accrual_years", "strikes",
         "use_spot_for_first_period", "booked_flows_pv", "replay",
     ), path)
+    strike = _float(data, "strike", path)
+    notionals = _floats(_require(data, "notionals", path), path, "notionals")
+    index_tenor = _float(data, "index_tenor_years", path)
+    accrual = _float(data, "accrual_years", path, default=1.0)
+    strikes = _floats(data["strikes"], path, "strikes") if "strikes" in data else (strike,) * len(notionals)
+    use_spot = _expect(data.get("use_spot_for_first_period", False), bool, path, "use_spot_for_first_period")
+    if strike <= 0.0:
+        raise ConfigError(f"{path}: strike must be > 0, got {strike}")
     with _naming(path):
-        spec = CapSpec(
-            strike=_float(data, "strike", path),
-            notionals=_floats(_require(data, "notionals", path), path, "notionals"),
-            index_tenor=_float(data, "index_tenor_years", path),
-            accrual=_float(data, "accrual_years", path, default=1.0),
-            strikes=_floats(data["strikes"], path, "strikes") if "strikes" in data else None,
-            use_spot_for_first_period=_expect(
-                data.get("use_spot_for_first_period", False), bool, path, "use_spot_for_first_period"
-            ),
-        )
-    if spec.use_spot_for_first_period and spot_index_rate is None:
+        spec = CapSpec(notionals, strikes, index_tenor, accrual, first_forward=spot_index_rate if use_spot else None)
+    if use_spot and spot_index_rate is None:
         raise ConfigError(
             f"{path}: use_spot_for_first_period needs market.spot_index_rate in the run config"
         )
@@ -488,10 +489,11 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
     return portfolio
 
 
-def load_replay_pvfp(path: Path) -> list[tuple[str, float, float, float, float]]:
-    """The (id, mean_pvfp, vol_pvfp, pvfp_tsr, pvfp_tsr_spread) rows of a replay file.
+def load_replay_pvfp(path: Path, spread_fn: SpreadFunction) -> list[tuple[str, PvfpStatistics]]:
+    """The (id, report row) pairs of a replay file, each row's spread given by ``spread_fn``.
 
-    Each row needs an id no other row has, mean_pvfp > 0, vol_pvfp >= 0 and pvfp_tsr != 0.
+    Each row needs an id no other row has, mean_pvfp > 0, vol_pvfp >= 0 and
+    pvfp_tsr != 0, and its report row must be finite (see ``PvfpStatistics``).
     """
     data = _load_json(path, top=list)
     if not data:
@@ -515,5 +517,7 @@ def load_replay_pvfp(path: Path) -> list[tuple[str, float, float, float, float]]
             raise ConfigError(f"{path}: row {row_id!r}: field 'vol_pvfp' must be >= 0, got {vol_pvfp!r}")
         if pvfp_tsr == 0.0:
             raise ConfigError(f"{path}: row {row_id!r}: field 'pvfp_tsr' must not be 0")
-        rows.append((row_id, mean_pvfp, vol_pvfp, pvfp_tsr, pvfp_tsr_spread))
+        with _naming(path, f"row {row_id!r}: "):
+            spread = spread_fn.spread_for(vol_pvfp / mean_pvfp)
+            rows.append((row_id, PvfpStatistics(mean_pvfp, vol_pvfp, spread, pvfp_tsr, pvfp_tsr_spread)))
     return rows

@@ -74,6 +74,8 @@ class PvfpStatistics:
             raise ValueError(f"volatility must be >= 0, got {self.vol}")
         if self.pvfp_tsr == 0.0:  # checked here, not in ``cur``, so that a degenerate row stops the run at once
             raise ValueError("portfolio is degenerate: PVFP at the risk-free rate is 0")
+        if not math.isfinite(self.cur):
+            raise ValueError(f"cur must be finite, got {self.cur!r}")
 
     @property
     def cur(self) -> float:
@@ -149,7 +151,11 @@ def calibrate_spread(points: Sequence[tuple[float, float]]) -> SpreadFunction:
 
 
 def aggregate(reports: Sequence[PvfpStatistics]) -> tuple[float, float]:
-    """Totals across portfolios: (sum of PVFP at TSR, sum of CUR)."""
+    """Totals across portfolios: (sum of PVFP at TSR, sum of CUR); a sum outside the float range raises."""
     if not reports:
         raise ValueError("need at least one portfolio report")
-    return sum(r.pvfp_tsr for r in reports), sum(r.cur for r in reports)
+    totals = sum(r.pvfp_tsr for r in reports), sum(r.cur for r in reports)
+    for name, total in zip(("pvfp_tsr", "cur"), totals):
+        if not math.isfinite(total):
+            raise ValueError(f"total {name} must be finite, got {total!r}")
+    return totals

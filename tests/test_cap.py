@@ -31,6 +31,11 @@ from .conftest import (
 NCDF_AT_1959964 = 0.9750000009035576
 
 
+def flat_strike_spec(strike: float, notionals: tuple[float, ...], first_forward: float | None = None) -> CapSpec:
+    """A cap on the 3-year index with the same strike in every period."""
+    return CapSpec(notionals, (strike,) * len(notionals), index_tenor=3.0, first_forward=first_forward)
+
+
 def monte_carlo_caplet(
     notional: float,
     df_pay: float,
@@ -150,7 +155,7 @@ class TestPriceCap:
 
     def test_zero_vol_out_of_the_money_prices_to_zero(self):
         market = self.flat_market(rate=0.02, vol=0.0)
-        spec = CapSpec(strike=0.05, notionals=(1e6,) * 5, index_tenor=3.0)
+        spec = flat_strike_spec(0.05, (1e6,) * 5)
         valuation = CapValuation(*price_cap(cap_strip(spec, *market)))
         assert valuation.stochastic_value == 0.0
         assert valuation.deterministic_value == 0.0
@@ -158,22 +163,22 @@ class TestPriceCap:
 
     def test_zero_vol_market_has_no_valuation_spread(self):
         market = self.flat_market(rate=0.04, vol=0.0)
-        spec = CapSpec(strike=0.02, notionals=(1e6,) * 5, index_tenor=3.0)
+        spec = flat_strike_spec(0.02, (1e6,) * 5)
         valuation = CapValuation(*price_cap(cap_strip(spec, *market)))
         assert valuation.stochastic_value > 0.0
         assert valuation.valuation_spread == 0.0
 
     def test_aggregate_identities_hold_exactly(self):
         market = self.flat_market(rate=0.03, vol=0.25)
-        spec = CapSpec(strike=0.025, notionals=(5e5, 4e5, 3e5, 2e5, 1e5), index_tenor=3.0)
+        spec = flat_strike_spec(0.025, (5e5, 4e5, 3e5, 2e5, 1e5))
         valuation = CapValuation(*price_cap(cap_strip(spec, *market)))
         assert valuation.stochastic_value == sum(valuation.caplet_values[1:])
         assert valuation.valuation_spread == valuation.stochastic_value - valuation.deterministic_value
 
     def test_period_zero_is_excluded_from_the_option_value(self):
         market = self.flat_market(rate=0.06, vol=0.2)
-        with_p0 = CapSpec(strike=0.02, notionals=(1e9, 1e5, 1e5), index_tenor=3.0)
-        without_p0 = CapSpec(strike=0.02, notionals=(0.0, 1e5, 1e5), index_tenor=3.0)
+        with_p0 = flat_strike_spec(0.02, (1e9, 1e5, 1e5))
+        without_p0 = flat_strike_spec(0.02, (0.0, 1e5, 1e5))
         assert CapValuation(*price_cap(cap_strip(with_p0, *market))).stochastic_value == pytest.approx(
             CapValuation(*price_cap(cap_strip(without_p0, *market))).stochastic_value
         )
@@ -181,36 +186,32 @@ class TestPriceCap:
 
     def test_spot_override_applies_to_the_running_period_only(self):
         market = self.flat_market(rate=0.04, vol=0.2)
-        spec = CapSpec(
-            strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0, use_spot_for_first_period=True
-        )
-        plain = CapSpec(strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0)
-        with_spot, _ = price_cap(cap_strip(spec, *market, spot_index_rate=0.10))
-        without_spot, _ = price_cap(cap_strip(plain, *market, spot_index_rate=0.10))
+        spec = flat_strike_spec(0.02, (1e6, 1e6, 1e6), first_forward=0.10)
+        plain = flat_strike_spec(0.02, (1e6, 1e6, 1e6))
+        with_spot, _ = price_cap(cap_strip(spec, *market))
+        without_spot, _ = price_cap(cap_strip(plain, *market))
         # period 0 picks up the observed 10% spot; the period-1 caplet also
         # fixes at t=0 but stays on the curve-implied rate
         assert with_spot[0] == pytest.approx(1e6 * (0.10 - 0.02), rel=1e-12)
         assert with_spot[1] == without_spot[1]
         assert with_spot[2] == without_spot[2]
 
-    def test_spot_override_without_a_spot_rate_is_rejected(self):
-        spec = CapSpec(strike=0.02, notionals=(1e6, 1e6), index_tenor=3.0, use_spot_for_first_period=True)
-        with pytest.raises(ValueError, match="use_spot_for_first_period needs a spot index rate"):
-            cap_strip(spec, *self.flat_market(rate=0.04, vol=0.2))
-
     def test_per_period_strike_override(self):
         market = self.flat_market(rate=0.04, vol=0.2)
-        flat = CapSpec(strike=0.02, notionals=(1e6, 1e6, 1e6), index_tenor=3.0)
-        bumped = CapSpec(
-            strike=0.02,
-            notionals=(1e6, 1e6, 1e6),
-            index_tenor=3.0,
-            strikes=(0.02, 0.02, 0.03),
-        )
+        flat = flat_strike_spec(0.02, (1e6, 1e6, 1e6))
+        bumped = CapSpec(notionals=(1e6, 1e6, 1e6), strikes=(0.02, 0.02, 0.03), index_tenor=3.0)
         bumped_values, _ = price_cap(cap_strip(bumped, *market))
         flat_values, _ = price_cap(cap_strip(flat, *market))
         assert bumped_values[2] < flat_values[2]
         assert bumped_values[1] == flat_values[1]
+
+    def test_caplet_outside_the_float_range_rejected_naming_the_period(self):
+        # the period-0 forward is about 1e12, so a 1e300 notional overflows its caplet value
+        curve = ZeroCurve(tenors=(35.0, 44.0, 49.0), zero_rates=(1e12, 1e200, 0.03))
+        vols = VolTermStructure(fixing_times=(0.0,), black_vols=(0.0,))
+        spec = CapSpec(notionals=(1e300,) * 3, strikes=(1e-300,) * 3, index_tenor=0.25)
+        with pytest.raises(ValueError, match="^period 0: caplet value must be finite, got inf$"):
+            price_cap(cap_strip(spec, curve, vols))
 
 
 class TestReportAggregates:
@@ -234,6 +235,18 @@ class TestReportAggregates:
     def test_zero_tax_zero_booked_passes_through(self):
         valuation = CapValuation((0.0, 100.0), deterministic_value=50.0)
         assert valuation.crd == valuation.stochastic_value
+
+    @pytest.mark.parametrize(
+        ("caplets", "deterministic", "booked", "aggregate"),
+        [
+            ((0.0, -1.7e308, -1.7e308), 0.0, 0.0, "stochastic_value must be finite, got -inf"),
+            ((0.0, 1e308), -1e308, 0.0, "valuation_spread must be finite, got inf"),
+            ((0.0, 1e308), 0.0, -1e308, "crd must be finite, got inf"),
+        ],
+    )
+    def test_aggregate_outside_the_float_range_rejected(self, caplets, deterministic, booked, aggregate):
+        with pytest.raises(ValueError, match=f"^{aggregate}$"):
+            CapValuation(caplets, deterministic, booked)
 
     def test_tax_rate_bounds(self):
         for tax_rate in (1.0, -0.1):
@@ -263,12 +276,12 @@ class TestReportAggregates:
 class TestCapSpecValidation:
     def test_needs_at_least_one_priced_period(self):
         with pytest.raises(ValueError, match="0..n"):
-            CapSpec(strike=0.02, notionals=(1e6,), index_tenor=3.0)
+            flat_strike_spec(0.02, (1e6,))
 
     def test_rejects_negative_notionals(self):
         with pytest.raises(ValueError, match="notionals"):
-            CapSpec(strike=0.02, notionals=(1e6, -1.0), index_tenor=3.0)
+            flat_strike_spec(0.02, (1e6, -1.0))
 
     def test_rejects_short_strike_vector(self):
         with pytest.raises(ValueError, match="strikes"):
-            CapSpec(strike=0.02, notionals=(1e6, 1e6), index_tenor=3.0, strikes=(0.02,))
+            CapSpec(notionals=(1e6, 1e6), strikes=(0.02,), index_tenor=3.0)

@@ -186,8 +186,10 @@ class TestPriceCap:
         })
         assert main(["price-cap", "--config", str(config)]) == 1
         # period 1 fixes at t = 0 and is priced at intrinsic value; period 2 is the first with a vol
-        curve = (tmp_path / "curve.csv").resolve()
-        assert capsys.readouterr().err == f"error: {curve}: period 2: forward must be > 0 when vol > 0, got -0.5\n"
+        cap, curve, vols = ((tmp_path / name).resolve() for name in ("cap.json", "curve.csv", "vols.csv"))
+        assert capsys.readouterr().err == (
+            f"error: {cap}, {curve}, {vols}: period 2: forward must be > 0 when vol > 0, got -0.5\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_manifest_records_the_run(self, tmp_path):
@@ -721,11 +723,10 @@ def test_non_finite_input_is_rejected_naming_the_file(
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning in the PVFP discounts
 @pytest.mark.parametrize(
     ("command", "rate", "message"),
     [
-        ("value", "-0.99999999999999", "portfolio 'portfolio_1': mean must be finite, got nan"),
+        ("value", "-0.99999999999999", "{curve}: discount factor at tenor 23 with zero rate -0.99999999999999 "),
         ("price-cap", "-0.99999999999999", "{curve}: discount factor at tenor 23 with zero rate -0.99999999999999 "),
         ("price-cap", "1e12", "{curve}: discount factor at tenor 27 with zero rate 1000000000000.0 "),
     ],
@@ -733,7 +734,7 @@ def test_non_finite_input_is_rejected_naming_the_file(
 def test_extreme_but_accepted_curve_stops_with_one_error_and_writes_no_non_finite_number(
     tmp_path, capsys, command, rate, message
 ):
-    """A rate just above -1 overflows the discount factors, a huge rate underflows them to 0."""
+    """A rate just above -1 overflows the discount factors, a huge rate underflows them to 0; numpy warns of neither."""
     curve = tmp_path / "curve.csv"
     curve.write_text(f"tenor_years,zero_rate\n0,{rate}\n1,{rate}\n", encoding="utf-8")
     market = {"curve_csv": str(curve), "vols_csv": str(SAMPLE_DIR / "market_vols.csv"), "spot_index_rate": 0.0195}
@@ -748,6 +749,79 @@ def test_extreme_but_accepted_curve_stops_with_one_error_and_writes_no_non_finit
     assert err.startswith("error: " + message.format(curve=curve)) and err.count("\n") == 1
     written = [f.read_text(encoding="utf-8") for f in tmp_path.glob("out/**/*") if f.is_file()]
     assert not any("nan" in text or "inf" in text for text in written)
+
+
+def assert_one_error_and_no_non_finite_output(code: int, err: str, expected: str, out: Path) -> None:
+    assert code == 1 and err == f"error: {expected}\n", err
+    written = [f.read_text(encoding="utf-8") for f in out.glob("**/*") if f.is_file()]
+    assert not any("nan" in text or "inf" in text for text in written)
+
+
+def test_underflowing_curve_still_values_to_a_finite_report(tmp_path):
+    """A curve rising to 1e12 at 30 years underflows the late discount factors to 0, which drops those years."""
+    curve = tmp_path / "curve.csv"
+    curve.write_text("tenor_years,zero_rate\n0,0.03\n30,1e12\n", encoding="utf-8")
+    market = {"curve_csv": str(curve), "vols_csv": str(SAMPLE_DIR / "market_vols.csv")}
+    config = sample_config("run_value.json", tmp_path, market=market, scenarios=50)
+    assert main(["value", "--config", str(config)]) == 0
+    with (tmp_path / "out" / "risk_report.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and all(np.isfinite(float(v)) for row in rows for v in list(row.values())[1:] if v)
+
+
+def test_cap_spec_using_the_spot_needs_a_spot_rate_in_the_run_config(tmp_path, capsys):
+    market = {"curve_csv": str(SAMPLE_DIR / "market_curve.csv"), "vols_csv": str(SAMPLE_DIR / "market_vols.csv")}
+    config = sample_config("run_price_cap.json", tmp_path, market=market)
+    assert main(["price-cap", "--config", str(config)]) == 1
+    cap = SAMPLE_DIR / "cap_remuneration.json"
+    assert capsys.readouterr().err == (
+        f"error: {cap}: use_spot_for_first_period needs market.spot_index_rate in the run config\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("rows", "expected"),
+    [
+        (
+            [{"id": "big", "mean_pvfp": 1e300, "vol_pvfp": 1e299, "pvfp_tsr": 1e-300, "pvfp_tsr_spread": 1.0}],
+            "row 'big': cur must be finite, got -inf",
+        ),
+        (
+            [{"id": f"r{i}", "mean_pvfp": 54674, "vol_pvfp": 1074, "pvfp_tsr": 1.7e308, "pvfp_tsr_spread": 1.7e308}
+             for i in (1, 2)],
+            "total pvfp_tsr must be finite, got inf",
+        ),
+    ],
+    ids=["cur", "total"],
+)
+def test_replay_of_finite_figures_with_an_infinite_cur_is_rejected_naming_the_file(tmp_path, capsys, rows, expected):
+    replay = write_json(tmp_path / "replay.json", rows)
+    config = sample_config("run_value_replay.json", tmp_path, replay_pvfp=str(replay))
+    code = main(["value", "--config", str(config)])
+    assert_one_error_and_no_non_finite_output(code, capsys.readouterr().err, f"{replay}: {expected}", tmp_path / "out")
+
+
+def test_priced_caplet_outside_the_float_range_is_rejected_naming_the_priced_files_and_the_period(tmp_path, capsys):
+    curve, vols = tmp_path / "curve.csv", tmp_path / "vols.csv"
+    curve.write_text("tenor_years,zero_rate\n35,1e12\n44,1e200\n49,0.03\n", encoding="utf-8")
+    vols.write_text("fixing_years,black_vol\n0,0\n10,0\n", encoding="utf-8")
+    cap = write_json(tmp_path / "cap.json", {"strike": 1e-300, "index_tenor_years": 0.25, "notionals": [1e300] * 3})
+    config = sample_config("run_price_cap.json", tmp_path, market={"curve_csv": str(curve), "vols_csv": str(vols)},
+                           cap_spec=str(cap))
+    code = main(["price-cap", "--config", str(config)])
+    expected = f"{cap}, {curve}, {vols}: period 0: caplet value must be finite, got inf"
+    assert_one_error_and_no_non_finite_output(code, capsys.readouterr().err, expected, tmp_path / "out")
+
+
+def test_replayed_caplet_costs_whose_sum_overflows_are_rejected_naming_the_cap_spec(tmp_path, capsys):
+    spec = json.loads((SAMPLE_DIR / "cap_remuneration.json").read_text(encoding="utf-8"))
+    spec["replay"]["caplet_costs"] = [0.0] + [-1.7e308] * 6
+    cap = write_json(tmp_path / "cap.json", spec)
+    config = sample_config("run_price_cap.json", tmp_path, cap_spec=str(cap))
+    code = main(["price-cap", "--config", str(config)])
+    expected = f"{cap}: stochastic_value must be finite, got -inf"
+    assert_one_error_and_no_non_finite_output(code, capsys.readouterr().err, expected, tmp_path / "out")
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,10 @@ class TestRiskStatistics:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
             PvfpStatistics(**values)
 
+    def test_cur_outside_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="^cur must be finite, got -inf$"):
+            PvfpStatistics(mean=1e300, vol=1e299, spread=0.01, pvfp_tsr=1e-300, pvfp_spread=1.0)
+
 
 class TestAggregate:
     @staticmethod
@@ -185,3 +189,16 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             aggregate([])
+
+    @pytest.mark.parametrize(
+        ("pvfp_tsr", "pvfp_spread", "expected"),
+        [
+            (1.7e308, 1.7e308, "total pvfp_tsr must be finite, got inf"),
+            (1e-300, 1.0, "total cur must be finite, got -inf"),
+        ],
+    )
+    def test_total_outside_the_float_range_rejected(self, pvfp_tsr, pvfp_spread, expected):
+        # each row is finite (with pvfp_tsr = 1e-300, its cur is about -1.7e308); the sum of two is not
+        row = PvfpStatistics(mean=1.7e8, vol=1.0, spread=0.01, pvfp_tsr=pvfp_tsr, pvfp_spread=pvfp_spread)
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            aggregate([row, row])
