@@ -121,23 +121,22 @@ def cap_strip(spec: CapSpec, curve: ZeroCurve, vols: VolTermStructure) -> CapStr
     index tenor, and pays at T_j = j * accrual, discounted with B(0, T_j)
     and using the Black vol quoted for the fixing time. Period 0 takes
     ``spec.first_forward`` instead of the curve forward when it is given.
+    Each kind of curve or vol lookup is one vector call, whatever the period count.
     """
     periods = range(len(spec.notionals))
     fixing_times = tuple(max(j * spec.accrual - spec.accrual, 0.0) for j in periods)
-    forwards = tuple(
-        spec.first_forward
-        if j == 0 and spec.first_forward is not None
-        else curve.forward_index_rate(fixing_times[j], spec.index_tenor)
-        for j in periods
-    )
+    if spec.first_forward is None:
+        forwards = curve.forward_index_rates(fixing_times, spec.index_tenor)
+    else:
+        forwards = [spec.first_forward] + curve.forward_index_rates(fixing_times[1:], spec.index_tenor)
     return CapStrip(
         accrual=spec.accrual,
         notionals=spec.notionals,
         fixing_times=fixing_times,
-        discount_factors=tuple(curve.discount_factor(j * spec.accrual) for j in periods),
-        forwards=forwards,
+        discount_factors=tuple(curve.discount_factors([j * spec.accrual for j in periods])),
+        forwards=tuple(forwards),
         strikes=spec.strikes,
-        vols=tuple(vols.vol_at(t) for t in fixing_times),
+        vols=tuple(vols.vols_at(fixing_times)),
     )
 
 

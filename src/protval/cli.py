@@ -38,7 +38,7 @@ from .config import (
 )
 from .curves import ZeroCurve
 from .loss import draw_initial_ratios, lognormal_mu, reverting_paths, standard_normals
-from .projection import PortfolioSpec, _spread_discounts, pvfp, pvfp_of_ratios
+from .projection import PortfolioSpec, premium_runoff, pvfp_of_chronicle, pvfp_of_ratios, spread_discounts
 from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
 
 T = TypeVar("T")
@@ -127,7 +127,10 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
     if not config.portfolio_paths:
         raise ConfigError(f"{config.config_path}: 'portfolios' is required for this command")
     weights = load_weight_matrix(config.weights_path) if config.weights_path else None
-    portfolios = [load_portfolio(p, config.horizon, weights) for p in config.portfolio_paths]
+    resolved_dirs = {d for d in {p.parent for p in config.portfolio_paths} if d == d.resolve()}
+    portfolios = [
+        load_portfolio(p, config.horizon, weights, p.parent in resolved_dirs) for p in config.portfolio_paths
+    ]
     seen = {}
     for path, portfolio in zip(config.portfolio_paths, portfolios):
         if portfolio.id in seen:
@@ -136,21 +139,22 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
     return portfolios
 
 
-def _load_discountable_curve(config: RunConfig) -> ZeroCurve:
-    """The run's curve, checked that no risk-free discount factor for years 1..horizon overflows.
+def _load_discountable_curve(config: RunConfig) -> tuple[ZeroCurve, np.ndarray]:
+    """The run's curve and its risk-free discount factors for years 1..horizon, checked that none overflows.
 
     One that underflows to 0 drops its year from the PVFP and passes; a spreaded factor is no larger.
     """
     curve = load_curve(config)
     with np.errstate(all="ignore"):
-        finite = np.isfinite(_spread_discounts(curve, config.horizon, 0.0))
+        riskfree = spread_discounts(curve, config.horizon)
+    finite = np.isfinite(riskfree)
     if not finite.all():
         year = int(np.argmin(finite)) + 1
         raise ConfigError(
             f"{config.curve_csv}: discount factor at tenor {year} with zero rate {curve.zero_rate(year)!r} "
             "is outside the float range"
         )
-    return curve
+    return curve, riskfree
 
 
 def _draw_normals(config: RunConfig) -> np.ndarray:
@@ -208,8 +212,9 @@ def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios
     the calling thread; that is safe here because ``src/`` calls no BLAS routine
     (no ``@``, ``dot`` or ``linalg``), so no child needs that pool or its locks.
     For the same reason the fork ignores CPython 3.12+'s ``DeprecationWarning``
-    about forking a multi-threaded process: raised as an error in the parent,
-    it would lose the pid of a child that already exists.
+    about forking a multi-threaded process, which would otherwise print on
+    stderr beside the run's own lines. Under an ``error`` warnings filter,
+    3.12.1 and 3.13.0 raised nothing at such a fork and lost no child.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     processes = min(cores, len(portfolios))
@@ -264,26 +269,46 @@ def cmd_simulate(config: RunConfig) -> None:
 
 
 def _value_portfolio(
-    config: RunConfig, curve: ZeroCurve, spread_fn: SpreadFunction, z: np.ndarray, portfolio: PortfolioSpec
+    config: RunConfig,
+    curve: ZeroCurve,
+    riskfree: np.ndarray,
+    spread_fn: SpreadFunction,
+    z: np.ndarray,
+    portfolio: PortfolioSpec,
 ) -> PvfpStatistics:
     """Write one portfolio's PVFP samples file; return its risk report row.
 
-    The row is built, and so checked, before the file is written: a portfolio that cannot be priced writes nothing.
+    ``riskfree`` holds the run's risk-free discount factors. The row is
+    built, and so checked, before the file is written: a portfolio that
+    cannot be priced writes nothing. A float overflow or an invalid
+    operation in its arrays raises a ValueError naming the portfolio.
     """
-    mu = lognormal_mu(portfolio.mean_sp, portfolio.sigma)
-    samples = pvfp_of_ratios(portfolio, draw_initial_ratios(mu, portfolio.sigma, z), curve)
-    mean, vol = pvfp_stats(samples)
-    if mean <= 0.0:
-        raise ValueError(f"portfolio {portfolio.id!r}: mean PVFP must be > 0 to price its risk, got {mean!r}")
-    spread = spread_fn.spread_for(vol / mean)
-    pvfp_tsr = pvfp(portfolio, portfolio.chronicle, curve)
-    pvfp_spread = pvfp(portfolio, portfolio.chronicle, curve, extra_spread=spread)
     try:
-        stats = PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)
+        with np.errstate(over="raise", invalid="raise"):
+            premiums = premium_runoff(portfolio)
+            mu = lognormal_mu(portfolio.mean_sp, portfolio.sigma)
+            samples = pvfp_of_ratios(portfolio, draw_initial_ratios(mu, portfolio.sigma, z), premiums, riskfree)
+            mean, vol = pvfp_stats(samples)
+            if mean <= 0.0:
+                raise ValueError(f"mean PVFP must be > 0 to price its risk, got {mean!r}")
+            spread = spread_fn.spread_for(vol / mean)
+            discounts = np.stack((riskfree, spread_discounts(curve, portfolio.horizon, spread)))
+            pvfp_tsr, pvfp_spread = pvfp_of_chronicle(portfolio, premiums, discounts).tolist()
+            stats = PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)
+    except FloatingPointError as exc:
+        raise ValueError(f"portfolio {portfolio.id!r}: valuation outside the float range: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"portfolio {portfolio.id!r}: {exc}") from exc
     reports.write_pvfp_samples_csv(config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples)
     return stats
+
+
+def _totals(config: RunConfig, rows: list[tuple[str, PvfpStatistics]]) -> tuple[float, float]:
+    """The TOTAL pair of the risk report; a sum outside the float range raises a ConfigError."""
+    try:
+        return aggregate([stats for _, stats in rows])
+    except ValueError as exc:
+        raise ConfigError(f"{config.replay_pvfp_path or config.config_path}: {exc}") from exc
 
 
 def cmd_value(config: RunConfig) -> None:
@@ -291,14 +316,16 @@ def cmd_value(config: RunConfig) -> None:
 
     if config.replay_pvfp_path is not None:
         rows = load_replay_pvfp(config.replay_pvfp_path, spread_fn)
+        totals = _totals(config, rows)
         config.output_dir.mkdir(parents=True, exist_ok=True)
     else:
         portfolios = _load_portfolios(config)
-        curve = _load_discountable_curve(config)
+        curve, riskfree = _load_discountable_curve(config)
         z = _draw_normals(config)
         config.output_dir.mkdir(parents=True, exist_ok=True)
-        value = functools.partial(_value_portfolio, config, curve, spread_fn, z)
+        value = functools.partial(_value_portfolio, config, curve, riskfree, spread_fn, z)
         rows = [(p.id, stats) for p, stats in zip(portfolios, _map_portfolios("value", value, portfolios))]
+        totals = _totals(config, rows)
         echo_rows = [(p.id, p.mean_sp, lognormal_mu(p.mean_sp, p.sigma), p.sigma) for p in portfolios]
 
         reports.write_params_echo_csv(config.output_dir / "lognormal_params.csv", echo_rows)
@@ -308,10 +335,6 @@ def cmd_value(config: RunConfig) -> None:
             print(f"  {name:<15} {reports.pct(mean_sp):>8} {reports.pct(mu):>8} {reports.pct(sigma):>8}")
         print()
 
-    try:
-        totals = aggregate([stats for _, stats in rows])
-    except ValueError as exc:
-        raise ConfigError(f"{config.replay_pvfp_path or config.config_path}: {exc}") from exc
     reports.write_risk_report_csv(config.output_dir / "risk_report.csv", rows, totals)
 
     print("risk report:")

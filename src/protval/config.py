@@ -13,6 +13,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -201,17 +203,25 @@ def _parse_json(raw: bytes, path: Path, top: type = dict) -> Any:
 
 
 def _read_csv_pairs(path: Path, col_a: str, col_b: str) -> list[tuple[float, float]]:
+    """The (col_a, col_b) number pairs of CSV file ``path``, one per data row.
+
+    Rows and line numbers are those of ``csv.DictReader``: blank lines are
+    skipped and not counted, and a column named twice is read from its last
+    place.
+    """
     if not path.is_file():
         raise ConfigError(f"{path}: file not found")
     with io.StringIO(_decode(path.read_bytes(), path), newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or col_a not in reader.fieldnames or col_b not in reader.fieldnames:
+        reader = csv.reader(handle)
+        columns = {name: i for i, name in enumerate(next(reader, ()))}
+        if col_a not in columns or col_b not in columns:
             raise ConfigError(f"{path}: expected CSV header with columns {col_a!r},{col_b!r}")
+        a, b = columns[col_a], columns[col_b]
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(filter(None, reader), start=2):
             try:
-                pair = (float(row[col_a]), float(row[col_b]))
-            except (TypeError, ValueError) as exc:
+                pair = (float(row[a]), float(row[b]))
+            except (IndexError, ValueError) as exc:
                 raise ConfigError(f"{path}: line {lineno}: non-numeric {col_a}/{col_b}") from exc
             if not all(map(math.isfinite, pair)):
                 raise ConfigError(f"{path}: line {lineno}: non-finite {col_a}/{col_b}")
@@ -221,10 +231,25 @@ def _read_csv_pairs(path: Path, col_a: str, col_b: str) -> list[tuple[float, flo
     return rows
 
 
-def _resolve(path: Path, field: str, value: Any) -> Path:
-    """A path given in file ``path``, relative to that file's directory unless absolute."""
+def _resolve(path: Path, field: str, value: Any, resolved_dir: bool = False) -> Path:
+    """A path given in file ``path``, relative to that file's directory unless absolute.
+
+    A relative path comes back as ``Path.resolve()`` returns it. With
+    ``resolved_dir``, the caller vouches that ``path.parent`` is already in
+    that form, so a bare file name that is not a symlink costs one ``lstat``
+    instead of one per component of the path.
+    """
     p = Path(_expect(value, str, path, field))
-    return p if p.is_absolute() else (path.parent / p).resolve()
+    if p.is_absolute():
+        return p
+    joined = path.parent / p
+    if resolved_dir and len(p.parts) == 1 and p.name != "..":
+        try:
+            if not stat.S_ISLNK(os.lstat(joined).st_mode):
+                return joined
+        except FileNotFoundError:
+            return joined
+    return joined.resolve()
 
 
 def load_run_config(
@@ -264,7 +289,7 @@ def load_run_config(
 
     # The file's output_dir is relative to the file, the --out flag to the working directory.
     if "output_dir" in data:
-        data["output_dir"] = _resolve(path, "output_dir", data["output_dir"])
+        data["output_dir"] = _resolve(path, "output_dir", data["output_dir"], resolved_dir=True)
     output_dir = merged("output_dir", None if out is None else Path(out).resolve())
     if output_dir is None:
         raise ConfigError(f"{path}: missing required field 'output_dir' (or pass --out)")
@@ -288,7 +313,7 @@ def load_run_config(
         return default if value is None else value
 
     def ref(holder: dict[str, Any], name: str) -> Path | None:
-        return _resolve(path, name, holder[name]) if name in holder else None
+        return _resolve(path, name, holder[name], resolved_dir=True) if name in holder else None
 
     config = RunConfig(
         config_path=path,
@@ -299,7 +324,8 @@ def load_run_config(
         tax_rate=_float(market, "tax_rate", path, default=0.0),
         cap_spec_path=ref(data, "cap_spec"),
         portfolio_paths=tuple(
-            _resolve(path, "portfolios", p) for p in _expect(data.get("portfolios", []), list, path, "portfolios")
+            _resolve(path, "portfolios", p, resolved_dir=True)
+            for p in _expect(data.get("portfolios", []), list, path, "portfolios")
         ),
         weights_path=ref(data, "weights"),
         replay_pvfp_path=ref(data, "replay_pvfp"),
@@ -436,14 +462,18 @@ def _parse_criteria(raw: Any, path: Path) -> dict[str, str]:
     return buckets
 
 
-def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]] | None) -> PortfolioSpec:
+def load_portfolio(
+    path: Path, horizon: int, weights: dict[str, dict[str, float]] | None, resolved_dir: bool = False
+) -> PortfolioSpec:
     """The portfolio of a JSON file, with its sigma resolved and its chronicle ``horizon`` years long.
 
     ``sigma`` is read as given; without it, ``criteria`` is scored on
     ``weights``, the run's weight matrix (None if the run has none). Given
     both, ``sigma`` wins and ``criteria`` is still checked. The chronicle
     comes from at most one of ``chronicle_csv`` and ``chronicle``; with
-    neither, it is ``horizon`` years at the retained loss ratio.
+    neither, it is ``horizon`` years at the retained loss ratio. Pass
+    ``resolved_dir`` when ``path.parent`` is as ``Path.resolve()`` returns
+    it; a ``chronicle_csv`` then resolves with fewer file-system calls.
     """
     data = _known(_load_json(path), (
         "id", "initial_premium", "renewal", "profit_share_rate", "tax_rate", "retained_loss_ratio",
@@ -454,7 +484,7 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
     if "chronicle_csv" in data and "chronicle" in data:
         raise ConfigError(f"{path}: fields 'chronicle_csv' and 'chronicle' conflict; give at most one")
     if "chronicle_csv" in data:
-        chronicle = load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"]))
+        chronicle = load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"], resolved_dir))
     elif "chronicle" in data:
         chronicle = _floats(data["chronicle"], path, "chronicle")
     else:

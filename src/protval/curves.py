@@ -10,13 +10,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 
+def _check_nonnegative(values: Sequence[float], what: str) -> None:
+    """Raise a ValueError naming the first of ``values`` below 0."""
+    for value in values:
+        if value < 0.0:
+            raise ValueError(f"{what} must be >= 0, got {value}")
+
+
+def _discount_factor(t: float, z: float) -> float:
+    """(1 + z)^-t with Python's ``**``; 1 at t = 0. Overflow or underflow to 0 raises a ValueError."""
+    if t == 0.0:
+        return 1.0
+    try:
+        df = (1.0 + z) ** -t
+        if df > 0.0:
+            return df
+    except OverflowError:
+        pass
+    raise ValueError(f"discount factor at tenor {t:g} with zero rate {z!r} is outside the float range")
+
+
 @dataclass(frozen=True)
 class ZeroCurve:
-    """Annually-compounded zero curve: DF(t) = (1 + z(t))^-t."""
+    """Annually-compounded zero curve: DF(t) = (1 + z(t))^-t.
+
+    Each lookup has a vector form, which interpolates all its tenors in one
+    call, and a scalar form, which is the vector form on one tenor.
+    """
 
     tenors: tuple[float, ...]
     zero_rates: tuple[float, ...]
@@ -35,43 +60,51 @@ class ZeroCurve:
         if any(z <= -1.0 for z in self.zero_rates):
             raise ValueError("zero rates must be > -1")
 
+    def zero_rates_at(self, tenors: Sequence[float]) -> list[float]:
+        """Interpolated zero rate at each of ``tenors`` (linear in rate, flat outside)."""
+        _check_nonnegative(tenors, "tenor")
+        return np.interp(tenors, self.tenors, self.zero_rates).tolist()
+
     def zero_rate(self, t: float) -> float:
-        """Interpolated zero rate at tenor ``t`` (linear in rate, flat outside)."""
-        if t < 0.0:
-            raise ValueError(f"tenor must be >= 0, got {t}")
-        return float(np.interp(t, self.tenors, self.zero_rates))
+        """``zero_rates_at`` on one tenor."""
+        return self.zero_rates_at((t,))[0]
+
+    def discount_factors(self, times: Sequence[float]) -> list[float]:
+        """Discount factor (1 + z(t))^-t at each of ``times``; 1 at t = 0.
+
+        The first factor that overflows or underflows to 0 raises a ValueError.
+        """
+        return [_discount_factor(t, z) for t, z in zip(times, self.zero_rates_at(times))]
 
     def discount_factor(self, t: float) -> float:
-        """Discount factor (1 + z(t))^-t; equals 1 at t = 0. Overflow or underflow to 0 raises a ValueError."""
-        if t == 0.0:
-            return 1.0
-        z = self.zero_rate(t)
-        try:
-            df = (1.0 + z) ** -t
-            if df > 0.0:
-                return df
-        except OverflowError:
-            pass
-        raise ValueError(f"discount factor at tenor {t:g} with zero rate {z!r} is outside the float range")
+        """``discount_factors`` at one time."""
+        return self.discount_factors((t,))[0]
 
-    def forward_index_rate(self, fix: float, tenor: float) -> float:
-        """Annualized geometric forward rate fixing at ``fix`` for an index of ``tenor`` years.
+    def forward_index_rates(self, fixes: Sequence[float], tenor: float) -> list[float]:
+        """Annualized geometric forward rate fixing at each of ``fixes`` for an index of ``tenor`` years.
 
-        Satisfies (1 + fwd)^tenor * DF(fix + tenor) = DF(fix). At fix = 0 this
-        is the spot zero rate of the index tenor. A non-finite forward raises.
+        Each satisfies (1 + fwd)^tenor * DF(fix + tenor) = DF(fix). At fix = 0
+        it is the spot zero rate of the index tenor. The first fixing whose
+        discount factors or forward are outside the float range raises.
         """
-        if fix < 0.0:
-            raise ValueError(f"fixing time must be >= 0, got {fix}")
+        _check_nonnegative(fixes, "fixing time")
         if tenor <= 0.0:
             raise ValueError(f"index tenor must be > 0, got {tenor}")
-        ratio = self.discount_factor(fix) / self.discount_factor(fix + tenor)
-        try:
-            fwd = ratio ** (1.0 / tenor) - 1.0
-            if math.isfinite(fwd):
-                return fwd
-        except OverflowError:
-            pass
-        raise ValueError(f"forward rate fixing at {fix:g} for {tenor:g} years is outside the float range")
+        ends = [fix + tenor for fix in fixes]
+        forwards = []
+        for fix, end, z_fix, z_end in zip(fixes, ends, self.zero_rates_at(fixes), self.zero_rates_at(ends)):
+            ratio = _discount_factor(fix, z_fix) / _discount_factor(end, z_end)
+            try:
+                forwards.append(ratio ** (1.0 / tenor) - 1.0)
+            except OverflowError:
+                forwards.append(math.inf)
+            if not math.isfinite(forwards[-1]):
+                raise ValueError(f"forward rate fixing at {fix:g} for {tenor:g} years is outside the float range")
+        return forwards
+
+    def forward_index_rate(self, fix: float, tenor: float) -> float:
+        """``forward_index_rates`` at one fixing."""
+        return self.forward_index_rates((fix,), tenor)[0]
 
 
 @dataclass(frozen=True)
@@ -98,9 +131,11 @@ class VolTermStructure:
         if any(v < 0.0 for v in self.black_vols):
             raise ValueError("volatilities must be >= 0")
 
-    def vol_at(self, fix: float) -> float:
-        """Volatility for a caplet fixing at ``fix`` years."""
-        if fix < 0.0:
-            raise ValueError(f"fixing time must be >= 0, got {fix}")
-        return float(np.interp(fix, self.fixing_times, self.black_vols))
+    def vols_at(self, fixes: Sequence[float]) -> list[float]:
+        """Volatility for a caplet fixing at each of ``fixes`` years."""
+        _check_nonnegative(fixes, "fixing time")
+        return np.interp(fixes, self.fixing_times, self.black_vols).tolist()
 
+    def vol_at(self, fix: float) -> float:
+        """``vols_at`` at one fixing."""
+        return self.vols_at((fix,))[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -96,8 +95,8 @@ def premium_runoff(spec: PortfolioSpec) -> np.ndarray:
     return spec.initial_premium * np.maximum(1.0 - t / years, 0.0)
 
 
-def _spread_discounts(curve: ZeroCurve, horizon: int, extra_spread: float) -> np.ndarray:
-    """Discount factors (1 + z(t) + spread)^-t for t = 1..horizon."""
+def spread_discounts(curve: ZeroCurve, horizon: int, extra_spread: float = 0.0) -> np.ndarray:
+    """Discount factors (1 + z(t) + spread)^-t for t = 1..horizon; zero spread is the risk-free rate."""
     if extra_spread < 0.0:
         raise ValueError(f"extra spread must be >= 0, got {extra_spread}")
     years = np.arange(1, horizon + 1, dtype=float)
@@ -130,32 +129,21 @@ def _pvfp_rows(
     return results.sum(axis=1)
 
 
-def pvfp(
-    spec: PortfolioSpec,
-    sp_path: Sequence[float] | np.ndarray,
-    curve: ZeroCurve,
-    extra_spread: float = 0.0,
-) -> float:
-    """Present value of future profits along one loss-ratio path.
+def pvfp_of_ratios(spec: PortfolioSpec, sp1: np.ndarray, premiums: np.ndarray, discounts: np.ndarray) -> np.ndarray:
+    """PVFP of the reverting path from each year-1 loss ratio, in order.
 
-    Zero spread prices at the risk-free rate.
-    """
-    path = np.array(sp_path, dtype=float)
-    if path.shape != (spec.horizon,):
-        raise ValueError(
-            f"loss-ratio path has length {path.size}, portfolio horizon is {spec.horizon}"
-        )
-    if np.any(path < 0.0):
-        raise ValueError("loss ratios must be >= 0")
-    discounts = _spread_discounts(curve, spec.horizon, extra_spread)
-    return float(_pvfp_rows(spec, path[np.newaxis, :], premium_runoff(spec), discounts)[0])
-
-
-def pvfp_of_ratios(spec: PortfolioSpec, sp1: np.ndarray, curve: ZeroCurve) -> np.ndarray:
-    """PVFP at the risk-free rate of the reverting path from each year-1 loss ratio, in order.
-
-    The (scenarios x years) matrix of paths is built by ``reverting_paths``
-    and valued in one call.
+    ``premiums`` is ``premium_runoff(spec)`` and ``discounts`` a row of
+    ``spread_discounts``. The (scenarios x years) matrix of paths is built
+    by ``reverting_paths`` and valued in one call.
     """
     paths, _ = reverting_paths(sp1, spec.chronicle, spec.reversion_speed)
-    return _pvfp_rows(spec, paths, premium_runoff(spec), _spread_discounts(curve, spec.horizon, 0.0))
+    return _pvfp_rows(spec, paths, premiums, discounts)
+
+
+def pvfp_of_chronicle(spec: PortfolioSpec, premiums: np.ndarray, discounts: np.ndarray) -> np.ndarray:
+    """PVFP of the chronicle under each row of the (rows, horizon) matrix ``discounts``, in one call.
+
+    It equals ``pvfp_of_ratios`` from the chronicle's first year, whose
+    reverting path is the chronicle, bit for bit.
+    """
+    return _pvfp_rows(spec, np.array((spec.chronicle,) * len(discounts)), premiums, discounts)

@@ -1,4 +1,4 @@
-"""tools/ab_bench.py: the check of each run's result line and the summary of alternated pairs."""
+"""tools/ab_bench.py: the check of each run's result line, the summary of alternated pairs and the JSON record."""
 
 from __future__ import annotations
 
@@ -59,3 +59,69 @@ def test_summary_gives_medians_quartiles_and_pairs_where_the_change_read_lower()
         "value_paper pass_s (s): parent 0.054 [0.051, 0.057]  change 0.055 [0.051, 0.0575]  change lower in 2 of 5",
         "value_paper peak_rss_mib (MiB): parent 80 [80, 80]  change 81 [79.5, 82.5]  change lower in 1 of 5",
     ]
+
+
+def test_compare_gives_each_side_and_the_relative_change_of_the_medians():
+    pairs = [
+        (ab_bench.run_result("p", 0, result_line(p)), ab_bench.run_result("c", 0, result_line(c)))
+        for p, c in [(0.20, 0.15), (0.18, 0.16), (0.19, 0.17), (0.21, 0.22)]
+    ]
+    entry = ab_bench.compare(pairs, METRICS[:1])["pass_s"]
+    assert entry["parent"] == {"median": pytest.approx(0.195), "q1": pytest.approx(0.1825),
+                               "q3": pytest.approx(0.2075), "n": 4}
+    assert entry["change"]["median"] == pytest.approx(0.165)
+    assert entry["change_lower_pairs"] == "3/4"
+    assert entry["median_change_rel"] == pytest.approx(0.165 / 0.195 - 1.0)
+
+
+def test_src_lines_counts_newlines_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "protval"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (package / "b.py").write_text("z = 3", encoding="utf-8")
+    (package / "notes.txt").write_text("\n" * 9, encoding="utf-8")
+    assert ab_bench.src_lines(tmp_path) == 2
+
+
+def test_file_creation_probe_leaves_nothing_behind(tmp_path):
+    assert ab_bench.probe_file_creation(tmp_path, files=5) > 0.0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
+    """Two pairs of one workload, with the runs stubbed: the record holds every field, and one run per side and pair."""
+    checkouts = {}
+    for side in ab_bench.SIDES:
+        package = tmp_path / side / "src" / "protval"
+        package.mkdir(parents=True)
+        (package / "m.py").write_text("\n" * (10 if side == "parent" else 7), encoding="utf-8")
+        checkouts[side] = tmp_path / side
+    times = {("parent", 1): 0.20, ("change", 1): 0.15, ("parent", 2): 0.18, ("change", 2): 0.16}
+
+    def run(checkout, workload, seed, seconds, label):
+        side = checkout.name
+        stdout = json.dumps({
+            "correct": True, "attempted": 7, "failed": 0,
+            "metrics": {m["name"]: {"value": times[side, seed], "unit": m["unit"]}
+                        for m in json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]},
+        })
+        return ab_bench.run_result(label, 0, stdout)
+
+    monkeypatch.setattr(ab_bench, "_run", run)
+    monkeypatch.setattr(ab_bench, "commit_of", lambda checkout: f"commit-of-{checkout.name}")
+    out = tmp_path / "BENCH.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "book_close", "--pairs", "2",
+            "--seconds", "1", "--record", str(out), "--description", "a test", "--claim", "book_close pass_s"]
+    assert ab_bench.main(argv) == 0
+    expected = "book_close pass_s (s): parent 0.19 [0.175, 0.205]  change 0.155 [0.1475, 0.1625]  change lower in 2 of 2"
+    assert expected in capsys.readouterr().out
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert list(payload) == ["description", "parent_commit", "claim", "summary", "src_lines", "runs"]
+    assert (payload["description"], payload["claim"]) == ("a test", "book_close pass_s")
+    assert payload["parent_commit"] == "commit-of-parent"
+    assert payload["src_lines"] == {"parent": 10, "change": 7}
+    assert payload["summary"]["book_close"]["pass_s"]["change_lower_pairs"] == "2/2"
+    assert [(r["side"], r["seed"], r["metrics"]["pass_s"]) for r in payload["runs"]] == [
+        ("parent", 1, 0.20), ("change", 1, 0.15), ("change", 2, 0.16), ("parent", 2, 0.18),
+    ]
+    assert all(r["file_create_us"] > 0.0 and (r["failed"], r["attempted"]) == (0, 7) for r in payload["runs"])

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import re
 from pathlib import Path
 
 import pytest
 
 from protval.cli import main
+from protval.cli import _load_portfolios
 from protval.config import (
     ConfigError,
+    _resolve,
     load_chronicle,
     load_portfolio,
     load_run_config,
@@ -101,6 +105,108 @@ class TestChronicle:
         spec = load_portfolio(path, 4, None)
         assert spec.chronicle == (0.7, 0.7, 0.7, 0.7)
 
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("year,expected_sp\n1,0.8\n2\n", "line 3: non-numeric year/expected_sp"),
+            ("year,expected_sp\n1,0.8\n\n2,x\n", "line 3: non-numeric year/expected_sp"),
+            ("year,expected_sp\n\n\n1,0.8\n2,inf\n", "line 3: non-finite year/expected_sp"),
+            ("year,sp\n1,0.8\n", "expected CSV header with columns 'year','expected_sp'"),
+            ("\nyear,expected_sp\n1,0.8\n", "expected CSV header with columns 'year','expected_sp'"),
+            ("", "expected CSV header with columns 'year','expected_sp'"),
+            ("year,expected_sp\n\n", "no data rows"),
+        ],
+        ids=["short_row", "blank_line_not_counted", "blank_lines_then_inf", "missing_column", "blank_header",
+             "empty", "blank_rows_only"],
+    )
+    def test_csv_messages_name_the_file_and_the_line(self, tmp_path, text, message):
+        """Line numbers count the header as line 1 and skip blank lines, as ``csv.DictReader`` counts rows."""
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_chronicle(path)
+
+    def test_column_named_twice_is_read_from_its_last_place(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("year,expected_sp,expected_sp\n1,x,0.8\n2,,0.9,extra\n", encoding="utf-8")
+        assert load_chronicle(path) == (0.8, 0.9)
+
+
+def missing_chronicle_path(portfolio: Path) -> str:
+    """The path a portfolio's ``chronicle_csv`` resolved to, read from the not-found error that names it."""
+    with pytest.raises(ConfigError, match=": file not found$") as exc:
+        load_portfolio(portfolio, 30, None)
+    return str(exc.value).removesuffix(": file not found")
+
+
+class TestReferences:
+    """A relative reference resolves as ``Path.resolve()`` does, symlinks and '..' included."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        real = tmp_path / "real"
+        (real / "sub").mkdir(parents=True)
+        (real / "p.json").write_text("{}", encoding="utf-8")
+        (real / "sub" / "q.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "elsewhere.json").write_text("{}", encoding="utf-8")
+        os.symlink(tmp_path / "elsewhere.json", real / "file_link.json")
+        os.symlink(real / "sub", real / "dir_link")
+        os.symlink(tmp_path / "nowhere.json", real / "dangling.json")
+        return real
+
+    @pytest.mark.parametrize(
+        "value",
+        ["p.json", "./p.json", "missing.json", "file_link.json", "dangling.json", "dir_link", "sub/q.json",
+         "dir_link/../p.json", "../elsewhere.json", "sub/../p.json", ".", "..", "..."],
+    )
+    def test_each_reference_resolves_as_path_resolve(self, tree, value):
+        given = tree / "run.json"
+        assert _resolve(given, "f", value, resolved_dir=True) == (tree / value).resolve()
+        assert _resolve(given, "f", value) == (tree / value).resolve()
+
+    def test_bare_file_name_that_is_no_symlink_needs_no_path_resolve(self, tree, monkeypatch):
+        def fail(self, strict=False):
+            raise AssertionError(f"Path.resolve({self})")
+
+        monkeypatch.setattr(Path, "resolve", fail)
+        assert _resolve(tree / "run.json", "f", "p.json", resolved_dir=True) == tree / "p.json"
+        assert _resolve(tree / "run.json", "f", "missing.json", resolved_dir=True) == tree / "missing.json"
+        with pytest.raises(AssertionError, match="file_link.json"):
+            _resolve(tree / "run.json", "f", "file_link.json", resolved_dir=True)
+
+    def test_symlinked_portfolio_file_resolves_to_its_target(self, tmp_path):
+        run, store = tmp_path / "run", tmp_path / "store"
+        run.mkdir()
+        store.mkdir()
+        real = make_portfolio_file(store)
+        os.symlink(real, run / "p1.json")
+        config = write_json(run / "run.json", {"portfolios": ["p1.json"], "output_dir": "out"})
+        assert load_run_config(config).portfolio_paths == ((run / "p1.json").resolve(),) == (real.resolve(),)
+
+    def test_dot_dot_chronicle_reference_resolves_from_the_portfolio_directory(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        portfolio = make_portfolio_file(tmp_path / "sub", chronicle_csv="../missing.csv")
+        expected = str((tmp_path / "sub" / "../missing.csv").resolve())
+        assert missing_chronicle_path(portfolio) == expected == str(tmp_path / "missing.csv")
+
+    def test_absolute_portfolio_path_through_a_symlinked_directory(self, tmp_path):
+        """The run keeps an absolute reference as given, so its chronicle resolves through the symlink."""
+        (tmp_path / "real").mkdir()
+        os.symlink(tmp_path / "real", tmp_path / "link")
+        portfolio = make_portfolio_file(tmp_path / "real", chronicle_csv="chron.csv")
+        write_chronicle(tmp_path / "real" / "chron.csv", [(t, 0.8) for t in range(1, 31)])
+        config = write_json(tmp_path / "run.json", {
+            "portfolios": [str(tmp_path / "link" / portfolio.name)], "output_dir": "out",
+        })
+        run = load_run_config(config)
+        assert run.portfolio_paths == (tmp_path / "link" / portfolio.name,)
+        assert _load_portfolios(run)[0].chronicle == (0.8,) * 30
+        (tmp_path / "real" / "chron.csv").unlink()
+        linked = tmp_path / "link" / portfolio.name
+        assert missing_chronicle_path(linked) == str(tmp_path / "real" / "chron.csv")
+        with pytest.raises(ConfigError, match=re.escape(f"{tmp_path / 'real' / 'chron.csv'}: file not found")):
+            _load_portfolios(run)
 
 class TestWeights:
     def test_packaged_default_loads_and_scores(self):

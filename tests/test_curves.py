@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protval.cap import CapSpec, cap_strip
 from protval.config import ConfigError, load_curve, load_run_config, load_vols
 from protval.curves import VolTermStructure, ZeroCurve
 
@@ -145,6 +146,79 @@ class TestVolTermStructure:
         flat = VolTermStructure(fixing_times=(1.0,), black_vols=(0.0,))
         assert flat.vol_at(5.0) == 0.0
 
+
+
+@st.composite
+def vol_grids(draw) -> VolTermStructure:
+    times = np.unique(np.cumsum(draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))))
+    vols = draw(st.lists(st.floats(0.0, 0.6), min_size=times.size, max_size=times.size))
+    return VolTermStructure(fixing_times=tuple(times), black_vols=tuple(vols))
+
+
+def scalar_zero_rate(curve: ZeroCurve, t: float) -> float:
+    """Reference: one scalar ``np.interp`` call per tenor, as the lookups were made one period at a time."""
+    return float(np.interp(t, curve.tenors, curve.zero_rates))
+
+
+def scalar_discount_factor(curve: ZeroCurve, t: float) -> float:
+    return 1.0 if t == 0.0 else (1.0 + scalar_zero_rate(curve, t)) ** -t
+
+
+class TestVectorLookups:
+    """Each vector lookup equals one scalar lookup per element, bit for bit."""
+
+    @given(
+        curve=curves(),
+        vols=vol_grids(),
+        periods=st.integers(2, 400),
+        accrual=st.one_of(st.just(1.0), st.floats(0.05, 2.0)),
+        tenor=st.one_of(st.just(3.0), st.floats(0.05, 10.0)),
+        first_forward=st.one_of(st.none(), st.floats(0.001, 0.1)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cap_strip_matches_scalar_lookups(self, curve, vols, periods, accrual, tenor, first_forward):
+        spec = CapSpec((1.0,) * periods, (0.02,) * periods, tenor, accrual, first_forward)
+        strip = cap_strip(spec, curve, vols)
+        fixes = [max(j * accrual - accrual, 0.0) for j in range(periods)]
+        forwards = [
+            (scalar_discount_factor(curve, fix) / scalar_discount_factor(curve, fix + tenor)) ** (1.0 / tenor) - 1.0
+            for fix in fixes
+        ]
+        if first_forward is not None:
+            forwards[0] = first_forward
+        assert strip.fixing_times == tuple(fixes)
+        assert strip.discount_factors == tuple(scalar_discount_factor(curve, j * accrual) for j in range(periods))
+        assert strip.forwards == tuple(forwards)
+        assert strip.vols == tuple(float(np.interp(fix, vols.fixing_times, vols.black_vols)) for fix in fixes)
+
+    @given(curve=curves(), vols=vol_grids(), times=st.lists(st.floats(0.0, 60.0), max_size=50))
+    @settings(max_examples=150, deadline=None)
+    def test_each_vector_lookup_is_its_scalar_form_per_element(self, curve, vols, times):
+        assert curve.zero_rates_at(times) == [curve.zero_rate(t) for t in times]
+        assert curve.zero_rates_at(times) == [scalar_zero_rate(curve, t) for t in times]
+        assert curve.discount_factors(times) == [curve.discount_factor(t) for t in times]
+        assert curve.forward_index_rates(times, 0.25) == [curve.forward_index_rate(t, 0.25) for t in times]
+        assert vols.vols_at(times) == [vols.vol_at(t) for t in times]
+
+    @pytest.mark.parametrize("periods", [2, 361])
+    @pytest.mark.parametrize("first_forward", [None, 0.02])
+    def test_cap_strip_makes_four_interpolations_whatever_the_period_count(self, monkeypatch, periods, first_forward):
+        calls = []
+        interp = np.interp
+        monkeypatch.setattr(np, "interp", lambda *args: calls.append(1) or interp(*args))
+        curve = ZeroCurve(tenors=FIGURE_TENORS, zero_rates=FIGURE_ZERO_RATES)
+        vols = VolTermStructure(fixing_times=FIGURE_TENORS, black_vols=FIGURE_VOLS)
+        cap_strip(CapSpec((1.0,) * periods, (0.02,) * periods, 3.0, 0.25, first_forward), curve, vols)
+        assert len(calls) == 4
+
+    def test_the_first_factor_out_of_range_is_named(self):
+        curve = ZeroCurve(tenors=(0.0, 10.0, 20.0), zero_rates=(0.03, 1e200, 1e12))
+        with pytest.raises(ValueError, match=r"^discount factor at tenor 10 with zero rate 1e\+200 is outside"):
+            curve.discount_factors([1.0, 10.0, 20.0])
+        with pytest.raises(ValueError, match=r"^fixing time must be >= 0, got -2$"):
+            curve.forward_index_rates([1.0, -2, -3.0], 1.0)
+        with pytest.raises(ValueError, match=r"^tenor must be >= 0, got -0.5$"):
+            curve.zero_rates_at([0.0, -0.5])
 
 def market_config(directory):
     return load_run_config(write_json(directory / "run.json", {

@@ -15,10 +15,10 @@ from protval.projection import (
     PortfolioSpec,
     TacitRenewal,
     _pvfp_rows,
-    _spread_discounts,
     premium_runoff,
-    pvfp,
+    pvfp_of_chronicle,
     pvfp_of_ratios,
+    spread_discounts,
 )
 
 from .conftest import FIGURE_TENORS, FIGURE_ZERO_RATES, make_portfolio
@@ -28,8 +28,11 @@ FIGURE_CURVE = ZeroCurve(tenors=FIGURE_TENORS, zero_rates=FIGURE_ZERO_RATES)
 
 
 def pvfp_rows(spec: PortfolioSpec, rows, curve: ZeroCurve, extra_spread: float = 0.0) -> np.ndarray:
-    """The engine's PVFP of each row of a loss-ratio matrix (on a copy, since the engine works in place)."""
-    discounts = _spread_discounts(curve, spec.horizon, extra_spread)
+    """The engine's PVFP of each row of a loss-ratio matrix (on a copy, since the engine works in place).
+
+    ``pvfp_rows(spec, [path], curve)[0]`` is the PVFP of one path.
+    """
+    discounts = spread_discounts(curve, spec.horizon, extra_spread)
     return _pvfp_rows(spec, np.array(rows, dtype=float), premium_runoff(spec), discounts)
 
 
@@ -46,7 +49,7 @@ def reference_pvfp_rows(spec: PortfolioSpec, paths: np.ndarray, curve: ZeroCurve
     results *= premium_runoff(spec)
     np.multiply(results, 1.0 - spec.profit_share_rate, out=results, where=paths < 1.0)
     results *= 1.0 - spec.tax_rate
-    results *= _spread_discounts(curve, spec.horizon, 0.0)
+    results *= spread_discounts(curve, spec.horizon, 0.0)
     return results.sum(axis=1)
 
 
@@ -66,7 +69,7 @@ def underwriting_result(premium: float, sp: float, profit_share: float) -> float
 def one_year_result(premium: float, sp: float, profit_share: float) -> float:
     """The engine's underwriting result: a one-year PVFP, untaxed and undiscounted."""
     spec = make_portfolio(premium=premium, profit_share=profit_share, tax=0.0, horizon=1)
-    return pvfp(spec, [sp], FLAT_ZERO_CURVE)
+    return pvfp_rows(spec, [[sp]], FLAT_ZERO_CURVE)[0]
 
 
 def reference_terms(spec: PortfolioSpec, path, curve: ZeroCurve, extra_spread: float) -> list[float]:
@@ -134,8 +137,6 @@ class TestUnderwritingResult:
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="premium"):
             one_year_result(-1.0, 0.5, 0.5)
-        with pytest.raises(ValueError, match="loss ratio"):
-            one_year_result(100.0, -0.5, 0.5)
         with pytest.raises(ValueError, match="profit share"):
             one_year_result(100.0, 0.5, 1.5)
 
@@ -181,47 +182,37 @@ class TestPremiumRunoff:
 class TestPvfp:
     def test_breakeven_path_is_worthless(self, figure_curve):
         spec = make_portfolio(horizon=5)
-        assert pvfp(spec, [1.0] * 5, figure_curve) == 0.0
+        assert pvfp_rows(spec, [[1.0] * 5], figure_curve)[0] == 0.0
 
     def test_single_period_hand_arithmetic(self):
         spec = make_portfolio(mean_sp=0.8, profit_share=0.0, tax=0.0, horizon=1)
-        assert pvfp(spec, [0.8], FLAT_ZERO_CURVE) == pytest.approx(20.0, rel=1e-12)
+        assert pvfp_rows(spec, [[0.8]], FLAT_ZERO_CURVE)[0] == pytest.approx(20.0, rel=1e-12)
 
     def test_spread_discounting_lowers_positive_results(self, figure_curve):
         spec = make_portfolio(mean_sp=0.8, horizon=10)
-        at_tsr = pvfp(spec, spec.chronicle, figure_curve)
-        spreaded = pvfp(spec, spec.chronicle, figure_curve, extra_spread=0.01)
+        at_tsr = pvfp_rows(spec, [spec.chronicle], figure_curve)[0]
+        spreaded = pvfp_rows(spec, [spec.chronicle], figure_curve, extra_spread=0.01)[0]
         assert at_tsr > 0.0
         assert spreaded < at_tsr
 
     def test_linear_in_premiums(self, figure_curve):
         path = [0.7, 0.9, 1.2, 0.8, 0.95]
-        small = pvfp(make_portfolio(premium=100.0, horizon=5), path, figure_curve)
-        large = pvfp(make_portfolio(premium=200.0, horizon=5), path, figure_curve)
+        small = pvfp_rows(make_portfolio(premium=100.0, horizon=5), [path], figure_curve)[0]
+        large = pvfp_rows(make_portfolio(premium=200.0, horizon=5), [path], figure_curve)[0]
         assert large == pytest.approx(2.0 * small, rel=1e-12)
 
     def test_tax_scales_the_result(self, figure_curve):
         path = [0.7] * 5
-        untaxed = pvfp(make_portfolio(tax=0.0, horizon=5), path, figure_curve)
-        taxed = pvfp(make_portfolio(tax=0.275, horizon=5), path, figure_curve)
+        untaxed = pvfp_rows(make_portfolio(tax=0.0, horizon=5), [path], figure_curve)[0]
+        taxed = pvfp_rows(make_portfolio(tax=0.275, horizon=5), [path], figure_curve)[0]
         assert taxed == pytest.approx(untaxed * 0.725, rel=1e-12)
-
-    def test_horizon_mismatch_rejected(self, figure_curve):
-        with pytest.raises(ValueError, match="horizon"):
-            pvfp(make_portfolio(horizon=5), [0.8] * 4, figure_curve)
 
     def test_negative_spread_rejected(self, figure_curve):
         with pytest.raises(ValueError, match="spread"):
-            pvfp(make_portfolio(horizon=5), [0.8] * 5, figure_curve, extra_spread=-0.01)
+            spread_discounts(figure_curve, 5, extra_spread=-0.01)
 
 
 class TestPvfpBatch:
-    def test_chronicle_scenario_reproduces_deterministic_value(self, figure_curve):
-        spec = make_portfolio(horizon=6)
-        samples = pvfp_rows(spec, [spec.chronicle], figure_curve)
-        assert samples.shape == (1,)
-        assert samples[0] == pvfp(spec, spec.chronicle, figure_curve)
-
     def test_duplicate_rows_give_identical_samples(self, figure_curve):
         spec = make_portfolio(horizon=4)
         row = [0.7, 0.9, 1.1, 0.85]
@@ -236,7 +227,7 @@ class TestPvfpBatch:
         rows = [[0.5] * 3, [1.5] * 3]
         samples = pvfp_rows(spec, rows, FLAT_ZERO_CURVE)
         mean_pvfp = samples.sum() / 2
-        central = pvfp(spec, spec.chronicle, FLAT_ZERO_CURVE)
+        central = pvfp_rows(spec, [spec.chronicle], FLAT_ZERO_CURVE)[0]
         assert mean_pvfp < central
         assert central == 0.0
 
@@ -278,7 +269,7 @@ class TestPvfpBatch:
             terms = reference_terms(spec, path, FIGURE_CURVE, extra_spread)
             scale = math.fsum(abs(v) for v in terms)
             assert abs(value - math.fsum(terms)) <= 1e-12 * scale
-            assert value == pvfp(spec, path, FIGURE_CURVE, extra_spread)
+            assert value == pvfp_rows(spec, [path], FIGURE_CURVE, extra_spread)[0]
 
 
 def same_bits(a, b) -> bool:
@@ -338,10 +329,32 @@ class TestPvfpOfRatios:
             sp1[offset * 2::11] = value
         paths = reference_reverting_paths(sp1, np.asarray(spec.chronicle), nu)
         expected = reference_pvfp_rows(spec, paths, FIGURE_CURVE)
-        assert same_bits(pvfp_of_ratios(spec, sp1, FIGURE_CURVE), expected)
+        riskfree = spread_discounts(FIGURE_CURVE, spec.horizon)
+        assert same_bits(pvfp_of_ratios(spec, sp1, premium_runoff(spec), riskfree), expected)
         for i in [*range(min(n, 22)), n - 1]:
-            assert same_bits(pvfp(spec, paths[i], FIGURE_CURVE), expected[i])
+            assert same_bits(pvfp_rows(spec, [paths[i]], FIGURE_CURVE)[0], expected[i])
 
+
+    @given(
+        chronicle=st.lists(
+            st.one_of(st.floats(0.05, 2.0), st.sampled_from(KINKS[1:])), min_size=1, max_size=30
+        ),
+        nu=st.floats(0.05, 1.0),
+        spread=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+        share=st.floats(0.0, 1.0),
+        tax=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_chronicle_at_two_rates_is_its_one_row_pvfp_at_each(self, chronicle, nu, spread, share, tax):
+        """``value`` prices the chronicle at the risk-free and the spreaded rate on one 2-row matrix."""
+        spec = make_portfolio(chronicle=tuple(chronicle), profit_share=share, tax=tax, nu=nu)
+        discounts = np.stack(
+            (spread_discounts(FIGURE_CURVE, spec.horizon), spread_discounts(FIGURE_CURVE, spec.horizon, spread))
+        )
+        both = pvfp_of_chronicle(spec, premium_runoff(spec), discounts)
+        one_row = [pvfp_rows(spec, [chronicle], FIGURE_CURVE, s)[0] for s in (0.0, spread)]
+        assert same_bits(both, one_row)
+        assert same_bits(both, pvfp_of_ratios(spec, np.full(2, chronicle[0]), premium_runoff(spec), discounts))
 
 class TestPortfolioSpecValidation:
     def test_rejects_empty_chronicle(self):
