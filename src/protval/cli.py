@@ -127,10 +127,7 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
     if not config.portfolio_paths:
         raise ConfigError(f"{config.config_path}: 'portfolios' is required for this command")
     weights = load_weight_matrix(config.weights_path) if config.weights_path else None
-    resolved_dirs = {d for d in {p.parent for p in config.portfolio_paths} if d == d.resolve()}
-    portfolios = [
-        load_portfolio(p, config.horizon, weights, p.parent in resolved_dirs) for p in config.portfolio_paths
-    ]
+    portfolios = [load_portfolio(p, config.horizon, weights) for p in config.portfolio_paths]
     seen = {}
     for path, portfolio in zip(config.portfolio_paths, portfolios):
         if portfolio.id in seen:
@@ -151,7 +148,7 @@ def _load_discountable_curve(config: RunConfig) -> tuple[ZeroCurve, np.ndarray]:
     if not finite.all():
         year = int(np.argmin(finite)) + 1
         raise ConfigError(
-            f"{config.curve_csv}: discount factor at tenor {year} with zero rate {curve.zero_rate(year)!r} "
+            f"{config.curve_csv}: discount factor at tenor {year} with zero rate {curve.zero_rates_at((year,))[0]!r} "
             "is outside the float range"
         )
     return curve, riskfree
@@ -303,21 +300,11 @@ def _value_portfolio(
     return stats
 
 
-def _totals(config: RunConfig, rows: list[tuple[str, PvfpStatistics]]) -> tuple[float, float]:
-    """The TOTAL pair of the risk report; a sum outside the float range raises a ConfigError."""
-    try:
-        return aggregate([stats for _, stats in rows])
-    except ValueError as exc:
-        raise ConfigError(f"{config.replay_pvfp_path or config.config_path}: {exc}") from exc
-
-
 def cmd_value(config: RunConfig) -> None:
     spread_fn = _spread_function(config)
 
     if config.replay_pvfp_path is not None:
         rows = load_replay_pvfp(config.replay_pvfp_path, spread_fn)
-        totals = _totals(config, rows)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
     else:
         portfolios = _load_portfolios(config)
         curve, riskfree = _load_discountable_curve(config)
@@ -325,7 +312,6 @@ def cmd_value(config: RunConfig) -> None:
         config.output_dir.mkdir(parents=True, exist_ok=True)
         value = functools.partial(_value_portfolio, config, curve, riskfree, spread_fn, z)
         rows = [(p.id, stats) for p, stats in zip(portfolios, _map_portfolios("value", value, portfolios))]
-        totals = _totals(config, rows)
         echo_rows = [(p.id, p.mean_sp, lognormal_mu(p.mean_sp, p.sigma), p.sigma) for p in portfolios]
 
         reports.write_params_echo_csv(config.output_dir / "lognormal_params.csv", echo_rows)
@@ -335,6 +321,11 @@ def cmd_value(config: RunConfig) -> None:
             print(f"  {name:<15} {reports.pct(mean_sp):>8} {reports.pct(mu):>8} {reports.pct(sigma):>8}")
         print()
 
+    try:
+        totals = aggregate([stats for _, stats in rows])
+    except ValueError as exc:
+        raise ConfigError(f"{config.replay_pvfp_path or config.config_path}: {exc}") from exc
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     reports.write_risk_report_csv(config.output_dir / "risk_report.csv", rows, totals)
 
     print("risk report:")

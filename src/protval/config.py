@@ -9,12 +9,12 @@ resolve against that file's directory. Parse and validation problems raise
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import os
-import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -231,24 +231,29 @@ def _read_csv_pairs(path: Path, col_a: str, col_b: str) -> list[tuple[float, flo
     return rows
 
 
-def _resolve(path: Path, field: str, value: Any, resolved_dir: bool = False) -> Path:
+@functools.lru_cache(maxsize=256)
+def _resolved_dir(directory: Path) -> Path:
+    """``directory.resolve()``, computed once per absolute directory in a process.
+
+    A symlink on ``directory``'s path that changes while the process runs is not followed anew.
+    """
+    return directory.resolve()
+
+
+def _resolve(path: Path, field: str, value: Any) -> Path:
     """A path given in file ``path``, relative to that file's directory unless absolute.
 
-    A relative path comes back as ``Path.resolve()`` returns it. With
-    ``resolved_dir``, the caller vouches that ``path.parent`` is already in
-    that form, so a bare file name that is not a symlink costs one ``lstat``
-    instead of one per component of the path.
+    A relative path comes back as ``Path.resolve()`` returns it. For a bare
+    file name that is not a symlink, given in a file named by an absolute
+    path, that is the directory's resolved form (cached) joined with the
+    name, so it costs one ``lstat`` instead of one per path component.
     """
     p = Path(_expect(value, str, path, field))
     if p.is_absolute():
         return p
     joined = path.parent / p
-    if resolved_dir and len(p.parts) == 1 and p.name != "..":
-        try:
-            if not stat.S_ISLNK(os.lstat(joined).st_mode):
-                return joined
-        except FileNotFoundError:
-            return joined
+    if path.is_absolute() and len(p.parts) == 1 and p.name != ".." and not os.path.islink(joined):
+        return _resolved_dir(path.parent) / p
     return joined.resolve()
 
 
@@ -289,7 +294,7 @@ def load_run_config(
 
     # The file's output_dir is relative to the file, the --out flag to the working directory.
     if "output_dir" in data:
-        data["output_dir"] = _resolve(path, "output_dir", data["output_dir"], resolved_dir=True)
+        data["output_dir"] = _resolve(path, "output_dir", data["output_dir"])
     output_dir = merged("output_dir", None if out is None else Path(out).resolve())
     if output_dir is None:
         raise ConfigError(f"{path}: missing required field 'output_dir' (or pass --out)")
@@ -313,7 +318,7 @@ def load_run_config(
         return default if value is None else value
 
     def ref(holder: dict[str, Any], name: str) -> Path | None:
-        return _resolve(path, name, holder[name], resolved_dir=True) if name in holder else None
+        return _resolve(path, name, holder[name]) if name in holder else None
 
     config = RunConfig(
         config_path=path,
@@ -324,8 +329,7 @@ def load_run_config(
         tax_rate=_float(market, "tax_rate", path, default=0.0),
         cap_spec_path=ref(data, "cap_spec"),
         portfolio_paths=tuple(
-            _resolve(path, "portfolios", p, resolved_dir=True)
-            for p in _expect(data.get("portfolios", []), list, path, "portfolios")
+            _resolve(path, "portfolios", p) for p in _expect(data.get("portfolios", []), list, path, "portfolios")
         ),
         weights_path=ref(data, "weights"),
         replay_pvfp_path=ref(data, "replay_pvfp"),
@@ -462,18 +466,14 @@ def _parse_criteria(raw: Any, path: Path) -> dict[str, str]:
     return buckets
 
 
-def load_portfolio(
-    path: Path, horizon: int, weights: dict[str, dict[str, float]] | None, resolved_dir: bool = False
-) -> PortfolioSpec:
+def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]] | None) -> PortfolioSpec:
     """The portfolio of a JSON file, with its sigma resolved and its chronicle ``horizon`` years long.
 
     ``sigma`` is read as given; without it, ``criteria`` is scored on
     ``weights``, the run's weight matrix (None if the run has none). Given
     both, ``sigma`` wins and ``criteria`` is still checked. The chronicle
     comes from at most one of ``chronicle_csv`` and ``chronicle``; with
-    neither, it is ``horizon`` years at the retained loss ratio. Pass
-    ``resolved_dir`` when ``path.parent`` is as ``Path.resolve()`` returns
-    it; a ``chronicle_csv`` then resolves with fewer file-system calls.
+    neither, it is ``horizon`` years at the retained loss ratio.
     """
     data = _known(_load_json(path), (
         "id", "initial_premium", "renewal", "profit_share_rate", "tax_rate", "retained_loss_ratio",
@@ -484,7 +484,7 @@ def load_portfolio(
     if "chronicle_csv" in data and "chronicle" in data:
         raise ConfigError(f"{path}: fields 'chronicle_csv' and 'chronicle' conflict; give at most one")
     if "chronicle_csv" in data:
-        chronicle = load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"], resolved_dir))
+        chronicle = load_chronicle(_resolve(path, "chronicle_csv", data["chronicle_csv"]))
     elif "chronicle" in data:
         chronicle = _floats(data["chronicle"], path, "chronicle")
     else:

@@ -39,8 +39,7 @@ def _discount_factor(t: float, z: float) -> float:
 class ZeroCurve:
     """Annually-compounded zero curve: DF(t) = (1 + z(t))^-t.
 
-    Each lookup has a vector form, which interpolates all its tenors in one
-    call, and a scalar form, which is the vector form on one tenor.
+    Each lookup takes a sequence of times and interpolates them all in one call.
     """
 
     tenors: tuple[float, ...]
@@ -65,20 +64,12 @@ class ZeroCurve:
         _check_nonnegative(tenors, "tenor")
         return np.interp(tenors, self.tenors, self.zero_rates).tolist()
 
-    def zero_rate(self, t: float) -> float:
-        """``zero_rates_at`` on one tenor."""
-        return self.zero_rates_at((t,))[0]
-
     def discount_factors(self, times: Sequence[float]) -> list[float]:
         """Discount factor (1 + z(t))^-t at each of ``times``; 1 at t = 0.
 
         The first factor that overflows or underflows to 0 raises a ValueError.
         """
         return [_discount_factor(t, z) for t, z in zip(times, self.zero_rates_at(times))]
-
-    def discount_factor(self, t: float) -> float:
-        """``discount_factors`` at one time."""
-        return self.discount_factors((t,))[0]
 
     def forward_index_rates(self, fixes: Sequence[float], tenor: float) -> list[float]:
         """Annualized geometric forward rate fixing at each of ``fixes`` for an index of ``tenor`` years.
@@ -101,10 +92,6 @@ class ZeroCurve:
             if not math.isfinite(forwards[-1]):
                 raise ValueError(f"forward rate fixing at {fix:g} for {tenor:g} years is outside the float range")
         return forwards
-
-    def forward_index_rate(self, fix: float, tenor: float) -> float:
-        """``forward_index_rates`` at one fixing."""
-        return self.forward_index_rates((fix,), tenor)[0]
 
 
 @dataclass(frozen=True)
@@ -135,7 +122,3 @@ class VolTermStructure:
         """Volatility for a caplet fixing at each of ``fixes`` years."""
         _check_nonnegative(fixes, "fixing time")
         return np.interp(fixes, self.fixing_times, self.black_vols).tolist()
-
-    def vol_at(self, fix: float) -> float:
-        """``vols_at`` at one fixing."""
-        return self.vols_at((fix,))[0]

@@ -121,9 +121,10 @@ def write_histogram_csv(path: Path, year1: np.ndarray) -> None:
 
 
 def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
-    """One (scenario index, PVFP) row per entry of the PVFP vector, written in one call."""
-    rows = "".join(f"{i},{value!r}\n" for i, value in enumerate(samples.tolist()))
-    path.write_text("scenario,pvfp\n" + rows, encoding="utf-8", newline="")
+    """One (scenario index, PVFP) row per entry of the PVFP vector."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        handle.write("scenario,pvfp\n")
+        _write_lines(handle, (f"{i},{value!r}\n" for i, value in enumerate(samples.tolist())))
 
 
 def write_params_echo_csv(path: Path, rows: Sequence[tuple[str, float, float, float]]) -> None:

@@ -162,18 +162,30 @@ class TestReferences:
     )
     def test_each_reference_resolves_as_path_resolve(self, tree, value):
         given = tree / "run.json"
-        assert _resolve(given, "f", value, resolved_dir=True) == (tree / value).resolve()
         assert _resolve(given, "f", value) == (tree / value).resolve()
 
-    def test_bare_file_name_that_is_no_symlink_needs_no_path_resolve(self, tree, monkeypatch):
-        def fail(self, strict=False):
-            raise AssertionError(f"Path.resolve({self})")
+    def test_relative_file_path_resolves_from_the_working_directory_of_each_call(self, tree, monkeypatch):
+        monkeypatch.chdir(tree)
+        assert _resolve(Path("run.json"), "f", "p.json") == tree.resolve() / "p.json"
+        monkeypatch.chdir(tree / "sub")
+        assert _resolve(Path("run.json"), "f", "p.json") == (tree / "sub").resolve() / "p.json"
 
-        monkeypatch.setattr(Path, "resolve", fail)
-        assert _resolve(tree / "run.json", "f", "p.json", resolved_dir=True) == tree / "p.json"
-        assert _resolve(tree / "run.json", "f", "missing.json", resolved_dir=True) == tree / "missing.json"
-        with pytest.raises(AssertionError, match="file_link.json"):
-            _resolve(tree / "run.json", "f", "file_link.json", resolved_dir=True)
+    def test_bare_file_name_that_is_no_symlink_needs_no_path_resolve_after_its_directory(self, tree, monkeypatch):
+        real, elsewhere = tree.resolve(), (tree.parent / "elsewhere.json").resolve()
+        resolved = []
+        real_resolve = Path.resolve
+
+        def counting(self, strict=False):
+            resolved.append(self.name)
+            return real_resolve(self, strict)
+
+        monkeypatch.setattr(Path, "resolve", counting)
+        assert _resolve(tree / "run.json", "f", "p.json") == real / "p.json"
+        assert _resolve(tree / "run.json", "f", "missing.json") == real / "missing.json"
+        assert _resolve(tree / "other.json", "f", "sub") == real / "sub"
+        assert resolved == ["real"]
+        assert _resolve(tree / "run.json", "f", "file_link.json") == elsewhere
+        assert resolved == ["real", "file_link.json"]
 
     def test_symlinked_portfolio_file_resolves_to_its_target(self, tmp_path):
         run, store = tmp_path / "run", tmp_path / "store"

@@ -43,31 +43,31 @@ class TestZeroCurve:
 
     def test_nodes_are_reproduced_exactly(self, figure_curve):
         for tenor, rate in zip(FIGURE_TENORS, FIGURE_ZERO_RATES):
-            assert figure_curve.zero_rate(tenor) == rate
+            assert figure_curve.zero_rates_at([tenor])[0] == rate
 
     def test_discount_factor_at_zero_is_one(self, figure_curve):
-        assert figure_curve.discount_factor(0.0) == 1.0
+        assert figure_curve.discount_factors([0.0])[0] == 1.0
 
     def test_discount_factor_matches_quoted_one_year(self, figure_curve):
         # published value 0.973899494 comes from the unrounded 2.68% rate
-        assert figure_curve.discount_factor(1.0) == pytest.approx(0.973899494, abs=1e-4)
+        assert figure_curve.discount_factors([1.0])[0] == pytest.approx(0.973899494, abs=1e-4)
 
     def test_discount_factor_two_years_against_direct_compounding(self, figure_curve):
         oracle = 1.0279 ** -2  # 0.9464512908227984
-        assert figure_curve.discount_factor(2.0) == pytest.approx(oracle, abs=1e-12)
-        assert figure_curve.discount_factor(2.0) == pytest.approx(0.946366958, abs=1e-4)
+        assert figure_curve.discount_factors([2.0])[0] == pytest.approx(oracle, abs=1e-12)
+        assert figure_curve.discount_factors([2.0])[0] == pytest.approx(0.946366958, abs=1e-4)
 
     def test_discount_factor_row_within_display_rounding(self, figure_curve):
         # rates are displayed to 2 decimals, which moves the factors by up to ~1.4e-4
         for tenor, df in zip(FIGURE_TENORS, FIGURE_DISCOUNT_FACTORS):
-            assert figure_curve.discount_factor(tenor) == pytest.approx(df, abs=2e-4)
+            assert figure_curve.discount_factors([tenor])[0] == pytest.approx(df, abs=2e-4)
 
     def test_negative_tenor_rejected(self, figure_curve):
         with pytest.raises(ValueError, match=">= 0"):
-            figure_curve.discount_factor(-0.5)
+            figure_curve.discount_factors([-0.5])
 
     def test_flat_extrapolation_beyond_last_node(self, figure_curve):
-        assert figure_curve.zero_rate(30.0) == FIGURE_ZERO_RATES[-1]
+        assert figure_curve.zero_rates_at([30.0])[0] == FIGURE_ZERO_RATES[-1]
 
     @pytest.mark.parametrize(("rate", "tenor"), [(-0.99999999999999, 23.0), (1e12, 27.0), (1e200, 2.0)])
     def test_discount_factor_outside_the_float_range_rejected(self, rate, tenor):
@@ -75,37 +75,37 @@ class TestZeroCurve:
         curve = ZeroCurve(tenors=(0.0, 1.0), zero_rates=(rate, rate))
         message = f"discount factor at tenor {tenor:g} with zero rate {rate!r} is outside the float range"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            curve.discount_factor(tenor)
+            curve.discount_factors([tenor])
 
     # steeply inverted curves imply negative forwards and a locally rising
     # discount factor, so the monotonicity claim only holds away from them;
     # non-decreasing rate curves are always in the valid regime
     @given(curves(monotone_rates=True), st.floats(0.0, 40.0), st.floats(0.01, 40.0))
     def test_discount_factor_decreases_in_time(self, curve, t, dt):
-        assert curve.discount_factor(t + dt) < curve.discount_factor(t)
+        assert curve.discount_factors([t + dt])[0] < curve.discount_factors([t])[0]
 
 
 class TestForwardIndexRate:
     def test_forward_from_today_is_spot_zero_rate(self, figure_curve):
-        assert figure_curve.forward_index_rate(0.0, 3.0) == pytest.approx(0.0291, rel=1e-12)
+        assert figure_curve.forward_index_rates([0.0], 3.0)[0] == pytest.approx(0.0291, rel=1e-12)
 
     def test_forward_matches_quoted_three_year_rate(self, figure_curve):
         # quoted 3.04% fixing one year out; cross-check from the published factors too
-        assert figure_curve.forward_index_rate(1.0, 3.0) == pytest.approx(0.0304, abs=5e-5)
+        assert figure_curve.forward_index_rates([1.0], 3.0)[0] == pytest.approx(0.0304, abs=5e-5)
         from_published = (0.973899494 / 0.890134519) ** (1.0 / 3.0) - 1.0
         assert from_published == pytest.approx(0.0304, abs=5e-5)
 
     def test_flat_curve_forward_equals_rate(self):
         curve = ZeroCurve(tenors=(1.0, 10.0), zero_rates=(0.03, 0.03))
         for fix in (0.0, 1.0, 2.5, 7.0, 20.0):
-            assert curve.forward_index_rate(fix, 3.0) == pytest.approx(0.03, rel=1e-12)
+            assert curve.forward_index_rates([fix], 3.0)[0] == pytest.approx(0.03, rel=1e-12)
 
     @given(curves(), st.floats(0.0, 30.0), st.floats(0.25, 10.0))
     @settings(max_examples=200)
     def test_forward_compounding_identity(self, curve, fix, tenor):
-        fwd = curve.forward_index_rate(fix, tenor)
-        lhs = (1.0 + fwd) ** tenor * curve.discount_factor(fix + tenor)
-        assert lhs == pytest.approx(curve.discount_factor(fix), rel=1e-12)
+        fwd = curve.forward_index_rates([fix], tenor)[0]
+        lhs = (1.0 + fwd) ** tenor * curve.discount_factors([fix + tenor])[0]
+        assert lhs == pytest.approx(curve.discount_factors([fix])[0], rel=1e-12)
 
     @pytest.mark.parametrize(
         ("rates", "fix", "tenor"),
@@ -117,22 +117,22 @@ class TestForwardIndexRate:
         curve = ZeroCurve(tenors=(fix, fix + tenor), zero_rates=rates)
         message = f"forward rate fixing at {fix:g} for {tenor:g} years is outside the float range"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            curve.forward_index_rate(fix, tenor)
+            curve.forward_index_rates([fix], tenor)
 
     def test_non_positive_tenor_rejected(self, figure_curve):
         with pytest.raises(ValueError, match="> 0"):
-            figure_curve.forward_index_rate(1.0, 0.0)
+            figure_curve.forward_index_rates([1.0], 0.0)
 
 
 class TestVolTermStructure:
     def test_quoted_node_is_exact(self, figure_vols):
-        assert figure_vols.vol_at(2.0) == 0.17
+        assert figure_vols.vols_at([2.0])[0] == 0.17
 
     def test_linear_midpoint(self, figure_vols):
-        assert figure_vols.vol_at(1.5) == pytest.approx(0.168, rel=1e-12)
+        assert figure_vols.vols_at([1.5])[0] == pytest.approx(0.168, rel=1e-12)
 
     def test_flat_beyond_last_node(self, figure_vols):
-        assert figure_vols.vol_at(12.0) == FIGURE_VOLS[-1]
+        assert figure_vols.vols_at([12.0])[0] == FIGURE_VOLS[-1]
 
     def test_empty_structure_is_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -144,7 +144,7 @@ class TestVolTermStructure:
 
     def test_zero_vol_allowed_for_deterministic_limit(self):
         flat = VolTermStructure(fixing_times=(1.0,), black_vols=(0.0,))
-        assert flat.vol_at(5.0) == 0.0
+        assert flat.vols_at([5.0])[0] == 0.0
 
 
 
@@ -165,7 +165,7 @@ def scalar_discount_factor(curve: ZeroCurve, t: float) -> float:
 
 
 class TestVectorLookups:
-    """Each vector lookup equals one scalar lookup per element, bit for bit."""
+    """A lookup of many times equals one scalar ``np.interp`` lookup per time, bit for bit."""
 
     @given(
         curve=curves(),
@@ -193,12 +193,12 @@ class TestVectorLookups:
 
     @given(curve=curves(), vols=vol_grids(), times=st.lists(st.floats(0.0, 60.0), max_size=50))
     @settings(max_examples=150, deadline=None)
-    def test_each_vector_lookup_is_its_scalar_form_per_element(self, curve, vols, times):
-        assert curve.zero_rates_at(times) == [curve.zero_rate(t) for t in times]
+    def test_each_lookup_of_many_times_equals_its_lookups_of_one(self, curve, vols, times):
+        assert curve.zero_rates_at(times) == [curve.zero_rates_at([t])[0] for t in times]
         assert curve.zero_rates_at(times) == [scalar_zero_rate(curve, t) for t in times]
-        assert curve.discount_factors(times) == [curve.discount_factor(t) for t in times]
-        assert curve.forward_index_rates(times, 0.25) == [curve.forward_index_rate(t, 0.25) for t in times]
-        assert vols.vols_at(times) == [vols.vol_at(t) for t in times]
+        assert curve.discount_factors(times) == [curve.discount_factors([t])[0] for t in times]
+        assert curve.forward_index_rates(times, 0.25) == [curve.forward_index_rates([t], 0.25)[0] for t in times]
+        assert vols.vols_at(times) == [vols.vols_at([t])[0] for t in times]
 
     @pytest.mark.parametrize("periods", [2, 361])
     @pytest.mark.parametrize("first_forward", [None, 0.02])
@@ -231,7 +231,7 @@ class TestLoaders:
         (tmp_path / "curve.csv").write_text("tenor_years,zero_rate\n1,0.02\n2,0.03\n", encoding="utf-8")
         (tmp_path / "vols.csv").write_text("fixing_years,black_vol\n1,0.2\n", encoding="utf-8")
         curve = load_curve(market_config(tmp_path))
-        assert curve.zero_rate(2.0) == 0.03
+        assert curve.zero_rates_at([2.0])[0] == 0.03
 
     def test_load_empty_rows_rejected(self, tmp_path):
         for name, load in (("curve.csv", load_curve), ("vols.csv", load_vols)):

@@ -81,7 +81,7 @@ def reference_terms(spec: PortfolioSpec, path, curve: ZeroCurve, extra_spread: f
         else:
             years = math.ceil(spec.renewal.mean_remaining_term_months / 12.0)
             premium = spec.initial_premium * max(1.0 - (t - 1) / years, 0.0)
-        discount = (1.0 + curve.zero_rate(t) + extra_spread) ** -t
+        discount = (1.0 + curve.zero_rates_at([t])[0] + extra_spread) ** -t
         result = underwriting_result(premium, sp, spec.profit_share_rate)
         terms.append(result * (1.0 - spec.tax_rate) * discount)
     return terms
