@@ -44,7 +44,9 @@ from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
 T = TypeVar("T")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``main`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="engine",
         description="Valuation engine for aggregate-data protection portfolios.",

@@ -15,7 +15,7 @@ import pytest
 import scipy.stats
 
 from protval.cap import caplet_price
-from protval.cli import main
+from protval.cli import build_parser, main
 from protval.config import load_curve, load_portfolio, load_run_config
 from protval.loss import draw_initial_ratios, lognormal_mu
 from protval.projection import _pvfp_rows, premium_runoff, pvfp_of_ratios, spread_discounts
@@ -1232,3 +1232,16 @@ class TestCalibrateSpread:
         payload = json.loads((tmp_path / "out" / "spread_function.json").read_text())
         assert payload["a"] == pytest.approx(0.0208, abs=1e-4)
         assert payload["b"] == pytest.approx(16.188, abs=0.01)
+
+
+def test_main_builds_its_parser_once_and_leaves_it_unchanged(tmp_path):
+    config = write_json(tmp_path / "run.json", {"spread_points": [[0.1, 0.02], [0.2, 0.03]]})
+    parser = build_parser()
+    before = parser.format_help()
+    assert main(["calibrate-spread", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert main(["calibrate-spread", "--config", str(config), "--out", str(tmp_path / "again")]) == 0
+    assert main(["calibrate-spread", "--config", str(config)]) == 1
+    assert build_parser() is parser
+    assert parser.format_help() == before
+    written = [(tmp_path / d / "spread_function.json").read_bytes() for d in ("out", "again")]
+    assert written[0] == written[1]
