@@ -41,19 +41,9 @@ def caplet_price(
 
     Degenerates to the discounted intrinsic value N * accrual * DF *
     max(F - E, 0) when the fixing is immediate (t_fix = 0) or the rate is
-    deterministic (vol = 0).
+    deterministic (vol = 0). The inputs are a row of a ``cap_strip``, checked
+    there; only the forward, which comes from the curve, is checked here.
     """
-    if strike <= 0.0:
-        raise ValueError(f"strike must be > 0, got {strike}")
-    if vol < 0.0:
-        raise ValueError(f"vol must be >= 0, got {vol}")
-    if notional < 0.0:
-        raise ValueError(f"notional must be >= 0, got {notional}")
-    if t_fix < 0.0:
-        raise ValueError(f"fixing time must be >= 0, got {t_fix}")
-    if accrual <= 0.0:
-        raise ValueError(f"accrual must be > 0, got {accrual}")
-
     scale = notional * accrual * df_pay
     sd = vol * math.sqrt(t_fix)
     if sd == 0.0:  # vol = 0, t_fix = 0 or an underflowing product: the deterministic limit

@@ -38,7 +38,7 @@ from .config import (
 )
 from .curves import ZeroCurve
 from .loss import draw_initial_ratios, lognormal_mu, reverting_paths, standard_normals
-from .projection import PortfolioSpec, premium_runoff, pvfp_of_chronicle, pvfp_of_ratios, spread_discounts
+from .projection import PortfolioSpec, premium_runoff, pvfp_of_chronicle, pvfp_of_ratios
 from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
 
 T = TypeVar("T")
@@ -144,16 +144,10 @@ def _load_discountable_curve(config: RunConfig) -> tuple[ZeroCurve, np.ndarray]:
     One that underflows to 0 drops its year from the PVFP and passes; a spreaded factor is no larger.
     """
     curve = load_curve(config)
-    with np.errstate(all="ignore"):
-        riskfree = spread_discounts(curve, config.horizon)
-    finite = np.isfinite(riskfree)
-    if not finite.all():
-        year = int(np.argmin(finite)) + 1
-        raise ConfigError(
-            f"{config.curve_csv}: discount factor at tenor {year} with zero rate {curve.zero_rates_at((year,))[0]!r} "
-            "is outside the float range"
-        )
-    return curve, riskfree
+    try:
+        return curve, curve.spread_discounts(config.horizon)
+    except ValueError as exc:
+        raise ConfigError(f"{config.curve_csv}: {exc}") from exc
 
 
 def _draw_normals(config: RunConfig) -> np.ndarray:
@@ -291,7 +285,7 @@ def _value_portfolio(
             if mean <= 0.0:
                 raise ValueError(f"mean PVFP must be > 0 to price its risk, got {mean!r}")
             spread = spread_fn.spread_for(vol / mean)
-            discounts = np.stack((riskfree, spread_discounts(curve, portfolio.horizon, spread)))
+            discounts = np.stack((riskfree, curve.spread_discounts(portfolio.horizon, spread)))
             pvfp_tsr, pvfp_spread = pvfp_of_chronicle(portfolio, premiums, discounts).tolist()
             stats = PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)
     except FloatingPointError as exc:

@@ -155,11 +155,17 @@ def _file_name(value: Any, path: Path, field: str) -> str:
     return value
 
 
+def _read(path: Path) -> bytes:
+    """The bytes of file ``path``; a path that names no file raises a ConfigError."""
+    try:
+        return path.read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise ConfigError(f"{path}: file not found") from None
+
+
 def _load_json(path: Path, top: type = dict) -> Any:
     """Parse a JSON file whose top level is an object (or, with ``top=list``, an array)."""
-    if not path.is_file():
-        raise ConfigError(f"{path}: file not found")
-    return _parse_json(path.read_bytes(), path, top)
+    return _parse_json(_read(path), path, top)
 
 
 def _decode(raw: bytes, path: Path) -> str:
@@ -209,9 +215,7 @@ def _read_csv_pairs(path: Path, col_a: str, col_b: str) -> list[tuple[float, flo
     skipped and not counted, and a column named twice is read from its last
     place.
     """
-    if not path.is_file():
-        raise ConfigError(f"{path}: file not found")
-    with io.StringIO(_decode(path.read_bytes(), path), newline="") as handle:
+    with io.StringIO(_decode(_read(path), path), newline="") as handle:
         reader = csv.reader(handle)
         columns = {name: i for i, name in enumerate(next(reader, ()))}
         if col_a not in columns or col_b not in columns:
@@ -269,9 +273,7 @@ def load_run_config(
     file is rejected rather than silently resolved.
     """
     path = Path(config_path).resolve()
-    if not path.is_file():
-        raise ConfigError(f"{path}: config file not found")
-    raw = path.read_bytes()  # read once, so the manifest's hash is of the bytes that were parsed
+    raw = _read(path)  # read once, so the manifest's hash is of the bytes that were parsed
     data = _known(_parse_json(raw, path), (
         "market", "portfolios", "weights", "cap_spec", "replay_pvfp", "spread_points",
         "scenarios", "seed", "horizon", "output_dir",
@@ -522,8 +524,8 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
 def load_replay_pvfp(path: Path, spread_fn: SpreadFunction) -> list[tuple[str, PvfpStatistics]]:
     """The (id, report row) pairs of a replay file, each row's spread given by ``spread_fn``.
 
-    Each row needs an id no other row has, mean_pvfp > 0, vol_pvfp >= 0 and
-    pvfp_tsr != 0, and its report row must be finite (see ``PvfpStatistics``).
+    Each row needs an id no other row has, mean_pvfp > 0 and vol_pvfp >= 0,
+    and a valid report row (see ``PvfpStatistics``: finite, pvfp_tsr != 0).
     """
     data = _load_json(path, top=list)
     if not data:
@@ -545,8 +547,6 @@ def load_replay_pvfp(path: Path, spread_fn: SpreadFunction) -> list[tuple[str, P
             raise ConfigError(f"{path}: row {row_id!r}: field 'mean_pvfp' must be > 0, got {mean_pvfp!r}")
         if not vol_pvfp >= 0.0:
             raise ConfigError(f"{path}: row {row_id!r}: field 'vol_pvfp' must be >= 0, got {vol_pvfp!r}")
-        if pvfp_tsr == 0.0:
-            raise ConfigError(f"{path}: row {row_id!r}: field 'pvfp_tsr' must not be 0")
         with _naming(path, f"row {row_id!r}: "):
             spread = spread_fn.spread_for(vol_pvfp / mean_pvfp)
             rows.append((row_id, PvfpStatistics(mean_pvfp, vol_pvfp, spread, pvfp_tsr, pvfp_tsr_spread)))

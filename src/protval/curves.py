@@ -22,6 +22,11 @@ def _check_nonnegative(values: Sequence[float], what: str) -> None:
             raise ValueError(f"{what} must be >= 0, got {value}")
 
 
+def _outside_float_range(t: float, z: float) -> ValueError:
+    """The error for a discount factor at tenor ``t`` and zero rate ``z`` that is outside the float range."""
+    return ValueError(f"discount factor at tenor {t:g} with zero rate {z!r} is outside the float range")
+
+
 def _discount_factor(t: float, z: float) -> float:
     """(1 + z)^-t with Python's ``**``; 1 at t = 0. Overflow or underflow to 0 raises a ValueError."""
     if t == 0.0:
@@ -32,7 +37,7 @@ def _discount_factor(t: float, z: float) -> float:
             return df
     except OverflowError:
         pass
-    raise ValueError(f"discount factor at tenor {t:g} with zero rate {z!r} is outside the float range")
+    raise _outside_float_range(t, z)
 
 
 @dataclass(frozen=True)
@@ -71,16 +76,34 @@ class ZeroCurve:
         """
         return [_discount_factor(t, z) for t, z in zip(times, self.zero_rates_at(times))]
 
+    def spread_discounts(self, horizon: int, extra_spread: float = 0.0) -> np.ndarray:
+        """Discount factors (1 + z(t) + extra_spread)^-t for t = 1..horizon, as one numpy power.
+
+        Zero spread is the risk-free rate. The first factor that overflows
+        raises the ValueError of ``discount_factors``; one that underflows is 0,
+        which drops its year from a PVFP.
+        """
+        if extra_spread < 0.0:
+            raise ValueError(f"extra spread must be >= 0, got {extra_spread}")
+        years = np.arange(1, horizon + 1, dtype=float)
+        rates = np.interp(years, self.tenors, self.zero_rates)
+        with np.errstate(over="ignore"):
+            factors = (1.0 + rates + extra_spread) ** -years
+        overflow = np.isinf(factors)
+        if overflow.any():
+            year = int(np.argmax(overflow))
+            raise _outside_float_range(float(years[year]), float(rates[year]))
+        return factors
+
     def forward_index_rates(self, fixes: Sequence[float], tenor: float) -> list[float]:
         """Annualized geometric forward rate fixing at each of ``fixes`` for an index of ``tenor`` years.
 
         Each satisfies (1 + fwd)^tenor * DF(fix + tenor) = DF(fix). At fix = 0
-        it is the spot zero rate of the index tenor. The first fixing whose
-        discount factors or forward are outside the float range raises.
+        it is the spot zero rate of the index tenor (> 0, as a ``CapSpec`` holds
+        it). The first fixing whose discount factors or forward are outside the
+        float range raises.
         """
         _check_nonnegative(fixes, "fixing time")
-        if tenor <= 0.0:
-            raise ValueError(f"index tenor must be > 0, got {tenor}")
         ends = [fix + tenor for fix in fixes]
         forwards = []
         for fix, end, z_fix, z_end in zip(fixes, ends, self.zero_rates_at(fixes), self.zero_rates_at(ends)):

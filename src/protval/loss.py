@@ -114,11 +114,6 @@ def draw_initial_ratios(mu: float, sigma: float, z: np.ndarray) -> np.ndarray:
     return np.exp(z * sigma + mu)
 
 
-def _check_reversion_speed(nu: float) -> None:
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"reversion speed must be in (0, 1], got {nu}")
-
-
 def reverting_paths(
     sp1: np.ndarray,
     chronicle: Sequence[float] | np.ndarray,
@@ -129,14 +124,10 @@ def reverting_paths(
     Row i of the (len(sp1) x years) matrix is
     chronicle[t] + (sp1[i] - chronicle[1]) * nu^(t-1), floored at 0 (loss
     ratios are nonnegative; deep negative gaps can otherwise push the
-    formula below zero). Column one holds ``sp1``.
+    formula below zero). Column one holds ``sp1``. The chronicle and ``nu``
+    are a ``PortfolioSpec``'s, checked there.
     """
     chron = np.asarray(chronicle, dtype=float)
-    if chron.ndim != 1 or chron.size == 0:
-        raise ValueError("chronicle must be a non-empty vector")
-    if np.any(chron <= 0.0):
-        raise ValueError("chronicle values must be > 0")
-    _check_reversion_speed(nu)
     paths = (sp1 - chron[0])[:, np.newaxis] * nu ** np.arange(chron.size)
     paths += chron
     paths[:, 0] = sp1

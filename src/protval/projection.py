@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ZeroCurve
-from .loss import DEFAULT_REVERSION_SPEED, _check_reversion_speed, lognormal_mu, reverting_paths
+from .loss import DEFAULT_REVERSION_SPEED, lognormal_mu, reverting_paths
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,8 @@ class PortfolioSpec:
             raise ValueError("chronicle must not be empty")
         if any(v <= 0.0 for v in self.chronicle):
             raise ValueError("chronicle values must be > 0")
-        _check_reversion_speed(self.reversion_speed)
+        if not 0.0 < self.reversion_speed <= 1.0:
+            raise ValueError(f"reversion speed must be in (0, 1], got {self.reversion_speed}")
 
     @property
     def horizon(self) -> int:
@@ -93,15 +93,6 @@ def premium_runoff(spec: PortfolioSpec) -> np.ndarray:
         return spec.initial_premium * (1.0 - spec.renewal.lapse_rate) ** t
     years = math.ceil(spec.renewal.mean_remaining_term_months / 12.0)
     return spec.initial_premium * np.maximum(1.0 - t / years, 0.0)
-
-
-def spread_discounts(curve: ZeroCurve, horizon: int, extra_spread: float = 0.0) -> np.ndarray:
-    """Discount factors (1 + z(t) + spread)^-t for t = 1..horizon; zero spread is the risk-free rate."""
-    if extra_spread < 0.0:
-        raise ValueError(f"extra spread must be >= 0, got {extra_spread}")
-    years = np.arange(1, horizon + 1, dtype=float)
-    rates = np.interp(years, curve.tenors, curve.zero_rates)
-    return (1.0 + rates + extra_spread) ** -years
 
 
 def _pvfp_rows(
@@ -133,8 +124,8 @@ def pvfp_of_ratios(spec: PortfolioSpec, sp1: np.ndarray, premiums: np.ndarray, d
     """PVFP of the reverting path from each year-1 loss ratio, in order.
 
     ``premiums`` is ``premium_runoff(spec)`` and ``discounts`` a row of
-    ``spread_discounts``. The (scenarios x years) matrix of paths is built
-    by ``reverting_paths`` and valued in one call.
+    ``ZeroCurve.spread_discounts``. The (scenarios x years) matrix of paths
+    is built by ``reverting_paths`` and valued in one call.
     """
     paths, _ = reverting_paths(sp1, spec.chronicle, spec.reversion_speed)
     return _pvfp_rows(spec, paths, premiums, discounts)

@@ -55,7 +55,8 @@ class PvfpStatistics:
     ``mean``/``vol`` are the sample statistics of the simulated (or
     replayed) PVFPs, ``spread`` the spread for their relative volatility,
     and ``pvfp_tsr``/``pvfp_spread`` the deterministic-scenario PVFPs at the
-    risk-free rate and at the spreaded rate.
+    risk-free rate and at the spreaded rate. The caller checks ``mean`` > 0
+    and ``vol`` >= 0, which it needs to take ``vol / mean`` for the spread.
     """
 
     mean: float
@@ -68,12 +69,8 @@ class PvfpStatistics:
         for name in ("mean", "vol", "spread", "pvfp_tsr", "pvfp_spread"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.mean <= 0.0:
-            raise ValueError(f"mean PVFP must be > 0 to define a relative volatility, got {self.mean}")
-        if self.vol < 0.0:
-            raise ValueError(f"volatility must be >= 0, got {self.vol}")
         if self.pvfp_tsr == 0.0:  # checked here, not in ``cur``, so that a degenerate row stops the run at once
-            raise ValueError("portfolio is degenerate: PVFP at the risk-free rate is 0")
+            raise ValueError("pvfp_tsr must not be 0: the portfolio is degenerate (PVFP at the risk-free rate is 0)")
         if not math.isfinite(self.cur):
             raise ValueError(f"cur must be finite, got {self.cur!r}")
 

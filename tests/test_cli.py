@@ -18,7 +18,7 @@ from protval.cap import caplet_price
 from protval.cli import build_parser, main
 from protval.config import load_curve, load_portfolio, load_run_config
 from protval.loss import draw_initial_ratios, lognormal_mu
-from protval.projection import _pvfp_rows, premium_runoff, pvfp_of_ratios, spread_discounts
+from protval.projection import _pvfp_rows, premium_runoff, pvfp_of_ratios
 
 from .conftest import (
     FIGURE_CAPLET_COSTS,
@@ -644,7 +644,8 @@ class TestValue:
         })
         assert main(["value", "--config", str(config)]) == 1
         assert capsys.readouterr().err == (
-            "error: portfolio 'flat': portfolio is degenerate: PVFP at the risk-free rate is 0\n"
+            "error: portfolio 'flat': pvfp_tsr must not be 0: "
+            "the portfolio is degenerate (PVFP at the risk-free rate is 0)\n"
         )
         out = tmp_path / "out"
         assert not (out / "flat_pvfp_samples.csv").exists()
@@ -1077,7 +1078,8 @@ def test_replay_id_repeated_in_a_later_row_is_rejected(tmp_path, capsys):
          "field 'use_spot_for_first_period' must be true or false"),
         ("value", "replay.json", (0, "mean_pvfp"), 0, "row 'r1': field 'mean_pvfp' must be > 0"),
         ("value", "replay.json", (0, "vol_pvfp"), -4.3e-06, "row 'r1': field 'vol_pvfp' must be >= 0"),
-        ("value", "replay.json", (0, "pvfp_tsr"), 0, "row 'r1': field 'pvfp_tsr' must not be 0"),
+        ("value", "replay.json", (0, "pvfp_tsr"), 0,
+         "row 'r1': pvfp_tsr must not be 0: the portfolio is degenerate (PVFP at the risk-free rate is 0)"),
         ("price-cap", "run.json", ("market", "tax_rate"), 1.5, "market.tax_rate must be in [0, 1)"),
         ("value", "run.json", ("market", "tax_rate"), 1.5, "market.tax_rate must be in [0, 1)"),
         ("simulate", "run.json", ("market", "tax_rate"), -0.1, "market.tax_rate must be in [0, 1)"),
@@ -1192,7 +1194,7 @@ def test_value_samples_are_the_pvfp_of_the_simulated_paths(tmp_path):
         scenarios = np.loadtxt(run.output_dir / f"{spec.id}_scenarios.csv", delimiter=",", skiprows=1)
         samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)
         assert scenarios.shape == (2000, 1 + run.horizon)
-        premiums, discounts = premium_runoff(spec), spread_discounts(curve, run.horizon)
+        premiums, discounts = premium_runoff(spec), curve.spread_discounts(run.horizon)
         repriced = np.array([_pvfp_rows(spec, row[np.newaxis], premiums, discounts)[0] for row in scenarios[:, 1:]])
         assert repriced.tobytes() == samples[:, 1].tobytes()
 
@@ -1215,7 +1217,7 @@ def test_value_mean_pvfp_is_within_three_standard_errors_of_a_quantile_grid_refe
     for path in run.portfolio_paths:
         spec = load_portfolio(path, run.horizon, None)
         sp1 = draw_initial_ratios(lognormal_mu(spec.mean_sp, spec.sigma), spec.sigma, z)
-        reference = pvfp_of_ratios(spec, sp1, premium_runoff(spec), spread_discounts(curve, run.horizon)).mean()
+        reference = pvfp_of_ratios(spec, sp1, premium_runoff(spec), curve.spread_discounts(run.horizon)).mean()
         samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)[:, 1]
         assert samples.size == 10_000
         se = samples.std(ddof=1) / np.sqrt(samples.size)

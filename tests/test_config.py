@@ -52,6 +52,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("loader", [load_run_config, lambda p: load_portfolio(p, 30, None), load_chronicle])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "below_a_file"])
+    def test_path_that_names_no_file_is_not_found(self, tmp_path, loader, kind):
+        """A missing path, a directory and a path through a file all read as one 'file not found'."""
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "below_a_file":
+            path.write_text("{}", encoding="utf-8")
+            path = path / "input"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: file not found$"):
+            loader(path)
+
     def test_flag_fills_omitted_setting(self, tmp_path):
         make_portfolio_file(tmp_path)
         config = write_json(tmp_path / "run.json", {

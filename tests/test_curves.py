@@ -77,6 +77,25 @@ class TestZeroCurve:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             curve.discount_factors([tenor])
 
+    @pytest.mark.parametrize(("rate", "year"), [(-0.99999999999999, 23), (-0.5, 1024)])
+    def test_spread_discounts_raise_the_message_of_discount_factors(self, rate, year):
+        """The first overflowing year of the numpy power raises the text the scalar ``**`` raises for that year."""
+        curve = ZeroCurve(tenors=(0.0, 1.0), zero_rates=(rate, rate))
+        with pytest.raises(ValueError) as scalar:
+            curve.discount_factors([float(year)])
+        with pytest.raises(ValueError) as vector:
+            curve.spread_discounts(year + 5)
+        assert str(vector.value) == str(scalar.value)
+        assert str(vector.value).startswith(f"discount factor at tenor {year} with zero rate {rate!r} ")
+        assert np.isfinite(curve.spread_discounts(year - 1)).all()
+
+    def test_spread_discounts_let_an_underflow_pass_as_zero(self):
+        curve = ZeroCurve(tenors=(0.0, 1.0), zero_rates=(1e200, 1e200))
+        with pytest.raises(ValueError, match=r"^discount factor at tenor 2 with zero rate 1e\+200 is outside"):
+            curve.discount_factors([2.0])
+        factors = curve.spread_discounts(3)
+        assert factors[0] > 0.0 and factors[1:].tolist() == [0.0, 0.0]
+
     # steeply inverted curves imply negative forwards and a locally rising
     # discount factor, so the monotonicity claim only holds away from them;
     # non-decreasing rate curves are always in the valid regime
@@ -118,10 +137,6 @@ class TestForwardIndexRate:
         message = f"forward rate fixing at {fix:g} for {tenor:g} years is outside the float range"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             curve.forward_index_rates([fix], tenor)
-
-    def test_non_positive_tenor_rejected(self, figure_curve):
-        with pytest.raises(ValueError, match="> 0"):
-            figure_curve.forward_index_rates([1.0], 0.0)
 
 
 class TestVolTermStructure:

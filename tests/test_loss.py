@@ -230,14 +230,6 @@ class TestMeanReversionPath:
         assert np.all(path >= 0.0)
         assert path[1] == 0.0
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            one_path(1.0, [], nu=0.8)
-        with pytest.raises(ValueError, match="reversion"):
-            one_path(1.0, [0.8], nu=0.0)
-        with pytest.raises(ValueError, match="reversion"):
-            one_path(1.0, [0.8], nu=1.5)
-
 
 def scenarios_of(portfolio, n: int, seed: int) -> tuple[np.ndarray, int]:
     """``reverting_paths`` from the year-1 ratios of the portfolio's lognormal law and the draws for (n, seed)."""

@@ -18,7 +18,6 @@ from protval.projection import (
     premium_runoff,
     pvfp_of_chronicle,
     pvfp_of_ratios,
-    spread_discounts,
 )
 
 from .conftest import FIGURE_TENORS, FIGURE_ZERO_RATES, make_portfolio
@@ -32,7 +31,7 @@ def pvfp_rows(spec: PortfolioSpec, rows, curve: ZeroCurve, extra_spread: float =
 
     ``pvfp_rows(spec, [path], curve)[0]`` is the PVFP of one path.
     """
-    discounts = spread_discounts(curve, spec.horizon, extra_spread)
+    discounts = curve.spread_discounts(spec.horizon, extra_spread)
     return _pvfp_rows(spec, np.array(rows, dtype=float), premium_runoff(spec), discounts)
 
 
@@ -49,7 +48,7 @@ def reference_pvfp_rows(spec: PortfolioSpec, paths: np.ndarray, curve: ZeroCurve
     results *= premium_runoff(spec)
     np.multiply(results, 1.0 - spec.profit_share_rate, out=results, where=paths < 1.0)
     results *= 1.0 - spec.tax_rate
-    results *= spread_discounts(curve, spec.horizon, 0.0)
+    results *= curve.spread_discounts(spec.horizon, 0.0)
     return results.sum(axis=1)
 
 
@@ -209,7 +208,7 @@ class TestPvfp:
 
     def test_negative_spread_rejected(self, figure_curve):
         with pytest.raises(ValueError, match="spread"):
-            spread_discounts(figure_curve, 5, extra_spread=-0.01)
+            figure_curve.spread_discounts(5, extra_spread=-0.01)
 
 
 class TestPvfpBatch:
@@ -329,7 +328,7 @@ class TestPvfpOfRatios:
             sp1[offset * 2::11] = value
         paths = reference_reverting_paths(sp1, np.asarray(spec.chronicle), nu)
         expected = reference_pvfp_rows(spec, paths, FIGURE_CURVE)
-        riskfree = spread_discounts(FIGURE_CURVE, spec.horizon)
+        riskfree = FIGURE_CURVE.spread_discounts(spec.horizon)
         assert same_bits(pvfp_of_ratios(spec, sp1, premium_runoff(spec), riskfree), expected)
         for i in [*range(min(n, 22)), n - 1]:
             assert same_bits(pvfp_rows(spec, [paths[i]], FIGURE_CURVE)[0], expected[i])
@@ -349,7 +348,7 @@ class TestPvfpOfRatios:
         """``value`` prices the chronicle at the risk-free and the spreaded rate on one 2-row matrix."""
         spec = make_portfolio(chronicle=tuple(chronicle), profit_share=share, tax=tax, nu=nu)
         discounts = np.stack(
-            (spread_discounts(FIGURE_CURVE, spec.horizon), spread_discounts(FIGURE_CURVE, spec.horizon, spread))
+            (FIGURE_CURVE.spread_discounts(spec.horizon), FIGURE_CURVE.spread_discounts(spec.horizon, spread))
         )
         both = pvfp_of_chronicle(spec, premium_runoff(spec), discounts)
         one_row = [pvfp_rows(spec, [chronicle], FIGURE_CURVE, s)[0] for s in (0.0, spread)]
@@ -372,3 +371,9 @@ class TestPortfolioSpecValidation:
             FixedTerm(mean_remaining_term_months=0.0)
         with pytest.raises(ValueError, match="profit share"):
             make_portfolio(profit_share=1.5)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.5])
+    def test_rejects_reversion_speed_outside_zero_to_one(self, nu):
+        """The spec owns the rule; ``reverting_paths`` takes the speed as checked."""
+        with pytest.raises(ValueError, match=rf"^reversion speed must be in \(0, 1\], got {nu}$"):
+            make_portfolio(nu=nu)

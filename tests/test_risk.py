@@ -138,10 +138,6 @@ class TestRiskStatistics:
         stats = PvfpStatistics(mean, vol, calibrated.spread_for(vol / mean), pvfp_tsr, pvfp_spread)
         assert stats.cur == pvfp_tsr - mean * (pvfp_spread / pvfp_tsr)
 
-    def test_nonpositive_mean_rejected(self):
-        with pytest.raises(ValueError, match="mean PVFP"):
-            PvfpStatistics(0.0, 1.0, 0.01, 10.0, 9.0)
-
     @pytest.mark.parametrize("field", ["mean", "vol", "spread", "pvfp_tsr", "pvfp_spread"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_rejected(self, field, bad):
