@@ -52,7 +52,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "nope.json")
 
-    @pytest.mark.parametrize("loader", [load_run_config, lambda p: load_portfolio(p, 30, None), load_chronicle])
+    @pytest.mark.parametrize(
+        "loader", [load_run_config, lambda p: load_portfolio(p, 30, None), load_chronicle],
+        ids=["run_config", "portfolio", "chronicle"],
+    )
     @pytest.mark.parametrize("kind", ["missing", "directory", "below_a_file"])
     def test_path_that_names_no_file_is_not_found(self, tmp_path, loader, kind):
         """A missing path, a directory and a path through a file all read as one 'file not found'."""
