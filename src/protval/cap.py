@@ -139,7 +139,8 @@ class CapValuation:
     Values carry the caller's sign convention: the pricer produces
     nonnegative option values, replayed report figures are insurer costs.
     The aggregates are properties of these inputs, so they match the caplets;
-    an aggregate outside the float range raises at construction.
+    an aggregate outside the float range raises at construction. ``tax_rate``
+    is taken as checked: ``price-cap`` passes ``RunConfig.tax_rate``, in [0, 1).
     """
 
     caplet_values: tuple[float, ...]
@@ -149,8 +150,6 @@ class CapValuation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "caplet_values", tuple(float(v) for v in self.caplet_values))
-        if not 0.0 <= self.tax_rate < 1.0:
-            raise ValueError(f"tax_rate must be in [0, 1), got {self.tax_rate}")
         for name in ("stochastic_value", "valuation_spread", "crd"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -14,12 +14,13 @@ Every run writes a manifest with the config hash, seed and engine version.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import pickle
 import sys
 import warnings
-from typing import Callable, NoReturn, TypeVar
+from typing import Callable, Iterator, NoReturn, TypeVar
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from .config import (
     load_weight_matrix,
 )
 from .curves import ZeroCurve
-from .loss import draw_initial_ratios, lognormal_mu, reverting_paths, standard_normals
-from .projection import PortfolioSpec, premium_runoff, pvfp_of_chronicle, pvfp_of_ratios
+from .loss import standard_normals
+from .projection import PortfolioSpec, pvfp_of_chronicle, pvfp_rows
 from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
 
 T = TypeVar("T")
@@ -158,14 +159,26 @@ def _draw_normals(config: RunConfig) -> np.ndarray:
         raise ConfigError(f"{config.config_path}: scenarios={config.scenarios}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _named(portfolio: PortfolioSpec, work: str) -> Iterator[None]:
+    """Re-raise a float overflow, invalid operation, ValueError or MemoryError as a ValueError naming the portfolio."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"portfolio {portfolio.id!r}: {work} outside the float range: {exc}") from exc
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"portfolio {portfolio.id!r}: {exc}") from exc
+
+
 def _simulate_portfolio(config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec) -> str:
-    """Write one portfolio's scenario, fan-chart and histogram files; return its summary line."""
-    sp1 = draw_initial_ratios(lognormal_mu(portfolio.mean_sp, portfolio.sigma), portfolio.sigma, z)
-    paths, floored = reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
+    """Write one portfolio's files, histogram first (a ratio too large to bin leaves none); return its summary line."""
     out = config.output_dir
-    reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", paths)
-    reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", paths)
-    reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", paths[:, 0])
+    with _named(portfolio, "scenarios"):
+        paths, floored = portfolio.paths(z)
+        reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", paths[:, 0])
+        reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", paths)
+        reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", paths)
     n_scenarios, horizon = paths.shape
     return f"{portfolio.id}: {n_scenarios} scenarios x {horizon} years, seed {config.seed}, floored {floored}"
 
@@ -273,25 +286,17 @@ def _value_portfolio(
 
     ``riskfree`` holds the run's risk-free discount factors. The row is
     built, and so checked, before the file is written: a portfolio that
-    cannot be priced writes nothing. A float overflow or an invalid
-    operation in its arrays raises a ValueError naming the portfolio.
+    cannot be priced writes nothing, and its error names it.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            premiums = premium_runoff(portfolio)
-            mu = lognormal_mu(portfolio.mean_sp, portfolio.sigma)
-            samples = pvfp_of_ratios(portfolio, draw_initial_ratios(mu, portfolio.sigma, z), premiums, riskfree)
-            mean, vol = pvfp_stats(samples)
-            if mean <= 0.0:
-                raise ValueError(f"mean PVFP must be > 0 to price its risk, got {mean!r}")
-            spread = spread_fn.spread_for(vol / mean)
-            discounts = np.stack((riskfree, curve.spread_discounts(portfolio.horizon, spread)))
-            pvfp_tsr, pvfp_spread = pvfp_of_chronicle(portfolio, premiums, discounts).tolist()
-            stats = PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)
-    except FloatingPointError as exc:
-        raise ValueError(f"portfolio {portfolio.id!r}: valuation outside the float range: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"portfolio {portfolio.id!r}: {exc}") from exc
+    with _named(portfolio, "valuation"):
+        samples = pvfp_rows(portfolio, portfolio.paths(z)[0], riskfree)
+        mean, vol = pvfp_stats(samples)
+        if mean <= 0.0:
+            raise ValueError(f"mean PVFP must be > 0 to price its risk, got {mean!r}")
+        spread = spread_fn.spread_for(vol / mean)
+        discounts = np.stack((riskfree, curve.spread_discounts(portfolio.horizon, spread)))
+        pvfp_tsr, pvfp_spread = pvfp_of_chronicle(portfolio, discounts).tolist()
+        stats = PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)
     reports.write_pvfp_samples_csv(config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples)
     return stats
 
@@ -308,7 +313,7 @@ def cmd_value(config: RunConfig) -> None:
         config.output_dir.mkdir(parents=True, exist_ok=True)
         value = functools.partial(_value_portfolio, config, curve, riskfree, spread_fn, z)
         rows = [(p.id, stats) for p, stats in zip(portfolios, _map_portfolios("value", value, portfolios))]
-        echo_rows = [(p.id, p.mean_sp, lognormal_mu(p.mean_sp, p.sigma), p.sigma) for p in portfolios]
+        echo_rows = [(p.id, p.mean_sp, p.mu, p.sigma) for p in portfolios]
 
         reports.write_params_echo_csv(config.output_dir / "lognormal_params.csv", echo_rows)
         print("lognormal parameters:")

@@ -10,11 +10,11 @@ reason the expected PVFP sits below the PVFP of the expected path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss import DEFAULT_REVERSION_SPEED, lognormal_mu, reverting_paths
+from .loss import DEFAULT_REVERSION_SPEED, draw_initial_ratios, lognormal_mu, reverting_paths
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ class PortfolioSpec:
 
     ``mean_sp`` is the retained (expected) year-1 loss ratio driving the
     stochastic draws, ``sigma`` the sigma of their lognormal law and
-    ``chronicle`` the deterministic expected path they revert to.
+    ``chronicle`` the deterministic expected path they revert to. The law's
+    ``mu`` and the ``premium_runoff`` vector ``premiums`` are derived once, here.
     """
 
     id: str
@@ -59,6 +60,8 @@ class PortfolioSpec:
     mean_sp: float
     sigma: float
     reversion_speed: float = DEFAULT_REVERSION_SPEED
+    mu: float = field(init=False)
+    premiums: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chronicle", tuple(float(v) for v in self.chronicle))
@@ -68,17 +71,22 @@ class PortfolioSpec:
             raise ValueError(f"profit share rate must be in [0, 1], got {self.profit_share_rate}")
         if not 0.0 <= self.tax_rate < 1.0:
             raise ValueError(f"tax rate must be in [0, 1), got {self.tax_rate}")
-        lognormal_mu(self.mean_sp, self.sigma)  # checks the law
+        object.__setattr__(self, "mu", lognormal_mu(self.mean_sp, self.sigma))  # checks the law
         if not self.chronicle:
             raise ValueError("chronicle must not be empty")
         if any(v <= 0.0 for v in self.chronicle):
             raise ValueError("chronicle values must be > 0")
         if not 0.0 < self.reversion_speed <= 1.0:
             raise ValueError(f"reversion speed must be in (0, 1], got {self.reversion_speed}")
+        object.__setattr__(self, "premiums", tuple(premium_runoff(self).tolist()))
 
     @property
     def horizon(self) -> int:
         return len(self.chronicle)
+
+    def paths(self, z: np.ndarray) -> tuple[np.ndarray, int]:
+        """``reverting_paths`` from the year-1 ratios of the standard normals ``z``: (paths, floored count)."""
+        return reverting_paths(draw_initial_ratios(self.mu, self.sigma, z), self.chronicle, self.reversion_speed)
 
 
 def premium_runoff(spec: PortfolioSpec) -> np.ndarray:
@@ -86,7 +94,7 @@ def premium_runoff(spec: PortfolioSpec) -> np.ndarray:
 
     Tacit renewal decays geometrically with the lapse rate; fixed-term
     portfolios amortize linearly to zero over the mean remaining term
-    rounded up to whole years.
+    rounded up to whole years. A spec holds it as ``premiums``.
     """
     t = np.arange(spec.horizon)
     if isinstance(spec.renewal, TacitRenewal):
@@ -95,13 +103,8 @@ def premium_runoff(spec: PortfolioSpec) -> np.ndarray:
     return spec.initial_premium * np.maximum(1.0 - t / years, 0.0)
 
 
-def _pvfp_rows(
-    spec: PortfolioSpec,
-    paths: np.ndarray,
-    premiums: np.ndarray,
-    discounts: np.ndarray,
-) -> np.ndarray:
-    """PVFP of each row of a (rows, horizon) loss-ratio matrix; ``paths`` is overwritten.
+def pvfp_rows(spec: PortfolioSpec, paths: np.ndarray, discounts: np.ndarray) -> np.ndarray:
+    """PVFP of each row of a (rows, horizon) loss-ratio matrix such as ``spec.paths(z)[0]``, which is overwritten.
 
     Positive yearly results (S/P < 1) are shared at the contractual rate;
     losses are borne in full, so the result is continuous at S/P = 1 but
@@ -113,28 +116,17 @@ def _pvfp_rows(
     # For any float S/P, 1 - S/P > 0 exactly when S/P < 1: a difference of
     # two distinct floats is never rounded to 0.
     below = results > 0.0
-    results *= premiums
+    results *= spec.premiums
     np.multiply(results, 1.0 - spec.profit_share_rate, out=results, where=below)
     results *= 1.0 - spec.tax_rate
     results *= discounts
     return results.sum(axis=1)
 
 
-def pvfp_of_ratios(spec: PortfolioSpec, sp1: np.ndarray, premiums: np.ndarray, discounts: np.ndarray) -> np.ndarray:
-    """PVFP of the reverting path from each year-1 loss ratio, in order.
-
-    ``premiums`` is ``premium_runoff(spec)`` and ``discounts`` a row of
-    ``ZeroCurve.spread_discounts``. The (scenarios x years) matrix of paths
-    is built by ``reverting_paths`` and valued in one call.
-    """
-    paths, _ = reverting_paths(sp1, spec.chronicle, spec.reversion_speed)
-    return _pvfp_rows(spec, paths, premiums, discounts)
-
-
-def pvfp_of_chronicle(spec: PortfolioSpec, premiums: np.ndarray, discounts: np.ndarray) -> np.ndarray:
+def pvfp_of_chronicle(spec: PortfolioSpec, discounts: np.ndarray) -> np.ndarray:
     """PVFP of the chronicle under each row of the (rows, horizon) matrix ``discounts``, in one call.
 
-    It equals ``pvfp_of_ratios`` from the chronicle's first year, whose
-    reverting path is the chronicle, bit for bit.
+    The chronicle is the reverting path from its own first year, so this is
+    ``pvfp_rows`` of that path, bit for bit.
     """
-    return _pvfp_rows(spec, np.array((spec.chronicle,) * len(discounts)), premiums, discounts)
+    return pvfp_rows(spec, np.array((spec.chronicle,) * len(discounts)), discounts)

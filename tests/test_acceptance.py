@@ -19,7 +19,7 @@ import pytest
 import scipy.stats
 
 from protval.cap import CapValuation, caplet_price, norm_cdf
-from protval.loss import draw_initial_ratios, lognormal_mu, lognormal_sigma, reverting_paths, standard_normals
+from protval.loss import lognormal_mu, lognormal_sigma, reverting_paths, standard_normals
 from protval.risk import calibrate_spread
 from protval.cli import main
 
@@ -173,8 +173,7 @@ def test_criterion_08_mean_reversion_half_life():
 
     portfolio = make_portfolio(mean_sp=0.80, sigma=0.25, horizon=12, nu=0.8)
     z = standard_normals(100_000, seed=91)
-    sp1 = draw_initial_ratios(lognormal_mu(portfolio.mean_sp, portfolio.sigma), portfolio.sigma, z)
-    paths, _ = reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
+    paths, _ = portfolio.paths(z)
     se = paths.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
     deviation = np.abs(paths.mean(axis=0) - np.asarray(portfolio.chronicle))
     centering_ok = bool(np.all(deviation <= 3.0 * se))

@@ -243,11 +243,6 @@ class TestReportAggregates:
         with pytest.raises(ValueError, match=f"^{aggregate}$"):
             CapValuation(caplets, deterministic, booked)
 
-    def test_tax_rate_bounds(self):
-        for tax_rate in (1.0, -0.1):
-            with pytest.raises(ValueError, match=r"tax_rate must be in \[0, 1\)"):
-                CapValuation((0.0, 100.0), deterministic_value=50.0, tax_rate=tax_rate)
-
     @given(
         caplets=st.lists(st.floats(-1e9, 1e9), min_size=2, max_size=12),
         deterministic=st.floats(-1e9, 1e9),

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from protval import loss, projection
 from protval.cap import caplet_price
 from protval.cli import build_parser, main
 from protval.config import load_curve, load_portfolio, load_run_config
-from protval.loss import draw_initial_ratios, lognormal_mu
-from protval.projection import _pvfp_rows, premium_runoff, pvfp_of_ratios
+from protval.projection import pvfp_rows
 
 from .conftest import (
     FIGURE_CAPLET_COSTS,
@@ -831,6 +831,51 @@ def test_portfolio_whose_valuation_overflows_stops_with_one_error_naming_it(tmp_
     assert not (tmp_path / "out" / "portfolio_1_pvfp_samples.csv").exists()
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_year_one_ratio_too_large_to_bin_stops_simulate_naming_the_portfolio_and_writing_none_of_its_files(
+    tmp_path, capsys, monkeypatch, cores
+):
+    """A retained loss ratio of 1e18 draws year-1 ratios whose histogram bin index is outside the int64 range."""
+    set_usable_cores(monkeypatch, cores)
+    portfolio = json.loads((SAMPLE_DIR / "portfolio_1.json").read_text(encoding="utf-8"))
+    portfolio.update(retained_loss_ratio=1e18, sigma=0.1)
+    huge = write_json(tmp_path / "portfolio_1.json", portfolio)
+    config = sample_config("run_simulate.json", tmp_path, scenarios=200,
+                           portfolios=[str(huge), str(SAMPLE_DIR / "portfolio_2.json")])
+    code = main(["simulate", "--config", str(config)])
+    expected = "portfolio 'portfolio_1': scenarios outside the float range: invalid value encountered in cast"
+    assert code == 1 and capsys.readouterr().err == f"error: {expected}\n"
+    assert not list((tmp_path / "out").glob("portfolio_1_*"))
+    assert not (tmp_path / "out" / "simulate_manifest.json").exists()
+    assert no_child_is_left()
+
+
+def count_calls(monkeypatch, fn) -> list[tuple]:
+    """Rebind ``fn`` in every protval module that holds it to a wrapper that records the arguments of each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "protval" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "value"])
+def test_each_portfolio_derives_its_law_and_premiums_once(tmp_path, monkeypatch, command):
+    """The spec computes ``mu`` (checking the law) and ``premiums`` when it is built; no command recomputes them."""
+    set_usable_cores(monkeypatch, 1)
+    mus = count_calls(monkeypatch, loss.lognormal_mu)
+    runoffs = count_calls(monkeypatch, projection.premium_runoff)
+    config = sample_config(f"run_{command}.json", tmp_path, scenarios=200)
+    assert main([command, "--config", str(config)]) == 0
+    portfolios = len(load_run_config(config).portfolio_paths)
+    assert len(mus) == len(runoffs) == portfolios
+
+
 def test_priced_caplet_outside_the_float_range_is_rejected_naming_the_priced_files_and_the_period(tmp_path, capsys):
     curve, vols = tmp_path / "curve.csv", tmp_path / "vols.csv"
     curve.write_text("tenor_years,zero_rate\n35,1e12\n44,1e200\n49,0.03\n", encoding="utf-8")
@@ -1194,8 +1239,8 @@ def test_value_samples_are_the_pvfp_of_the_simulated_paths(tmp_path):
         scenarios = np.loadtxt(run.output_dir / f"{spec.id}_scenarios.csv", delimiter=",", skiprows=1)
         samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)
         assert scenarios.shape == (2000, 1 + run.horizon)
-        premiums, discounts = premium_runoff(spec), curve.spread_discounts(run.horizon)
-        repriced = np.array([_pvfp_rows(spec, row[np.newaxis], premiums, discounts)[0] for row in scenarios[:, 1:]])
+        discounts = curve.spread_discounts(run.horizon)
+        repriced = np.array([pvfp_rows(spec, row[np.newaxis], discounts)[0] for row in scenarios[:, 1:]])
         assert repriced.tobytes() == samples[:, 1].tobytes()
 
 
@@ -1204,7 +1249,7 @@ def test_value_mean_pvfp_is_within_three_standard_errors_of_a_quantile_grid_refe
 
     The reference values the draws z_i = Phi^-1((i + 1/2) / N), a midpoint
     rule for E[PVFP] over one standard normal, through the same
-    ``draw_initial_ratios`` and ``pvfp_of_ratios``. At N = 200,000 it lies
+    ``spec.paths`` and ``pvfp_rows``. At N = 200,000 it lies
     within 0.01% of a Gauss-Legendre quadrature split at the kinks of the
     PVFP, far inside one standard error of the 10,000-scenario mean.
     """
@@ -1216,8 +1261,7 @@ def test_value_mean_pvfp_is_within_three_standard_errors_of_a_quantile_grid_refe
     z = scipy.stats.norm.ppf((np.arange(n) + 0.5) / n)
     for path in run.portfolio_paths:
         spec = load_portfolio(path, run.horizon, None)
-        sp1 = draw_initial_ratios(lognormal_mu(spec.mean_sp, spec.sigma), spec.sigma, z)
-        reference = pvfp_of_ratios(spec, sp1, premium_runoff(spec), curve.spread_discounts(run.horizon)).mean()
+        reference = pvfp_rows(spec, spec.paths(z)[0], curve.spread_discounts(run.horizon)).mean()
         samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)[:, 1]
         assert samples.size == 10_000
         se = samples.std(ddof=1) / np.sqrt(samples.size)

@@ -232,10 +232,8 @@ class TestMeanReversionPath:
 
 
 def scenarios_of(portfolio, n: int, seed: int) -> tuple[np.ndarray, int]:
-    """``reverting_paths`` from the year-1 ratios of the portfolio's lognormal law and the draws for (n, seed)."""
-    mu = lognormal_mu(portfolio.mean_sp, portfolio.sigma)
-    sp1 = draw_initial_ratios(mu, portfolio.sigma, standard_normals(n, seed))
-    return reverting_paths(sp1, portfolio.chronicle, portfolio.reversion_speed)
+    """The portfolio's paths from the draws for (n, seed)."""
+    return portfolio.paths(standard_normals(n, seed))
 
 
 class TestGenerateScenarios:

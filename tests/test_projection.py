@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,14 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protval.curves import ZeroCurve
+from protval.loss import draw_initial_ratios, lognormal_mu, reverting_paths, standard_normals
 from protval.projection import (
     FixedTerm,
     PortfolioSpec,
     TacitRenewal,
-    _pvfp_rows,
     premium_runoff,
     pvfp_of_chronicle,
-    pvfp_of_ratios,
+    pvfp_rows,
 )
 
 from .conftest import FIGURE_TENORS, FIGURE_ZERO_RATES, make_portfolio
@@ -26,13 +27,12 @@ FLAT_ZERO_CURVE = ZeroCurve(tenors=(0.0, 50.0), zero_rates=(0.0, 0.0))
 FIGURE_CURVE = ZeroCurve(tenors=FIGURE_TENORS, zero_rates=FIGURE_ZERO_RATES)
 
 
-def pvfp_rows(spec: PortfolioSpec, rows, curve: ZeroCurve, extra_spread: float = 0.0) -> np.ndarray:
-    """The engine's PVFP of each row of a loss-ratio matrix (on a copy, since the engine works in place).
+def pvfp_of_paths(spec: PortfolioSpec, rows, curve: ZeroCurve, extra_spread: float = 0.0) -> np.ndarray:
+    """``pvfp_rows`` of a loss-ratio matrix (on a copy, since the engine works in place) under one curve row.
 
-    ``pvfp_rows(spec, [path], curve)[0]`` is the PVFP of one path.
+    ``pvfp_of_paths(spec, [path], curve)[0]`` is the PVFP of one path.
     """
-    discounts = curve.spread_discounts(spec.horizon, extra_spread)
-    return _pvfp_rows(spec, np.array(rows, dtype=float), premium_runoff(spec), discounts)
+    return pvfp_rows(spec, np.array(rows, dtype=float), curve.spread_discounts(spec.horizon, extra_spread))
 
 
 def reference_reverting_paths(sp1: np.ndarray, chron: np.ndarray, nu: float) -> np.ndarray:
@@ -68,7 +68,7 @@ def underwriting_result(premium: float, sp: float, profit_share: float) -> float
 def one_year_result(premium: float, sp: float, profit_share: float) -> float:
     """The engine's underwriting result: a one-year PVFP, untaxed and undiscounted."""
     spec = make_portfolio(premium=premium, profit_share=profit_share, tax=0.0, horizon=1)
-    return pvfp_rows(spec, [[sp]], FLAT_ZERO_CURVE)[0]
+    return pvfp_of_paths(spec, [[sp]], FLAT_ZERO_CURVE)[0]
 
 
 def reference_terms(spec: PortfolioSpec, path, curve: ZeroCurve, extra_spread: float) -> list[float]:
@@ -181,29 +181,29 @@ class TestPremiumRunoff:
 class TestPvfp:
     def test_breakeven_path_is_worthless(self, figure_curve):
         spec = make_portfolio(horizon=5)
-        assert pvfp_rows(spec, [[1.0] * 5], figure_curve)[0] == 0.0
+        assert pvfp_of_paths(spec, [[1.0] * 5], figure_curve)[0] == 0.0
 
     def test_single_period_hand_arithmetic(self):
         spec = make_portfolio(mean_sp=0.8, profit_share=0.0, tax=0.0, horizon=1)
-        assert pvfp_rows(spec, [[0.8]], FLAT_ZERO_CURVE)[0] == pytest.approx(20.0, rel=1e-12)
+        assert pvfp_of_paths(spec, [[0.8]], FLAT_ZERO_CURVE)[0] == pytest.approx(20.0, rel=1e-12)
 
     def test_spread_discounting_lowers_positive_results(self, figure_curve):
         spec = make_portfolio(mean_sp=0.8, horizon=10)
-        at_tsr = pvfp_rows(spec, [spec.chronicle], figure_curve)[0]
-        spreaded = pvfp_rows(spec, [spec.chronicle], figure_curve, extra_spread=0.01)[0]
+        at_tsr = pvfp_of_paths(spec, [spec.chronicle], figure_curve)[0]
+        spreaded = pvfp_of_paths(spec, [spec.chronicle], figure_curve, extra_spread=0.01)[0]
         assert at_tsr > 0.0
         assert spreaded < at_tsr
 
     def test_linear_in_premiums(self, figure_curve):
         path = [0.7, 0.9, 1.2, 0.8, 0.95]
-        small = pvfp_rows(make_portfolio(premium=100.0, horizon=5), [path], figure_curve)[0]
-        large = pvfp_rows(make_portfolio(premium=200.0, horizon=5), [path], figure_curve)[0]
+        small = pvfp_of_paths(make_portfolio(premium=100.0, horizon=5), [path], figure_curve)[0]
+        large = pvfp_of_paths(make_portfolio(premium=200.0, horizon=5), [path], figure_curve)[0]
         assert large == pytest.approx(2.0 * small, rel=1e-12)
 
     def test_tax_scales_the_result(self, figure_curve):
         path = [0.7] * 5
-        untaxed = pvfp_rows(make_portfolio(tax=0.0, horizon=5), [path], figure_curve)[0]
-        taxed = pvfp_rows(make_portfolio(tax=0.275, horizon=5), [path], figure_curve)[0]
+        untaxed = pvfp_of_paths(make_portfolio(tax=0.0, horizon=5), [path], figure_curve)[0]
+        taxed = pvfp_of_paths(make_portfolio(tax=0.275, horizon=5), [path], figure_curve)[0]
         assert taxed == pytest.approx(untaxed * 0.725, rel=1e-12)
 
     def test_negative_spread_rejected(self, figure_curve):
@@ -215,7 +215,7 @@ class TestPvfpBatch:
     def test_duplicate_rows_give_identical_samples(self, figure_curve):
         spec = make_portfolio(horizon=4)
         row = [0.7, 0.9, 1.1, 0.85]
-        samples = pvfp_rows(spec, [row, row, row], figure_curve)
+        samples = pvfp_of_paths(spec, [row, row, row], figure_curve)
         assert samples.shape == (3,)
         assert samples[0] == samples[1] == samples[2]
 
@@ -224,9 +224,9 @@ class TestPvfpBatch:
         # profits: the sample-mean PVFP falls below the central-path PVFP
         spec = make_portfolio(mean_sp=1.0, profit_share=0.5, horizon=3)
         rows = [[0.5] * 3, [1.5] * 3]
-        samples = pvfp_rows(spec, rows, FLAT_ZERO_CURVE)
+        samples = pvfp_of_paths(spec, rows, FLAT_ZERO_CURVE)
         mean_pvfp = samples.sum() / 2
-        central = pvfp_rows(spec, [spec.chronicle], FLAT_ZERO_CURVE)[0]
+        central = pvfp_of_paths(spec, [spec.chronicle], FLAT_ZERO_CURVE)[0]
         assert mean_pvfp < central
         assert central == 0.0
 
@@ -262,13 +262,13 @@ class TestPvfpBatch:
         ratio = st.one_of(st.floats(0.0, 2.5), st.just(1.0))
         row = st.lists(ratio, min_size=horizon, max_size=horizon)
         rows = data.draw(st.lists(row, min_size=n, max_size=n))
-        samples = pvfp_rows(spec, rows, FIGURE_CURVE, extra_spread)
+        samples = pvfp_of_paths(spec, rows, FIGURE_CURVE, extra_spread)
         assert samples.shape == (n,)
         for path, value in zip(rows, samples):
             terms = reference_terms(spec, path, FIGURE_CURVE, extra_spread)
             scale = math.fsum(abs(v) for v in terms)
             assert abs(value - math.fsum(terms)) <= 1e-12 * scale
-            assert value == pvfp_rows(spec, [path], FIGURE_CURVE, extra_spread)[0]
+            assert value == pvfp_of_paths(spec, [path], FIGURE_CURVE, extra_spread)[0]
 
 
 def same_bits(a, b) -> bool:
@@ -280,7 +280,7 @@ def same_bits(a, b) -> bool:
 KINKS = (0.0, float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0)))
 
 
-class TestPvfpOfRatios:
+class TestPvfpRows:
     # sp1 = 0 against a chronicle that starts at 1.5 and drops to 0.1 floors
     # year 2; the ratios drawn on [0, 3] cross S/P = 1 in every year. Rows
     # whose sp1 is the chronicle's first value follow the chronicle exactly,
@@ -329,9 +329,9 @@ class TestPvfpOfRatios:
         paths = reference_reverting_paths(sp1, np.asarray(spec.chronicle), nu)
         expected = reference_pvfp_rows(spec, paths, FIGURE_CURVE)
         riskfree = FIGURE_CURVE.spread_discounts(spec.horizon)
-        assert same_bits(pvfp_of_ratios(spec, sp1, premium_runoff(spec), riskfree), expected)
+        assert same_bits(pvfp_rows(spec, reverting_paths(sp1, spec.chronicle, nu)[0], riskfree), expected)
         for i in [*range(min(n, 22)), n - 1]:
-            assert same_bits(pvfp_rows(spec, [paths[i]], FIGURE_CURVE)[0], expected[i])
+            assert same_bits(pvfp_of_paths(spec, [paths[i]], FIGURE_CURVE)[0], expected[i])
 
 
     @given(
@@ -350,10 +350,47 @@ class TestPvfpOfRatios:
         discounts = np.stack(
             (FIGURE_CURVE.spread_discounts(spec.horizon), FIGURE_CURVE.spread_discounts(spec.horizon, spread))
         )
-        both = pvfp_of_chronicle(spec, premium_runoff(spec), discounts)
-        one_row = [pvfp_rows(spec, [chronicle], FIGURE_CURVE, s)[0] for s in (0.0, spread)]
+        both = pvfp_of_chronicle(spec, discounts)
+        one_row = [pvfp_of_paths(spec, [chronicle], FIGURE_CURVE, s)[0] for s in (0.0, spread)]
         assert same_bits(both, one_row)
-        assert same_bits(both, pvfp_of_ratios(spec, np.full(2, chronicle[0]), premium_runoff(spec), discounts))
+        from_year_one = reverting_paths(np.full(2, chronicle[0]), spec.chronicle, nu)[0]
+        assert same_bits(both, pvfp_rows(spec, from_year_one, discounts))
+
+class TestPortfolioSpecDerivedFields:
+    """The spec derives ``mu``, ``premiums`` and its paths from its own fields."""
+
+    def test_mu_and_premiums_follow_the_fields_and_replace_recomputes_them(self):
+        spec = make_portfolio(mean_sp=0.8, sigma=0.2, premium=100.0, lapse=0.2, horizon=3)
+        changed = dataclasses.replace(spec, sigma=0.3, initial_premium=200.0)
+        for each, sigma in ((spec, 0.2), (changed, 0.3)):
+            assert each.mu == lognormal_mu(0.8, sigma)
+            assert each.premiums == tuple(premium_runoff(each).tolist())
+        assert changed.mu != spec.mu
+        assert np.allclose(changed.premiums, [200.0, 160.0, 128.0], rtol=1e-12)
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            make_portfolio(mu=0.0)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(make_portfolio(), mu=0.0)
+
+    @pytest.mark.parametrize(
+        ("mean_sp", "sigma", "chronicle", "nu"),
+        [
+            (0.8, 0.2, (0.8,) * 10, 0.8),
+            (0.8, 0.0, (0.8,) * 5, 0.8),
+            (1.5, 0.6, (1.5, 0.1, 0.9, 1.2), 1.0),  # deep gaps below the chronicle are floored
+        ],
+    )
+    def test_paths_are_the_draws_reverting_to_the_chronicle_bit_for_bit(self, mean_sp, sigma, chronicle, nu):
+        spec = make_portfolio(mean_sp=mean_sp, sigma=sigma, chronicle=chronicle, nu=nu)
+        z = standard_normals(2051, seed=13)
+        paths, floored = spec.paths(z)
+        sp1 = draw_initial_ratios(lognormal_mu(mean_sp, sigma), sigma, z)
+        expected, expected_floored = reverting_paths(sp1, chronicle, nu)
+        assert same_bits(paths, expected)
+        assert floored == expected_floored
+
 
 class TestPortfolioSpecValidation:
     def test_rejects_empty_chronicle(self):
