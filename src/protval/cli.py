@@ -44,6 +44,12 @@ from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
 
 T = TypeVar("T")
 
+# Draws valued per pvfp_rows call in value. Each slice's 1,024 x H paths
+# reuse the memory the slice before freed, where a whole n x H matrix per
+# portfolio has every page faulted in anew. pvfp_rows sums each row on its
+# own, so the samples have the same bits as one whole-matrix call.
+_BLOCK_ROWS = 1024
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +295,10 @@ def _value_portfolio(
     cannot be priced writes nothing, and its error names it.
     """
     with _named(portfolio, "valuation"):
-        samples = pvfp_rows(portfolio, portfolio.paths(z)[0], riskfree)
+        samples = np.concatenate([
+            pvfp_rows(portfolio, portfolio.paths(z[lo:lo + _BLOCK_ROWS])[0], riskfree)
+            for lo in range(0, len(z), _BLOCK_ROWS)
+        ])
         mean, vol = pvfp_stats(samples)
         if mean <= 0.0:
             raise ValueError(f"mean PVFP must be > 0 to price its risk, got {mean!r}")

@@ -8,8 +8,10 @@ CLI's job. Line endings are pinned to "\\n" for the same reason.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
+import operator
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,6 +25,8 @@ from .risk import PvfpStatistics
 FAN_PROBS = (0.01, 0.25, 0.50, 0.75, 0.99)
 FAN_LABELS = ("q01", "q25", "q50", "q75", "q99")
 HISTOGRAM_BIN_WIDTH = 0.10
+# Bins a histogram may have: year-1 ratios below 1,000 at the 0.10 width.
+HISTOGRAM_MAX_BINS = 10_000
 
 # Lines joined into one write() call by _write_lines: one call per line costs
 # more than rendering the line, while a chunk of 1,024 lines stays small.
@@ -108,11 +112,18 @@ def write_fan_chart_csv(path: Path, paths: np.ndarray) -> None:
 def write_histogram_csv(path: Path, year1: np.ndarray) -> None:
     """Counts of the year-1 loss ratios per bin [i*w, (i+1)*w) of width ``HISTOGRAM_BIN_WIDTH``.
 
-    The ratios are >= 0, so the bins run from 0 up to the highest occupied one.
+    The ratios are >= 0, so the bins run from 0 up to the highest occupied one;
+    a ratio that needs more than ``HISTOGRAM_MAX_BINS`` bins raises a ValueError.
     The small epsilon keeps values like 0.3 in the bin whose edge they
     mathematically sit on despite binary rounding of v / w.
     """
-    counts = np.bincount(np.floor(year1 / HISTOGRAM_BIN_WIDTH + 1e-9).astype(int))
+    bins = np.floor(year1 / HISTOGRAM_BIN_WIDTH + 1e-9).astype(int)
+    if bins.max(initial=0) >= HISTOGRAM_MAX_BINS:
+        raise ValueError(
+            f"largest year-1 ratio {float(year1.max())!r} needs more than the histogram's "
+            f"{HISTOGRAM_MAX_BINS} bins of width {HISTOGRAM_BIN_WIDTH}"
+        )
+    counts = np.bincount(bins)
     lefts = [i * HISTOGRAM_BIN_WIDTH for i in range(len(counts))]
     _write_rows(path, [
         ["bin_left", "bin_right", "count"],
@@ -120,11 +131,22 @@ def write_histogram_csv(path: Path, year1: np.ndarray) -> None:
     ])
 
 
+@functools.lru_cache(maxsize=1)
+def _row_starts(n: int) -> tuple[str, ...]:
+    """Row i's start, "\\n" then the "i," label, for rows 0..n-1; a run's portfolios share one row count."""
+    return tuple(f"\n{i}," for i in range(n))
+
+
 def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
-    """One (scenario index, PVFP) row per entry of the PVFP vector."""
+    """One (scenario index, PVFP) row per entry of the PVFP vector.
+
+    Each row starts with the newline that ends the line before it, so a row
+    is one concatenation of a cached start and ``repr`` of its value.
+    """
     with path.open("w", newline="", encoding="utf-8") as handle:
-        handle.write("scenario,pvfp\n")
-        _write_lines(handle, (f"{i},{value!r}\n" for i, value in enumerate(samples.tolist())))
+        handle.write("scenario,pvfp")
+        _write_lines(handle, map(operator.add, _row_starts(len(samples)), map(repr, samples.tolist())))
+        handle.write("\n")
 
 
 def write_params_echo_csv(path: Path, rows: Sequence[tuple[str, float, float, float]]) -> None:

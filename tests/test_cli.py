@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,11 +16,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from protval import loss, projection
+from protval import cli, loss, projection
 from protval.cap import caplet_price
 from protval.cli import build_parser, main
 from protval.config import load_curve, load_portfolio, load_run_config
 from protval.projection import pvfp_rows
+from protval.reports import HISTOGRAM_MAX_BINS
 
 from .conftest import (
     FIGURE_CAPLET_COSTS,
@@ -831,19 +834,45 @@ def test_portfolio_whose_valuation_overflows_stops_with_one_error_naming_it(tmp_
     assert not (tmp_path / "out" / "portfolio_1_pvfp_samples.csv").exists()
 
 
+def simulate_config_with_portfolio_1(tmp_path: Path, **fields) -> Path:
+    """A 200-scenario ``simulate`` config of the sample ``portfolio_1`` with ``fields`` changed, and ``portfolio_2``."""
+    portfolio = json.loads((SAMPLE_DIR / "portfolio_1.json").read_text(encoding="utf-8"))
+    portfolio.update(fields)
+    changed = write_json(tmp_path / "portfolio_1.json", portfolio)
+    return sample_config("run_simulate.json", tmp_path, scenarios=200,
+                         portfolios=[str(changed), str(SAMPLE_DIR / "portfolio_2.json")])
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 def test_year_one_ratio_too_large_to_bin_stops_simulate_naming_the_portfolio_and_writing_none_of_its_files(
     tmp_path, capsys, monkeypatch, cores
 ):
     """A retained loss ratio of 1e18 draws year-1 ratios whose histogram bin index is outside the int64 range."""
     set_usable_cores(monkeypatch, cores)
-    portfolio = json.loads((SAMPLE_DIR / "portfolio_1.json").read_text(encoding="utf-8"))
-    portfolio.update(retained_loss_ratio=1e18, sigma=0.1)
-    huge = write_json(tmp_path / "portfolio_1.json", portfolio)
-    config = sample_config("run_simulate.json", tmp_path, scenarios=200,
-                           portfolios=[str(huge), str(SAMPLE_DIR / "portfolio_2.json")])
+    config = simulate_config_with_portfolio_1(tmp_path, retained_loss_ratio=1e18, sigma=0.1)
     code = main(["simulate", "--config", str(config)])
     expected = "portfolio 'portfolio_1': scenarios outside the float range: invalid value encountered in cast"
+    assert code == 1 and capsys.readouterr().err == f"error: {expected}\n"
+    assert not list((tmp_path / "out").glob("portfolio_1_*"))
+    assert not (tmp_path / "out" / "simulate_manifest.json").exists()
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_year_one_ratio_past_the_histogram_bound_stops_simulate_naming_the_portfolio_and_writing_none_of_its_files(
+    tmp_path, capsys, monkeypatch, cores
+):
+    """A retained loss ratio of 1e5 would need about a million 0.1-wide bins, almost all of them empty."""
+    set_usable_cores(monkeypatch, cores)
+    config = simulate_config_with_portfolio_1(tmp_path, retained_loss_ratio=1e5, sigma=0.1)
+    code = main(["simulate", "--config", str(config)])
+    run = load_run_config(config)
+    spec = load_portfolio(run.portfolio_paths[0], run.horizon, None)
+    largest = float(spec.paths(loss.standard_normals(run.scenarios, run.seed))[0][:, 0].max())
+    expected = (
+        f"portfolio 'portfolio_1': largest year-1 ratio {largest!r} needs more than the histogram's "
+        f"{HISTOGRAM_MAX_BINS} bins of width 0.1"
+    )
     assert code == 1 and capsys.readouterr().err == f"error: {expected}\n"
     assert not list((tmp_path / "out").glob("portfolio_1_*"))
     assert not (tmp_path / "out" / "simulate_manifest.json").exists()
@@ -1242,6 +1271,56 @@ def test_value_samples_are_the_pvfp_of_the_simulated_paths(tmp_path):
         discounts = curve.spread_discounts(run.horizon)
         repriced = np.array([pvfp_rows(spec, row[np.newaxis], discounts)[0] for row in scenarios[:, 1:]])
         assert repriced.tobytes() == samples[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("scenarios", [2, 1023, 1024, 1025, 2049])
+def test_value_in_slices_gives_the_samples_and_report_of_the_whole_matrix(tmp_path, monkeypatch, scenarios):
+    """Around the edges of ``value``'s 1,024-row slices, on one core and on two, the outputs are the whole matrix's.
+
+    Each samples file parses back to ``pvfp_rows`` of the whole matrix, float
+    by float, and the risk report has the bytes of a run whose one slice is
+    the whole matrix.
+    """
+    risk_reports = []
+    for cores, block in ((1, None), (2, None), (1, scenarios)):
+        set_usable_cores(monkeypatch, cores)
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        out = tmp_path / f"out_{cores}_{block}"
+        config = sample_config("run_value.json", tmp_path, scenarios=scenarios, output_dir=str(out))
+        assert main(["value", "--config", str(config)]) == 0
+        risk_reports.append((out / "risk_report.csv").read_bytes())
+        run = load_run_config(config)
+        z = loss.standard_normals(run.scenarios, run.seed)
+        riskfree = load_curve(run).spread_discounts(run.horizon)
+        for path in run.portfolio_paths:
+            spec = load_portfolio(path, run.horizon, None)
+            header, *lines = (out / f"{spec.id}_pvfp_samples.csv").read_text(encoding="utf-8").splitlines()
+            assert header == "scenario,pvfp"
+            assert [line.split(",")[0] for line in lines] == [str(i) for i in range(scenarios)]
+            parsed = np.array([float(line.split(",")[1]) for line in lines])
+            assert parsed.tobytes() == pvfp_rows(spec, spec.paths(z)[0], riskfree).tobytes()
+    assert risk_reports[0] == risk_reports[1] == risk_reports[2]
+
+
+def test_value_holds_one_slice_of_paths_per_portfolio_not_the_whole_matrix(tmp_path):
+    """At 100,000 x 30 the path matrix alone is 22.9 MiB; one warm ``_value_portfolio`` call peaks below half of it."""
+    run = load_run_config(sample_config("run_value.json", tmp_path, scenarios=100_000))
+    curve = load_curve(run)
+    z = loss.standard_normals(run.scenarios, run.seed)
+    spec = load_portfolio(run.portfolio_paths[0], run.horizon, None)
+    run.output_dir.mkdir()
+    value = functools.partial(
+        cli._value_portfolio, run, curve, curve.spread_discounts(run.horizon), run.spread_fn, z, spec
+    )
+    value()  # warms the allocator and the cached row starts of the samples file
+    tracemalloc.start()
+    try:
+        value()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < z.size * run.horizon * 8 / 2
 
 
 def test_value_mean_pvfp_is_within_three_standard_errors_of_a_quantile_grid_reference(tmp_path):

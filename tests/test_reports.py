@@ -12,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protval.loss import draw_initial_ratios, lognormal_mu, lognormal_sigma, standard_normals
-from protval.reports import write_histogram_csv, write_pvfp_samples_csv, write_scenarios_csv
+from protval.reports import HISTOGRAM_MAX_BINS, write_histogram_csv, write_pvfp_samples_csv, write_scenarios_csv
 
 # Row counts around the writers' 1,024-line chunks.
 ROW_COUNTS = (1, 1023, 1024, 1025, 2049)
 # Values whose shortest repr is unusual: a signed zero, the smallest subnormal and a huge float.
 SPECIAL = (0.0, -0.0, 5e-324, 5e300)
+# PVFP samples whose shortest repr is unusual: a signed zero, the smallest subnormal, the
+# exponent forms of a small and a large float, and the most negative float.
+SAMPLE_SPECIAL = (-0.0, 5e-324, 1e-5, 1e16, -1.7976931348623157e308)
 
 
 def values(n: int, width: int) -> np.ndarray:
@@ -53,13 +56,17 @@ def test_scenarios_csv_matches_a_line_by_line_writer(tmp_path, n):
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_pvfp_samples_csv_matches_a_line_by_line_writer(tmp_path, n):
-    samples = values(n, 1)[:, 0]
-    samples[5::7] *= -1e5
-    write_pvfp_samples_csv(tmp_path / "chunked.csv", samples)
-    reference_pvfp_samples_csv(tmp_path / "reference.csv", samples)
-    data = (tmp_path / "chunked.csv").read_bytes()
-    assert data == (tmp_path / "reference.csv").read_bytes()
-    assert data.count(b"\n") == n + 1
+    """n rows, n + 5, then n again: a row start cached for one count would show in the next file."""
+    for count in (n, n + 5, n):
+        samples = values(count, 1)[:, 0]
+        samples[5::7] *= -1e5
+        for offset, value in enumerate(SAMPLE_SPECIAL):
+            samples[offset::11] = value
+        write_pvfp_samples_csv(tmp_path / "chunked.csv", samples)
+        reference_pvfp_samples_csv(tmp_path / "reference.csv", samples)
+        data = (tmp_path / "chunked.csv").read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        assert data.count(b"\n") == count + 1
 
 
 def histogram_rows(directory: Path, year1: list[float] | np.ndarray) -> list[tuple[float, float, int]]:
@@ -99,3 +106,17 @@ class TestHistogram:
         values = draw_initial_ratios(lognormal_mu(0.80, sigma), sigma, standard_normals(10_000, seed=99))
         modal_left = max(histogram_rows(tmp_path, values), key=lambda row: row[2])[0]
         assert 0.6 <= modal_left < 0.9
+
+    def test_a_ratio_in_the_last_allowed_bin_writes_every_bin(self, tmp_path):
+        rows = histogram_rows(tmp_path, [0.05, 999.95])
+        assert len(rows) == HISTOGRAM_MAX_BINS
+        assert rows[-1][0] == pytest.approx(999.9) and rows[-1][2] == 1
+
+    @pytest.mark.parametrize("ratio", [1000.0, 1e5])
+    def test_a_ratio_needing_more_bins_than_the_bound_is_rejected_and_writes_no_file(self, tmp_path, ratio):
+        with pytest.raises(ValueError) as raised:
+            write_histogram_csv(tmp_path / "h.csv", np.array([0.5, ratio]))
+        assert str(raised.value) == (
+            f"largest year-1 ratio {ratio!r} needs more than the histogram's {HISTOGRAM_MAX_BINS} bins of width 0.1"
+        )
+        assert not (tmp_path / "h.csv").exists()
