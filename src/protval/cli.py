@@ -36,6 +36,7 @@ from .config import (
     load_run_config,
     load_vols,
     load_weight_matrix,
+    naming,
 )
 from .curves import ZeroCurve
 from .loss import standard_normals
@@ -103,22 +104,17 @@ def cmd_price_cap(config: RunConfig) -> None:
     curve, vols = load_curve(config), load_vols(config)
     spec, booked_flows_pv, replay = load_cap_inputs(config.cap_spec_path, config.spot_index_rate)
     # The spec and the vols are checked at load, so a strip that cannot be built comes from the curve.
-    try:
+    with naming(config.curve_csv):
         strip = cap_strip(spec, curve, vols)
-    except ValueError as exc:
-        raise ConfigError(f"{config.curve_csv}: {exc}") from exc
     # A caplet or an aggregate outside the float range comes from the replay
     # figures, or else from any of the files the caplets are priced from.
     sources = [config.cap_spec_path] + ([config.curve_csv, config.vols_csv] if replay is None else [])
-    try:
+    with naming(", ".join(map(str, sources))):
         if replay is None:
             values, deterministic = price_cap(strip)
             replay = [-v for v in values], -deterministic  # insurer costs, as a replay block holds them
         valuation = CapValuation(*replay, booked_flows_pv, config.tax_rate)
-    except ValueError as exc:
-        raise ConfigError(f"{', '.join(map(str, sources))}: {exc}") from exc
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     reports.write_cap_report(config.output_dir / "cap_report.csv", strip, valuation)
 
     print(f"stochastic value     {reports.money(valuation.stochastic_value)}")
@@ -151,10 +147,8 @@ def _load_discountable_curve(config: RunConfig) -> tuple[ZeroCurve, np.ndarray]:
     One that underflows to 0 drops its year from the PVFP and passes; a spreaded factor is no larger.
     """
     curve = load_curve(config)
-    try:
+    with naming(config.curve_csv):
         return curve, curve.spread_discounts(config.horizon)
-    except ValueError as exc:
-        raise ConfigError(f"{config.curve_csv}: {exc}") from exc
 
 
 def _draw_normals(config: RunConfig) -> np.ndarray:
@@ -275,7 +269,6 @@ def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios
 def cmd_simulate(config: RunConfig) -> None:
     portfolios = _load_portfolios(config)
     z = _draw_normals(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     for line in _map_portfolios("simulate", functools.partial(_simulate_portfolio, config, z), portfolios):
         print(line)
 
@@ -319,7 +312,6 @@ def cmd_value(config: RunConfig) -> None:
         portfolios = _load_portfolios(config)
         curve, riskfree = _load_discountable_curve(config)
         z = _draw_normals(config)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
         value = functools.partial(_value_portfolio, config, curve, riskfree, spread_fn, z)
         rows = [(p.id, stats) for p, stats in zip(portfolios, _map_portfolios("value", value, portfolios))]
         echo_rows = [(p.id, p.mean_sp, p.mu, p.sigma) for p in portfolios]
@@ -331,11 +323,8 @@ def cmd_value(config: RunConfig) -> None:
             print(f"  {name:<15} {reports.pct(mean_sp):>8} {reports.pct(mu):>8} {reports.pct(sigma):>8}")
         print()
 
-    try:
+    with naming(config.replay_pvfp_path or config.config_path):
         totals = aggregate([stats for _, stats in rows])
-    except ValueError as exc:
-        raise ConfigError(f"{config.replay_pvfp_path or config.config_path}: {exc}") from exc
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     reports.write_risk_report_csv(config.output_dir / "risk_report.csv", rows, totals)
 
     print("risk report:")
@@ -354,12 +343,7 @@ def cmd_value(config: RunConfig) -> None:
 
 def cmd_calibrate_spread(config: RunConfig) -> None:
     spread_fn = _spread_function(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out = config.output_dir / "spread_function.json"
-    out.write_text(
-        f'{{\n  "a": {spread_fn.a!r},\n  "b": {spread_fn.b!r},\n  "c": 1.0\n}}\n',
-        encoding="utf-8",
-    )
+    reports.write_spread_function(config.output_dir / "spread_function.json", spread_fn)
     print(f"spread(vol) = a * ln(b * vol + 1) with a = {spread_fn.a:.6f}, b = {spread_fn.b:.4f}")
 
 

@@ -83,8 +83,8 @@ def _require(data: dict[str, Any], key: str, path: Path) -> Any:
 
 
 @contextmanager
-def _naming(path: Path, context: str = "") -> Iterator[None]:
-    """Turn a ValueError raised in the block into a ConfigError naming ``path``; a ConfigError passes."""
+def naming(path: str | Path, context: str = "") -> Iterator[None]:
+    """Turn a ValueError raised in the block into a ConfigError naming ``path`` (a file or files); a ConfigError passes."""
     try:
         yield
     except ConfigError:
@@ -310,7 +310,7 @@ def load_run_config(
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: spread_points must be [[rel_vol, spread], ...] of numbers") from exc
-        with _naming(path, "spread_points: "):
+        with naming(path, "spread_points: "):
             spread_fn = calibrate_spread(spread_points)
 
     def merged_int(name: str, flag: int | None, default: int) -> int:
@@ -354,7 +354,7 @@ def load_curve(config: RunConfig) -> ZeroCurve:
     if config.curve_csv is None:
         raise ConfigError(f"{config.config_path}: market.curve_csv is required for this command")
     tenors, rates = zip(*_read_csv_pairs(config.curve_csv, "tenor_years", "zero_rate"))
-    with _naming(config.curve_csv, "tenor_years/zero_rate: "):
+    with naming(config.curve_csv, "tenor_years/zero_rate: "):
         return ZeroCurve(tenors=tenors, zero_rates=rates)
 
 
@@ -362,7 +362,7 @@ def load_vols(config: RunConfig) -> VolTermStructure:
     if config.vols_csv is None:
         raise ConfigError(f"{config.config_path}: market.vols_csv is required for this command")
     times, vols = zip(*_read_csv_pairs(config.vols_csv, "fixing_years", "black_vol"))
-    with _naming(config.vols_csv, "fixing_years/black_vol: "):
+    with naming(config.vols_csv, "fixing_years/black_vol: "):
         return VolTermStructure(fixing_times=times, black_vols=vols)
 
 
@@ -390,7 +390,7 @@ def load_cap_inputs(
     use_spot = _expect(data.get("use_spot_for_first_period", False), bool, path, "use_spot_for_first_period")
     if strike <= 0.0:
         raise ConfigError(f"{path}: strike must be > 0, got {strike}")
-    with _naming(path):
+    with naming(path):
         spec = CapSpec(notionals, strikes, index_tenor, accrual, first_forward=spot_index_rate if use_spot else None)
     if use_spot and spot_index_rate is None:
         raise ConfigError(
@@ -504,7 +504,7 @@ def load_portfolio(path: Path, horizon: int, weights: dict[str, dict[str, float]
             raise ConfigError(f"{path}: field 'criteria' needs a weight matrix, and the run config names no 'weights'")
         sigma = lognormal_sigma(volatility_score(buckets, weights))
 
-    with _naming(path):
+    with naming(path):
         portfolio = PortfolioSpec(
             id=_file_name(_require(data, "id", path), path, "id"),
             initial_premium=_float(data, "initial_premium", path),
@@ -547,7 +547,7 @@ def load_replay_pvfp(path: Path, spread_fn: SpreadFunction) -> list[tuple[str, P
             raise ConfigError(f"{path}: row {row_id!r}: field 'mean_pvfp' must be > 0, got {mean_pvfp!r}")
         if not vol_pvfp >= 0.0:
             raise ConfigError(f"{path}: row {row_id!r}: field 'vol_pvfp' must be >= 0, got {vol_pvfp!r}")
-        with _naming(path, f"row {row_id!r}: "):
+        with naming(path, f"row {row_id!r}: "):
             spread = spread_fn.spread_for(vol_pvfp / mean_pvfp)
             rows.append((row_id, PvfpStatistics(mean_pvfp, vol_pvfp, spread, pvfp_tsr, pvfp_tsr_spread)))
     return rows

@@ -1,8 +1,10 @@
-"""CSV and manifest emission.
+"""CSV, JSON and manifest emission: every file a run leaves.
 
 CSV files carry full-precision floats (shortest round-trip repr) so reruns
 can be compared byte for byte; human-readable percent formatting is the
-CLI's job. Line endings are pinned to "\\n" for the same reason.
+CLI's job. Line endings are pinned to "\\n" for the same reason. Every
+file is opened by ``_open``, which makes the output directory on first use:
+a run that stops before its first file leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ import itertools
 import json
 import operator
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
 from .cap import CapStrip, CapValuation
 from .config import RunConfig
-from .risk import PvfpStatistics
+from .risk import PvfpStatistics, SpreadFunction
 
 FAN_PROBS = (0.01, 0.25, 0.50, 0.75, 0.99)
 FAN_LABELS = ("q01", "q25", "q50", "q75", "q99")
@@ -37,9 +39,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _open(path: Path) -> TextIO:
+    """``path`` opened for writing UTF-8 text with "\\n" line ends, its directory made if missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", newline="", encoding="utf-8")
+
+
 def _write_rows(path: Path, rows: Iterable[Sequence[str]]) -> None:
     """Write ``rows`` to ``path`` as CSV, each line ended by "\\n"."""
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with _open(path) as handle:
         csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
@@ -62,8 +70,15 @@ def write_manifest(out_dir: Path, command: str, config: RunConfig) -> Path:
         "horizon": config.horizon,
         "engine_version": __version__,
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with _open(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
     return path
+
+
+def write_spread_function(path: Path, spread_fn: SpreadFunction) -> None:
+    """The fitted spread function a * ln(b * vol + c) as JSON, with c = 1."""
+    with _open(path) as handle:
+        handle.write(f'{{\n  "a": {spread_fn.a!r},\n  "b": {spread_fn.b!r},\n  "c": 1.0\n}}\n')
 
 
 def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> None:
@@ -92,7 +107,7 @@ def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> No
 def write_scenarios_csv(path: Path, paths: np.ndarray) -> None:
     """One (scenario index, year_1..year_H) row per path; numbers need no quoting, so no ``csv.writer``."""
     header = ["scenario"] + [f"year_{t}" for t in range(1, paths.shape[1] + 1)]
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with _open(path) as handle:
         handle.write(",".join(header) + "\n")
         _write_lines(
             handle,
@@ -143,7 +158,7 @@ def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
     Each row starts with the newline that ends the line before it, so a row
     is one concatenation of a cached start and ``repr`` of its value.
     """
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with _open(path) as handle:
         handle.write("scenario,pvfp")
         _write_lines(handle, map(operator.add, _row_starts(len(samples)), map(repr, samples.tolist())))
         handle.write("\n")

@@ -1,4 +1,5 @@
-"""tools/ab_bench.py: the check of each run's result line, the summary of alternated pairs and the JSON record."""
+"""tools/ab_bench.py: the check of each run's result line, the summary of alternated pairs, the seeds and run
+order of the pairs, the in-process timing of one job and the JSON record."""
 
 from __future__ import annotations
 
@@ -116,8 +117,8 @@ def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
     expected = "book_close pass_s (s): parent 0.19 [0.175, 0.205]  change 0.155 [0.1475, 0.1625]  change lower in 2 of 2"
     assert expected in capsys.readouterr().out
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert list(payload) == ["description", "parent_commit", "claim", "summary", "src_lines", "runs"]
-    assert (payload["description"], payload["claim"]) == ("a test", "book_close pass_s")
+    assert list(payload) == ["description", "parent_commit", "claim", "first_seed", "summary", "src_lines", "runs"]
+    assert (payload["description"], payload["claim"], payload["first_seed"]) == ("a test", "book_close pass_s", 1)
     assert payload["parent_commit"] == "commit-of-parent"
     assert payload["src_lines"] == {"parent": 10, "change": 7}
     assert payload["summary"]["book_close"]["pass_s"]["change_lower_pairs"] == "2/2"
@@ -125,3 +126,110 @@ def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
         ("parent", 1, 0.20), ("change", 1, 0.15), ("change", 2, 0.16), ("parent", 2, 0.18),
     ]
     assert all(r["file_create_us"] > 0.0 and (r["failed"], r["attempted"]) == (0, 7) for r in payload["runs"])
+
+
+def make_checkouts(tmp_path) -> dict:
+    """A parent and a change directory, each holding an empty ``src/protval``."""
+    for side in ab_bench.SIDES:
+        (tmp_path / side / "src" / "protval").mkdir(parents=True)
+    return {side: tmp_path / side for side in ab_bench.SIDES}
+
+
+def stub_run(calls: list):
+    """A ``_run`` that records (side, workload, seed) and reads the seed as every metric."""
+    metrics = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+    def run(checkout, workload, seed, seconds, label):
+        calls.append((checkout.name, workload, seed))
+        stdout = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                             "metrics": {m["name"]: {"value": float(seed), "unit": m["unit"]} for m in metrics}})
+        return ab_bench.run_result(label, 0, stdout)
+
+    return run
+
+
+def test_first_seed_sets_the_seeds_and_the_pair_index_sets_the_run_order(tmp_path, monkeypatch):
+    """Pairs 1..3 run seeds 102..104; the parent goes first on odd pairs, though seed 102 is even."""
+    checkouts = make_checkouts(tmp_path)
+    calls = []
+    monkeypatch.setattr(ab_bench, "_run", stub_run(calls))
+    monkeypatch.setattr(ab_bench, "commit_of", lambda checkout: "c")
+    out = tmp_path / "BENCH.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "value_paper", "--workload",
+            "book_close", "--pairs", "3", "--first-seed", "102", "--record", str(out)]
+    assert ab_bench.main(argv) == 0
+    assert calls == [
+        ("parent", "value_paper", 102), ("change", "value_paper", 102),
+        ("parent", "book_close", 102), ("change", "book_close", 102),
+        ("change", "value_paper", 103), ("parent", "value_paper", 103),
+        ("change", "book_close", 103), ("parent", "book_close", 103),
+        ("parent", "value_paper", 104), ("change", "value_paper", 104),
+        ("parent", "book_close", 104), ("change", "book_close", 104),
+    ]
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["first_seed"] == 102
+    assert [(r["side"], r["workload"], r["seed"]) for r in payload["runs"]] == calls
+    assert [r["pair"] for r in payload["runs"]] == [1] * 4 + [2] * 4 + [3] * 4
+    assert "in_process" not in payload
+
+
+def test_in_process_rounds_alternate_and_are_recorded_as_no_benchmark_metric(tmp_path, monkeypatch, capsys):
+    """Three rounds of value_book with the timing child stubbed: each round has fresh inputs of its seed."""
+    checkouts = make_checkouts(tmp_path)
+    calls = []
+    times = {"parent": [0.20, 0.22, 0.21], "change": [0.19, 0.18, 0.23]}
+
+    def time_job(checkout, job, passes, label):
+        seed = int(label.rsplit(" ", 1)[1])
+        assert Path(job["argv"][2]).is_file() and job["argv"][0] == "value"
+        calls.append((checkout.name, seed, passes, job["argv"][2]))
+        return [times[checkout.name][seed - 7]] * passes
+
+    monkeypatch.setattr(ab_bench, "_time_job", time_job)
+    monkeypatch.setattr(ab_bench, "commit_of", lambda checkout: "c")
+    out = tmp_path / "BENCH.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--in-process", "value_book", "--pairs", "3",
+            "--first-seed", "7", "--record", str(out)]
+    assert ab_bench.main(argv) == 0
+    assert [(side, seed, passes) for side, seed, passes, _ in calls] == [
+        ("parent", 7, 15), ("change", 7, 15), ("change", 8, 15), ("parent", 8, 15), ("parent", 9, 15), ("change", 9, 15),
+    ]
+    assert calls[0][3] == calls[1][3] != calls[2][3], "both sides of a round read one input set; rounds differ"
+    stdout = capsys.readouterr().out
+    assert ("in-process value_book pass_s (s): parent 0.21 [0.2, 0.22]  change 0.19 [0.18, 0.23]  "
+            "change lower in 2 of 3  (not a benchmark metric)") in stdout
+    entry = json.loads(out.read_text(encoding="utf-8"))["in_process"]
+    assert entry["label"].startswith("not a benchmark metric: ")
+    assert (entry["job"], entry["passes_per_round"]) == ("value_book", 15)
+    assert entry["summary"]["pass_s"]["change_lower_pairs"] == "2/3"
+    assert entry["summary"]["pass_s"]["parent"]["median"] == pytest.approx(0.21)
+    assert [(r["side"], r["seed"], r["round"], r["pass_s"]) for r in entry["rounds"]] == [
+        ("parent", 7, 1, [0.20] * 15), ("change", 7, 1, [0.19] * 15), ("change", 8, 2, [0.18] * 15),
+        ("parent", 8, 2, [0.22] * 15), ("parent", 9, 3, [0.21] * 15), ("change", 9, 3, [0.23] * 15),
+    ]
+
+
+def test_timing_child_runs_the_job_on_the_checkouts_own_engine(tmp_path):
+    job = ab_bench.bench_job("calibrate", 1, tmp_path)
+    times = ab_bench._time_job(ab_bench.ROOT, job, 2, "this calibrate seed 1")
+    assert len(times) == 2 and all(t > 0.0 for t in times)
+    assert (Path(job["out_dir"]) / "spread_function.json").is_file()
+
+
+def test_timing_child_that_imports_another_engine_is_named(tmp_path, monkeypatch):
+    """A checkout with no engine of its own: the child imports the one on PYTHONPATH, and the run is refused."""
+    job = ab_bench.bench_job("calibrate", 1, tmp_path / "inputs")
+    (tmp_path / "empty" / "src").mkdir(parents=True)
+    monkeypatch.setenv("PYTHONPATH", str(ab_bench.ROOT / "src"))
+    with pytest.raises(ValueError, match="^elsewhere: imported protval from .*, not from "):
+        ab_bench._time_job(tmp_path / "empty", job, 1, "elsewhere")
+
+
+def test_unknown_in_process_job_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    checkouts = make_checkouts(tmp_path)
+    monkeypatch.setattr(ab_bench, "_run", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exited:
+        ab_bench.main([str(checkouts["parent"]), str(checkouts["change"]), "--workload", "book_close",
+                       "--in-process", "value_everything"])
+    assert exited.value.code == 2
+    assert "no workload of bench/workloads.py has a job named 'value_everything'" in capsys.readouterr().err

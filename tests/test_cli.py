@@ -628,7 +628,8 @@ class TestValue:
         assert main(["value", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: portfolio 'lossy': mean PVFP must be > 0")
-        assert not (tmp_path / "out" / "lossy_pvfp_samples.csv").exists()
+        # One portfolio runs in-process, and it fails before the run's first file, so no directory is made.
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_portfolio_is_named_and_writes_nothing(self, tmp_path, capsys):
         # A flat chronicle at S/P = 1 with no profit share has no profit: PVFP at the risk-free rate is 0.
@@ -876,6 +877,8 @@ def test_year_one_ratio_past_the_histogram_bound_stops_simulate_naming_the_portf
     assert code == 1 and capsys.readouterr().err == f"error: {expected}\n"
     assert not list((tmp_path / "out").glob("portfolio_1_*"))
     assert not (tmp_path / "out" / "simulate_manifest.json").exists()
+    if cores == 1:  # portfolio_1 fails first, in-process, so portfolio_2 writes nothing and no directory is made
+        assert not (tmp_path / "out").exists()
     assert no_child_is_left()
 
 
@@ -1206,6 +1209,11 @@ def test_relative_out_flag_resolves_against_the_working_directory(tmp_path, monk
     assert main(["calibrate-spread", "--config", str(config), "--out", "relout"]) == 0
     assert (cwd / "relout" / "spread_function.json").is_file()
     assert not (inputs / "relout").exists()
+
+    # Directories missing above the output directory are made with it.
+    assert main(["calibrate-spread", "--config", str(config), "--out", "new/deeper/relout"]) == 0
+    written = sorted(path.name for path in (cwd / "new" / "deeper" / "relout").iterdir())
+    assert written == ["calibrate-spread_manifest.json", "spread_function.json"]
 
 
 def test_out_flag_conflicts_with_the_config_only_when_the_resolved_directories_differ(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""CSV writers: the bytes of the chunked writers against one-line-at-a-time references, and the histogram's bins."""
+"""File writers: the bytes of the chunked writers against one-line-at-a-time references, the histogram's bins,
+the spread function's JSON, and the output directory each writer makes on first use."""
 
 from __future__ import annotations
 
@@ -12,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protval.loss import draw_initial_ratios, lognormal_mu, lognormal_sigma, standard_normals
-from protval.reports import HISTOGRAM_MAX_BINS, write_histogram_csv, write_pvfp_samples_csv, write_scenarios_csv
+from protval.reports import (
+    HISTOGRAM_MAX_BINS,
+    write_histogram_csv,
+    write_pvfp_samples_csv,
+    write_scenarios_csv,
+    write_spread_function,
+)
+from protval.risk import SpreadFunction
 
 # Row counts around the writers' 1,024-line chunks.
 ROW_COUNTS = (1, 1023, 1024, 1025, 2049)
@@ -115,8 +123,14 @@ class TestHistogram:
     @pytest.mark.parametrize("ratio", [1000.0, 1e5])
     def test_a_ratio_needing_more_bins_than_the_bound_is_rejected_and_writes_no_file(self, tmp_path, ratio):
         with pytest.raises(ValueError) as raised:
-            write_histogram_csv(tmp_path / "h.csv", np.array([0.5, ratio]))
+            write_histogram_csv(tmp_path / "out" / "h.csv", np.array([0.5, ratio]))
         assert str(raised.value) == (
             f"largest year-1 ratio {ratio!r} needs more than the histogram's {HISTOGRAM_MAX_BINS} bins of width 0.1"
         )
-        assert not (tmp_path / "h.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+
+def test_spread_function_json_is_written_into_a_directory_made_on_first_use(tmp_path):
+    path = tmp_path / "new" / "deeper" / "spread_function.json"
+    write_spread_function(path, SpreadFunction(0.020781, 16.18))
+    assert path.read_bytes() == b'{\n  "a": 0.020781,\n  "b": 16.18,\n  "c": 1.0\n}\n'
