@@ -148,6 +148,9 @@ class CapValuation:
     booked_flows_pv: float = 0.0
     tax_rate: float = 0.0
 
+    # The aggregates a cap report and ``price-cap``'s summary list, in their order.
+    AGGREGATES = ("stochastic_value", "deterministic_value", "valuation_spread", "booked_flows_pv", "crd")
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "caplet_values", tuple(float(v) for v in self.caplet_values))
         for name in ("stochastic_value", "valuation_spread", "crd"):

@@ -117,11 +117,8 @@ def cmd_price_cap(config: RunConfig) -> None:
 
     reports.write_cap_report(config.output_dir / "cap_report.csv", strip, valuation)
 
-    print(f"stochastic value     {reports.money(valuation.stochastic_value)}")
-    print(f"deterministic value  {reports.money(valuation.deterministic_value)}")
-    print(f"valuation spread     {reports.money(valuation.valuation_spread)}")
-    print(f"booked flows pv      {reports.money(valuation.booked_flows_pv)}")
-    print(f"crd                  {reports.money(valuation.crd)}")
+    for name in CapValuation.AGGREGATES:
+        print(f"{name.replace('_', ' '):<21}{reports.money(getattr(valuation, name))}")
 
 
 def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
@@ -139,24 +136,6 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
             raise ConfigError(f"portfolio id {portfolio.id!r} is used in both {seen[portfolio.id]} and {path}")
         seen[portfolio.id] = path
     return portfolios
-
-
-def _load_discountable_curve(config: RunConfig) -> tuple[ZeroCurve, np.ndarray]:
-    """The run's curve and its risk-free discount factors for years 1..horizon, checked that none overflows.
-
-    One that underflows to 0 drops its year from the PVFP and passes; a spreaded factor is no larger.
-    """
-    curve = load_curve(config)
-    with naming(config.curve_csv):
-        return curve, curve.spread_discounts(config.horizon)
-
-
-def _draw_normals(config: RunConfig) -> np.ndarray:
-    """The run's standard normals; a count too large to draw raises a ConfigError naming the run config."""
-    try:
-        return standard_normals(config.scenarios, config.seed)
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"{config.config_path}: scenarios={config.scenarios}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -268,7 +247,8 @@ def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios
 
 def cmd_simulate(config: RunConfig) -> None:
     portfolios = _load_portfolios(config)
-    z = _draw_normals(config)
+    with naming(config.config_path, f"scenarios={config.scenarios}: "):
+        z = standard_normals(config.scenarios, config.seed)
     for line in _map_portfolios("simulate", functools.partial(_simulate_portfolio, config, z), portfolios):
         print(line)
 
@@ -310,8 +290,13 @@ def cmd_value(config: RunConfig) -> None:
         rows = load_replay_pvfp(config.replay_pvfp_path, spread_fn)
     else:
         portfolios = _load_portfolios(config)
-        curve, riskfree = _load_discountable_curve(config)
-        z = _draw_normals(config)
+        curve = load_curve(config)
+        # The risk-free factors for years 1..horizon, checked that none overflows. One that
+        # underflows to 0 drops its year from the PVFP and passes; a spreaded factor is no larger.
+        with naming(config.curve_csv):
+            riskfree = curve.spread_discounts(config.horizon)
+        with naming(config.config_path, f"scenarios={config.scenarios}: "):
+            z = standard_normals(config.scenarios, config.seed)
         value = functools.partial(_value_portfolio, config, curve, riskfree, spread_fn, z)
         rows = [(p.id, stats) for p, stats in zip(portfolios, _map_portfolios("value", value, portfolios))]
         echo_rows = [(p.id, p.mean_sp, p.mu, p.sigma) for p in portfolios]
@@ -360,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         _COMMANDS[args.command](config)
-        reports.write_manifest(config.output_dir, args.command, config)
+        reports.write_manifest(config.output_dir / f"{args.command}_manifest.json", args.command, config)
         return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,12 +84,12 @@ def _require(data: dict[str, Any], key: str, path: Path) -> Any:
 
 @contextmanager
 def naming(path: str | Path, context: str = "") -> Iterator[None]:
-    """Turn a ValueError raised in the block into a ConfigError naming ``path`` (a file or files); a ConfigError passes."""
+    """Re-raise a ValueError or MemoryError as a ConfigError naming ``path`` (a file or files); a ConfigError passes."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{path}: {context}{exc}") from exc
 
 
@@ -372,7 +372,7 @@ def load_cap_inputs(
     """The cap spec, the discounted booked flows and the replay figures of a cap-spec file.
 
     The spec's strikes are the file's ``strikes``, or its ``strike`` for
-    every period; its period-0 forward is ``spot_index_rate`` when the file
+    every period (one of the two, not both); its period-0 forward is ``spot_index_rate`` when the file
     sets ``use_spot_for_first_period``. The replay figures are None, or
     ``(caplet_costs, deterministic_cost)``: externally booked per-period
     figures (insurer costs, negative). When they are present the report
@@ -382,14 +382,19 @@ def load_cap_inputs(
         "strike", "notionals", "index_tenor_years", "accrual_years", "strikes",
         "use_spot_for_first_period", "booked_flows_pv", "replay",
     ), path)
-    strike = _float(data, "strike", path)
+    if "strike" in data and "strikes" in data:
+        raise ConfigError(f"{path}: fields 'strike' and 'strikes' conflict; give one")
     notionals = _floats(_require(data, "notionals", path), path, "notionals")
     index_tenor = _float(data, "index_tenor_years", path)
     accrual = _float(data, "accrual_years", path, default=1.0)
-    strikes = _floats(data["strikes"], path, "strikes") if "strikes" in data else (strike,) * len(notionals)
+    if "strikes" in data:
+        strikes = _floats(data["strikes"], path, "strikes")
+    else:
+        strike = _float(data, "strike", path)
+        if strike <= 0.0:
+            raise ConfigError(f"{path}: strike must be > 0, got {strike}")
+        strikes = (strike,) * len(notionals)
     use_spot = _expect(data.get("use_spot_for_first_period", False), bool, path, "use_spot_for_first_period")
-    if strike <= 0.0:
-        raise ConfigError(f"{path}: strike must be > 0, got {strike}")
     with naming(path):
         spec = CapSpec(notionals, strikes, index_tenor, accrual, first_forward=spot_index_rate if use_spot else None)
     if use_spot and spot_index_rate is None:

@@ -58,10 +58,15 @@ def _write_lines(handle, lines: Iterable[str]) -> None:
         handle.write(chunk)
 
 
-def write_manifest(out_dir: Path, command: str, config: RunConfig) -> Path:
+def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by 2 spaces, ended by "\\n"; floats render as ``repr``."""
+    with _open(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
+
+
+def write_manifest(path: Path, command: str, config: RunConfig) -> None:
     """Record what produced this output directory, enabling exact reruns."""
-    path = out_dir / f"{command}_manifest.json"
-    payload = {
+    _write_json(path, {
         "command": command,
         "config_path": str(config.config_path),
         "config_sha256": config.config_sha256,
@@ -69,16 +74,12 @@ def write_manifest(out_dir: Path, command: str, config: RunConfig) -> Path:
         "scenarios": config.scenarios,
         "horizon": config.horizon,
         "engine_version": __version__,
-    }
-    with _open(path) as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
-    return path
+    })
 
 
 def write_spread_function(path: Path, spread_fn: SpreadFunction) -> None:
     """The fitted spread function a * ln(b * vol + c) as JSON, with c = 1."""
-    with _open(path) as handle:
-        handle.write(f'{{\n  "a": {spread_fn.a!r},\n  "b": {spread_fn.b!r},\n  "c": 1.0\n}}\n')
+    _write_json(path, {"a": spread_fn.a, "b": spread_fn.b, "c": 1.0})
 
 
 def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> None:
@@ -96,11 +97,7 @@ def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> No
         ["strike"] + [_fmt(k) for k in strip.strikes],
         ["volatility"] + [_fmt(v) for v in strip.vols],
         ["caplet_cost"] + [_fmt(v) for v in valuation.caplet_values],
-        ["stochastic_value", _fmt(valuation.stochastic_value)],
-        ["deterministic_value", _fmt(valuation.deterministic_value)],
-        ["valuation_spread", _fmt(valuation.valuation_spread)],
-        ["booked_flows_pv", _fmt(valuation.booked_flows_pv)],
-        ["crd", _fmt(valuation.crd)],
+        *([name, _fmt(getattr(valuation, name))] for name in CapValuation.AGGREGATES),
     ])
 
 

@@ -87,11 +87,13 @@ class PvfpStatistics:
 
 
 def pvfp_stats(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (n - 1) of PVFP values."""
+    """Mean and sample standard deviation (n - 1) of PVFP values, with the bits of np.mean and np.std(ddof=1)."""
     values = np.asarray(samples, dtype=float)
-    if values.size < 2:
-        raise ValueError(f"need at least 2 samples, got {values.size}")
-    return float(np.mean(values)), float(np.std(values, ddof=1))
+    n = values.size
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    mean = float(np.sum(values)) / n
+    return mean, math.sqrt(float(np.sum(np.square(values - mean))) / (n - 1))
 
 
 def calibrate_spread(points: Sequence[tuple[float, float]]) -> SpreadFunction:

@@ -75,13 +75,13 @@ def test_compare_gives_each_side_and_the_relative_change_of_the_medians():
     assert entry["median_change_rel"] == pytest.approx(0.165 / 0.195 - 1.0)
 
 
-def test_src_lines_counts_newlines_of_the_package_modules(tmp_path):
+def test_module_lines_counts_newlines_of_each_package_module(tmp_path):
     package = tmp_path / "src" / "protval"
     package.mkdir(parents=True)
-    (package / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
-    (package / "b.py").write_text("z = 3", encoding="utf-8")
+    (package / "b.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (package / "a.py").write_text("z = 3", encoding="utf-8")
     (package / "notes.txt").write_text("\n" * 9, encoding="utf-8")
-    assert ab_bench.src_lines(tmp_path) == 2
+    assert list(ab_bench.module_lines(tmp_path).items()) == [("a.py", 0), ("b.py", 2)]
 
 
 def test_file_creation_probe_leaves_nothing_behind(tmp_path):
@@ -96,6 +96,7 @@ def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
         package = tmp_path / side / "src" / "protval"
         package.mkdir(parents=True)
         (package / "m.py").write_text("\n" * (10 if side == "parent" else 7), encoding="utf-8")
+        (package / "n.py").write_text("\n" * 3, encoding="utf-8")
         checkouts[side] = tmp_path / side
     times = {("parent", 1): 0.20, ("change", 1): 0.15, ("parent", 2): 0.18, ("change", 2): 0.16}
 
@@ -117,10 +118,13 @@ def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
     expected = "book_close pass_s (s): parent 0.19 [0.175, 0.205]  change 0.155 [0.1475, 0.1625]  change lower in 2 of 2"
     assert expected in capsys.readouterr().out
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert list(payload) == ["description", "parent_commit", "claim", "first_seed", "summary", "src_lines", "runs"]
+    assert list(payload) == [
+        "description", "parent_commit", "claim", "first_seed", "summary", "src_lines", "module_lines", "runs",
+    ]
     assert (payload["description"], payload["claim"], payload["first_seed"]) == ("a test", "book_close pass_s", 1)
     assert payload["parent_commit"] == "commit-of-parent"
-    assert payload["src_lines"] == {"parent": 10, "change": 7}
+    assert payload["src_lines"] == {"parent": 13, "change": 10}
+    assert payload["module_lines"] == {"parent": {"m.py": 10, "n.py": 3}, "change": {"m.py": 7, "n.py": 3}}
     assert payload["summary"]["book_close"]["pass_s"]["change_lower_pairs"] == "2/2"
     assert [(r["side"], r["seed"], r["metrics"]["pass_s"]) for r in payload["runs"]] == [
         ("parent", 1, 0.20), ("change", 1, 0.15), ("change", 2, 0.16), ("parent", 2, 0.18),

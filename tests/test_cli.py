@@ -153,14 +153,15 @@ class TestPriceCap:
         [
             {},
             {"use_spot_for_first_period": False},
-            {"strikes": [0.019, 0.021, 0.015, 0.019, 0.03, 0.0185, 0.019]},
+            {"strike": None, "strikes": [0.019, 0.021, 0.015, 0.019, 0.03, 0.0185, 0.019]},
         ],
         ids=["sample_spec", "curve_forward_for_period_0", "spot_and_per_period_strikes"],
     )
     def test_report_rows_reprice_the_caplet_costs(self, tmp_path, spec_patch):
+        """A None in ``spec_patch`` deletes that field of the sample spec."""
         spec = json.loads((SAMPLE_DIR / "cap_remuneration.json").read_text(encoding="utf-8"))
         del spec["replay"]
-        spec.update(spec_patch)
+        spec = {key: value for key, value in {**spec, **spec_patch}.items() if value is not None}
         config = sample_config(
             "run_price_cap.json", tmp_path, cap_spec=str(write_json(tmp_path / "cap.json", spec))
         )
@@ -175,8 +176,28 @@ class TestPriceCap:
             for j, (n, df, fwd, k, vol) in enumerate(inputs)
         ]
         assert repriced == [-c for c in rows["caplet_cost"]]
-        assert rows["strike"] == spec.get("strikes", [spec["strike"]] * len(spec["notionals"]))
+        assert rows["strike"] == (spec["strikes"] if "strikes" in spec else [spec["strike"]] * len(spec["notionals"]))
         assert (rows["forward_rate"][0] == 0.0195) == spec["use_spot_for_first_period"]
+
+    @pytest.mark.parametrize(
+        ("spec_patch", "expected"),
+        [
+            ({"strikes": [0.019] * 7}, "fields 'strike' and 'strikes' conflict; give one"),
+            ({"strike": 0.5, "strikes": [0.019] * 7}, "fields 'strike' and 'strikes' conflict; give one"),
+            ({"strike": -1.0, "strikes": [0.019] * 7}, "fields 'strike' and 'strikes' conflict; give one"),
+            ({"strike": None}, "missing required field 'strike'"),
+        ],
+        ids=["strike_and_strikes", "ignored_strike", "bad_strike_and_strikes", "neither"],
+    )
+    def test_spec_gives_exactly_one_of_strike_and_strikes(self, tmp_path, capsys, spec_patch, expected):
+        """A None in ``spec_patch`` deletes that field of the sample spec; the run stops before any output."""
+        spec = json.loads((SAMPLE_DIR / "cap_remuneration.json").read_text(encoding="utf-8"))
+        spec = {key: value for key, value in {**spec, **spec_patch}.items() if value is not None}
+        cap = write_json(tmp_path / "cap.json", spec).resolve()
+        config = sample_config("run_price_cap.json", tmp_path, cap_spec=str(cap))
+        assert main(["price-cap", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {cap}: {expected}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_forward_below_zero_names_the_curve_and_the_period(self, tmp_path, capsys):
         (tmp_path / "curve.csv").write_text("tenor_years,zero_rate\n0,-0.5\n10,-0.5\n", encoding="utf-8")
@@ -654,18 +675,6 @@ class TestValue:
         out = tmp_path / "out"
         assert not (out / "flat_pvfp_samples.csv").exists()
         assert not (out / "risk_report.csv").exists() and not (out / "value_manifest.json").exists()
-
-    def test_missing_spread_points_is_a_config_error(self, tmp_path, capsys):
-        write_market_files(tmp_path)
-        make_portfolio_file(tmp_path)
-        config = write_json(tmp_path / "run.json", {
-            "market": {"curve_csv": "curve.csv", "vols_csv": "vols.csv"},
-            "portfolios": ["p1.json"],
-            "scenarios": 10,
-            "output_dir": "out",
-        })
-        assert main(["value", "--config", str(config)]) == 1
-        assert "spread_points" in capsys.readouterr().err
 
 
 def write_small_run(tmp_path: Path, replay: bool) -> Path:
@@ -1176,6 +1185,35 @@ def test_malformed_or_out_of_range_field_is_rejected_naming_file_and_field(
     assert run_with_field(tmp_path, command, bad_file, field_path, bad_value) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and bad_file in err and expected in err
+
+
+@pytest.mark.parametrize(
+    ("command", "field_path", "expected"),
+    [
+        ("price-cap", ("cap_spec",), "'cap_spec' is required for price-cap"),
+        ("price-cap", ("market", "curve_csv"), "market.curve_csv is required for this command"),
+        ("price-cap", ("market", "vols_csv"), "market.vols_csv is required for this command"),
+        ("simulate", ("portfolios",), "'portfolios' is required for this command"),
+        ("value", ("portfolios",), "'portfolios' is required for this command"),
+        ("value", ("spread_points",), "'spread_points' is required for this command"),
+        ("calibrate-spread", ("spread_points",), "'spread_points' is required for this command"),
+    ],
+    ids=["price_cap_cap_spec", "price_cap_curve_csv", "price_cap_vols_csv", "simulate_portfolios",
+         "value_portfolios", "value_spread_points", "calibrate_spread_spread_points"],
+)
+def test_field_a_command_needs_is_required_naming_the_run_config(tmp_path, capsys, command, field_path, expected):
+    """A run config without a field its command needs stops with one line and leaves no output directory."""
+    config = write_small_run(tmp_path, replay=False)
+    run = json.loads(config.read_text(encoding="utf-8"))
+    parent = run
+    for key in field_path[:-1]:
+        parent = parent[key]
+    del parent[field_path[-1]]
+    write_json(config, run)
+
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: {expected}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["calibrate-spread", "value", "price-cap", "simulate"])

@@ -116,7 +116,7 @@ JSON_FIELDS = {
     "portfolio.portfolio_age_years": JsonField(
         "value", "p1.json", ("criteria", "portfolio_age_years"), "criteria", NEGATIVE
     ),
-    "cap.strike": JsonField("price-cap", "cap.json", ("strike",), "cap", NONPOSITIVE),
+    "cap.strike": JsonField("price-cap", "cap.json", ("strike",), "cap_strike", NONPOSITIVE),
     "cap.notionals": JsonField("price-cap", "cap.json", ("notionals",), "cap", None, NOT_AN_ARRAY),
     "cap.notional": JsonField("price-cap", "cap.json", ("notionals", 1), "cap", NEGATIVE),
     "cap.index_tenor_years": JsonField("price-cap", "cap.json", ("index_tenor_years",), "cap", NONPOSITIVE),
@@ -162,7 +162,6 @@ def write_run(directory: Path, variant: str) -> Path:
         portfolio.update(chronicle_csv=None, chronicle=[0.8, 0.85])
     make_portfolio_file(directory, **portfolio)
     cap = {
-        "strike": 0.019,
         "index_tenor_years": 3,
         "accrual_years": 1.0,
         "notionals": [1000.0, 800.0, 600.0],
@@ -170,7 +169,9 @@ def write_run(directory: Path, variant: str) -> Path:
         "use_spot_for_first_period": True,
         "booked_flows_pv": 1.5,
     }
-    if variant == "cap_replay":
+    if variant == "cap_strike":
+        cap["strike"] = cap.pop("strikes")[0]
+    elif variant == "cap_replay":
         cap["replay"] = {"caplet_costs": [-1.0, -2.0, -3.0], "deterministic_cost": -4.0}
     write_json(directory / "cap.json", cap)
     write_json(directory / "replay.json", [

@@ -1,9 +1,10 @@
 """File writers: the bytes of the chunked writers against one-line-at-a-time references, the histogram's bins,
-the spread function's JSON, and the output directory each writer makes on first use."""
+the spread function's JSON, the output directory each writer makes on first use, and every writer's signature."""
 
 from __future__ import annotations
 
 import csv
+import inspect
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protval import reports
 from protval.loss import draw_initial_ratios, lognormal_mu, lognormal_sigma, standard_normals
 from protval.reports import (
     HISTOGRAM_MAX_BINS,
@@ -134,3 +136,13 @@ def test_spread_function_json_is_written_into_a_directory_made_on_first_use(tmp_
     path = tmp_path / "new" / "deeper" / "spread_function.json"
     write_spread_function(path, SpreadFunction(0.020781, 16.18))
     assert path.read_bytes() == b'{\n  "a": 0.020781,\n  "b": 16.18,\n  "c": 1.0\n}\n'
+
+
+def test_every_writer_takes_its_path_first_and_returns_none():
+    """``bench/tracing.py`` sizes the file a ``write_*`` call leaves from the call's first argument."""
+    writers = {name: fn for name, fn in vars(reports).items() if name.startswith("write_")}
+    assert writers
+    for name, fn in writers.items():
+        signature = inspect.signature(fn)
+        assert next(iter(signature.parameters)) == "path", name
+        assert signature.return_annotation == "None", name

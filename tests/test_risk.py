@@ -35,6 +35,15 @@ class TestPvfpStats:
         assert mean == 1.0
         assert vol == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.floats(-1e140, 1e140), min_size=2, max_size=3000),
+        scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5]),
+    )
+    def test_has_the_bits_of_numpy_mean_and_std(self, samples, scale):
+        values = np.array(samples) * scale
+        assert pvfp_stats(values) == (float(np.mean(values)), float(np.std(values, ddof=1)))
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
             pvfp_stats([1.0])

@@ -29,8 +29,9 @@ comparison as JSON to PATH: ``description``, ``parent_commit``, ``claim``,
 ``summary`` (per workload and metric: each side's median, quartiles and n,
 the pairs where the change read lower and the relative change of the
 medians), ``first_seed``, ``src_lines`` (lines of ``src/protval/*.py`` in
-each checkout) and ``runs`` (each run's metrics, failures and probe time, in
-run order).
+each checkout), ``module_lines`` (each checkout's lines per module, so a
+simplification shows which modules shrank) and ``runs`` (each run's metrics,
+failures and probe time, in run order).
 
 With ``--in-process JOB`` (a job name of ``bench/workloads.py``, such as
 ``value_book``) it also times that one job without the benchmark's worker,
@@ -121,9 +122,9 @@ def summary(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) 
     return lines
 
 
-def src_lines(checkout: Path) -> int:
-    """Lines of ``src/protval/*.py`` in ``checkout``, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "protval").glob("*.py"))
+def module_lines(checkout: Path) -> dict[str, int]:
+    """Lines of each ``src/protval/*.py`` module in ``checkout`` by file name, as ``wc -l`` counts them."""
+    return {path.name: path.read_bytes().count(b"\n") for path in sorted((checkout / "src" / "protval").glob("*.py"))}
 
 
 def commit_of(checkout: Path) -> str:
@@ -150,19 +151,20 @@ def record(
     claim: str,
     parent_commit: str,
     first_seed: int,
-    lines: dict[str, int],
+    modules: dict[str, dict[str, int]],
     pairs: dict[str, list[tuple[dict, dict]]],
     runs: list[dict],
     metrics: list[dict],
 ) -> dict:
-    """The JSON record of a comparison; ``runs`` holds one entry per run, in run order."""
+    """The JSON record of a comparison; ``modules`` holds each side's ``module_lines``, ``runs`` one entry per run."""
     return {
         "description": description,
         "parent_commit": parent_commit,
         "claim": claim,
         "first_seed": first_seed,
         "summary": {workload: compare(workload_pairs, metrics) for workload, workload_pairs in pairs.items()},
-        "src_lines": lines,
+        "src_lines": {side: sum(lines.values()) for side, lines in modules.items()},
+        "module_lines": modules,
         "runs": runs,
     }
 
@@ -314,8 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(summary(f"in-process {args.in_process}", timed, [IN_PROCESS_METRIC]))
               + "  (not a benchmark metric)")
     if args.record is not None:
-        lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
-        payload = record(args.description, args.claim, commit_of(checkouts["parent"]), args.first_seed, lines,
+        modules = {side: module_lines(checkout) for side, checkout in checkouts.items()}
+        payload = record(args.description, args.claim, commit_of(checkouts["parent"]), args.first_seed, modules,
                          pairs, runs, metrics)
         if timed:
             payload["in_process"] = in_process_record(args.in_process, timed, rounds)
