@@ -5,19 +5,24 @@ can be compared byte for byte; human-readable percent formatting is the
 CLI's job. Line endings are pinned to "\\n" for the same reason. Every
 file is opened by ``_open``, which makes the output directory on first use:
 a run that stops before its first file leaves no directory behind.
+
+The two bulk files, scenario paths and PVFP samples, are still ``repr``'s
+text. orjson renders a chunk of their rows only when every value is 0 or of
+magnitude in [1e-4, 1e16), where its shortest round-trip digits are
+``repr``'s; ``repr`` renders any other chunk.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import operator
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .cap import CapStrip, CapValuation
@@ -30,9 +35,12 @@ HISTOGRAM_BIN_WIDTH = 0.10
 # Bins a histogram may have: year-1 ratios below 1,000 at the 0.10 width.
 HISTOGRAM_MAX_BINS = 10_000
 
-# Lines joined into one write() call by _write_lines: one call per line costs
+# Rows rendered and written at once by _write_rows_of: one call per line costs
 # more than rendering the line, while a chunk of 1,024 lines stays small.
 _CHUNK_LINES = 1024
+# Magnitudes other than 0 that orjson writes as repr does, in fixed notation; outside
+# them repr writes 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16.
+_ORJSON_MIN, _ORJSON_MAX = 1e-4, 1e16
 
 
 def _fmt(value: float) -> str:
@@ -51,11 +59,36 @@ def _write_rows(path: Path, rows: Iterable[Sequence[str]]) -> None:
         csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
-def _write_lines(handle, lines: Iterable[str]) -> None:
-    """Write non-empty ``lines`` with one ``write`` call per ``_CHUNK_LINES`` of them."""
-    lines = iter(lines)
-    while chunk := "".join(itertools.islice(lines, _CHUNK_LINES)):
-        handle.write(chunk)
+@functools.lru_cache(maxsize=1)
+def _row_starts(n: int) -> tuple[str, ...]:
+    """Row i's start, "\\n" then the "i," label, for rows 0..n-1; a run's portfolios share one row count."""
+    return tuple(f"\n{i}," for i in range(n))
+
+
+def _write_rows_of(handle: TextIO, values: np.ndarray) -> None:
+    """Write row i of ``values``, a vector's entry or a matrix's row, as "\\n<i>," and its floats joined by ",".
+
+    Each row starts with the newline that ends the line before it, so a row
+    is one concatenation of a cached start and its text. A chunk of
+    ``_CHUNK_LINES`` rows is one orjson call, split at the row separators,
+    when it holds float64 values that are all 0 or of magnitude in
+    [``_ORJSON_MIN``, ``_ORJSON_MAX``); any other chunk is ``repr`` per value.
+    """
+    starts = _row_starts(len(values))
+    separator = "],[" if values.ndim == 2 else ","
+    for lo in range(0, len(values), _CHUNK_LINES):
+        block = values[lo:lo + _CHUNK_LINES]
+        magnitude = np.abs(block)
+        if block.dtype == np.float64 and np.all(
+            (magnitude < _ORJSON_MAX) & ((magnitude >= _ORJSON_MIN) | (magnitude == 0))
+        ):
+            text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            cells = text[values.ndim:-values.ndim].split(separator)
+        elif values.ndim == 2:
+            cells = [",".join(map(repr, row)) for row in block.tolist()]
+        else:
+            cells = map(repr, block.tolist())
+        handle.write("".join(map(operator.add, starts[lo:lo + _CHUNK_LINES], cells)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -105,11 +138,9 @@ def write_scenarios_csv(path: Path, paths: np.ndarray) -> None:
     """One (scenario index, year_1..year_H) row per path; numbers need no quoting, so no ``csv.writer``."""
     header = ["scenario"] + [f"year_{t}" for t in range(1, paths.shape[1] + 1)]
     with _open(path) as handle:
-        handle.write(",".join(header) + "\n")
-        _write_lines(
-            handle,
-            (f"{i},{','.join(map(repr, row.tolist()))}\n" for i, row in enumerate(paths)),
-        )
+        handle.write(",".join(header))
+        _write_rows_of(handle, paths)
+        handle.write("\n")
 
 
 def write_fan_chart_csv(path: Path, paths: np.ndarray) -> None:
@@ -143,21 +174,11 @@ def write_histogram_csv(path: Path, year1: np.ndarray) -> None:
     ])
 
 
-@functools.lru_cache(maxsize=1)
-def _row_starts(n: int) -> tuple[str, ...]:
-    """Row i's start, "\\n" then the "i," label, for rows 0..n-1; a run's portfolios share one row count."""
-    return tuple(f"\n{i}," for i in range(n))
-
-
 def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
-    """One (scenario index, PVFP) row per entry of the PVFP vector.
-
-    Each row starts with the newline that ends the line before it, so a row
-    is one concatenation of a cached start and ``repr`` of its value.
-    """
+    """One (scenario index, PVFP) row per entry of the PVFP vector."""
     with _open(path) as handle:
         handle.write("scenario,pvfp")
-        _write_lines(handle, map(operator.add, _row_starts(len(samples)), map(repr, samples.tolist())))
+        _write_rows_of(handle, samples)
         handle.write("\n")
 
 

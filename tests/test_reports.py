@@ -1,14 +1,18 @@
-"""File writers: the bytes of the chunked writers against one-line-at-a-time references, the histogram's bins,
-the spread function's JSON, the output directory each writer makes on first use, and every writer's signature."""
+"""File writers: the bytes of the chunked writers against one-line-at-a-time references, orjson's float text
+against ``repr``'s, the histogram's bins, the spread function's JSON, the output directory each writer makes on
+first use, and every writer's signature."""
 
 from __future__ import annotations
 
 import csv
 import inspect
+import io
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +35,10 @@ SPECIAL = (0.0, -0.0, 5e-324, 5e300)
 # PVFP samples whose shortest repr is unusual: a signed zero, the smallest subnormal, the
 # exponent forms of a small and a large float, and the most negative float.
 SAMPLE_SPECIAL = (-0.0, 5e-324, 1e-5, 1e16, -1.7976931348623157e308)
+# Values orjson writes as repr does: both zeros and the ends of [1e-4, 1e16).
+IN_RANGE_SPECIAL = (0.0, -0.0, 1e-4, float(np.nextafter(1e16, 0)), -1e-4)
+# Values it does not: just outside that range, the smallest subnormal, infinities and nan.
+OUT_OF_RANGE = (float(np.nextafter(1e-4, 0)), 1e16, -1e16, 5e-324, -5e-324, 1e-5, float("inf"), float("-inf"), float("nan"))
 
 
 def values(n: int, width: int) -> np.ndarray:
@@ -77,6 +85,110 @@ def test_pvfp_samples_csv_matches_a_line_by_line_writer(tmp_path, n):
         data = (tmp_path / "chunked.csv").read_bytes()
         assert data == (tmp_path / "reference.csv").read_bytes()
         assert data.count(b"\n") == count + 1
+
+
+@pytest.fixture
+def orjson_blocks(monkeypatch):
+    """The shapes of the blocks ``reports`` hands to orjson, in call order."""
+    shapes = []
+
+    def dumps(block, option):
+        shapes.append(block.shape)
+        return orjson.dumps(block, option=option)
+
+    monkeypatch.setattr(reports, "orjson", SimpleNamespace(dumps=dumps, OPT_SERIALIZE_NUMPY=orjson.OPT_SERIALIZE_NUMPY))
+    return shapes
+
+
+def mixed_values(width: int, special: tuple[float, ...], step: int, low: float = 0.5, high: float = 3.0) -> np.ndarray:
+    """A (2049, width) matrix whose ``special`` values, every ``step``-th entry, sit only in rows 1,024-2,047.
+
+    Rows 0-1,023 and row 2,048 hold uniform draws in [low, high) and ``IN_RANGE_SPECIAL``, so the
+    first and last chunks are orjson's and the middle one is ``repr``'s.
+    """
+    data = np.random.default_rng(width).uniform(low, high, (2049, width))
+    for offset, value in enumerate(special):
+        data[1024:2048].reshape(-1)[offset::step] = value
+    for offset, value in enumerate(IN_RANGE_SPECIAL):
+        data[:1024].reshape(-1)[offset::13] = value
+        data[2048, offset % width] = value
+    return data
+
+
+@pytest.mark.parametrize("width", [1, 3, 30])
+def test_scenarios_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blocks, width):
+    matrix = mixed_values(width, SPECIAL, 7)
+    write_scenarios_csv(tmp_path / "chunked.csv", matrix)
+    reference_scenarios_csv(tmp_path / "reference.csv", matrix)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert orjson_blocks == [(1024, width), (1, width)]
+
+
+def test_pvfp_samples_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blocks):
+    samples = mixed_values(1, SAMPLE_SPECIAL, 11, low=-3e5, high=3e5)[:, 0]
+    write_pvfp_samples_csv(tmp_path / "chunked.csv", samples)
+    reference_pvfp_samples_csv(tmp_path / "reference.csv", samples)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert orjson_blocks == [(1024,), (1,)]
+
+
+@pytest.mark.parametrize("matrix", [
+    np.asfortranarray(np.linspace(0.5, 3.0, 60).reshape(20, 3)),
+    np.linspace(0.5, 3.0, 120).reshape(20, 6)[:, ::2],
+    np.linspace(0.5, 3.0, 60).reshape(20, 3).astype(">f8"),
+    np.linspace(0.5, 3.0, 60).reshape(20, 3).astype(np.float32),
+], ids=["fortran-order", "strided", "big-endian", "float32"])
+def test_scenarios_csv_of_an_array_orjson_cannot_take_as_it_is(tmp_path, matrix):
+    """orjson refuses a non-contiguous array and would misread a big-endian one; float32 has other shortest digits."""
+    write_scenarios_csv(tmp_path / "chunked.csv", matrix)
+    reference_scenarios_csv(tmp_path / "reference.csv", matrix)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def rendered_rows(values: np.ndarray) -> str:
+    """What ``reports._write_rows_of`` writes for ``values``, captured in memory."""
+    handle = io.StringIO()
+    reports._write_rows_of(handle, values)
+    return handle.getvalue()
+
+
+def test_orjson_writes_repr_text_for_a_million_random_doubles_in_range(orjson_blocks):
+    """Random bit patterns with exponents 2**-14..2**53, kept where the magnitude lies in [1e-4, 1e16).
+
+    Pins the installed orjson's float formatter to ``repr``: a release that
+    changed its digits or its switch to exponent notation would fail here.
+    """
+    rng = np.random.default_rng(2801)
+    n = 1_030_000
+    bits = (
+        (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+        | (rng.integers(1023 - 14, 1023 + 53 + 1, n, dtype=np.uint64) << np.uint64(52))
+        | rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    )
+    doubles = bits.view(np.float64)
+    magnitude = np.abs(doubles)
+    doubles = doubles[(magnitude >= 1e-4) & (magnitude < 1e16)][:1_000_000]
+    assert doubles.size == 1_000_000
+    matrix = doubles.reshape(-1, 64)
+    expected = "".join(f"\n{i}," + ",".join(map(repr, row)) for i, row in enumerate(matrix.tolist()))
+    assert rendered_rows(matrix) == expected
+    assert sum(rows for rows, _ in orjson_blocks) == len(matrix)
+
+
+@pytest.mark.parametrize("value", IN_RANGE_SPECIAL)
+def test_orjson_writes_repr_text_at_the_ends_of_its_range(orjson_blocks, value):
+    assert rendered_rows(np.array([value])) == f"\n0,{value!r}"
+    assert rendered_rows(np.array([1.5, value, 2.5])) == f"\n0,1.5\n1,{value!r}\n2,2.5"
+    assert len(orjson_blocks) == 2
+
+
+@pytest.mark.parametrize("value", OUT_OF_RANGE)
+def test_a_chunk_with_a_value_outside_orjsons_range_is_rendered_by_repr(orjson_blocks, value):
+    """The range test raises nothing under the errstate that ``value`` and ``simulate`` run in."""
+    with np.errstate(all="raise"):
+        assert rendered_rows(np.array([value])) == f"\n0,{value!r}"
+        assert rendered_rows(np.array([[1.5, value], [2.5, 0.5]])) == f"\n0,1.5,{value!r}\n1,2.5,0.5"
+    assert orjson_blocks == []
 
 
 def histogram_rows(directory: Path, year1: list[float] | np.ndarray) -> list[tuple[float, float, int]]:
