@@ -16,11 +16,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import os
-import pickle
 import sys
-import warnings
-from typing import Callable, Iterator, NoReturn, TypeVar
+from typing import Iterator
 
 import numpy as np
 
@@ -42,8 +39,6 @@ from .curves import ZeroCurve
 from .loss import standard_normals
 from .projection import PortfolioSpec, pvfp_of_chronicle, pvfp_rows
 from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
-
-T = TypeVar("T")
 
 # Draws valued per pvfp_rows call in value. Each slice's 1,024 x H paths
 # reuse the memory the slice before freed, where a whole n x H matrix per
@@ -151,121 +146,38 @@ def _named(portfolio: PortfolioSpec, work: str) -> Iterator[None]:
 
 
 def _simulate_portfolio(config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec) -> str:
-    """Write one portfolio's files, histogram first (a ratio too large to bin leaves none); return its summary line."""
+    """Write one portfolio's files, histogram first (a ratio too large to bin leaves none); return its summary line.
+
+    Its paths matrix is freed on return, before the next portfolio builds its own.
+    """
     out = config.output_dir
     with _named(portfolio, "scenarios"):
         paths, floored = portfolio.paths(z)
         reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", paths[:, 0])
         reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", paths)
-        reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", paths)
+        reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", paths)  # overwrites paths
     n_scenarios, horizon = paths.shape
     return f"{portfolio.id}: {n_scenarios} scenarios x {horizon} years, seed {config.seed}, floored {floored}"
-
-
-def _run_chunk(work: Callable[[PortfolioSpec], T], chunk: list[PortfolioSpec], write_fd: int) -> NoReturn:
-    """In a forked child: write the pickled results of ``work`` over ``chunk``, or its first exception, and exit.
-
-    ``os._exit`` skips the parent's cleanup and leaves unflushed stdio buffers unwritten.
-    """
-    status = 1
-    try:
-        try:
-            outcome: list[T] | BaseException = [work(portfolio) for portfolio in chunk]
-        except BaseException as exc:  # handed to the parent, which raises it
-            outcome = exc
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _map_portfolios(command: str, work: Callable[[PortfolioSpec], T], portfolios: list[PortfolioSpec]) -> list[T]:
-    """``[work(p) for p in portfolios]``, run in forked processes when more than one core is usable.
-
-    It uses min(usable cores, portfolios) processes; with one, it runs in-process.
-    Otherwise it splits the portfolios into that many contiguous chunks and forks
-    one child per chunk, which sends back the results of its chunk, or its first
-    exception, through a pipe. The parent does no portfolio work: it reads each
-    pipe to EOF in chunk order, reaps every child on every path, and raises the
-    first failure in portfolio order. A child that did not send a whole answer
-    ends the run with ``ChildProcessError``.
-
-    The caller loads the inputs and draws the standard normals before this call,
-    so a portfolio's results and files are the same whichever process makes them.
-    Importing numpy leaves OpenBLAS's idle thread alive, and a fork copies only
-    the calling thread; that is safe here because ``src/`` calls no BLAS routine
-    (no ``@``, ``dot`` or ``linalg``), so no child needs that pool or its locks.
-    For the same reason the fork ignores CPython 3.12+'s ``DeprecationWarning``
-    about forking a multi-threaded process, which would otherwise print on
-    stderr beside the run's own lines. Under an ``error`` warnings filter,
-    3.12.1 and 3.13.0 raised nothing at such a fork and lost no child.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    processes = min(cores, len(portfolios))
-    if processes < 2:
-        return [work(portfolio) for portfolio in portfolios]
-    bounds = [len(portfolios) * k // processes for k in range(processes + 1)]
-    chunks = [portfolios[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    children, statuses = [], []  # (pid, read end of its pipe) and wait status, in chunk order
-    try:
-        for chunk in chunks:
-            read_fd, write_fd = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _run_chunk(work, chunk, write_fd)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        answers = [pipe.read() for _, pipe in children]
-    finally:
-        for pid, pipe in children:
-            pipe.close()  # a child still writing gets EPIPE and exits, so the wait cannot hang on it
-            statuses.append(os.waitpid(pid, 0)[1])
-
-    results: list[T] = []
-    for chunk, answer, status in zip(chunks, answers, statuses):
-        if status != 0 or not answer:
-            ids = ", ".join(repr(portfolio.id) for portfolio in chunk)
-            raise ChildProcessError(
-                f"a {command} process ended abruptly; the files of portfolio(s) {ids} may be incomplete"
-            )
-        outcome = pickle.loads(answer)  # bytes our own child wrote
-        if isinstance(outcome, BaseException):
-            raise outcome
-        results += outcome
-    return results
 
 
 def cmd_simulate(config: RunConfig) -> None:
     portfolios = _load_portfolios(config)
     with naming(config.config_path, f"scenarios={config.scenarios}: "):
         z = standard_normals(config.scenarios, config.seed)
-    for line in _map_portfolios("simulate", functools.partial(_simulate_portfolio, config, z), portfolios):
-        print(line)
+    lines = [_simulate_portfolio(config, z, portfolio) for portfolio in portfolios]
+    print("\n".join(lines))
 
 
 def _value_portfolio(
-    config: RunConfig,
     curve: ZeroCurve,
     riskfree: np.ndarray,
     spread_fn: SpreadFunction,
     z: np.ndarray,
     portfolio: PortfolioSpec,
-) -> PvfpStatistics:
-    """Write one portfolio's PVFP samples file; return its risk report row.
+) -> tuple[PvfpStatistics, np.ndarray]:
+    """One portfolio's risk report row and PVFP samples; an error names the portfolio.
 
-    ``riskfree`` holds the run's risk-free discount factors. The row is
-    built, and so checked, before the file is written: a portfolio that
-    cannot be priced writes nothing, and its error names it.
+    ``riskfree`` holds the run's risk-free discount factors.
     """
     with _named(portfolio, "valuation"):
         samples = np.concatenate([
@@ -278,14 +190,15 @@ def _value_portfolio(
         spread = spread_fn.spread_for(vol / mean)
         discounts = np.stack((riskfree, curve.spread_discounts(portfolio.horizon, spread)))
         pvfp_tsr, pvfp_spread = pvfp_of_chronicle(portfolio, discounts).tolist()
-        stats = PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread)
-    reports.write_pvfp_samples_csv(config.output_dir / f"{portfolio.id}_pvfp_samples.csv", samples)
-    return stats
+        return PvfpStatistics(mean, vol, spread, pvfp_tsr, pvfp_spread), samples
 
 
 def cmd_value(config: RunConfig) -> None:
+    """Price every portfolio, or read the replayed rows, and total them; only then write and print anything."""
     spread_fn = _spread_function(config)
 
+    portfolios: list[PortfolioSpec] = []
+    samples: list[np.ndarray] = []  # each portfolio's PVFP vector, held until every portfolio is priced
     if config.replay_pvfp_path is not None:
         rows = load_replay_pvfp(config.replay_pvfp_path, spread_fn)
     else:
@@ -297,19 +210,24 @@ def cmd_value(config: RunConfig) -> None:
             riskfree = curve.spread_discounts(config.horizon)
         with naming(config.config_path, f"scenarios={config.scenarios}: "):
             z = standard_normals(config.scenarios, config.seed)
-        value = functools.partial(_value_portfolio, config, curve, riskfree, spread_fn, z)
-        rows = [(p.id, stats) for p, stats in zip(portfolios, _map_portfolios("value", value, portfolios))]
-        echo_rows = [(p.id, p.mean_sp, p.mu, p.sigma) for p in portfolios]
+        rows = []
+        for portfolio in portfolios:
+            stats, pvfps = _value_portfolio(curve, riskfree, spread_fn, z, portfolio)
+            rows.append((portfolio.id, stats))
+            samples.append(pvfps)
+    with naming(config.replay_pvfp_path or config.config_path):
+        totals = aggregate([stats for _, stats in rows])
 
+    if portfolios:
+        for portfolio, pvfps in zip(portfolios, samples):
+            reports.write_pvfp_samples_csv(config.output_dir / f"{portfolio.id}_pvfp_samples.csv", pvfps)
+        echo_rows = [(p.id, p.mean_sp, p.mu, p.sigma) for p in portfolios]
         reports.write_params_echo_csv(config.output_dir / "lognormal_params.csv", echo_rows)
         print("lognormal parameters:")
         print("  portfolio        mean_sp       mu    sigma")
         for name, mean_sp, mu, sigma in echo_rows:
             print(f"  {name:<15} {reports.pct(mean_sp):>8} {reports.pct(mu):>8} {reports.pct(sigma):>8}")
         print()
-
-    with naming(config.replay_pvfp_path or config.config_path):
-        totals = aggregate([stats for _, stats in rows])
     reports.write_risk_report_csv(config.output_dir / "risk_report.csv", rows, totals)
 
     print("risk report:")

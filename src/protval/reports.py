@@ -36,8 +36,9 @@ HISTOGRAM_BIN_WIDTH = 0.10
 HISTOGRAM_MAX_BINS = 10_000
 
 # Rows rendered and written at once by _write_rows_of: one call per line costs
-# more than rendering the line, while a chunk of 1,024 lines stays small.
-_CHUNK_LINES = 1024
+# more than rendering the line, while the text of a chunk of 256 lines (about
+# 150 KB at 30 years) adds little to the peak memory of a run.
+_CHUNK_LINES = 256
 # Magnitudes other than 0 that orjson writes as repr does, in fixed notation; outside
 # them repr writes 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16.
 _ORJSON_MIN, _ORJSON_MAX = 1e-4, 1e16
@@ -65,25 +66,32 @@ def _row_starts(n: int) -> tuple[str, ...]:
     return tuple(f"\n{i}," for i in range(n))
 
 
+def _orjson_writes_repr(block: np.ndarray) -> bool:
+    """True when ``block`` is float64 and every value is 0 or of magnitude in [``_ORJSON_MIN``, ``_ORJSON_MAX``)."""
+    magnitude = np.abs(block)
+    return block.dtype == np.float64 and bool(
+        np.all((magnitude < _ORJSON_MAX) & ((magnitude >= _ORJSON_MIN) | (magnitude == 0)))
+    )
+
+
 def _write_rows_of(handle: TextIO, values: np.ndarray) -> None:
     """Write row i of ``values``, a vector's entry or a matrix's row, as "\\n<i>," and its floats joined by ",".
 
     Each row starts with the newline that ends the line before it, so a row
     is one concatenation of a cached start and its text. A chunk of
     ``_CHUNK_LINES`` rows is one orjson call, split at the row separators,
-    when it holds float64 values that are all 0 or of magnitude in
-    [``_ORJSON_MIN``, ``_ORJSON_MAX``); any other chunk is ``repr`` per value.
+    when ``_orjson_writes_repr`` holds for it; any other chunk is ``repr``
+    per value.
     """
     starts = _row_starts(len(values))
     separator = "],[" if values.ndim == 2 else ","
     for lo in range(0, len(values), _CHUNK_LINES):
         block = values[lo:lo + _CHUNK_LINES]
-        magnitude = np.abs(block)
-        if block.dtype == np.float64 and np.all(
-            (magnitude < _ORJSON_MAX) & ((magnitude >= _ORJSON_MIN) | (magnitude == 0))
-        ):
-            text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY).decode()
-            cells = text[values.ndim:-values.ndim].split(separator)
+        if _orjson_writes_repr(block):
+            # One chain, so that no copy of the text outlives the split.
+            cells = orjson.dumps(
+                np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY
+            ).decode()[values.ndim:-values.ndim].split(separator)
         elif values.ndim == 2:
             cells = [",".join(map(repr, row)) for row in block.tolist()]
         else:
@@ -144,8 +152,11 @@ def write_scenarios_csv(path: Path, paths: np.ndarray) -> None:
 
 
 def write_fan_chart_csv(path: Path, paths: np.ndarray) -> None:
-    """Per-year ``FAN_PROBS`` quantiles of the (scenarios x years) matrix, one row per year."""
-    fan = np.quantile(paths, FAN_PROBS, axis=0).T
+    """Per-year ``FAN_PROBS`` quantiles of the (scenarios x years) matrix, which is overwritten, one row per year.
+
+    Partitioning the matrix in place spares a copy of it; the quantiles have the same bits.
+    """
+    fan = np.quantile(paths, FAN_PROBS, axis=0, overwrite_input=True).T
     _write_rows(path, [
         ["year"] + list(FAN_LABELS),
         *([str(t)] + [_fmt(q) for q in quantiles] for t, quantiles in enumerate(fan, start=1)),

@@ -152,6 +152,22 @@ def stub_run(calls: list):
     return run
 
 
+def test_parent_with_no_commit_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    """With ``--record``, a parent that is no git checkout ends the comparison at once, not after every run."""
+    checkouts = make_checkouts(tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    calls = []
+    monkeypatch.setattr(ab_bench, "_run", stub_run(calls))
+    out = tmp_path / "BENCH.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "book_close", "--pairs", "2",
+            "--record", str(out)]
+    assert ab_bench.main(argv) == 1
+    assert calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkouts['parent'].resolve()}: git finds no commit to record: ")
+    assert err.count("\n") == 1
+
+
 def test_first_seed_sets_the_seeds_and_the_pair_index_sets_the_run_order(tmp_path, monkeypatch):
     """Pairs 1..3 run seeds 102..104; the parent goes first on odd pairs, though seed 102 is even."""
     checkouts = make_checkouts(tmp_path)

@@ -28,8 +28,9 @@ from protval.reports import (
 )
 from protval.risk import SpreadFunction
 
-# Row counts around the writers' 1,024-line chunks.
-ROW_COUNTS = (1, 1023, 1024, 1025, 2049)
+# Row counts around the writers' chunks of CHUNK lines.
+CHUNK = reports._CHUNK_LINES
+ROW_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
 # Values whose shortest repr is unusual: a signed zero, the smallest subnormal and a huge float.
 SPECIAL = (0.0, -0.0, 5e-324, 5e300)
 # PVFP samples whose shortest repr is unusual: a signed zero, the smallest subnormal, the
@@ -101,17 +102,17 @@ def orjson_blocks(monkeypatch):
 
 
 def mixed_values(width: int, special: tuple[float, ...], step: int, low: float = 0.5, high: float = 3.0) -> np.ndarray:
-    """A (2049, width) matrix whose ``special`` values, every ``step``-th entry, sit only in rows 1,024-2,047.
+    """A (2 * CHUNK + 1, width) matrix whose ``special`` values, every ``step``-th entry, sit only in the second chunk.
 
-    Rows 0-1,023 and row 2,048 hold uniform draws in [low, high) and ``IN_RANGE_SPECIAL``, so the
+    The first chunk and the last row hold uniform draws in [low, high) and ``IN_RANGE_SPECIAL``, so the
     first and last chunks are orjson's and the middle one is ``repr``'s.
     """
-    data = np.random.default_rng(width).uniform(low, high, (2049, width))
+    data = np.random.default_rng(width).uniform(low, high, (2 * CHUNK + 1, width))
     for offset, value in enumerate(special):
-        data[1024:2048].reshape(-1)[offset::step] = value
+        data[CHUNK:2 * CHUNK].reshape(-1)[offset::step] = value
     for offset, value in enumerate(IN_RANGE_SPECIAL):
-        data[:1024].reshape(-1)[offset::13] = value
-        data[2048, offset % width] = value
+        data[:CHUNK].reshape(-1)[offset::13] = value
+        data[2 * CHUNK, offset % width] = value
     return data
 
 
@@ -121,7 +122,7 @@ def test_scenarios_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blocks
     write_scenarios_csv(tmp_path / "chunked.csv", matrix)
     reference_scenarios_csv(tmp_path / "reference.csv", matrix)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert orjson_blocks == [(1024, width), (1, width)]
+    assert orjson_blocks == [(CHUNK, width), (1, width)]
 
 
 def test_pvfp_samples_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blocks):
@@ -129,7 +130,7 @@ def test_pvfp_samples_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blo
     write_pvfp_samples_csv(tmp_path / "chunked.csv", samples)
     reference_pvfp_samples_csv(tmp_path / "reference.csv", samples)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert orjson_blocks == [(1024,), (1,)]
+    assert orjson_blocks == [(CHUNK,), (1,)]
 
 
 @pytest.mark.parametrize("matrix", [

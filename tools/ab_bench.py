@@ -128,10 +128,11 @@ def module_lines(checkout: Path) -> dict[str, int]:
 
 
 def commit_of(checkout: Path) -> str:
-    """The commit checked out in ``checkout``."""
-    return subprocess.run(
-        ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
-    ).stdout.strip()
+    """The commit checked out in ``checkout``; a ValueError when git finds none."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise ValueError(f"{checkout}: git finds no commit to record: {' '.join(proc.stderr.split())}")
+    return proc.stdout.strip()
 
 
 def probe_file_creation(directory: Path, files: int = PROBE_FILES) -> float:
@@ -270,6 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
     checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    try:
+        parent_commit = commit_of(checkouts["parent"]) if args.record is not None else ""
+    except ValueError as exc:  # found now, not after the last run
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     pairs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in args.workload}
     runs = []
     timed: list[tuple[dict, dict]] = []
@@ -317,8 +323,7 @@ def main(argv: list[str] | None = None) -> int:
               + "  (not a benchmark metric)")
     if args.record is not None:
         modules = {side: module_lines(checkout) for side, checkout in checkouts.items()}
-        payload = record(args.description, args.claim, commit_of(checkouts["parent"]), args.first_seed, modules,
-                         pairs, runs, metrics)
+        payload = record(args.description, args.claim, parent_commit, args.first_seed, modules, pairs, runs, metrics)
         if timed:
             payload["in_process"] = in_process_record(args.in_process, timed, rounds)
         args.record.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
