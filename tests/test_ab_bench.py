@@ -168,6 +168,31 @@ def test_parent_with_no_commit_is_refused_before_any_run(tmp_path, monkeypatch, 
     assert err.count("\n") == 1
 
 
+def test_recorded_parent_commit_is_resolved_once_before_the_first_run(tmp_path, monkeypatch):
+    checkouts = make_checkouts(tmp_path)
+    events = []
+    monkeypatch.setattr(ab_bench, "_run", stub_run(events))
+    monkeypatch.setattr(ab_bench, "commit_of", lambda checkout: events.append(("commit", checkout.name)) or "c0ffee")
+    out = tmp_path / "BENCH.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "book_close", "--pairs", "2",
+            "--record", str(out)]
+    assert ab_bench.main(argv) == 0
+    assert events[0] == ("commit", "parent") and len(events) == 1 + 2 * 2
+    assert json.loads(out.read_text(encoding="utf-8"))["parent_commit"] == "c0ffee"
+
+
+def test_parent_with_no_commit_is_compared_when_nothing_is_recorded(tmp_path, monkeypatch):
+    """Only ``--record`` needs the parent's commit; without it a plain directory is compared as usual."""
+    checkouts = make_checkouts(tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    calls = []
+    monkeypatch.setattr(ab_bench, "_run", stub_run(calls))
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "book_close", "--pairs", "2"]
+    assert ab_bench.main(argv) == 0
+    assert calls == [("parent", "book_close", 1), ("change", "book_close", 1),
+                     ("change", "book_close", 2), ("parent", "book_close", 2)]
+
+
 def test_first_seed_sets_the_seeds_and_the_pair_index_sets_the_run_order(tmp_path, monkeypatch):
     """Pairs 1..3 run seeds 102..104; the parent goes first on odd pairs, though seed 102 is even."""
     checkouts = make_checkouts(tmp_path)

@@ -718,6 +718,21 @@ def test_portfolio_whose_valuation_overflows_stops_with_one_error_naming_it(tmp_
     assert not (tmp_path / "out").exists()
 
 
+def test_sample_value_run_whose_last_portfolio_makes_a_loss_writes_nothing(tmp_path, capsys):
+    """portfolio_1 and portfolio_2 are priced before portfolio_3 fails; neither their samples nor any other file is kept."""
+    portfolio = json.loads((SAMPLE_DIR / "portfolio_3.json").read_text(encoding="utf-8"))
+    portfolio.update(retained_loss_ratio=1.6, sigma=0.1)
+    loss_making = write_json(tmp_path / "portfolio_3.json", portfolio)
+    portfolios = [str(SAMPLE_DIR / "portfolio_1.json"), str(SAMPLE_DIR / "portfolio_2.json"), str(loss_making)]
+    config = sample_config("run_value.json", tmp_path, scenarios=200, portfolios=portfolios)
+    assert main(["value", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: portfolio 'portfolio_3': mean PVFP must be > 0")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def simulate_config_with_portfolio_1(tmp_path: Path, **fields) -> Path:
     """A 200-scenario ``simulate`` config of the sample ``portfolio_1`` with ``fields`` changed, and ``portfolio_2``."""
     portfolio = json.loads((SAMPLE_DIR / "portfolio_1.json").read_text(encoding="utf-8"))

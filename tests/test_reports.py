@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 from protval import reports
 from protval.loss import draw_initial_ratios, lognormal_mu, lognormal_sigma, standard_normals
 from protval.reports import (
+    FAN_LABELS,
+    FAN_PROBS,
     HISTOGRAM_MAX_BINS,
+    write_fan_chart_csv,
     write_histogram_csv,
     write_pvfp_samples_csv,
     write_scenarios_csv,
@@ -190,6 +193,19 @@ def test_a_chunk_with_a_value_outside_orjsons_range_is_rendered_by_repr(orjson_b
         assert rendered_rows(np.array([value])) == f"\n0,{value!r}"
         assert rendered_rows(np.array([[1.5, value], [2.5, 0.5]])) == f"\n0,1.5,{value!r}\n1,2.5,0.5"
     assert orjson_blocks == []
+
+
+@pytest.mark.parametrize("shape", [(10_000, 30), (10_001, 30), (50, 40), (1, 5), (7, 1)])
+def test_fan_chart_taken_in_place_has_the_bits_of_the_quantiles_of_a_copy(tmp_path, shape):
+    """The fan chart partitions its matrix in place; each quantile it writes is ``np.quantile``'s on a copy."""
+    paths = np.random.default_rng(shape[0] * shape[1]).lognormal(-0.3, 0.4, shape)
+    expected = np.quantile(paths.copy(), FAN_PROBS, axis=0).T
+    write_fan_chart_csv(tmp_path / "fan.csv", paths)
+    with (tmp_path / "fan.csv").open(newline="", encoding="utf-8") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert header == ["year", *FAN_LABELS]
+    assert [row[0] for row in rows] == [str(t) for t in range(1, shape[1] + 1)]
+    assert np.array([[float(v) for v in row[1:]] for row in rows]).tobytes() == expected.tobytes()
 
 
 def histogram_rows(directory: Path, year1: list[float] | np.ndarray) -> list[tuple[float, float, int]]:
