@@ -14,10 +14,9 @@ Every run writes a manifest with the config hash, seed and engine version.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import sys
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_sim_flags: bool) -> None:
+    def add_common(p: argparse.ArgumentParser, run: Callable[[RunConfig], None], with_sim_flags: bool) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="Path to the JSON run config.")
         p.add_argument("--out", default=None, help="Output directory (overrides config).")
         if with_sim_flags:
@@ -68,10 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="Accepted and checked (>= 1); changes neither the output nor the speed.",
             )
 
-    add_common(sub.add_parser("price-cap", help="Value the distributor remuneration cap."), False)
-    add_common(sub.add_parser("simulate", help="Generate loss-ratio scenario files."), True)
-    add_common(sub.add_parser("value", help="Produce the underwriting-risk report."), True)
-    add_common(sub.add_parser("calibrate-spread", help="Fit the spread function."), False)
+    add_common(sub.add_parser("price-cap", help="Value the distributor remuneration cap."), cmd_price_cap, False)
+    add_common(sub.add_parser("simulate", help="Generate loss-ratio scenario files."), cmd_simulate, True)
+    add_common(sub.add_parser("value", help="Produce the underwriting-risk report."), cmd_value, True)
+    add_common(sub.add_parser("calibrate-spread", help="Fit the spread function."), cmd_calibrate_spread, False)
     return parser
 
 
@@ -133,25 +133,13 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
     return portfolios
 
 
-@contextlib.contextmanager
-def _named(portfolio: PortfolioSpec, work: str) -> Iterator[None]:
-    """Re-raise a float overflow, invalid operation, ValueError or MemoryError as a ValueError naming the portfolio."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise ValueError(f"portfolio {portfolio.id!r}: {work} outside the float range: {exc}") from exc
-    except (ValueError, MemoryError) as exc:
-        raise ValueError(f"portfolio {portfolio.id!r}: {exc}") from exc
-
-
 def _simulate_portfolio(config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec) -> str:
     """Write one portfolio's files, histogram first (a ratio too large to bin leaves none); return its summary line.
 
     Its paths matrix is freed on return, before the next portfolio builds its own.
     """
     out = config.output_dir
-    with _named(portfolio, "scenarios"):
+    with naming(f"portfolio {portfolio.id!r}"):
         paths, floored = portfolio.paths(z)
         reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", paths[:, 0])
         reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", paths)
@@ -179,7 +167,7 @@ def _value_portfolio(
 
     ``riskfree`` holds the run's risk-free discount factors.
     """
-    with _named(portfolio, "valuation"):
+    with naming(f"portfolio {portfolio.id!r}"):
         samples = np.concatenate([
             pvfp_rows(portfolio, portfolio.paths(z[lo:lo + _BLOCK_ROWS])[0], riskfree)
             for lo in range(0, len(z), _BLOCK_ROWS)
@@ -250,22 +238,16 @@ def cmd_calibrate_spread(config: RunConfig) -> None:
     print(f"spread(vol) = a * ln(b * vol + 1) with a = {spread_fn.a:.6f}, b = {spread_fn.b:.4f}")
 
 
-_COMMANDS = {
-    "price-cap": cmd_price_cap,
-    "simulate": cmd_simulate,
-    "value": cmd_value,
-    "calibrate-spread": cmd_calibrate_spread,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, numpy's overflow and invalid errors raised; an error ends in one ``error:`` line, exit 1."""
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        _COMMANDS[args.command](config)
-        reports.write_manifest(config.output_dir / f"{args.command}_manifest.json", args.command, config)
+        with np.errstate(over="raise", invalid="raise"):
+            config = _load_config(args)
+            args.run(config)
+            reports.write_manifest(config.output_dir / f"{args.command}_manifest.json", args.command, config)
         return 0
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -84,11 +84,13 @@ def _require(data: dict[str, Any], key: str, path: Path) -> Any:
 
 @contextmanager
 def naming(path: str | Path, context: str = "") -> Iterator[None]:
-    """Re-raise a ValueError or MemoryError as a ConfigError naming ``path`` (a file or files); a ConfigError passes."""
+    """Re-raise a ValueError, MemoryError or float error as a ConfigError naming ``path``; a ConfigError passes."""
     try:
         yield
     except ConfigError:
         raise
+    except FloatingPointError as exc:
+        raise ConfigError(f"{path}: {context}outside the float range: {exc}") from exc
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{path}: {context}{exc}") from exc
 

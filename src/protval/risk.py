@@ -36,10 +36,9 @@ class SpreadFunction:
     b: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise ValueError(f"a must be > 0, got {self.a}")
-        if self.b <= 0.0:
-            raise ValueError(f"b must be > 0, got {self.b}")
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def spread_for(self, rel_vol: float) -> float:
         """Spread for a relative PVFP volatility (Vol[PVFP] / E[PVFP])."""
@@ -146,7 +145,8 @@ def calibrate_spread(points: Sequence[tuple[float, float]]) -> SpreadFunction:
             f"bisection converged to b={b:.6e} with residual {residual(b):.3e} "
             f"above the {_RESIDUAL_TOL:g} target"
         )
-    return SpreadFunction(a=s1 / math.log1p(b * v1), b=b)
+    scale = math.log1p(b * v1)  # 0 where b * v1 underflows: the fit would need an infinite a
+    return SpreadFunction(a=s1 / scale if scale else math.inf, b=b)
 
 
 def aggregate(reports: Sequence[PvfpStatistics]) -> tuple[float, float]:

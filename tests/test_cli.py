@@ -323,21 +323,8 @@ class TestSimulateProcesses:
             "portfolios": ["p1.json", "p2.json"], "scenarios": 50, "seed": 3, "horizon": 8, "output_dir": "out",
         })
 
-    def test_output_is_the_same_on_one_and_two_cores_and_matches_the_golden_digests(
-        self, tmp_path, monkeypatch, forks
-    ):
-        from .test_golden import GOLDEN, run_digests
-
-        digests = []
-        for cores in (1, 2):
-            set_usable_cores(monkeypatch, cores)
-            digests.append(run_digests("run_simulate.json", tmp_path / f"cores_{cores}"))
-        assert forks == []
-        assert digests[0] == digests[1] == GOLDEN["run_simulate.json"]
-
-    def test_child_that_raises_ends_in_an_error_line(self, tmp_path, monkeypatch, capsys):
-        """A portfolio whose file cannot be opened ends the run in one error line naming the file, on two cores too."""
-        set_usable_cores(monkeypatch, 2)
+    def test_child_that_raises_ends_in_an_error_line(self, tmp_path, capsys):
+        """A portfolio whose file cannot be opened ends the run in one error line naming the file."""
         config = self.two_portfolio_config(tmp_path)
         (tmp_path / "out" / "p2_scenarios.csv").mkdir(parents=True)
         assert main(["simulate", "--config", str(config)]) == 1
@@ -383,16 +370,6 @@ class TestValueProcesses:
             "spread_points": [[0.10, 0.02], [0.20, 0.03]],
             "output_dir": output_dir,
         })
-
-    def test_output_is_the_same_on_one_and_two_cores_and_matches_the_golden_digests(
-        self, tmp_path, monkeypatch, forks
-    ):
-        from .test_golden import GOLDEN, run_digests
-
-        for cores in (1, 2):
-            set_usable_cores(monkeypatch, cores)
-            assert run_digests("run_value.json", tmp_path / f"cores_{cores}") == GOLDEN["run_value.json"]
-        assert forks == []
 
     def test_first_failing_portfolio_in_input_order_is_named(self, tmp_path, capsys):
         """p2 and p3 both fail; the error names p2, and nothing is written, not even p1's samples priced before it."""
@@ -713,7 +690,7 @@ def test_portfolio_whose_valuation_overflows_stops_with_one_error_naming_it(tmp_
     config = sample_config("run_value.json", tmp_path, scenarios=50,
                            portfolios=[str(huge), str(SAMPLE_DIR / "portfolio_2.json")])
     code = main(["value", "--config", str(config)])
-    expected = "portfolio 'portfolio_1': valuation outside the float range: overflow encountered in square"
+    expected = "portfolio 'portfolio_1': outside the float range: overflow encountered in square"
     assert_one_error_and_no_non_finite_output(code, capsys.readouterr().err, expected, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -748,7 +725,7 @@ def test_year_one_ratio_too_large_to_bin_stops_simulate_naming_the_portfolio_and
     """A retained loss ratio of 1e18 draws year-1 ratios whose histogram bin index is outside the int64 range."""
     config = simulate_config_with_portfolio_1(tmp_path, retained_loss_ratio=1e18, sigma=0.1)
     code = main(["simulate", "--config", str(config)])
-    expected = "portfolio 'portfolio_1': scenarios outside the float range: invalid value encountered in cast"
+    expected = "portfolio 'portfolio_1': outside the float range: invalid value encountered in cast"
     assert code == 1 and capsys.readouterr().err == f"error: {expected}\n"
     assert not list((tmp_path / "out").glob("portfolio_1_*"))
     assert not (tmp_path / "out" / "simulate_manifest.json").exists()
@@ -1298,6 +1275,35 @@ class TestCalibrateSpread:
         payload = json.loads((tmp_path / "out" / "spread_function.json").read_text())
         assert payload["a"] == pytest.approx(0.0208, abs=1e-4)
         assert payload["b"] == pytest.approx(16.188, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[1e-300, 1e20], [1e-200, 0.1]],  # a = s1 / ln(b * v1 + 1) overflows
+            [[1e-320, 1e-5], [1e-310, 2e-5]],  # b * v1 underflows, so ln(b * v1 + 1) is 0
+        ],
+        ids=["a_overflows", "log_term_underflows"],
+    )
+    @pytest.mark.parametrize("name", ["run_calibrate.json", "run_value.json", "run_value_replay.json"])
+    def test_fit_needing_an_infinite_a_stops_at_load_naming_the_config(self, tmp_path, capsys, points, name):
+        """Every command that reads the points stops before any output, not with a = inf or a later error."""
+        command = "calibrate-spread" if name == "run_calibrate.json" else "value"
+        config = sample_config(name, tmp_path, spread_points=points)
+        assert main([command, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: spread_points: a must be finite and > 0, got inf\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(("fields", "code"), [({}, 0), ({"retained_loss_ratio": 1e18, "sigma": 0.1}, 1)],
+                         ids=["passing", "overflowing"])
+def test_main_hands_back_the_callers_numpy_error_settings(tmp_path, capsys, fields, code):
+    """main raises on float errors only while it runs, whether the run passes or stops on an overflow."""
+    config = simulate_config_with_portfolio_1(tmp_path, **fields)
+    before = np.geterr()
+    assert main(["simulate", "--config", str(config)]) == code
+    assert np.geterr() == before
 
 
 def test_main_builds_its_parser_once_and_leaves_it_unchanged(tmp_path):

@@ -8,6 +8,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from protval.cli import main
@@ -19,6 +20,7 @@ from protval.config import (
     load_portfolio,
     load_run_config,
     load_weight_matrix,
+    naming,
 )
 
 from .test_cli import SAMPLE_DIR, make_portfolio_file, sample_config, write_json
@@ -84,6 +86,20 @@ class TestRunConfig:
         loaded = load_run_config(config)
         assert loaded.scenarios == 10_000
         assert loaded.horizon == 30
+
+
+class TestNaming:
+    def test_float_error_is_named_as_outside_the_float_range(self):
+        with pytest.raises(ConfigError, match=r"^p\.json: year 2: outside the float range: overflow encountered in "):
+            with np.errstate(over="raise"), naming("p.json", "year 2: "):
+                np.float64(1e308) * 10.0
+
+    def test_config_error_passes_unchanged(self):
+        error = ConfigError("other.json: bad field")
+        with pytest.raises(ConfigError) as raised:
+            with naming("p.json"):
+                raise error
+        assert raised.value is error
 
 
 class TestChronicle:

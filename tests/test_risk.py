@@ -120,10 +120,11 @@ class TestSpreadFor:
             calibrated.spread_for(-0.1)
 
     def test_parameter_bounds(self):
-        with pytest.raises(ValueError, match="a must"):
-            SpreadFunction(a=0.0, b=1.0)
-        with pytest.raises(ValueError, match="b must"):
-            SpreadFunction(a=1.0, b=0.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^a must be finite and > 0"):
+                SpreadFunction(a=bad, b=1.0)
+            with pytest.raises(ValueError, match="^b must be finite and > 0"):
+                SpreadFunction(a=1.0, b=bad)
 
 
 class TestUnderwritingRiskCost:
