@@ -86,8 +86,9 @@ class CapSpec:
             raise ValueError(f"index_tenor_years must be > 0, got {self.index_tenor}")
         if len(self.strikes) != len(self.notionals):
             raise ValueError("per-period strikes must cover period indices 0..n")
-        if any(k <= 0.0 for k in self.strikes):
-            raise ValueError("per-period strikes must be > 0")
+        bad = next((k for k in self.strikes if k <= 0.0), None)
+        if bad is not None:
+            raise ValueError(f"strikes must be > 0, got {bad}")
 
 
 @dataclass(frozen=True)

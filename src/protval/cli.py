@@ -87,6 +87,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _pct(value: float, decimals: int = 0) -> str:
+    """Percent display, e.g. _pct(0.0208, 2) == '2.08%'."""
+    return f"{value * 100:.{decimals}f}%"
+
+
+def _money(value: float) -> str:
+    return f"{value:,.2f}"
+
+
 def _spread_function(config: RunConfig) -> SpreadFunction:
     if config.spread_fn is None:
         raise ConfigError(f"{config.config_path}: 'spread_points' is required for this command")
@@ -113,7 +122,7 @@ def cmd_price_cap(config: RunConfig) -> None:
     reports.write_cap_report(config.output_dir / "cap_report.csv", strip, valuation)
 
     for name in CapValuation.AGGREGATES:
-        print(f"{name.replace('_', ' '):<21}{reports.money(getattr(valuation, name))}")
+        print(f"{name.replace('_', ' '):<21}{_money(getattr(valuation, name))}")
 
 
 def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
@@ -214,7 +223,7 @@ def cmd_value(config: RunConfig) -> None:
         print("lognormal parameters:")
         print("  portfolio        mean_sp       mu    sigma")
         for name, mean_sp, mu, sigma in echo_rows:
-            print(f"  {name:<15} {reports.pct(mean_sp):>8} {reports.pct(mu):>8} {reports.pct(sigma):>8}")
+            print(f"  {name:<15} {_pct(mean_sp):>8} {_pct(mu):>8} {_pct(sigma):>8}")
         print()
     reports.write_risk_report_csv(config.output_dir / "risk_report.csv", rows, totals)
 
@@ -222,13 +231,13 @@ def cmd_value(config: RunConfig) -> None:
     print("  portfolio         mean_pvfp     vol_pvfp  spread  pvfp_tsr_spread      pvfp_tsr           cur")
     for name, stats in rows:
         print(
-            f"  {name:<15} {reports.money(stats.mean):>12} {reports.money(stats.vol):>12} "
-            f"{reports.pct(stats.spread, 2):>7} {reports.money(stats.pvfp_spread):>16} "
-            f"{reports.money(stats.pvfp_tsr):>13} {reports.money(stats.cur):>13}"
+            f"  {name:<15} {_money(stats.mean):>12} {_money(stats.vol):>12} "
+            f"{_pct(stats.spread, 2):>7} {_money(stats.pvfp_spread):>16} "
+            f"{_money(stats.pvfp_tsr):>13} {_money(stats.cur):>13}"
         )
     print(
         f"  {'TOTAL':<15} {'':>12} {'':>12} {'':>7} {'':>16} "
-        f"{reports.money(totals[0]):>13} {reports.money(totals[1]):>13}"
+        f"{_money(totals[0]):>13} {_money(totals[1]):>13}"
     )
 
 

@@ -346,9 +346,9 @@ def load_run_config(
 
     referenced = [config.curve_csv, config.vols_csv, config.cap_spec_path,
                   config.weights_path, config.replay_pvfp_path, *config.portfolio_paths]
-    for ref in referenced:
-        if ref is not None and not ref.is_file():
-            raise ConfigError(f"{path}: referenced file not found: {ref}")
+    for file in referenced:
+        if file is not None and not file.is_file():
+            raise ConfigError(f"{path}: referenced file not found: {file}")
     return config
 
 
@@ -392,10 +392,7 @@ def load_cap_inputs(
     if "strikes" in data:
         strikes = _floats(data["strikes"], path, "strikes")
     else:
-        strike = _float(data, "strike", path)
-        if strike <= 0.0:
-            raise ConfigError(f"{path}: strike must be > 0, got {strike}")
-        strikes = (strike,) * len(notionals)
+        strikes = (_float(data, "strike", path),) * len(notionals)
     use_spot = _expect(data.get("use_spot_for_first_period", False), bool, path, "use_spot_for_first_period")
     with naming(path):
         spec = CapSpec(notionals, strikes, index_tenor, accrual, first_forward=spot_index_rate if use_spot else None)

@@ -222,12 +222,3 @@ def write_risk_report_csv(
         ),
         ["TOTAL", "", "", "", "", _fmt(totals[0]), _fmt(totals[1])],
     ])
-
-
-def pct(value: float, decimals: int = 0) -> str:
-    """Percent display, e.g. pct(0.0208, 2) == '2.08%'."""
-    return f"{value * 100:.{decimals}f}%"
-
-
-def money(value: float) -> str:
-    return f"{value:,.2f}"

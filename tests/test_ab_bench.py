@@ -168,6 +168,26 @@ def test_parent_with_no_commit_is_refused_before_any_run(tmp_path, monkeypatch, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("side", ab_bench.SIDES)
+def test_bytecode_in_either_src_is_refused_before_any_run(tmp_path, monkeypatch, capsys, side, record):
+    """A ``__pycache__`` under one side's ``src/`` ends the comparison before any bench run or timing child."""
+    checkouts = make_checkouts(tmp_path)
+    bytecode = checkouts[side] / "src" / "protval" / "__pycache__"
+    bytecode.mkdir()
+    calls = []
+    monkeypatch.setattr(ab_bench, "_run", stub_run(calls))
+    monkeypatch.setattr(ab_bench, "_time_job", lambda *args: calls.append(args) or [0.1])
+    monkeypatch.setattr(ab_bench, "commit_of", lambda checkout: "c")
+    out = tmp_path / "BENCH.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "book_close",
+            "--in-process", "value_book", "--pairs", "2"] + (["--record", str(out)] if record else [])
+    assert ab_bench.main(argv) == 1
+    assert calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bytecode.resolve()}: ") and err.count("\n") == 1
+
+
 def test_recorded_parent_commit_is_resolved_once_before_the_first_run(tmp_path, monkeypatch):
     checkouts = make_checkouts(tmp_path)
     events = []

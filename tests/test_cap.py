@@ -279,8 +279,8 @@ class TestCapSpecValidation:
     @pytest.mark.parametrize(
         ("field", "value", "message"),
         [
-            ("strikes", (0.02, 0.0), "per-period strikes must be > 0"),
-            ("strikes", (-0.01, 0.02), "per-period strikes must be > 0"),
+            ("strikes", (0.02, 0.0), "strikes must be > 0, got 0.0"),
+            ("strikes", (-0.01, -0.5), "strikes must be > 0, got -0.01"),
             ("accrual", 0.0, "accrual_years must be > 0, got 0.0"),
             ("accrual", -0.25, "accrual_years must be > 0, got -0.25"),
             ("index_tenor", 0.0, "index_tenor_years must be > 0, got 0.0"),

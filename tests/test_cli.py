@@ -334,21 +334,20 @@ class TestSimulateProcesses:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out" / "simulate_manifest.json").exists()
 
-    def test_traced_run_completes_with_the_golden_digests(self):
-        """The benchmark's tracer wraps every layer function, and the wrapped runs keep the golden digests."""
+    def test_traced_run_completes_with_the_golden_digests(self, tmp_path):
+        """The benchmark's tracer wraps every layer function, and every job of the golden runs keeps its digests."""
         code = (
-            "import os, sys, tempfile\n"
+            "import sys\n"
             "from pathlib import Path\n"
             "sys.dont_write_bytecode = True\n"
-            f"sys.path[:0] = [{str(ROOT_DIR / 'bench')!r}, {str(ROOT_DIR)!r}]\n"
-            "import protval.cli, tracing\n"
+            f"sys.path[:0] = [{str(ROOT_DIR / 'tools')!r}, {str(ROOT_DIR)!r}]\n"
+            "import output_digests, tracing\n"  # the tool puts src/ and bench/ on the path
             "tracer = tracing.Tracer()\n"
             "tracer.install()\n"
             "tracer.begin_pass()\n"
-            "from tests.test_golden import GOLDEN, run_digests\n"
-            "for name in ('run_simulate.json', 'run_value.json'):\n"
-            "    with tempfile.TemporaryDirectory() as scratch:\n"
-            "        assert run_digests(name, Path(scratch)) == GOLDEN[name], name\n"
+            "from tests.test_golden import GOLDEN_LINES, changes\n"
+            f"moved = changes(output_digests.digest_lines(Path({str(tmp_path)!r})), GOLDEN_LINES)\n"
+            "sys.exit('\\n'.join(moved) or None)\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
@@ -1173,6 +1172,24 @@ def test_value_samples_are_the_pvfp_of_the_simulated_paths(tmp_path):
         discounts = curve.spread_discounts(run.horizon)
         repriced = np.array([pvfp_rows(spec, row[np.newaxis], discounts)[0] for row in scenarios[:, 1:]])
         assert repriced.tobytes() == samples[:, 1].tobytes()
+
+
+def test_value_samples_never_rise_in_the_order_of_their_year_one_ratios(tmp_path):
+    """Sorted by the run's year-1 ratios, in a stable order, each portfolio's seeded samples are nonincreasing.
+
+    A PVFP is a nonincreasing function of its path's year-1 ratio. At 2,500
+    scenarios ``value`` prices three slices, so a sample written to another
+    draw's row, or slices joined out of order, breaks the order.
+    """
+    config = sample_config("run_value.json", tmp_path, scenarios=2500)
+    assert main(["value", "--config", str(config)]) == 0
+    run = load_run_config(config)
+    z = loss.standard_normals(run.scenarios, run.seed)
+    for path in run.portfolio_paths:
+        spec = load_portfolio(path, run.horizon, None)
+        samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)[:, 1]
+        order = np.argsort(spec.paths(z)[0][:, 0], kind="stable")
+        assert np.all(np.diff(samples[order]) <= 0.0), spec.id
 
 
 @pytest.mark.parametrize("scenarios", [2, 1023, 1024, 1025, 2049])

@@ -281,6 +281,26 @@ KINKS = (0.0, float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0)))
 
 
 class TestPvfpRows:
+    @staticmethod
+    def spec(chronicle, nu, fixed_term, renewal_level, share, tax, mean_sp, sigma) -> PortfolioSpec:
+        """A spec of either renewal mode, whose lapse rate or remaining term ``renewal_level`` in [0, 1] sets."""
+        renewal = (
+            FixedTerm(mean_remaining_term_months=1.0 + 239.0 * renewal_level)
+            if fixed_term
+            else TacitRenewal(lapse_rate=0.3 * renewal_level)
+        )
+        return PortfolioSpec(
+            id="prop",
+            initial_premium=1e5,
+            chronicle=tuple(chronicle),
+            renewal=renewal,
+            profit_share_rate=share,
+            tax_rate=tax,
+            mean_sp=mean_sp,
+            sigma=sigma,
+            reversion_speed=nu,
+        )
+
     # sp1 = 0 against a chronicle that starts at 1.5 and drops to 0.1 floors
     # year 2; the ratios drawn on [0, 3] cross S/P = 1 in every year. Rows
     # whose sp1 is the chronicle's first value follow the chronicle exactly,
@@ -307,22 +327,7 @@ class TestPvfpRows:
     def test_equals_the_full_matrix_bit_for_bit(
         self, n, seed, chronicle, nu, fixed_term, renewal_level, share, tax
     ):
-        renewal = (
-            FixedTerm(mean_remaining_term_months=1.0 + 239.0 * renewal_level)
-            if fixed_term
-            else TacitRenewal(lapse_rate=0.3 * renewal_level)
-        )
-        spec = PortfolioSpec(
-            id="prop",
-            initial_premium=1e5,
-            chronicle=tuple(chronicle),
-            renewal=renewal,
-            profit_share_rate=share,
-            tax_rate=tax,
-            mean_sp=chronicle[0],
-            sigma=0.2,
-            reversion_speed=nu,
-        )
+        spec = self.spec(chronicle, nu, fixed_term, renewal_level, share, tax, chronicle[0], 0.2)
         sp1 = np.random.default_rng(seed).uniform(0.0, 3.0, n)
         for offset, value in enumerate(KINKS + (chronicle[0],)):
             sp1[offset * 2::11] = value
@@ -355,6 +360,39 @@ class TestPvfpRows:
         assert same_bits(both, one_row)
         from_year_one = reverting_paths(np.full(2, chronicle[0]), spec.chronicle, nu)[0]
         assert same_bits(both, pvfp_rows(spec, from_year_one, discounts))
+
+    # A spread of 1e100 or more makes the later discount factors underflow to 0.
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mean_sp=st.floats(0.05, 2.0),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        chronicle=st.lists(
+            st.one_of(st.floats(0.05, 2.0), st.sampled_from(KINKS[1:])), min_size=1, max_size=30
+        ),
+        nu=st.floats(0.05, 1.0),
+        fixed_term=st.booleans(),
+        renewal_level=st.floats(0.0, 1.0),
+        share=st.floats(0.0, 1.0),
+        tax=st.floats(0.0, 0.5),
+        spread=st.one_of(st.floats(0.0, 0.2), st.floats(1e100, 1e300)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_nonincreasing_along_paths_sorted_by_the_year_one_ratio(
+        self, seed, mean_sp, sigma, chronicle, nu, fixed_term, renewal_level, share, tax, spread
+    ):
+        """A path is nondecreasing in its year-1 ratio and a year's result nonincreasing in S/P, also in floats.
+
+        The draws are sorted by ``sp1``, not by z: numpy's SIMD ``exp`` is not
+        promised to be monotone. The kinks and the chronicle's first value are
+        among them.
+        """
+        spec = self.spec(chronicle, nu, fixed_term, renewal_level, share, tax, mean_sp, sigma)
+        draws = spec.paths(standard_normals(2000, seed))[0][:, 0]
+        sp1 = np.sort(np.concatenate((draws, KINKS, chronicle[:1])))
+        discounts = FIGURE_CURVE.spread_discounts(spec.horizon, spread)
+        samples = pvfp_rows(spec, reverting_paths(sp1, spec.chronicle, nu)[0], discounts)
+        assert np.all(np.diff(samples) <= 0.0)
+
 
 class TestPortfolioSpecDerivedFields:
     """The spec derives ``mu``, ``premiums`` and its paths from its own fields."""

@@ -14,7 +14,9 @@ PARENT runs first on odd pairs and CHANGE on even ones, whatever the seed,
 so a drift in host load falls on both sides alike. Each run's end-to-end
 metrics are printed as it finishes. If a run exits non-zero, reports
 ``correct: false`` or has ``failed > 0``, the script names the run and
-exits 1.
+exits 1. Before the first run it exits 1 with one ``error:`` line if
+either checkout's ``src/`` holds a ``__pycache__``: bytecode left by an
+earlier run spares that side alone the compile of each cold start.
 
 At the end it prints, for each workload and each ``end_to_end`` metric of
 ``BENCHMARK.json``, the median and quartiles of each side over the pairs
@@ -271,6 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
     checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    for checkout in checkouts.values():
+        bytecode = next((checkout / "src").rglob("__pycache__"), None)
+        if bytecode is not None:
+            print(f"error: {bytecode}: bytecode in a checkout's src/ lowers its setup_s alone; remove it",
+                  file=sys.stderr)
+            return 1
     try:
         parent_commit = commit_of(checkouts["parent"]) if args.record is not None else ""
     except ValueError as exc:  # found now, not after the last run

@@ -1,7 +1,7 @@
 """Print a SHA-256 digest of every output of a fixed set of engine runs.
 
-The runs are the three benchmark workloads (``value_paper``, ``simulate_fan``
-and ``book_close``) at seeds 1-3, with inputs generated by
+The 14 runs are the three benchmark workloads (``value_paper``,
+``simulate_fan`` and ``book_close``) at seeds 1-3, with inputs generated by
 ``bench/workloads.py``, and the five sample runs of ``sample_inputs/``. Every
 job runs in this process through ``protval.cli.main``, on the ``src/`` of the
 checkout that holds this file. One line is printed per job's exit code, per
@@ -10,11 +10,19 @@ job's stdout and per output file:
     <run>/<job>/<file> <sha256>
 
 Manifests are hashed without ``config_path``, which names where the inputs
-sit. To show that a change keeps every output byte, run this in both
-checkouts and compare:
+sit. ``tests/golden_digests.txt`` holds these lines, and ``tests/test_golden.py``
+checks every one of them, so a change that moves an output byte fails there.
+Regenerate the file with
 
-    python3 tools/output_digests.py > after.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python3 tools/output_digests.py > tests/golden_digests.txt
+
+only at a deliberate, versioned break of the outputs, or in a change of
+``bench/workloads.py``, and give the reason in CHANGES.md. The digests are
+float64 results of numpy's kernels on an x86-64 CPU with AVX-512, where
+``np.log``, ``np.exp`` and ``**`` may differ in the last bit from other
+builds. They also hold for one numpy release only: numpy does not promise
+that a ``Generator`` method returns the same stream across its versions
+(NEP 19).
 """
 
 from __future__ import annotations
