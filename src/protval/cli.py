@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .config import (
     naming,
 )
 from .curves import ZeroCurve
-from .loss import standard_normals
+from .loss import draw_initial_ratios, path_quantiles, reverting_paths, standard_normals
 from .projection import PortfolioSpec, pvfp_of_chronicle, pvfp_rows
 from .risk import PvfpStatistics, SpreadFunction, aggregate, pvfp_stats
 
@@ -145,16 +145,28 @@ def _load_portfolios(config: RunConfig) -> list[PortfolioSpec]:
 def _simulate_portfolio(config: RunConfig, z: np.ndarray, portfolio: PortfolioSpec) -> str:
     """Write one portfolio's files, histogram first (a ratio too large to bin leaves none); return its summary line.
 
-    Its paths matrix is freed on return, before the next portfolio builds its own.
+    Only the year-1 ratios are held whole: the scenario rows are built and
+    written ``reports.CHUNK_LINES`` at a time, and the fan chart is taken from
+    order statistics of the ratios.
     """
     out = config.output_dir
+    chronicle, nu = portfolio.chronicle, portfolio.reversion_speed
+    floored = []  # each block's floored count
+
+    def blocks(sp1: np.ndarray) -> Iterator[np.ndarray]:
+        for lo in range(0, len(sp1), reports.CHUNK_LINES):
+            paths, count = reverting_paths(sp1[lo:lo + reports.CHUNK_LINES], chronicle, nu)
+            floored.append(count)
+            yield paths
+
     with naming(f"portfolio {portfolio.id!r}"):
-        paths, floored = portfolio.paths(z)
-        reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", paths[:, 0])
-        reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", paths)
-        reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", paths)  # overwrites paths
-    n_scenarios, horizon = paths.shape
-    return f"{portfolio.id}: {n_scenarios} scenarios x {horizon} years, seed {config.seed}, floored {floored}"
+        sp1 = draw_initial_ratios(portfolio.mu, portfolio.sigma, z)
+        reports.write_histogram_csv(out / f"{portfolio.id}_histogram.csv", sp1)
+        shape = (len(sp1), len(chronicle))
+        reports.write_scenarios_csv(out / f"{portfolio.id}_scenarios.csv", blocks(sp1), shape)
+        fan = path_quantiles(sp1, chronicle, nu, reports.FAN_PROBS)
+        reports.write_fan_chart_csv(out / f"{portfolio.id}_fan_chart.csv", fan)
+    return f"{portfolio.id}: {shape[0]} scenarios x {shape[1]} years, seed {config.seed}, floored {sum(floored)}"
 
 
 def cmd_simulate(config: RunConfig) -> None:

@@ -11,7 +11,9 @@ concentration risk pushes volatility up.
 
 Later years revert geometrically to the deterministic chronicle: the year-1
 gap shrinks by a factor ``reversion_speed`` per year. A speed of 0.8 halves
-the gap in about three years.
+the gap in about three years. Each year of a path is thus a nondecreasing
+function of its one year-1 ratio, so the quantiles of every year follow from
+order statistics of the ratios, with no path matrix built.
 """
 
 from __future__ import annotations
@@ -134,3 +136,32 @@ def reverting_paths(
     floored = int(np.count_nonzero(paths < 0.0))
     np.maximum(paths, 0.0, out=paths)
     return paths, floored
+
+
+def path_quantiles(
+    sp1: np.ndarray,
+    chronicle: Sequence[float] | np.ndarray,
+    nu: float,
+    probs: Sequence[float],
+) -> np.ndarray:
+    """The ``probs`` quantiles of each year of ``reverting_paths(sp1, chronicle, nu)``, one row per year.
+
+    Year t of a path is f_t(sp1) = max(chronicle[t] + (sp1 - chronicle[1]) * nu^(t-1), 0),
+    nondecreasing in sp1 for ``nu`` > 0 in floats too, as correctly rounded
+    arithmetic is monotone. So the k-th smallest value of a year is f_t of the
+    k-th smallest ratio, and the paths of the two order statistics around each
+    quantile give every year's quantile. They are interpolated as numpy's
+    default linear method does: virtual index (n - 1) * p, and
+    a + (b - a) * g, or b - (b - a) * (1 - g) where g >= 0.5. The result has
+    the bits of ``np.quantile(paths, probs, axis=0).T``.
+    """
+    n = len(sp1)
+    virtual = (n - 1) * np.asarray(probs, dtype=float)
+    below = np.floor(virtual)
+    gamma = (virtual - below)[:, np.newaxis]
+    lower = below.astype(np.intp)
+    ranks = np.concatenate((lower, np.minimum(lower + 1, n - 1)))
+    ordered = np.partition(sp1, np.unique(ranks))
+    a, b = np.split(reverting_paths(ordered[ranks], chronicle, nu)[0], 2)
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma).T

@@ -9,7 +9,10 @@ a run that stops before its first file leaves no directory behind.
 The two bulk files, scenario paths and PVFP samples, are still ``repr``'s
 text. orjson renders a chunk of their rows only when every value is 0 or of
 magnitude in [1e-4, 1e16), where its shortest round-trip digits are
-``repr``'s; ``repr`` renders any other chunk.
+``repr``'s; ``repr`` renders any other chunk. The scenario file takes its
+rows as consecutive blocks of the path matrix, each written before the next
+is built, so the matrix is never whole; the fan chart takes quantiles that
+``loss.path_quantiles`` computed from the year-1 ratios.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ HISTOGRAM_MAX_BINS = 10_000
 
 # Rows rendered and written at once by _write_rows_of: one call per line costs
 # more than rendering the line, while the text of a chunk of 256 lines (about
-# 150 KB at 30 years) adds little to the peak memory of a run.
-_CHUNK_LINES = 256
+# 150 KB at 30 years) adds little to the peak memory of a run. simulate builds
+# its scenario rows in blocks of this many.
+CHUNK_LINES = 256
 # Magnitudes other than 0 that orjson writes as repr does, in fixed notation; outside
 # them repr writes 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16.
 _ORJSON_MIN, _ORJSON_MAX = 1e-4, 1e16
@@ -74,19 +78,20 @@ def _orjson_writes_repr(block: np.ndarray) -> bool:
     )
 
 
-def _write_rows_of(handle: TextIO, values: np.ndarray) -> None:
-    """Write row i of ``values``, a vector's entry or a matrix's row, as "\\n<i>," and its floats joined by ",".
+def _write_rows_of(handle: TextIO, values: np.ndarray, first: int = 0, rows: int | None = None) -> None:
+    """Write row i of ``values``, a vector's entry or a matrix's row, as "\\n<first + i>," and its floats joined by ",".
 
-    Each row starts with the newline that ends the line before it, so a row
-    is one concatenation of a cached start and its text. A chunk of
-    ``_CHUNK_LINES`` rows is one orjson call, split at the row separators,
-    when ``_orjson_writes_repr`` holds for it; any other chunk is ``repr``
-    per value.
+    ``values`` is rows ``first``.. of a file of ``rows`` rows (by default, the
+    rows of ``values``). Each row starts with the newline that ends the line
+    before it, so a row is one concatenation of a start, cached for the whole
+    file, and its text. A chunk of ``CHUNK_LINES`` rows is one orjson call,
+    split at the row separators, when ``_orjson_writes_repr`` holds for it;
+    any other chunk is ``repr`` per value.
     """
-    starts = _row_starts(len(values))
+    starts = _row_starts(len(values) if rows is None else rows)
     separator = "],[" if values.ndim == 2 else ","
-    for lo in range(0, len(values), _CHUNK_LINES):
-        block = values[lo:lo + _CHUNK_LINES]
+    for lo in range(0, len(values), CHUNK_LINES):
+        block = values[lo:lo + CHUNK_LINES]
         if _orjson_writes_repr(block):
             # One chain, so that no copy of the text outlives the split.
             cells = orjson.dumps(
@@ -96,7 +101,7 @@ def _write_rows_of(handle: TextIO, values: np.ndarray) -> None:
             cells = [",".join(map(repr, row)) for row in block.tolist()]
         else:
             cells = map(repr, block.tolist())
-        handle.write("".join(map(operator.add, starts[lo:lo + _CHUNK_LINES], cells)))
+        handle.write("".join(map(operator.add, starts[first + lo:first + lo + len(block)], cells)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -142,21 +147,26 @@ def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> No
     ])
 
 
-def write_scenarios_csv(path: Path, paths: np.ndarray) -> None:
-    """One (scenario index, year_1..year_H) row per path; numbers need no quoting, so no ``csv.writer``."""
-    header = ["scenario"] + [f"year_{t}" for t in range(1, paths.shape[1] + 1)]
-    with _open(path) as handle:
-        handle.write(",".join(header))
-        _write_rows_of(handle, paths)
-        handle.write("\n")
+def write_scenarios_csv(path: Path, blocks: Iterable[np.ndarray], shape: tuple[int, int]) -> None:
+    """One (scenario index, year_1..year_H) row per path of a (scenarios x H) matrix of ``shape``.
 
-
-def write_fan_chart_csv(path: Path, paths: np.ndarray) -> None:
-    """Per-year ``FAN_PROBS`` quantiles of the (scenarios x years) matrix, which is overwritten, one row per year.
-
-    Partitioning the matrix in place spares a copy of it; the quantiles have the same bits.
+    ``blocks`` yields the matrix's rows as consecutive blocks, top first; each
+    is written before the next is taken. Numbers need no quoting, so no ``csv.writer``.
     """
-    fan = np.quantile(paths, FAN_PROBS, axis=0, overwrite_input=True).T
+    rows, years = shape
+    first = 0
+    with _open(path) as handle:
+        handle.write(",".join(["scenario"] + [f"year_{t}" for t in range(1, years + 1)]))
+        for block in blocks:
+            _write_rows_of(handle, block, first, rows)
+            first += len(block)
+        handle.write("\n")
+    if first != rows:
+        raise ValueError(f"{path}: the blocks held {first} scenario rows, not {rows}")
+
+
+def write_fan_chart_csv(path: Path, fan: np.ndarray) -> None:
+    """The (years x ``FAN_PROBS``) quantiles ``fan``, such as ``loss.path_quantiles`` gives, one row per year."""
     _write_rows(path, [
         ["year"] + list(FAN_LABELS),
         *([str(t)] + [_fmt(q) for q in quantiles] for t, quantiles in enumerate(fan, start=1)),

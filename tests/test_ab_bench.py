@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -288,6 +290,28 @@ def test_timing_child_that_imports_another_engine_is_named(tmp_path, monkeypatch
     monkeypatch.setenv("PYTHONPATH", str(ab_bench.ROOT / "src"))
     with pytest.raises(ValueError, match="^elsewhere: imported protval from .*, not from "):
         ab_bench._time_job(tmp_path / "empty", job, 1, "elsewhere")
+
+
+def test_every_child_inherits_the_environment_with_bytecode_writing_off(tmp_path, monkeypatch):
+    """The benchmark run and the timing child: bytecode either wrote under ``src/`` would refuse the next comparison."""
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append(kwargs)
+        if "bench/run.py" in argv:
+            return subprocess.CompletedProcess(argv, 0, result_line(0.05) + "\n", "")
+        answer = {"protval": str(tmp_path / "src" / "protval" / "__init__.py"), "pass_s": [0.1]}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(answer) + "\n", "")
+
+    monkeypatch.setattr(ab_bench, "subprocess", SimpleNamespace(run=run))
+    monkeypatch.setenv("AB_BENCH_INHERITED", "kept")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    ab_bench._run(tmp_path, "value_paper", 1, 1.0, "parent value_paper seed 1")
+    ab_bench._time_job(tmp_path, {"argv": [], "out_dir": str(tmp_path / "out")}, 1, "parent calibrate seed 1")
+    assert len(calls) == 2
+    for kwargs in calls:
+        assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert kwargs["env"]["AB_BENCH_INHERITED"] == "kept"
 
 
 def test_unknown_in_process_job_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):

@@ -20,7 +20,7 @@ from protval.cap import caplet_price
 from protval.cli import build_parser, main
 from protval.config import load_curve, load_portfolio, load_run_config
 from protval.projection import pvfp_rows
-from protval.reports import HISTOGRAM_MAX_BINS
+from protval.reports import FAN_LABELS, FAN_PROBS, HISTOGRAM_MAX_BINS
 
 from .conftest import (
     FIGURE_CAPLET_COSTS,
@@ -340,8 +340,8 @@ class TestSimulateProcesses:
             "import sys\n"
             "from pathlib import Path\n"
             "sys.dont_write_bytecode = True\n"
-            f"sys.path[:0] = [{str(ROOT_DIR / 'tools')!r}, {str(ROOT_DIR)!r}]\n"
-            "import output_digests, tracing\n"  # the tool puts src/ and bench/ on the path
+            f"sys.path[:0] = [{str(ROOT_DIR / 'tools')!r}, {str(ROOT_DIR / 'bench')!r}, {str(ROOT_DIR)!r}]\n"
+            "import output_digests, protval.cli, tracing\n"  # the tracer wraps the layers protval.cli imports
             "tracer = tracing.Tracer()\n"
             "tracer.install()\n"
             "tracer.begin_pass()\n"
@@ -1192,6 +1192,71 @@ def test_value_samples_never_rise_in_the_order_of_their_year_one_ratios(tmp_path
         assert np.all(np.diff(samples[order]) <= 0.0), spec.id
 
 
+# Probability that a seeded quantile falls outside the bounds below, for each bound checked.
+ORDER_STATISTIC_ALPHA = 1e-9
+QUANTILE_PROBS = (0.01, 0.05, 0.25, 0.50, 0.75, 0.95, 0.99)
+
+
+def order_statistic_levels(n: int, p: float) -> tuple[float, float]:
+    """Levels (lo, hi) of the law's CDF between which numpy's linear p-quantile of n iid draws falls.
+
+    That quantile lies between the order statistics k + 1 and k + 2 of the
+    draws, k = floor((n - 1) * p). The CDF at the j-th of n continuous draws
+    follows Beta(j, n + 1 - j), the law of the binomial order statistic, so
+    each level holds but with probability ``ORDER_STATISTIC_ALPHA`` / 2.
+    """
+    k = int((n - 1) * p)
+    beta = scipy.stats.beta
+    return beta.ppf(ORDER_STATISTIC_ALPHA / 2, k + 1, n - k), beta.ppf(1 - ORDER_STATISTIC_ALPHA / 2, k + 2, n - k - 1)
+
+
+def year_one_ratios_at(spec: projection.PortfolioSpec, levels) -> np.ndarray:
+    """The year-1 ratios exp(mu + sigma * Phi^-1(level)) of the spec's law at ``levels`` of its CDF."""
+    return np.exp(spec.mu + spec.sigma * scipy.stats.norm.ppf(levels))
+
+
+def test_simulate_fan_chart_lies_within_order_statistic_bounds_of_the_exact_quantiles(tmp_path):
+    """Each year's seeded quantile lies between f_t(exp(mu + sigma * Phi^-1(lo))) and the same at hi.
+
+    Year t of a path is f_t(sp1), nondecreasing, so the p-quantile of year t
+    is f_t of the p-quantile of the lognormal year-1 ratio. This oracle draws
+    nothing and builds no matrix.
+    """
+    config = sample_config("run_simulate.json", tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 0
+    run = load_run_config(config)
+    for spec in cli._load_portfolios(run):
+        with (run.output_dir / f"{spec.id}_fan_chart.csv").open(newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        fan = np.array([[float(v) for v in row[1:]] for row in rows])
+        assert header[1:] == list(FAN_LABELS) and fan.shape == (run.horizon, len(FAN_PROBS))
+        for column, p in zip(fan.T, FAN_PROBS):
+            ratios = year_one_ratios_at(spec, order_statistic_levels(run.scenarios, p))
+            low, high = loss.reverting_paths(ratios, spec.chronicle, spec.reversion_speed)[0]
+            assert np.all((low <= column) & (column <= high)), (spec.id, p)
+
+
+def test_value_sample_quantiles_lie_within_order_statistic_bounds_of_the_exact_quantiles(tmp_path):
+    """Each seeded p-quantile of the PVFP samples lies between g(Phi^-1(1 - lo)) and g(Phi^-1(1 - hi)).
+
+    g(z) is the PVFP of the path from exp(mu + sigma * z), nonincreasing in
+    z, so the p-quantile of the PVFP is g(Phi^-1(1 - p)): one ``pvfp_rows``
+    call on one path per bound, with no draw and no slicing.
+    """
+    config = sample_config("run_value.json", tmp_path)
+    assert main(["value", "--config", str(config)]) == 0
+    run = load_run_config(config)
+    riskfree = load_curve(run).spread_discounts(run.horizon)
+    for spec in cli._load_portfolios(run):
+        samples = np.loadtxt(run.output_dir / f"{spec.id}_pvfp_samples.csv", delimiter=",", skiprows=1)[:, 1]
+        for p, quantile in zip(QUANTILE_PROBS, np.quantile(samples, QUANTILE_PROBS)):
+            low, high = order_statistic_levels(samples.size, p)
+            paths = loss.reverting_paths(year_one_ratios_at(spec, [1 - low, 1 - high]), spec.chronicle,
+                                         spec.reversion_speed)[0]
+            lowest, highest = pvfp_rows(spec, paths, riskfree)
+            assert lowest <= quantile <= highest, (spec.id, p)
+
+
 @pytest.mark.parametrize("scenarios", [2, 1023, 1024, 1025, 2049])
 def test_value_in_slices_gives_the_samples_and_report_of_the_whole_matrix(tmp_path, monkeypatch, scenarios):
     """Around the edges of ``value``'s 1,024-row slices, the outputs are the whole matrix's.
@@ -1238,11 +1303,13 @@ def test_value_holds_one_slice_of_paths_per_portfolio_not_the_whole_matrix(tmp_p
     assert peak < z.size * run.horizon * 8 / 2
 
 
-def test_simulate_holds_one_path_matrix_and_small_chunks_of_its_text(tmp_path):
-    """At 10,000 x 30 the path matrix is 2.29 MiB; a warm ``simulate`` run of one portfolio peaks below 1.5 times it.
+def test_simulate_holds_its_year_one_ratios_and_one_slice_of_paths_never_the_matrix(tmp_path):
+    """At 10,000 x 30 the path matrix is 2.29 MiB; a warm ``simulate`` run of one portfolio peaks below half of it.
 
-    The scenarios file is rendered a chunk of rows at a time, and the fan
-    chart takes its quantiles in the matrix itself, not in a copy of it.
+    The run holds O(n) vectors (the draws, the year-1 ratios, the histogram's
+    bins, a partitioned copy of the ratios for the fan chart) and one
+    256-row slice of paths with its text. A run that builds the matrix
+    peaks above it.
     """
     config = sample_config("run_simulate.json", tmp_path, portfolios=[str(SAMPLE_DIR / "portfolio_1.json")])
     run = load_run_config(config)
@@ -1255,7 +1322,7 @@ def test_simulate_holds_one_path_matrix_and_small_chunks_of_its_text(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * run.scenarios * run.horizon * 8
+    assert peak < 0.5 * run.scenarios * run.horizon * 8
 
 
 def test_value_mean_pvfp_is_within_three_standard_errors_of_a_quantile_grid_reference(tmp_path):

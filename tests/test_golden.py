@@ -5,6 +5,7 @@ may be regenerated. The runs are made once in this process; each run is one case
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,15 +27,35 @@ def changes(lines: list[str], golden: list[str]) -> list[str]:
             for key in {**want, **got} if got.get(key) != want.get(key)]
 
 
+def interpreter_state() -> tuple[list[str], bool]:
+    return sys.path[:], sys.dont_write_bytecode
+
+
 @pytest.fixture(scope="module")
-def lines(tmp_path_factory) -> list[str]:
-    spec = importlib.util.spec_from_file_location("output_digests", ROOT / "tools" / "output_digests.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool.digest_lines(tmp_path_factory.mktemp("digests"))
+def digests(tmp_path_factory) -> dict:
+    """The tool's digest lines, and ``interpreter_state`` before it is loaded, after loading and after its runs."""
+    flag = sys.dont_write_bytecode
+    sys.dont_write_bytecode = False  # so that a tool which turns bytecode off shows
+    try:
+        states = [interpreter_state()]
+        spec = importlib.util.spec_from_file_location("output_digests", ROOT / "tools" / "output_digests.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        states.append(interpreter_state())
+        lines = tool.digest_lines(tmp_path_factory.mktemp("digests"))
+        states.append(interpreter_state())
+    finally:
+        sys.dont_write_bytecode = flag
+    return {"lines": lines, "states": states}
 
 
 @pytest.mark.parametrize("run", dict.fromkeys(map(run_of, GOLDEN_LINES)))
-def test_run_keeps_its_golden_digests(run, lines):
-    moved = changes(*([line for line in side if run_of(line) == run] for side in (lines, GOLDEN_LINES)))
+def test_run_keeps_its_golden_digests(run, digests):
+    moved = changes(*([line for line in side if run_of(line) == run] for side in (digests["lines"], GOLDEN_LINES)))
     assert not moved, "\n".join(moved)
+
+
+def test_loading_and_running_the_tool_leave_sys_path_and_the_bytecode_flag_as_they_were(digests):
+    before, loaded, ran = digests["states"]
+    assert loaded == before
+    assert ran == before

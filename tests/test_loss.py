@@ -1,4 +1,4 @@
-"""Loss-ratio model: scoring, lognormal parameters, seeded draws, reversion."""
+"""Loss-ratio model: scoring, lognormal parameters, seeded draws, reversion, quantiles of the paths."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protval.config import ConfigError, load_portfolio, load_weight_matrix
@@ -19,10 +19,12 @@ from protval.loss import (
     draw_initial_ratios,
     lognormal_mu,
     lognormal_sigma,
+    path_quantiles,
     reverting_paths,
     standard_normals,
     volatility_score,
 )
+from protval.reports import FAN_PROBS
 
 from .conftest import TABLE_MEAN_SIGMA, make_portfolio
 from .test_cli import make_portfolio_file, write_json
@@ -229,6 +231,60 @@ class TestMeanReversionPath:
         path = one_path(0.05, [2.0, 0.01, 0.01], nu=1.0)
         assert np.all(path >= 0.0)
         assert path[1] == 0.0
+
+
+def quantiles_of_the_matrix(sp1: np.ndarray, chronicle, nu: float, probs=FAN_PROBS) -> np.ndarray:
+    """numpy's quantiles of each year of the whole path matrix, one row per year: what ``path_quantiles`` mirrors."""
+    return np.quantile(reverting_paths(sp1, chronicle, nu)[0], probs, axis=0).T
+
+
+class TestPathQuantiles:
+    """``path_quantiles`` has the bits of ``np.quantile`` of the matrix it never builds (numpy's linear method)."""
+
+    @given(
+        n=st.one_of(st.sampled_from([1, 2, 3, 10_001]), st.integers(1, 600)),
+        seed=st.integers(0, 2**32 - 1),
+        mean_sp=st.floats(0.05, 3.0),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        decimals=st.one_of(st.none(), st.integers(0, 2)),
+        chronicle=st.lists(st.one_of(st.floats(0.01, 3.0), st.just(0.01)), min_size=1, max_size=40),
+        nu=st.floats(0.01, 1.0),
+        probs=st.one_of(st.just(FAN_PROBS), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)),
+    )
+    @example(n=10_001, seed=1, mean_sp=0.8, sigma=0.0, decimals=None, chronicle=[0.8] * 30, nu=0.8,
+             probs=FAN_PROBS).via("sigma = 0: every ratio tied")
+    @example(n=2, seed=3, mean_sp=2.5, sigma=0.9, decimals=None, chronicle=[2.5, 0.01, 0.01], nu=1.0,
+             probs=FAN_PROBS).via("n = 2 with floored years")
+    @example(n=600, seed=5, mean_sp=1.0, sigma=0.8, decimals=1, chronicle=[1.0, 0.01, 0.01, 0.02], nu=1.0,
+             probs=FAN_PROBS).via("tied ratios and floored years")
+    @settings(max_examples=150, deadline=None)
+    def test_equals_numpys_quantiles_of_the_path_matrix_bit_for_bit(
+        self, n, seed, mean_sp, sigma, decimals, chronicle, nu, probs
+    ):
+        """Over the row count, tied ratios (rounded, or sigma = 0), floored years and the probabilities.
+
+        A numpy release that changed its virtual index or its lerp fails here.
+        """
+        sp1 = draw_initial_ratios(lognormal_mu(mean_sp, sigma), sigma, standard_normals(n, seed))
+        if decimals is not None:
+            sp1 = np.round(sp1, decimals)
+        expected = quantiles_of_the_matrix(sp1, chronicle, nu, probs)
+        assert path_quantiles(sp1, chronicle, nu, probs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(10_000, 30), (10_001, 30), (50, 40), (1, 5), (7, 1)])
+    def test_equals_numpys_quantiles_at_the_shapes_of_a_fan_chart(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        sp1 = rng.lognormal(-0.3, 0.4, shape[0])
+        chronicle = rng.uniform(0.2, 1.5, shape[1])
+        fan = path_quantiles(sp1, chronicle, 0.8, FAN_PROBS)
+        assert fan.shape == (shape[1], len(FAN_PROBS))
+        assert fan.tobytes() == quantiles_of_the_matrix(sp1, chronicle, 0.8).tobytes()
+
+    def test_leaves_the_ratios_as_they_were(self):
+        sp1 = np.random.default_rng(4).lognormal(0.0, 0.5, 1001)
+        before = sp1.copy()
+        path_quantiles(sp1, [1.0] * 4, 0.8, FAN_PROBS)
+        assert sp1.tobytes() == before.tobytes()
 
 
 def scenarios_of(portfolio, n: int, seed: int) -> tuple[np.ndarray, int]:

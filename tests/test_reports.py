@@ -32,7 +32,7 @@ from protval.reports import (
 from protval.risk import SpreadFunction
 
 # Row counts around the writers' chunks of CHUNK lines.
-CHUNK = reports._CHUNK_LINES
+CHUNK = reports.CHUNK_LINES
 ROW_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
 # Values whose shortest repr is unusual: a signed zero, the smallest subnormal and a huge float.
 SPECIAL = (0.0, -0.0, 5e-324, 5e300)
@@ -61,6 +61,11 @@ def reference_scenarios_csv(path: Path, matrix: np.ndarray) -> None:
             handle.write(f"{i}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
+def write_in_blocks(path: Path, matrix: np.ndarray, rows: int = CHUNK) -> None:
+    """``write_scenarios_csv`` of ``matrix`` handed over in consecutive blocks of ``rows`` rows."""
+    write_scenarios_csv(path, (matrix[lo:lo + rows] for lo in range(0, len(matrix), rows)), matrix.shape)
+
+
 def reference_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write("scenario,pvfp\n")
@@ -71,7 +76,17 @@ def reference_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_scenarios_csv_matches_a_line_by_line_writer(tmp_path, n):
     matrix = values(n, 3)
-    write_scenarios_csv(tmp_path / "chunked.csv", matrix)
+    write_in_blocks(tmp_path / "chunked.csv", matrix)
+    reference_scenarios_csv(tmp_path / "reference.csv", matrix)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [100, None], ids=["100_row_blocks", "one_block"])
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_scenarios_csv_from_blocks_of_other_sizes_matches_a_line_by_line_writer(tmp_path, n, rows):
+    """Blocks that end inside a chunk of the writer, and the whole matrix as one block."""
+    matrix = values(n, 3)
+    write_in_blocks(tmp_path / "chunked.csv", matrix, rows or n)
     reference_scenarios_csv(tmp_path / "reference.csv", matrix)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -122,7 +137,7 @@ def mixed_values(width: int, special: tuple[float, ...], step: int, low: float =
 @pytest.mark.parametrize("width", [1, 3, 30])
 def test_scenarios_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blocks, width):
     matrix = mixed_values(width, SPECIAL, 7)
-    write_scenarios_csv(tmp_path / "chunked.csv", matrix)
+    write_in_blocks(tmp_path / "chunked.csv", matrix)
     reference_scenarios_csv(tmp_path / "reference.csv", matrix)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert orjson_blocks == [(CHUNK, width), (1, width)]
@@ -143,8 +158,11 @@ def test_pvfp_samples_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blo
     np.linspace(0.5, 3.0, 60).reshape(20, 3).astype(np.float32),
 ], ids=["fortran-order", "strided", "big-endian", "float32"])
 def test_scenarios_csv_of_an_array_orjson_cannot_take_as_it_is(tmp_path, matrix):
-    """orjson refuses a non-contiguous array and would misread a big-endian one; float32 has other shortest digits."""
-    write_scenarios_csv(tmp_path / "chunked.csv", matrix)
+    """orjson refuses a non-contiguous array and would misread a big-endian one; float32 has other shortest digits.
+
+    The blocks of 7 rows are such arrays too, and start at row indices other than 0.
+    """
+    write_in_blocks(tmp_path / "chunked.csv", matrix, 7)
     reference_scenarios_csv(tmp_path / "reference.csv", matrix)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -195,17 +213,24 @@ def test_a_chunk_with_a_value_outside_orjsons_range_is_rendered_by_repr(orjson_b
     assert orjson_blocks == []
 
 
-@pytest.mark.parametrize("shape", [(10_000, 30), (10_001, 30), (50, 40), (1, 5), (7, 1)])
-def test_fan_chart_taken_in_place_has_the_bits_of_the_quantiles_of_a_copy(tmp_path, shape):
-    """The fan chart partitions its matrix in place; each quantile it writes is ``np.quantile``'s on a copy."""
-    paths = np.random.default_rng(shape[0] * shape[1]).lognormal(-0.3, 0.4, shape)
-    expected = np.quantile(paths.copy(), FAN_PROBS, axis=0).T
-    write_fan_chart_csv(tmp_path / "fan.csv", paths)
+@pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK + 1])
+def test_scenarios_csv_whose_blocks_do_not_hold_the_rows_of_its_shape_is_refused(tmp_path, rows):
+    matrix = values(CHUNK, 3)
+    path = tmp_path / "scenarios.csv"
+    with pytest.raises(ValueError) as raised:
+        write_scenarios_csv(path, [values(rows, 3)], matrix.shape)
+    assert str(raised.value) == f"{path}: the blocks held {rows} scenario rows, not {CHUNK}"
+
+
+@pytest.mark.parametrize("years", [30, 1])
+def test_fan_chart_writes_each_years_quantiles_with_their_bits(tmp_path, years):
+    fan = np.sort(np.random.default_rng(years).lognormal(-0.3, 0.4, (years, len(FAN_PROBS))), axis=1)
+    write_fan_chart_csv(tmp_path / "fan.csv", fan)
     with (tmp_path / "fan.csv").open(newline="", encoding="utf-8") as handle:
         header, *rows = list(csv.reader(handle))
     assert header == ["year", *FAN_LABELS]
-    assert [row[0] for row in rows] == [str(t) for t in range(1, shape[1] + 1)]
-    assert np.array([[float(v) for v in row[1:]] for row in rows]).tobytes() == expected.tobytes()
+    assert [row[0] for row in rows] == [str(t) for t in range(1, years + 1)]
+    assert np.array([[float(v) for v in row[1:]] for row in rows]).tobytes() == fan.tobytes()
 
 
 def histogram_rows(directory: Path, year1: list[float] | np.ndarray) -> list[tuple[float, float, int]]:

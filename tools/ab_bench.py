@@ -16,7 +16,10 @@ metrics are printed as it finishes. If a run exits non-zero, reports
 ``correct: false`` or has ``failed > 0``, the script names the run and
 exits 1. Before the first run it exits 1 with one ``error:`` line if
 either checkout's ``src/`` holds a ``__pycache__``: bytecode left by an
-earlier run spares that side alone the compile of each cold start.
+earlier run spares that side alone the compile of each cold start. Every
+child process it starts inherits its environment with
+``PYTHONDONTWRITEBYTECODE=1``, so that a comparison leaves no such bytecode
+for the next one.
 
 At the end it prints, for each workload and each ``end_to_end`` metric of
 ``BENCHMARK.json``, the median and quartiles of each side over the pairs
@@ -56,6 +59,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -216,13 +220,18 @@ def child_main(args: list[str]) -> None:
     print(json.dumps({"protval": sys.modules["protval"].__file__, "pass_s": seconds[1:]}))
 
 
+def _child_env() -> dict[str, str]:
+    """This process's environment with bytecode writing off, for a child that imports a checkout's engine."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def _time_job(checkout: Path, job: dict, passes: int, label: str) -> list[float]:
     """The pass times of ``job`` in a timing child on ``checkout``'s ``src/``; ValueError naming ``label`` on a fault."""
     src = checkout / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(src), str(ROOT / "tools"), job["out_dir"], str(passes),
          json.dumps(job["argv"])],
-        cwd=checkout, capture_output=True, text=True,
+        cwd=checkout, capture_output=True, text=True, env=_child_env(),
     )
     if proc.returncode != 0:
         print(proc.stderr[-2000:], file=sys.stderr, end="")
@@ -236,7 +245,7 @@ def _time_job(checkout: Path, job: dict, passes: int, label: str) -> list[float]
 def _run(checkout: Path, workload: str, seed: int, seconds: float, label: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True,
+        cwd=checkout, capture_output=True, text=True, env=_child_env(),
     )
     try:
         return run_result(label, proc.returncode, proc.stdout)

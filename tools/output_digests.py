@@ -10,7 +10,9 @@ job's stdout and per output file:
     <run>/<job>/<file> <sha256>
 
 Manifests are hashed without ``config_path``, which names where the inputs
-sit. ``tests/golden_digests.txt`` holds these lines, and ``tests/test_golden.py``
+sit. Only while ``digest_lines`` runs are ``src/`` and ``bench/`` first on
+``sys.path`` and bytecode writing off; loading this file changes neither.
+``tests/golden_digests.txt`` holds these lines, and ``tests/test_golden.py``
 checks every one of them, so a change that moves an output byte fails there.
 Regenerate the file with
 
@@ -35,14 +37,9 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-import workloads  # noqa: E402
-from protval.cli import main  # noqa: E402
-
 SEEDS = (1, 2, 3)
 SAMPLE_RUNS = {
     "run_price_cap.json": "price-cap",
@@ -66,8 +63,21 @@ def _file_digest(path: Path) -> str:
     return _sha256(data)
 
 
-def run_job(name: str, argv: list[str], out_dir: Path) -> list[str]:
-    """Run one engine command; return the digest lines of its exit code, stdout and files."""
+@contextlib.contextmanager
+def _engine_on_path():
+    """``src/`` and ``bench/`` first on ``sys.path`` and no bytecode written, both restored on exit."""
+    path, dont_write_bytecode = sys.path[:], sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no __pycache__ in src/ or bench/
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    try:
+        yield
+    finally:
+        sys.path[:] = path
+        sys.dont_write_bytecode = dont_write_bytecode
+
+
+def run_job(main: Callable[[list[str]], int], name: str, argv: list[str], out_dir: Path) -> list[str]:
+    """Run one engine command through ``main``; return the digest lines of its exit code, stdout and files."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)
@@ -79,18 +89,22 @@ def run_job(name: str, argv: list[str], out_dir: Path) -> list[str]:
 
 def digest_lines(scratch: Path) -> list[str]:
     """Generate every run's inputs under ``scratch``, run its jobs and return all digest lines."""
-    lines = []
-    for workload in workloads.WORKLOADS:
-        for seed in SEEDS:
-            run = f"{workload}_seed{seed}"
-            for job in workloads.build(workload, seed, scratch / run).jobs:
-                lines += run_job(f"{run}/{job.name}", job.argv, job.out_dir)
-    for config_name, command in SAMPLE_RUNS.items():
-        inputs = scratch / f"sample_{config_name}"
-        shutil.copytree(ROOT / "sample_inputs", inputs, ignore=shutil.ignore_patterns("out"))
-        config = inputs / config_name
-        out_dir = inputs / json.loads(config.read_text(encoding="utf-8"))["output_dir"]
-        lines += run_job(f"sample/{config_name}", [command, "--config", str(config)], out_dir)
+    with _engine_on_path():
+        import workloads
+        from protval.cli import main
+
+        lines = []
+        for workload in workloads.WORKLOADS:
+            for seed in SEEDS:
+                run = f"{workload}_seed{seed}"
+                for job in workloads.build(workload, seed, scratch / run).jobs:
+                    lines += run_job(main, f"{run}/{job.name}", job.argv, job.out_dir)
+        for config_name, command in SAMPLE_RUNS.items():
+            inputs = scratch / f"sample_{config_name}"
+            shutil.copytree(ROOT / "sample_inputs", inputs, ignore=shutil.ignore_patterns("out"))
+            config = inputs / config_name
+            out_dir = inputs / json.loads(config.read_text(encoding="utf-8"))["output_dir"]
+            lines += run_job(main, f"sample/{config_name}", [command, "--config", str(config)], out_dir)
     return lines
 
 
