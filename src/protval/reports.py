@@ -3,13 +3,15 @@
 CSV files carry full-precision floats (shortest round-trip repr) so reruns
 can be compared byte for byte; human-readable percent formatting is the
 CLI's job. Line endings are pinned to "\\n" for the same reason. Every
-file is opened by ``_open``, which makes the output directory on first use:
-a run that stops before its first file leaves no directory behind.
+file is opened for bytes by ``_open``, which makes the output directory on
+first use: a run that stops before its first file leaves no directory
+behind. The small files are built as text and encoded once as UTF-8.
 
 The two bulk files, scenario paths and PVFP samples, are still ``repr``'s
-text. orjson renders a chunk of their rows only when every value is 0 or of
-magnitude in [1e-4, 1e16), where its shortest round-trip digits are
-``repr``'s; ``repr`` renders any other chunk. The scenario file takes its
+text, handled as bytes from the renderer to the file. orjson renders a
+chunk of their rows only when every value is 0 or of magnitude in
+[1e-4, 1e16), where its shortest round-trip digits are ``repr``'s; ``repr``
+renders any other chunk, and its text is encoded. The scenario file takes its
 rows as consecutive blocks of the path matrix, each written before the next
 is built, so the matrix is never whole; the fan chart takes quantiles that
 ``loss.path_quantiles`` computed from the year-1 ratios.
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
-import operator
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 import orjson
@@ -52,22 +54,29 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _open(path: Path) -> TextIO:
-    """``path`` opened for writing UTF-8 text with "\\n" line ends, its directory made if missing."""
+def _open(path: Path) -> BinaryIO:
+    """``path`` opened for writing bytes, its directory made if missing."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w", newline="", encoding="utf-8")
+    return path.open("wb")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its "\\n" line ends as they are."""
+    with _open(path) as handle:
+        handle.write(text.encode())
 
 
 def _write_rows(path: Path, rows: Iterable[Sequence[str]]) -> None:
     """Write ``rows`` to ``path`` as CSV, each line ended by "\\n"."""
-    with _open(path) as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_text(path, text.getvalue())
 
 
 @functools.lru_cache(maxsize=1)
-def _row_starts(n: int) -> tuple[str, ...]:
+def _row_starts(n: int) -> tuple[bytes, ...]:
     """Row i's start, "\\n" then the "i," label, for rows 0..n-1; a run's portfolios share one row count."""
-    return tuple(f"\n{i}," for i in range(n))
+    return tuple(b"\n%d," % i for i in range(n))
 
 
 def _orjson_writes_repr(block: np.ndarray) -> bool:
@@ -78,36 +87,41 @@ def _orjson_writes_repr(block: np.ndarray) -> bool:
     )
 
 
-def _write_rows_of(handle: TextIO, values: np.ndarray, first: int = 0, rows: int | None = None) -> None:
+def _write_rows_of(handle: BinaryIO, values: np.ndarray, first: int = 0, rows: int | None = None) -> None:
     """Write row i of ``values``, a vector's entry or a matrix's row, as "\\n<first + i>," and its floats joined by ",".
 
     ``values`` is rows ``first``.. of a file of ``rows`` rows (by default, the
     rows of ``values``). Each row starts with the newline that ends the line
-    before it, so a row is one concatenation of a start, cached for the whole
-    file, and its text. A chunk of ``CHUNK_LINES`` rows is one orjson call,
-    split at the row separators, when ``_orjson_writes_repr`` holds for it;
-    any other chunk is ``repr`` per value.
+    before it, so a row is a start, cached for the whole file, and its text.
+    A chunk of ``CHUNK_LINES`` rows is one orjson call, split at the row
+    separators, when ``_orjson_writes_repr`` holds for it; any other chunk is
+    ``repr`` per value, encoded. A chunk's starts and texts are interleaved in
+    one list and joined once, so no row is copied before the join, and the
+    chunk reaches ``handle`` as one bytes object that no text layer encodes
+    again.
     """
     starts = _row_starts(len(values) if rows is None else rows)
-    separator = "],[" if values.ndim == 2 else ","
+    separator = b"],[" if values.ndim == 2 else b","
     for lo in range(0, len(values), CHUNK_LINES):
         block = values[lo:lo + CHUNK_LINES]
         if _orjson_writes_repr(block):
             # One chain, so that no copy of the text outlives the split.
             cells = orjson.dumps(
                 np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY
-            ).decode()[values.ndim:-values.ndim].split(separator)
+            )[values.ndim:-values.ndim].split(separator)
         elif values.ndim == 2:
-            cells = [",".join(map(repr, row)) for row in block.tolist()]
+            cells = [",".join(map(repr, row)).encode() for row in block.tolist()]
         else:
-            cells = map(repr, block.tolist())
-        handle.write("".join(map(operator.add, starts[first + lo:first + lo + len(block)], cells)))
+            cells = [repr(value).encode() for value in block.tolist()]
+        parts = [b""] * (2 * len(block))
+        parts[0::2] = starts[first + lo:first + lo + len(block)]
+        parts[1::2] = cells
+        handle.write(b"".join(parts))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     """Write ``payload`` to ``path`` as JSON indented by 2 spaces, ended by "\\n"; floats render as ``repr``."""
-    with _open(path) as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_manifest(path: Path, command: str, config: RunConfig) -> None:
@@ -151,16 +165,18 @@ def write_scenarios_csv(path: Path, blocks: Iterable[np.ndarray], shape: tuple[i
     """One (scenario index, year_1..year_H) row per path of a (scenarios x H) matrix of ``shape``.
 
     ``blocks`` yields the matrix's rows as consecutive blocks, top first; each
-    is written before the next is taken. Numbers need no quoting, so no ``csv.writer``.
+    is written before the next is taken; a block that would overrun ``shape``
+    is counted but not written. Numbers need no quoting, so no ``csv.writer``.
     """
     rows, years = shape
     first = 0
     with _open(path) as handle:
-        handle.write(",".join(["scenario"] + [f"year_{t}" for t in range(1, years + 1)]))
+        handle.write(",".join(["scenario"] + [f"year_{t}" for t in range(1, years + 1)]).encode())
         for block in blocks:
-            _write_rows_of(handle, block, first, rows)
+            if first + len(block) <= rows:
+                _write_rows_of(handle, block, first, rows)
             first += len(block)
-        handle.write("\n")
+        handle.write(b"\n")
     if first != rows:
         raise ValueError(f"{path}: the blocks held {first} scenario rows, not {rows}")
 
@@ -198,9 +214,9 @@ def write_histogram_csv(path: Path, year1: np.ndarray) -> None:
 def write_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
     """One (scenario index, PVFP) row per entry of the PVFP vector."""
     with _open(path) as handle:
-        handle.write("scenario,pvfp")
+        handle.write(b"scenario,pvfp")
         _write_rows_of(handle, samples)
-        handle.write("\n")
+        handle.write(b"\n")
 
 
 def write_params_echo_csv(path: Path, rows: Sequence[tuple[str, float, float, float]]) -> None:

@@ -322,3 +322,67 @@ def test_unknown_in_process_job_is_rejected_before_any_run(tmp_path, monkeypatch
                        "--in-process", "value_everything"])
     assert exited.value.code == 2
     assert "no workload of bench/workloads.py has a job named 'value_everything'" in capsys.readouterr().err
+
+
+def tree_files(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` by its path relative to ``root``, with its bytes."""
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_aa_runs_the_parent_against_a_copy_of_its_files_and_removes_the_copy(tmp_path, monkeypatch, capsys):
+    """``--aa`` with ``subprocess.run`` stubbed: the copy holds the parent's files but ``.git``, bytecode and bench work."""
+    parent = tmp_path / "parent"
+    (parent / "src" / "protval").mkdir(parents=True)
+    (parent / "src" / "protval" / "cli.py").write_text("x = 1\n", encoding="utf-8")
+    (parent / "bench").mkdir()
+    (parent / "bench" / "run.py").write_bytes(b"# run\n\x00\xff")
+    (parent / "tools" / "__pycache__").mkdir(parents=True)
+    (parent / "tools" / "__pycache__" / "ab_bench.cpython-311.pyc").write_bytes(b"bytecode")
+    (parent / ".git").mkdir()
+    (parent / ".git" / "HEAD").write_text("ref: refs/heads/main\n", encoding="utf-8")
+    (parent / ".bench_work" / "value_paper").mkdir(parents=True)
+    (parent / ".bench_work" / "value_paper" / "inputs.json").write_text("{}\n", encoding="utf-8")
+    metrics = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    stdout = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {m["name"]: {"value": 0.05, "unit": m["unit"]} for m in metrics}})
+    runs = []
+
+    def run(argv, **kwargs):
+        runs.append((Path(kwargs["cwd"]), tree_files(Path(kwargs["cwd"]))))
+        return subprocess.CompletedProcess(argv, 0, stdout + "\n", "")
+
+    monkeypatch.setattr(ab_bench, "subprocess", SimpleNamespace(run=run))
+    monkeypatch.setattr(ab_bench, "commit_of", lambda checkout: "c")
+    out = tmp_path / "BENCH.json"
+    assert ab_bench.main([str(parent), "--aa", "--workload", "value_paper", "--pairs", "2", "--record", str(out)]) == 0
+    assert len(runs) == 4
+    sides = [cwd for cwd, _ in runs]
+    copy = sides[1]
+    assert sides == [parent, copy, copy, parent] and copy != parent and copy.name == parent.name
+    assert copy.parent.parent == tmp_path, "the copy is made next to the parent, on its file system"
+    expected = {name: data for name, data in tree_files(parent).items() if name.split("/")[0] in ("src", "bench")}
+    assert len(expected) == 2 and all(files == expected for cwd, files in runs if cwd == copy)
+    assert not copy.parent.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH.json", "parent"]
+    assert json.loads(out.read_text(encoding="utf-8"))["aa"] == ab_bench.AA_LABEL
+    assert "value_paper pass_s (s): parent 0.05 [0.05, 0.05]  change 0.05 [0.05, 0.05]" in capsys.readouterr().out
+
+
+def test_aa_copy_is_removed_when_a_run_fails(tmp_path, monkeypatch):
+    parent = tmp_path / "parent"
+    (parent / "src").mkdir(parents=True)
+    monkeypatch.setattr(ab_bench, "subprocess", SimpleNamespace(
+        run=lambda argv, **kwargs: subprocess.CompletedProcess(argv, 3, "", "boom")))
+    assert ab_bench.main([str(parent), "--aa", "--workload", "value_paper", "--pairs", "2"]) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["parent"]
+
+
+@pytest.mark.parametrize("aa", [False, True])
+def test_a_change_checkout_is_given_exactly_when_aa_is_not(tmp_path, monkeypatch, capsys, aa):
+    checkouts = make_checkouts(tmp_path)
+    monkeypatch.setattr(ab_bench, "_run", lambda *args: pytest.fail("a run started"))
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--aa"] if aa else [str(checkouts["parent"])]
+    with pytest.raises(SystemExit) as exited:
+        ab_bench.main(argv + ["--workload", "book_close"])
+    assert exited.value.code == 2
+    assert "give CHANGE, or --aa to compare PARENT with a copy of itself, not both" in capsys.readouterr().err

@@ -1308,8 +1308,9 @@ def test_simulate_holds_its_year_one_ratios_and_one_slice_of_paths_never_the_mat
 
     The run holds O(n) vectors (the draws, the year-1 ratios, the histogram's
     bins, a partitioned copy of the ratios for the fan chart) and one
-    256-row slice of paths with its text. A run that builds the matrix
-    peaks above it.
+    256-row slice of paths with its text as bytes: orjson's output, its
+    rows split from it and their join. A run that builds the matrix peaks
+    above it.
     """
     config = sample_config("run_simulate.json", tmp_path, portfolios=[str(SAMPLE_DIR / "portfolio_1.json")])
     run = load_run_config(config)

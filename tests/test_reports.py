@@ -168,10 +168,10 @@ def test_scenarios_csv_of_an_array_orjson_cannot_take_as_it_is(tmp_path, matrix)
 
 
 def rendered_rows(values: np.ndarray) -> str:
-    """What ``reports._write_rows_of`` writes for ``values``, captured in memory."""
-    handle = io.StringIO()
+    """What ``reports._write_rows_of`` writes for ``values``, captured in memory and decoded."""
+    handle = io.BytesIO()
     reports._write_rows_of(handle, values)
-    return handle.getvalue()
+    return handle.getvalue().decode()
 
 
 def test_orjson_writes_repr_text_for_a_million_random_doubles_in_range(orjson_blocks):
@@ -220,6 +220,15 @@ def test_scenarios_csv_whose_blocks_do_not_hold_the_rows_of_its_shape_is_refused
     with pytest.raises(ValueError) as raised:
         write_scenarios_csv(path, [values(rows, 3)], matrix.shape)
     assert str(raised.value) == f"{path}: the blocks held {rows} scenario rows, not {CHUNK}"
+
+
+@pytest.mark.parametrize("sizes", [(CHUNK, 5), (100, 100, 57), (100, CHUNK, 3)], ids=["second", "last", "middle"])
+def test_scenarios_csv_whose_rows_overrun_its_shape_in_a_later_block_is_refused(tmp_path, sizes):
+    """Rows that fit are written; the block that would pass ``CHUNK`` rows, and any after it, are only counted."""
+    path = tmp_path / "scenarios.csv"
+    with pytest.raises(ValueError) as raised:
+        write_scenarios_csv(path, [values(size, 3) for size in sizes], (CHUNK, 3))
+    assert str(raised.value) == f"{path}: the blocks held {sum(sizes)} scenario rows, not {CHUNK}"
 
 
 @pytest.mark.parametrize("years", [30, 1])

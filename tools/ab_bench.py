@@ -50,6 +50,17 @@ median pass. The line printed and the record's ``in_process`` entry give
 each side's median and quartiles over the rounds and the rounds where
 CHANGE read lower. These are wall times of this host, not a benchmark
 metric, and the record says so.
+
+With ``--aa`` and no CHANGE it compares PARENT with a copy of itself: an
+A/A run, whose spread is the noise of identical code. The copy is made
+without ``AA_SKIPPED`` (``.git``, bytecode and the benchmark's work
+directory) in a new directory next to PARENT, so that both sides write to
+one file system, and it is removed when the comparison ends. The copy's
+path is longer than PARENT's, and ``reports.bytes`` of ``book_close``
+grows with the path, so that one metric differs between the sides by
+construction. The record gains an ``aa`` entry that says so:
+
+    python3 tools/ab_bench.py PARENT --aa --workload value_paper --pairs 10 --record BENCH_aa.json
 """
 
 from __future__ import annotations
@@ -77,6 +88,12 @@ IN_PROCESS_LABEL = (
     "one subprocess per side and round, unscaled"
 )
 IN_PROCESS_METRIC = {"name": "pass_s", "unit": "s"}
+# What --aa leaves out of its copy of PARENT: history, bytecode and earlier bench work.
+AA_SKIPPED = (".git", "__pycache__", ".bench_work")
+AA_LABEL = (
+    "A/A: the change side is a copy of the parent checkout without .git, __pycache__ and .bench_work; "
+    "its spread is noise, except reports.bytes on book_close, which grows with the copy's longer path"
+)
 # Timed passes per side and round of --in-process, after one warm-up pass.
 IN_PROCESS_PASSES = 15
 # A timing child: it puts the checkout's src/ and this file's directory first on
@@ -242,6 +259,15 @@ def _time_job(checkout: Path, job: dict, passes: int, label: str) -> list[float]
     return answer["pass_s"]
 
 
+@contextlib.contextmanager
+def aa_copy(parent: Path):
+    """A copy of ``parent`` without ``AA_SKIPPED``, in a new directory next to it; removed on exit."""
+    with tempfile.TemporaryDirectory(prefix=".ab_aa-", dir=parent.parent) as scratch:
+        copy = Path(scratch) / parent.name
+        shutil.copytree(parent, copy, symlinks=True, ignore=shutil.ignore_patterns(*AA_SKIPPED))
+        yield copy
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float, label: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
@@ -257,7 +283,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, label: str) -
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("change", type=Path, nargs="?", help="checkout of the change; omitted with --aa")
+    parser.add_argument("--aa", action="store_true", help="compare PARENT with a copy of itself")
     parser.add_argument("--workload", action="append", default=[], help="a workload of bench/run.py; repeatable")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair; pair i runs seed N+i-1")
@@ -270,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
+    if args.aa == (args.change is not None):
+        parser.error("give CHANGE, or --aa to compare PARENT with a copy of itself, not both")
     if not args.workload and args.in_process is None:
         parser.error("give at least one --workload, or --in-process")
     if args.in_process is not None:
@@ -279,9 +308,18 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 parser.error(str(exc))
 
+    parent = args.parent.resolve()
+    if not args.aa:
+        return compare_checkouts(args, parent, args.change.resolve())
+    with aa_copy(parent) as copy:
+        return compare_checkouts(args, parent, copy)
+
+
+def compare_checkouts(args: argparse.Namespace, parent: Path, change: Path) -> int:
+    """Run the comparison that ``main``'s ``args`` ask for between the checkouts ``parent`` and ``change``."""
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
-    checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    checkouts = dict(zip(SIDES, (parent, change)))
     for checkout in checkouts.values():
         bytecode = next((checkout / "src").rglob("__pycache__"), None)
         if bytecode is not None:
@@ -343,6 +381,8 @@ def main(argv: list[str] | None = None) -> int:
         payload = record(args.description, args.claim, parent_commit, args.first_seed, modules, pairs, runs, metrics)
         if timed:
             payload["in_process"] = in_process_record(args.in_process, timed, rounds)
+        if args.aa:
+            payload["aa"] = AA_LABEL
         args.record.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     return 0
 
