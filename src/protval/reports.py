@@ -11,10 +11,11 @@ The two bulk files, scenario paths and PVFP samples, are still ``repr``'s
 text, handled as bytes from the renderer to the file. orjson renders a
 chunk of their rows only when every value is 0 or of magnitude in
 [1e-4, 1e16), where its shortest round-trip digits are ``repr``'s; ``repr``
-renders any other chunk, and its text is encoded. The scenario file takes its
-rows as consecutive blocks of the path matrix, each written before the next
-is built, so the matrix is never whole; the fan chart takes quantiles that
-``loss.path_quantiles`` computed from the year-1 ratios.
+renders any other chunk, and its text is encoded. The scenario and fan-chart
+writers take the year-1 ratios: the scenario file's rows are built by
+``loss.reverting_paths`` one chunk at a time, each written before the next is
+built, so the path matrix is never whole, and the fan chart's quantiles come
+from ``loss.path_quantiles``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import orjson
 from . import __version__
 from .cap import CapStrip, CapValuation
 from .config import RunConfig
+from .loss import path_quantiles, reverting_paths
 from .risk import PvfpStatistics, SpreadFunction
 
 FAN_PROBS = (0.01, 0.25, 0.50, 0.75, 0.99)
@@ -40,11 +42,10 @@ HISTOGRAM_BIN_WIDTH = 0.10
 # Bins a histogram may have: year-1 ratios below 1,000 at the 0.10 width.
 HISTOGRAM_MAX_BINS = 10_000
 
-# Rows rendered and written at once by _write_rows_of: one call per line costs
+# Rows rendered and written at once by _write_chunk: one call per line costs
 # more than rendering the line, while the text of a chunk of 256 lines (about
-# 150 KB at 30 years) adds little to the peak memory of a run. simulate builds
-# its scenario rows in blocks of this many.
-CHUNK_LINES = 256
+# 150 KB at 30 years) adds little to the peak memory of a run.
+_CHUNK_LINES = 256
 # Magnitudes other than 0 that orjson writes as repr does, in fixed notation; outside
 # them repr writes 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16.
 _ORJSON_MIN, _ORJSON_MAX = 1e-4, 1e16
@@ -87,36 +88,37 @@ def _orjson_writes_repr(block: np.ndarray) -> bool:
     )
 
 
-def _write_rows_of(handle: BinaryIO, values: np.ndarray, first: int = 0, rows: int | None = None) -> None:
-    """Write row i of ``values``, a vector's entry or a matrix's row, as "\\n<first + i>," and its floats joined by ",".
+def _write_chunk(handle: BinaryIO, block: np.ndarray, starts: Sequence[bytes]) -> None:
+    """Write row i of ``block``, a vector's entry or a matrix's row, as ``starts[i]`` and its floats joined by ",".
 
-    ``values`` is rows ``first``.. of a file of ``rows`` rows (by default, the
-    rows of ``values``). Each row starts with the newline that ends the line
-    before it, so a row is a start, cached for the whole file, and its text.
-    A chunk of ``CHUNK_LINES`` rows is one orjson call, split at the row
-    separators, when ``_orjson_writes_repr`` holds for it; any other chunk is
-    ``repr`` per value, encoded. A chunk's starts and texts are interleaved in
-    one list and joined once, so no row is copied before the join, and the
-    chunk reaches ``handle`` as one bytes object that no text layer encodes
-    again.
+    A row's start is the newline that ends the line before it and the row's
+    "<index>," label, cached for the whole file by ``_row_starts``. The block
+    is one orjson call, split at the row separators, when
+    ``_orjson_writes_repr`` holds for it; any other block is ``repr`` per
+    value, encoded. The starts and texts are interleaved in one list and
+    joined once, so no row is copied before the join, and the block reaches
+    ``handle`` as one bytes object that no text layer encodes again.
     """
-    starts = _row_starts(len(values) if rows is None else rows)
-    separator = b"],[" if values.ndim == 2 else b","
-    for lo in range(0, len(values), CHUNK_LINES):
-        block = values[lo:lo + CHUNK_LINES]
-        if _orjson_writes_repr(block):
-            # One chain, so that no copy of the text outlives the split.
-            cells = orjson.dumps(
-                np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY
-            )[values.ndim:-values.ndim].split(separator)
-        elif values.ndim == 2:
-            cells = [",".join(map(repr, row)).encode() for row in block.tolist()]
-        else:
-            cells = [repr(value).encode() for value in block.tolist()]
-        parts = [b""] * (2 * len(block))
-        parts[0::2] = starts[first + lo:first + lo + len(block)]
-        parts[1::2] = cells
-        handle.write(b"".join(parts))
+    if _orjson_writes_repr(block):
+        # One chain, so that no copy of the text outlives the split.
+        cells = orjson.dumps(
+            np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY
+        )[block.ndim:-block.ndim].split(b"],[" if block.ndim == 2 else b",")
+    elif block.ndim == 2:
+        cells = [",".join(map(repr, row)).encode() for row in block.tolist()]
+    else:
+        cells = [repr(value).encode() for value in block.tolist()]
+    parts = [b""] * (2 * len(block))
+    parts[0::2] = starts
+    parts[1::2] = cells
+    handle.write(b"".join(parts))
+
+
+def _write_rows_of(handle: BinaryIO, values: np.ndarray) -> None:
+    """Write row i of ``values`` as "\\n<i>," and its floats, ``_CHUNK_LINES`` rows per ``_write_chunk``."""
+    starts = _row_starts(len(values))
+    for lo in range(0, len(values), _CHUNK_LINES):
+        _write_chunk(handle, values[lo:lo + _CHUNK_LINES], starts[lo:lo + _CHUNK_LINES])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -161,28 +163,28 @@ def write_cap_report(path: Path, strip: CapStrip, valuation: CapValuation) -> No
     ])
 
 
-def write_scenarios_csv(path: Path, blocks: Iterable[np.ndarray], shape: tuple[int, int]) -> None:
-    """One (scenario index, year_1..year_H) row per path of a (scenarios x H) matrix of ``shape``.
+def write_scenarios_csv(path: Path, sp1: np.ndarray, chronicle: Sequence[float], nu: float) -> int:
+    """One (scenario index, year_1..year_H) row per path of ``reverting_paths(sp1, chronicle, nu)``; its floored count.
 
-    ``blocks`` yields the matrix's rows as consecutive blocks, top first; each
-    is written before the next is taken; a block that would overrun ``shape``
-    is counted but not written. Numbers need no quoting, so no ``csv.writer``.
+    The paths are built ``_CHUNK_LINES`` ratios at a time, and each chunk is
+    written before the next is built, so the path matrix is never whole.
+    Numbers need no quoting, so no ``csv.writer``.
     """
-    rows, years = shape
-    first = 0
+    starts = _row_starts(len(sp1))
+    floored = 0
     with _open(path) as handle:
-        handle.write(",".join(["scenario"] + [f"year_{t}" for t in range(1, years + 1)]).encode())
-        for block in blocks:
-            if first + len(block) <= rows:
-                _write_rows_of(handle, block, first, rows)
-            first += len(block)
+        handle.write(",".join(["scenario"] + [f"year_{t}" for t in range(1, len(chronicle) + 1)]).encode())
+        for lo in range(0, len(sp1), _CHUNK_LINES):
+            paths, count = reverting_paths(sp1[lo:lo + _CHUNK_LINES], chronicle, nu)
+            _write_chunk(handle, paths, starts[lo:lo + _CHUNK_LINES])
+            floored += count
         handle.write(b"\n")
-    if first != rows:
-        raise ValueError(f"{path}: the blocks held {first} scenario rows, not {rows}")
+    return floored
 
 
-def write_fan_chart_csv(path: Path, fan: np.ndarray) -> None:
-    """The (years x ``FAN_PROBS``) quantiles ``fan``, such as ``loss.path_quantiles`` gives, one row per year."""
+def write_fan_chart_csv(path: Path, sp1: np.ndarray, chronicle: Sequence[float], nu: float) -> None:
+    """The ``FAN_PROBS`` quantiles of each year of the paths from ``sp1``, one row per year, by ``path_quantiles``."""
+    fan = path_quantiles(sp1, chronicle, nu, FAN_PROBS)
     _write_rows(path, [
         ["year"] + list(FAN_LABELS),
         *([str(t)] + [_fmt(q) for q in quantiles] for t, quantiles in enumerate(fan, start=1)),

@@ -1,5 +1,6 @@
 """tools/ab_bench.py: the check of each run's result line, the summary of alternated pairs, the seeds and run
-order of the pairs, the in-process timing of one job and the JSON record."""
+order of the pairs, the warning on checkout paths of different length, the in-process timing of one job and the
+JSON record."""
 
 from __future__ import annotations
 
@@ -121,12 +122,14 @@ def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
     assert expected in capsys.readouterr().out
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert list(payload) == [
-        "description", "parent_commit", "claim", "first_seed", "summary", "src_lines", "module_lines", "runs",
+        "description", "parent_commit", "claim", "first_seed", "summary", "src_lines", "module_lines",
+        "checkout_path_chars", "runs",
     ]
     assert (payload["description"], payload["claim"], payload["first_seed"]) == ("a test", "book_close pass_s", 1)
     assert payload["parent_commit"] == "commit-of-parent"
     assert payload["src_lines"] == {"parent": 13, "change": 10}
     assert payload["module_lines"] == {"parent": {"m.py": 10, "n.py": 3}, "change": {"m.py": 7, "n.py": 3}}
+    assert payload["checkout_path_chars"] == {side: len(str(checkouts[side].resolve())) for side in ab_bench.SIDES}
     assert payload["summary"]["book_close"]["pass_s"]["change_lower_pairs"] == "2/2"
     assert [(r["side"], r["seed"], r["metrics"]["pass_s"]) for r in payload["runs"]] == [
         ("parent", 1, 0.20), ("change", 1, 0.15), ("change", 2, 0.16), ("parent", 2, 0.18),
@@ -213,6 +216,35 @@ def test_parent_with_no_commit_is_compared_when_nothing_is_recorded(tmp_path, mo
     assert ab_bench.main(argv) == 0
     assert calls == [("parent", "book_close", 1), ("change", "book_close", 1),
                      ("change", "book_close", 2), ("parent", "book_close", 2)]
+
+
+@pytest.mark.parametrize(("change_name", "warned"), [("change", False), ("change_at_a_longer_path", True)])
+def test_checkout_paths_of_different_length_are_warned_of_before_the_first_run_and_recorded(
+    tmp_path, monkeypatch, capsys, change_name, warned
+):
+    """A warning, not a refusal: ``--aa``'s copy always sits at a longer path than its parent."""
+    checkouts = {"parent": tmp_path / "parent", "change": tmp_path / change_name}
+    for checkout in checkouts.values():
+        (checkout / "src" / "protval").mkdir(parents=True)
+    chars = {side: len(str(checkout.resolve())) for side, checkout in checkouts.items()}
+    stderr_before_each_run = []
+    stubbed = stub_run([])
+
+    def run(*args):
+        stderr_before_each_run.append(capsys.readouterr().err)
+        return stubbed(*args)
+
+    monkeypatch.setattr(ab_bench, "_run", run)
+    monkeypatch.setattr(ab_bench, "commit_of", lambda checkout: "c")
+    out = tmp_path / "BENCH.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "book_close", "--pairs", "2",
+            "--record", str(out)]
+    assert ab_bench.main(argv) == 0
+    warning = (f"warning: the checkouts' paths differ in length ({chars['parent']} and {chars['change']} characters), "
+               "so reports.bytes differs between the sides by construction\n")
+    assert stderr_before_each_run == [warning if warned else ""] + [""] * 3
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text(encoding="utf-8"))["checkout_path_chars"] == chars
 
 
 def test_first_seed_sets_the_seeds_and_the_pair_index_sets_the_run_order(tmp_path, monkeypatch):
@@ -365,7 +397,9 @@ def test_aa_runs_the_parent_against_a_copy_of_its_files_and_removes_the_copy(tmp
     assert not copy.parent.exists()
     assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH.json", "parent"]
     assert json.loads(out.read_text(encoding="utf-8"))["aa"] == ab_bench.AA_LABEL
-    assert "value_paper pass_s (s): parent 0.05 [0.05, 0.05]  change 0.05 [0.05, 0.05]" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "value_paper pass_s (s): parent 0.05 [0.05, 0.05]  change 0.05 [0.05, 0.05]" in captured.out
+    assert captured.err.startswith("warning: the checkouts' paths differ in length (")
 
 
 def test_aa_copy_is_removed_when_a_run_fails(tmp_path, monkeypatch):

@@ -251,6 +251,19 @@ class TestSimulate:
             hist = list(csv.DictReader(fh))
         assert sum(int(r["count"]) for r in hist) == 400
 
+    @pytest.mark.parametrize("scenarios", [2, 255, 256, 257, 513])
+    def test_printed_floored_count_is_that_of_the_paths_of_the_whole_ratio_vector(self, tmp_path, capsys, scenarios):
+        """Scenario counts around the scenario writer's 256-row slices; year 2 floors each ratio below 1.375."""
+        portfolio = make_portfolio_file(tmp_path, retained_loss_ratio=1.5, sigma=0.6, chronicle=[1.5, 0.1, 0.9, 1.2])
+        config = write_json(tmp_path / "run.json", {"portfolios": ["p1.json"], "seed": 7, "horizon": 4,
+                                                     "output_dir": "out"})
+        assert main(["simulate", "--config", str(config), "--scenarios", str(scenarios)]) == 0
+        spec = load_portfolio(portfolio, 4, None)
+        sp1 = loss.draw_initial_ratios(spec.mu, spec.sigma, loss.standard_normals(scenarios, 7))
+        floored = loss.reverting_paths(sp1, spec.chronicle, spec.reversion_speed)[1]
+        assert floored > 0
+        assert capsys.readouterr().out == f"p1: {scenarios} scenarios x 4 years, seed 7, floored {floored}\n"
+
     def test_fan_chart_contracts_at_the_reversion_speed(self, tmp_path):
         config = self.simulate_config(tmp_path)
         assert main(["simulate", "--config", str(config)]) == 0

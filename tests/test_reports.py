@@ -1,6 +1,6 @@
-"""File writers: the bytes of the chunked writers against one-line-at-a-time references, orjson's float text
-against ``repr``'s, the histogram's bins, the spread function's JSON, the output directory each writer makes on
-first use, and every writer's signature."""
+"""File writers: the bytes of the chunked renderer and writers against one-line-at-a-time references, orjson's
+float text against ``repr``'s, the fan chart's quantiles, the histogram's bins, the spread function's JSON, the
+output directory each writer makes on first use, and every writer's signature."""
 
 from __future__ import annotations
 
@@ -18,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protval import reports
-from protval.loss import draw_initial_ratios, lognormal_mu, lognormal_sigma, standard_normals
+from protval.loss import (
+    draw_initial_ratios,
+    lognormal_mu,
+    lognormal_sigma,
+    path_quantiles,
+    reverting_paths,
+    standard_normals,
+)
 from protval.reports import (
     FAN_LABELS,
     FAN_PROBS,
@@ -32,7 +39,7 @@ from protval.reports import (
 from protval.risk import SpreadFunction
 
 # Row counts around the writers' chunks of CHUNK lines.
-CHUNK = reports.CHUNK_LINES
+CHUNK = reports._CHUNK_LINES
 ROW_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
 # Values whose shortest repr is unusual: a signed zero, the smallest subnormal and a huge float.
 SPECIAL = (0.0, -0.0, 5e-324, 5e300)
@@ -43,6 +50,8 @@ SAMPLE_SPECIAL = (-0.0, 5e-324, 1e-5, 1e16, -1.7976931348623157e308)
 IN_RANGE_SPECIAL = (0.0, -0.0, 1e-4, float(np.nextafter(1e16, 0)), -1e-4)
 # Values it does not: just outside that range, the smallest subnormal, infinities and nan.
 OUT_OF_RANGE = (float(np.nextafter(1e-4, 0)), 1e16, -1e16, 5e-324, -5e-324, 1e-5, float("inf"), float("-inf"), float("nan"))
+# A chronicle whose year-2 gap floors every path from a year-1 ratio below 1.375 at nu = 0.8.
+FLOORING_CHRONICLE = (1.5, 0.1, 0.9, 1.2)
 
 
 def values(n: int, width: int) -> np.ndarray:
@@ -54,6 +63,11 @@ def values(n: int, width: int) -> np.ndarray:
     return data
 
 
+def reference_rows(matrix: np.ndarray) -> str:
+    """Row i of ``matrix`` as "\\n<i>," and its floats' ``repr`` joined by ",", one line at a time."""
+    return "".join(f"\n{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(matrix))
+
+
 def reference_scenarios_csv(path: Path, matrix: np.ndarray) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(["scenario"] + [f"year_{t}" for t in range(1, matrix.shape[1] + 1)]) + "\n")
@@ -61,9 +75,11 @@ def reference_scenarios_csv(path: Path, matrix: np.ndarray) -> None:
             handle.write(f"{i}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def write_in_blocks(path: Path, matrix: np.ndarray, rows: int = CHUNK) -> None:
-    """``write_scenarios_csv`` of ``matrix`` handed over in consecutive blocks of ``rows`` rows."""
-    write_scenarios_csv(path, (matrix[lo:lo + rows] for lo in range(0, len(matrix), rows)), matrix.shape)
+def rendered_rows(values: np.ndarray) -> str:
+    """What ``reports._write_rows_of`` writes for ``values``, captured in memory and decoded."""
+    handle = io.BytesIO()
+    reports._write_rows_of(handle, values)
+    return handle.getvalue().decode()
 
 
 def reference_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
@@ -74,21 +90,35 @@ def reference_pvfp_samples_csv(path: Path, samples: np.ndarray) -> None:
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_scenarios_csv_matches_a_line_by_line_writer(tmp_path, n):
+def test_rows_of_a_matrix_match_a_line_by_line_writer(n):
     matrix = values(n, 3)
-    write_in_blocks(tmp_path / "chunked.csv", matrix)
-    reference_scenarios_csv(tmp_path / "reference.csv", matrix)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert rendered_rows(matrix) == reference_rows(matrix)
 
 
-@pytest.mark.parametrize("rows", [100, None], ids=["100_row_blocks", "one_block"])
+@pytest.mark.parametrize("rows", [100, None], ids=["100_row_chunks", "one_chunk"])
 @pytest.mark.parametrize("n", ROW_COUNTS)
-def test_scenarios_csv_from_blocks_of_other_sizes_matches_a_line_by_line_writer(tmp_path, n, rows):
-    """Blocks that end inside a chunk of the writer, and the whole matrix as one block."""
+def test_chunks_of_other_sizes_match_a_line_by_line_writer(n, rows):
+    """``_write_chunk`` of blocks that end inside a chunk of ``_write_rows_of``, and of the whole matrix at once."""
     matrix = values(n, 3)
-    write_in_blocks(tmp_path / "chunked.csv", matrix, rows or n)
-    reference_scenarios_csv(tmp_path / "reference.csv", matrix)
+    rows = rows or n
+    starts = reports._row_starts(n)
+    handle = io.BytesIO()
+    for lo in range(0, n, rows):
+        reports._write_chunk(handle, matrix[lo:lo + rows], starts[lo:lo + rows])
+    assert handle.getvalue().decode() == reference_rows(matrix)
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_scenarios_csv_matches_a_line_by_line_writer_of_the_reverting_paths(tmp_path, orjson_blocks, n):
+    """Ratios that floor, and one 5e-324 that makes its chunk ``repr``'s; the count returned is the paths' own."""
+    sp1 = np.random.default_rng(n).lognormal(0.2, 0.6, n)
+    sp1[n // 2] = 5e-324
+    paths, floored = reverting_paths(sp1, FLOORING_CHRONICLE, 0.8)
+    assert floored > 0
+    assert write_scenarios_csv(tmp_path / "chunked.csv", sp1, FLOORING_CHRONICLE, 0.8) == floored
+    reference_scenarios_csv(tmp_path / "reference.csv", paths)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert len(orjson_blocks) == -(-n // CHUNK) - 1
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
@@ -135,11 +165,9 @@ def mixed_values(width: int, special: tuple[float, ...], step: int, low: float =
 
 
 @pytest.mark.parametrize("width", [1, 3, 30])
-def test_scenarios_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blocks, width):
+def test_rows_of_a_matrix_where_orjson_and_repr_chunks_meet(orjson_blocks, width):
     matrix = mixed_values(width, SPECIAL, 7)
-    write_in_blocks(tmp_path / "chunked.csv", matrix)
-    reference_scenarios_csv(tmp_path / "reference.csv", matrix)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert rendered_rows(matrix) == reference_rows(matrix)
     assert orjson_blocks == [(CHUNK, width), (1, width)]
 
 
@@ -152,26 +180,17 @@ def test_pvfp_samples_csv_where_orjson_and_repr_chunks_meet(tmp_path, orjson_blo
 
 
 @pytest.mark.parametrize("matrix", [
-    np.asfortranarray(np.linspace(0.5, 3.0, 60).reshape(20, 3)),
-    np.linspace(0.5, 3.0, 120).reshape(20, 6)[:, ::2],
-    np.linspace(0.5, 3.0, 60).reshape(20, 3).astype(">f8"),
-    np.linspace(0.5, 3.0, 60).reshape(20, 3).astype(np.float32),
+    np.asfortranarray(np.linspace(0.5, 3.0, 3 * (2 * CHUNK + 1)).reshape(-1, 3)),
+    np.linspace(0.5, 3.0, 6 * (2 * CHUNK + 1)).reshape(-1, 6)[:, ::2],
+    np.linspace(0.5, 3.0, 3 * (2 * CHUNK + 1)).reshape(-1, 3).astype(">f8"),
+    np.linspace(0.5, 3.0, 3 * (2 * CHUNK + 1)).reshape(-1, 3).astype(np.float32),
 ], ids=["fortran-order", "strided", "big-endian", "float32"])
-def test_scenarios_csv_of_an_array_orjson_cannot_take_as_it_is(tmp_path, matrix):
+def test_rows_of_an_array_orjson_cannot_take_as_it_is(matrix):
     """orjson refuses a non-contiguous array and would misread a big-endian one; float32 has other shortest digits.
 
-    The blocks of 7 rows are such arrays too, and start at row indices other than 0.
+    The chunks of its ``2 * CHUNK + 1`` rows are such arrays too, and start at row indices other than 0.
     """
-    write_in_blocks(tmp_path / "chunked.csv", matrix, 7)
-    reference_scenarios_csv(tmp_path / "reference.csv", matrix)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-
-
-def rendered_rows(values: np.ndarray) -> str:
-    """What ``reports._write_rows_of`` writes for ``values``, captured in memory and decoded."""
-    handle = io.BytesIO()
-    reports._write_rows_of(handle, values)
-    return handle.getvalue().decode()
+    assert rendered_rows(matrix) == reference_rows(matrix)
 
 
 def test_orjson_writes_repr_text_for_a_million_random_doubles_in_range(orjson_blocks):
@@ -213,32 +232,17 @@ def test_a_chunk_with_a_value_outside_orjsons_range_is_rendered_by_repr(orjson_b
     assert orjson_blocks == []
 
 
-@pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK + 1])
-def test_scenarios_csv_whose_blocks_do_not_hold_the_rows_of_its_shape_is_refused(tmp_path, rows):
-    matrix = values(CHUNK, 3)
-    path = tmp_path / "scenarios.csv"
-    with pytest.raises(ValueError) as raised:
-        write_scenarios_csv(path, [values(rows, 3)], matrix.shape)
-    assert str(raised.value) == f"{path}: the blocks held {rows} scenario rows, not {CHUNK}"
-
-
-@pytest.mark.parametrize("sizes", [(CHUNK, 5), (100, 100, 57), (100, CHUNK, 3)], ids=["second", "last", "middle"])
-def test_scenarios_csv_whose_rows_overrun_its_shape_in_a_later_block_is_refused(tmp_path, sizes):
-    """Rows that fit are written; the block that would pass ``CHUNK`` rows, and any after it, are only counted."""
-    path = tmp_path / "scenarios.csv"
-    with pytest.raises(ValueError) as raised:
-        write_scenarios_csv(path, [values(size, 3) for size in sizes], (CHUNK, 3))
-    assert str(raised.value) == f"{path}: the blocks held {sum(sizes)} scenario rows, not {CHUNK}"
-
-
 @pytest.mark.parametrize("years", [30, 1])
 def test_fan_chart_writes_each_years_quantiles_with_their_bits(tmp_path, years):
-    fan = np.sort(np.random.default_rng(years).lognormal(-0.3, 0.4, (years, len(FAN_PROBS))), axis=1)
-    write_fan_chart_csv(tmp_path / "fan.csv", fan)
+    rng = np.random.default_rng(years)
+    sp1 = rng.lognormal(-0.3, 0.4, 1000)
+    chronicle = tuple(rng.uniform(0.5, 1.5, years))
+    write_fan_chart_csv(tmp_path / "fan.csv", sp1, chronicle, 0.8)
     with (tmp_path / "fan.csv").open(newline="", encoding="utf-8") as handle:
         header, *rows = list(csv.reader(handle))
     assert header == ["year", *FAN_LABELS]
     assert [row[0] for row in rows] == [str(t) for t in range(1, years + 1)]
+    fan = path_quantiles(sp1, chronicle, 0.8, FAN_PROBS)
     assert np.array([[float(v) for v in row[1:]] for row in rows]).tobytes() == fan.tobytes()
 
 
@@ -301,11 +305,12 @@ def test_spread_function_json_is_written_into_a_directory_made_on_first_use(tmp_
     assert path.read_bytes() == b'{\n  "a": 0.020781,\n  "b": 16.18,\n  "c": 1.0\n}\n'
 
 
-def test_every_writer_takes_its_path_first_and_returns_none():
-    """``bench/tracing.py`` sizes the file a ``write_*`` call leaves from the call's first argument."""
+def test_every_writer_takes_its_path_first_and_returns_no_path():
+    """``bench/tracing.py`` sizes the file a ``write_*`` call leaves from the call's first argument unless it returns
+    a path; each writer returns None but the scenario writer, which returns its floored count."""
     writers = {name: fn for name, fn in vars(reports).items() if name.startswith("write_")}
     assert writers
     for name, fn in writers.items():
         signature = inspect.signature(fn)
         assert next(iter(signature.parameters)) == "path", name
-        assert signature.return_annotation == "None", name
+        assert signature.return_annotation == ("int" if name == "write_scenarios_csv" else "None"), name

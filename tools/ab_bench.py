@@ -19,7 +19,11 @@ either checkout's ``src/`` holds a ``__pycache__``: bytecode left by an
 earlier run spares that side alone the compile of each cold start. Every
 child process it starts inherits its environment with
 ``PYTHONDONTWRITEBYTECODE=1``, so that a comparison leaves no such bytecode
-for the next one.
+for the next one. Also before the first run, it prints one ``warning:``
+line to stderr if the two checkouts' paths differ in length:
+``reports.bytes`` of ``book_close`` grows with the path, through the
+absolute config path in each manifest, so that metric then differs between
+the sides by construction.
 
 At the end it prints, for each workload and each ``end_to_end`` metric of
 ``BENCHMARK.json``, the median and quartiles of each side over the pairs
@@ -35,7 +39,8 @@ comparison as JSON to PATH: ``description``, ``parent_commit``, ``claim``,
 the pairs where the change read lower and the relative change of the
 medians), ``first_seed``, ``src_lines`` (lines of ``src/protval/*.py`` in
 each checkout), ``module_lines`` (each checkout's lines per module, so a
-simplification shows which modules shrank) and ``runs`` (each run's metrics,
+simplification shows which modules shrank), ``checkout_path_chars`` (the
+length of each checkout's resolved path) and ``runs`` (each run's metrics,
 failures and probe time, in run order).
 
 With ``--in-process JOB`` (a job name of ``bench/workloads.py``, such as
@@ -56,9 +61,8 @@ A/A run, whose spread is the noise of identical code. The copy is made
 without ``AA_SKIPPED`` (``.git``, bytecode and the benchmark's work
 directory) in a new directory next to PARENT, so that both sides write to
 one file system, and it is removed when the comparison ends. The copy's
-path is longer than PARENT's, and ``reports.bytes`` of ``book_close``
-grows with the path, so that one metric differs between the sides by
-construction. The record gains an ``aa`` entry that says so:
+path is longer than PARENT's, so the path-length warning above is printed,
+and the record gains an ``aa`` entry that says so:
 
     python3 tools/ab_bench.py PARENT --aa --workload value_paper --pairs 10 --record BENCH_aa.json
 """
@@ -176,11 +180,13 @@ def record(
     parent_commit: str,
     first_seed: int,
     modules: dict[str, dict[str, int]],
+    path_chars: dict[str, int],
     pairs: dict[str, list[tuple[dict, dict]]],
     runs: list[dict],
     metrics: list[dict],
 ) -> dict:
-    """The JSON record of a comparison; ``modules`` holds each side's ``module_lines``, ``runs`` one entry per run."""
+    """The JSON record of a comparison; ``modules`` holds each side's ``module_lines``, ``path_chars`` the length
+    of each side's checkout path and ``runs`` one entry per run."""
     return {
         "description": description,
         "parent_commit": parent_commit,
@@ -189,6 +195,7 @@ def record(
         "summary": {workload: compare(workload_pairs, metrics) for workload, workload_pairs in pairs.items()},
         "src_lines": {side: sum(lines.values()) for side, lines in modules.items()},
         "module_lines": modules,
+        "checkout_path_chars": path_chars,
         "runs": runs,
     }
 
@@ -331,6 +338,10 @@ def compare_checkouts(args: argparse.Namespace, parent: Path, change: Path) -> i
     except ValueError as exc:  # found now, not after the last run
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    path_chars = {side: len(str(checkout)) for side, checkout in checkouts.items()}
+    if path_chars["parent"] != path_chars["change"]:
+        print(f"warning: the checkouts' paths differ in length ({path_chars['parent']} and {path_chars['change']} "
+              "characters), so reports.bytes differs between the sides by construction", file=sys.stderr)
     pairs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in args.workload}
     runs = []
     timed: list[tuple[dict, dict]] = []
@@ -378,7 +389,8 @@ def compare_checkouts(args: argparse.Namespace, parent: Path, change: Path) -> i
               + "  (not a benchmark metric)")
     if args.record is not None:
         modules = {side: module_lines(checkout) for side, checkout in checkouts.items()}
-        payload = record(args.description, args.claim, parent_commit, args.first_seed, modules, pairs, runs, metrics)
+        payload = record(args.description, args.claim, parent_commit, args.first_seed, modules, path_chars, pairs, runs,
+                         metrics)
         if timed:
             payload["in_process"] = in_process_record(args.in_process, timed, rounds)
         if args.aa:
